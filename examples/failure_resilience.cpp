@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
     // streams were about to deliver anyway.
     queue.at(5 * kMillisecond, [&] {
       runner.on_topology_delta(TopologyDelta::link_down(doomed));
-      rescheduled = runner.recover_broadcast(1);
+      rescheduled = runner.recover_collective(1);
     });
     queue.run();
     std::printf("  segments lost on the wire: %llu\n",

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "src/collectives/phases.h"
 #include "src/steiner/layer_peel.h"
 #include "src/steiner/tree_repair.h"
 
@@ -26,966 +28,29 @@ const char* to_string(Scheme s) noexcept {
 
 namespace {
 
-std::uint64_t delivery_key(NodeId receiver, int chunk) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(receiver)) << 24) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(chunk));
+/// Duplex edge pairs of every part tree: the index a cached part set is
+/// surgically repaired or evicted under.
+std::vector<LinkId> part_edges(const std::vector<PeelStream>& parts) {
+  std::vector<LinkId> edges;
+  for (const PeelStream& part : parts) {
+    const std::vector<LinkId> pairs = duplex_edge_pairs(part.tree);
+    edges.insert(edges.end(), pairs.begin(), pairs.end());
+  }
+  return edges;
+}
+
+/// TreePlanCache lookup, or a direct build when memoization is off.
+template <typename T, typename Build, typename EdgesOf>
+std::shared_ptr<const T> memoized(bool enabled, TreePlanCache& cache, PlanKind kind,
+                                  NodeId source, const std::vector<NodeId>& dests,
+                                  const PeelCoverOptions& cover, Build&& build,
+                                  EdgesOf&& edges_of) {
+  if (!enabled) return std::make_shared<const T>(build());
+  return cache.get_or_build<T>(kind, source, dests, cover, std::forward<Build>(build),
+                               std::forward<EdgesOf>(edges_of));
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Exec base: delivery bookkeeping shared by every scheme.
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::ExecBase {
-  CollectiveRunner* runner = nullptr;
-  BroadcastRequest req;
-  std::vector<Bytes> chunk_sizes;
-  std::vector<StreamId> streams;
-  std::unordered_set<std::uint64_t> delivered;
-  /// Streams opened by recovery passes; their deliveries bypass the scheme's
-  /// forwarding hooks (the recovery path covers successors itself).
-  std::unordered_set<StreamId> recovery_streams;
-  /// Recovery streams from the latest pass, superseded (closed) by the next
-  /// one so repeated passes under flapping never stack duplicate senders.
-  std::vector<StreamId> open_recovery;
-  std::size_t expected = 0;
-
-  virtual ~ExecBase() = default;
-  virtual void start() = 0;
-  /// Scheme-specific reaction to a completed (receiver, chunk).
-  virtual void on_delivery(const DeliveryEvent& ev) { (void)ev; }
-
-  /// Scheme-owned recovery: runs before the generic origin->receiver pass.
-  /// The override removes from `missing` every delivery the generic pass
-  /// must not touch (re-sending them itself where possible) and returns the
-  /// count it rescheduled; deliveries it removed but could not reschedule
-  /// keep the collective's damage mark set, so a later pass retries them.
-  virtual std::size_t recover_scheme(std::vector<ExpectedDelivery>& missing) {
-    (void)missing;
-    return 0;
-  }
-
-  /// Every (receiver, chunk) this collective must complete, with the
-  /// endpoint holding the bytes. The default is the broadcast shape; multi-
-  /// source collectives (allgather / allreduce) override it. Must enumerate
-  /// exactly `expected` entries — recovery correctness rests on that.
-  [[nodiscard]] virtual std::vector<ExpectedDelivery> expected_deliveries() const {
-    std::vector<ExpectedDelivery> out;
-    out.reserve(expected);
-    for (NodeId receiver : req.destinations) {
-      for (std::size_t c = 0; c < chunk_sizes.size(); ++c) {
-        out.push_back({receiver, static_cast<int>(c), req.source, chunk_sizes[c]});
-      }
-    }
-    return out;
-  }
-
-  [[nodiscard]] DataPlane& net() const { return *runner->net_; }
-  [[nodiscard]] EventQueue& queue() const { return *runner->queue_; }
-  [[nodiscard]] const Fabric& fabric() const { return runner->fabric_; }
-  [[nodiscard]] const RunnerOptions& options() const { return runner->options_; }
-
-  StreamId open(StreamSpec spec) {
-    spec.tag = req.id;
-    const StreamId s = net().open_stream(std::move(spec));
-    streams.push_back(s);
-    return s;
-  }
-
-  /// Schedules `fn` against this exec, skipping it if the collective has
-  /// already completed (the exec is destroyed on completion, so a raw `this`
-  /// capture would dangle).
-  void schedule(SimTime delay, void (*fn)(ExecBase&)) {
-    CollectiveRunner* r = runner;
-    const std::uint64_t id = req.id;
-    queue().after(delay, [r, id, fn] {
-      const auto it = r->execs_.find(id);
-      if (it != r->execs_.end()) fn(*it->second);
-    });
-  }
-
-  void send_all_chunks(StreamId s) {
-    for (std::size_t c = 0; c < chunk_sizes.size(); ++c) {
-      net().send_chunk(s, static_cast<int>(c), chunk_sizes[c]);
-    }
-  }
-
-  /// Returns true when the collective just completed.
-  bool handle(const DeliveryEvent& ev) {
-    if (!delivered.insert(delivery_key(ev.receiver, ev.chunk)).second) {
-      return false;  // duplicate (e.g. redundant copy) — ignore
-    }
-    if (!recovery_streams.contains(ev.stream)) on_delivery(ev);
-    return delivered.size() == expected;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Ring: locality-ordered chain; each endpoint forwards a chunk on receipt.
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::RingExec : ExecBase {
-  std::vector<NodeId> order;
-  /// The ring's own edges, in hop order. Never index the shared `streams`
-  /// list positionally: recovery passes append their streams to it, which
-  /// would silently turn "last hop, no successor" into "forward onto a
-  /// recovery stream".
-  std::vector<StreamId> edge_streams;
-  std::unordered_map<StreamId, std::size_t> hop_of_stream;
-
-  void start() override {
-    order.reserve(req.destinations.size() + 1);
-    order.push_back(req.source);
-    order.insert(order.end(), req.destinations.begin(), req.destinations.end());
-    std::sort(order.begin() + 1, order.end());
-
-    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      const Route route = runner->router_.path(
-          order[i], order[i + 1],
-          ecmp_hash(req.id, static_cast<std::uint64_t>(i), 0x7269'6e67ULL));
-      if (route.links.empty()) {
-        throw std::runtime_error("ring: endpoints disconnected");
-      }
-      StreamSpec spec = spec_from_route(route);
-      spec.cnp_mode = CnpMode::ReceiverTimer;
-      const StreamId s = open(std::move(spec));
-      edge_streams.push_back(s);
-      hop_of_stream[s] = i;
-    }
-    send_all_chunks(edge_streams.front());
-  }
-
-  void on_delivery(const DeliveryEvent& ev) override {
-    const std::size_t hop = hop_of_stream.at(ev.stream);
-    if (hop + 1 < edge_streams.size()) {
-      net().send_chunk(edge_streams[hop + 1], ev.chunk,
-                       chunk_sizes[static_cast<std::size_t>(ev.chunk)]);
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Binary tree: rank r forwards each chunk to ranks 2r+1 and 2r+2.
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::BinaryTreeExec : ExecBase {
-  std::vector<NodeId> order;
-  /// edge_streams[r] = stream carrying parent(r) -> r, for r >= 1.
-  std::vector<StreamId> edge_streams;
-  std::unordered_map<StreamId, std::size_t> rank_of_stream;
-
-  void start() override {
-    order.push_back(req.source);
-    order.insert(order.end(), req.destinations.begin(), req.destinations.end());
-    std::sort(order.begin() + 1, order.end());
-
-    edge_streams.assign(order.size(), -1);
-    for (std::size_t r = 1; r < order.size(); ++r) {
-      const std::size_t parent = (r - 1) / 2;
-      const Route route = runner->router_.path(
-          order[parent], order[r],
-          ecmp_hash(req.id, static_cast<std::uint64_t>(r), 0x7472'6565ULL));
-      if (route.links.empty()) {
-        throw std::runtime_error("binary tree: endpoints disconnected");
-      }
-      StreamSpec spec = spec_from_route(route);
-      spec.cnp_mode = CnpMode::ReceiverTimer;
-      const StreamId s = open(std::move(spec));
-      edge_streams[r] = s;
-      rank_of_stream[s] = r;
-    }
-    for (std::size_t child : {std::size_t{1}, std::size_t{2}}) {
-      if (child < order.size()) send_all_chunks(edge_streams[child]);
-    }
-  }
-
-  void on_delivery(const DeliveryEvent& ev) override {
-    const std::size_t r = rank_of_stream.at(ev.stream);
-    for (std::size_t child : {2 * r + 1, 2 * r + 2}) {
-      if (child < order.size()) {
-        net().send_chunk(edge_streams[child], ev.chunk,
-                         chunk_sizes[static_cast<std::size_t>(ev.chunk)]);
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// In-network multicast: Optimal (one tree) and PEEL (one tree per prefix
-// packet). All chunks are queued up-front; switches replicate.
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::MulticastExec : ExecBase {
-  Scheme scheme = Scheme::Optimal;
-
-  void start() override {
-    // Striping (§2.3's multicast-vs-multipath question): chunks round-robin
-    // over several trees that differ in their core/aggregation choice.
-    // Asymmetric greedy trees are failure-shaped and not striped.
-    const int stripes = options().peel_asymmetric
-                            ? 1
-                            : std::max(1, options().stripe_trees);
-    for (int t = 0; t < stripes; ++t) {
-      const std::vector<StreamId> stripe = open_stripe(t);
-      for (std::size_t c = 0; c < chunk_sizes.size(); ++c) {
-        if (static_cast<int>(c % static_cast<std::size_t>(stripes)) != t) continue;
-        for (StreamId s : stripe) {
-          net().send_chunk(s, static_cast<int>(c), chunk_sizes[c]);
-        }
-      }
-    }
-  }
-
-  /// Opens the streams of one stripe and checks they partition the group.
-  std::vector<StreamId> open_stripe(int t) {
-    const std::uint64_t selector = req.id * 1000003ULL + static_cast<std::uint64_t>(t);
-    std::vector<StreamId> stripe;
-    std::size_t covered = 0;
-    if (scheme == Scheme::Optimal) {
-      const MulticastTree tree =
-          optimal_tree(fabric(), req.source, req.destinations, selector);
-      StreamSpec spec = spec_from_tree(fabric().topo(), tree, req.destinations);
-      spec.cnp_mode = options().multicast_cnp_mode;
-      stripe.push_back(open(std::move(spec)));
-      covered = req.destinations.size();
-    } else {
-      std::shared_ptr<const std::vector<PeelStream>> cached;
-      std::vector<PeelStream> derived;
-      if (options().peel_asymmetric) {
-        cached = runner->asymmetric_trees_for(req.source, req.destinations);
-      } else {
-        // The plan is selector-free (cache-friendly across stripes and
-        // repeated groups); the stripe's tree choice still varies by
-        // selector, so peel_static_trees runs per stripe.
-        const std::shared_ptr<const PeelPlan> plan =
-            runner->peel_plan_for(req.source, req.destinations);
-        derived = peel_static_trees(fabric(), *plan, selector);
-      }
-      const std::vector<PeelStream>& parts = cached ? *cached : derived;
-      for (const auto& part : parts) {
-        covered += part.receivers.size();
-        if (part.receivers.empty()) continue;  // purely redundant packet class
-        StreamSpec spec =
-            spec_from_tree(fabric().topo(), part.tree, part.receivers);
-        spec.cnp_mode = options().multicast_cnp_mode;
-        stripe.push_back(open(std::move(spec)));
-      }
-    }
-    if (covered != req.destinations.size()) {
-      throw std::logic_error("multicast streams do not partition the group");
-    }
-    return stripe;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Orca: controller setup delay, then trunk multicast to designated hosts and
-// per-rack host relays.
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::OrcaExec : ExecBase {
-  SimTime setup_delay = 0;
-  OrcaProgram program;
-  /// relay indices by designated host.
-  std::unordered_map<NodeId, std::vector<std::size_t>> relays_by_host;
-  std::vector<StreamId> relay_streams;
-  std::unordered_map<NodeId, NodeId> host_of_endpoint;
-  /// (designated host, chunk) pairs already relayed.
-  std::unordered_set<std::uint64_t> relayed;
-
-  void start() override {
-    schedule(setup_delay,
-             [](ExecBase& e) { static_cast<OrcaExec&>(e).launch(); });
-  }
-
-  void launch() {
-    const Topology& topo = fabric().topo();
-    program = orca_program(fabric(), runner->router_, req.source,
-                           req.destinations, req.id);
-
-    StreamSpec trunk = spec_from_tree(topo, program.trunk, program.trunk_receivers);
-    trunk.cnp_mode = options().multicast_cnp_mode;
-    const StreamId trunk_stream = open(std::move(trunk));
-
-    for (NodeId e : program.trunk_receivers) {
-      const NodeId host = topo.kind(e) == NodeKind::Gpu ? topo.host_of(e) : e;
-      host_of_endpoint[e] = host;
-    }
-    relay_streams.reserve(program.relays.size());
-    for (std::size_t i = 0; i < program.relays.size(); ++i) {
-      const auto& relay = program.relays[i];
-      StreamSpec spec = spec_from_route(relay.route);
-      // Extend the relay with NVLink fan-out to member GPUs.
-      const NodeId peer = relay.route.nodes.back();
-      spec.receivers.clear();
-      for (NodeId e : relay.endpoints) {
-        if (e != peer) spec.forward[peer].push_back(topo.find_link(peer, e));
-        spec.receivers.push_back(e);
-      }
-      spec.cnp_mode = CnpMode::ReceiverTimer;
-      relay_streams.push_back(open(std::move(spec)));
-      relays_by_host[relay.designated_host].push_back(i);
-    }
-    send_all_chunks(trunk_stream);
-  }
-
-  void on_delivery(const DeliveryEvent& ev) override {
-    const auto host_it = host_of_endpoint.find(ev.receiver);
-    if (host_it == host_of_endpoint.end()) return;  // relay-delivered endpoint
-    const auto relays = relays_by_host.find(host_it->second);
-    if (relays == relays_by_host.end()) return;
-    if (!relayed.insert(delivery_key(host_it->second, ev.chunk)).second) return;
-    for (std::size_t i : relays->second) {
-      net().send_chunk(relay_streams[i], ev.chunk,
-                       chunk_sizes[static_cast<std::size_t>(ev.chunk)]);
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// PEEL + programmable cores: static prefixes launch immediately; once the
-// controller finishes (setup delay), chunks not yet injected migrate onto the
-// exact tree and cross the fabric as a single copy (§3.3).
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::PeelProgCoresExec : ExecBase {
-  SimTime setup_delay = 0;
-  std::vector<StreamId> static_streams;
-
-  void start() override {
-    const std::shared_ptr<const PeelPlan> plan =
-        runner->peel_plan_for(req.source, req.destinations);
-    auto parts = peel_static_trees(fabric(), *plan, req.id);
-    std::size_t covered = 0;
-    for (auto& part : parts) {
-      covered += part.receivers.size();
-      if (part.receivers.empty()) continue;
-      StreamSpec spec = spec_from_tree(fabric().topo(), part.tree, part.receivers);
-      spec.cnp_mode = options().multicast_cnp_mode;
-      const StreamId s = open(std::move(spec));
-      static_streams.push_back(s);
-      send_all_chunks(s);
-    }
-    if (covered != req.destinations.size()) {
-      throw std::logic_error("PEEL streams do not partition the group");
-    }
-    if (static_streams.size() > 1) {
-      schedule(setup_delay,
-               [](ExecBase& e) { static_cast<PeelProgCoresExec&>(e).refine(); });
-    }
-  }
-
-  void refine() {
-    // Chunks cancelled on *every* static stream migrate to the exact tree;
-    // chunks already in flight somewhere are re-queued where they were.
-    std::unordered_map<int, std::size_t> cancel_counts;
-    std::vector<std::vector<int>> cancelled(static_streams.size());
-    for (std::size_t i = 0; i < static_streams.size(); ++i) {
-      cancelled[i] = net().cancel_unsent_chunks(static_streams[i]);
-      for (int c : cancelled[i]) ++cancel_counts[c];
-    }
-    std::unordered_set<int> migrate;
-    for (const auto& [chunk, count] : cancel_counts) {
-      if (count == static_streams.size()) migrate.insert(chunk);
-    }
-    for (std::size_t i = 0; i < static_streams.size(); ++i) {
-      for (int c : cancelled[i]) {
-        if (!migrate.contains(c)) {
-          net().send_chunk(static_streams[i], c,
-                           chunk_sizes[static_cast<std::size_t>(c)]);
-        }
-      }
-    }
-    if (migrate.empty()) return;
-
-    const MulticastTree tree =
-        optimal_tree(fabric(), req.source, req.destinations, req.id);
-    StreamSpec spec = spec_from_tree(fabric().topo(), tree, req.destinations);
-    spec.cnp_mode = options().multicast_cnp_mode;
-    const StreamId refined = open(std::move(spec));
-    std::vector<int> ordered(migrate.begin(), migrate.end());
-    std::sort(ordered.begin(), ordered.end());
-    for (int c : ordered) {
-      net().send_chunk(refined, c, chunk_sizes[static_cast<std::size_t>(c)]);
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Ring AllGather: shards rotate around a closed ring; shard s stops at the
-// rank just before its origin. Bandwidth-optimal among unicast schedules.
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::RingAllGatherExec : ExecBase {
-  std::vector<NodeId> order;  ///< ring order (locality-sorted members)
-  std::vector<StreamId> edge; ///< edge[r]: order[r] -> order[(r+1)%N]
-  std::unordered_map<StreamId, std::size_t> hop_of_stream;
-
-  void start() override {
-    const std::size_t n = order.size();
-    for (std::size_t r = 0; r < n; ++r) {
-      const Route route = runner->router_.path(
-          order[r], order[(r + 1) % n],
-          ecmp_hash(req.id, static_cast<std::uint64_t>(r), 0xa11'6a74ULL));
-      if (route.links.empty()) {
-        throw std::runtime_error("allgather ring: endpoints disconnected");
-      }
-      StreamSpec spec = spec_from_route(route);
-      spec.cnp_mode = CnpMode::ReceiverTimer;
-      const StreamId s = open(std::move(spec));
-      edge.push_back(s);
-      hop_of_stream[s] = r;
-    }
-    // Every rank launches its own shard simultaneously.
-    for (std::size_t r = 0; r < n; ++r) {
-      net().send_chunk(edge[r], static_cast<int>(r), chunk_sizes[r]);
-    }
-  }
-
-  void on_delivery(const DeliveryEvent& ev) override {
-    const std::size_t n = order.size();
-    const std::size_t receiver_rank = (hop_of_stream.at(ev.stream) + 1) % n;
-    const auto shard = static_cast<std::size_t>(ev.chunk);
-    // Forward unless this rank is the last stop (the shard's predecessor).
-    if (receiver_rank != (shard + n - 1) % n) {
-      net().send_chunk(edge[receiver_rank], ev.chunk, chunk_sizes[shard]);
-    }
-  }
-
-  [[nodiscard]] std::vector<ExpectedDelivery> expected_deliveries() const override {
-    // Shard s originates at rank s and must reach every other rank.
-    std::vector<ExpectedDelivery> out;
-    out.reserve(expected);
-    const std::size_t n = order.size();
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t r = 0; r < n; ++r) {
-        if (r == s) continue;
-        out.push_back({order[r], static_cast<int>(s), order[s], chunk_sizes[s]});
-      }
-    }
-    return out;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Multicast AllGather: one in-network multicast per member shard (Optimal /
-// PEEL trees; Orca adds its controller delay and host relays).
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::MulticastAllGatherExec : ExecBase {
-  Scheme scheme = Scheme::Optimal;
-  SimTime setup_delay = 0;
-  std::vector<NodeId> members;
-
-  // Orca state, per shard rank.
-  struct OrcaShard {
-    std::vector<std::size_t> relay_index_of;          // indices into relay_streams
-    std::unordered_map<NodeId, std::vector<std::size_t>> relays_by_host;
-    std::unordered_map<NodeId, NodeId> host_of_endpoint;
-  };
-  std::vector<OrcaShard> orca_shards;
-  std::vector<StreamId> relay_streams;
-  std::unordered_set<std::uint64_t> relayed;  // (designated host, shard)
-
-  void start() override {
-    if (scheme == Scheme::Orca) {
-      schedule(setup_delay, [](ExecBase& e) {
-        static_cast<MulticastAllGatherExec&>(e).launch();
-      });
-    } else {
-      launch();
-    }
-  }
-
-  void launch() {
-    const Topology& topo = fabric().topo();
-    orca_shards.resize(members.size());
-    for (std::size_t r = 0; r < members.size(); ++r) {
-      const NodeId source = members[r];
-      std::vector<NodeId> dests;
-      dests.reserve(members.size() - 1);
-      for (NodeId m : members) {
-        if (m != source) dests.push_back(m);
-      }
-      const auto chunk = static_cast<int>(r);
-      const Bytes shard = chunk_sizes[r];
-      const std::uint64_t selector = req.id * 7919ULL + r;
-
-      if (scheme == Scheme::Orca) {
-        OrcaProgram program =
-            orca_program(fabric(), runner->router_, source, dests, selector);
-        StreamSpec trunk =
-            spec_from_tree(topo, program.trunk, program.trunk_receivers);
-        trunk.cnp_mode = options().multicast_cnp_mode;
-        const StreamId trunk_stream = open(std::move(trunk));
-        auto& state = orca_shards[r];
-        for (NodeId e : program.trunk_receivers) {
-          state.host_of_endpoint[e] =
-              topo.kind(e) == NodeKind::Gpu ? topo.host_of(e) : e;
-        }
-        for (const auto& relay : program.relays) {
-          StreamSpec spec = spec_from_route(relay.route);
-          const NodeId peer = relay.route.nodes.back();
-          spec.receivers.clear();
-          for (NodeId e : relay.endpoints) {
-            if (e != peer) spec.forward[peer].push_back(topo.find_link(peer, e));
-            spec.receivers.push_back(e);
-          }
-          spec.cnp_mode = CnpMode::ReceiverTimer;
-          state.relays_by_host[relay.designated_host].push_back(
-              relay_streams.size());
-          relay_streams.push_back(open(std::move(spec)));
-        }
-        net().send_chunk(trunk_stream, chunk, shard);
-        continue;
-      }
-
-      if (scheme == Scheme::Optimal) {
-        const MulticastTree tree = optimal_tree(fabric(), source, dests, selector);
-        StreamSpec spec = spec_from_tree(topo, tree, dests);
-        spec.cnp_mode = options().multicast_cnp_mode;
-        net().send_chunk(open(std::move(spec)), chunk, shard);
-        continue;
-      }
-
-      // PEEL (PeelProgCores runs its static plan; per-shard refinement would
-      // migrate at most one chunk and is omitted).
-      std::shared_ptr<const std::vector<PeelStream>> cached;
-      std::vector<PeelStream> derived;
-      if (options().peel_asymmetric) {
-        cached = runner->asymmetric_trees_for(source, dests);
-      } else {
-        const std::shared_ptr<const PeelPlan> plan =
-            runner->peel_plan_for(source, dests);
-        derived = peel_static_trees(fabric(), *plan, selector);
-      }
-      const std::vector<PeelStream>& parts = cached ? *cached : derived;
-      std::size_t covered = 0;
-      for (const auto& part : parts) {
-        covered += part.receivers.size();
-        if (part.receivers.empty()) continue;
-        StreamSpec spec = spec_from_tree(topo, part.tree, part.receivers);
-        spec.cnp_mode = options().multicast_cnp_mode;
-        net().send_chunk(open(std::move(spec)), chunk, shard);
-      }
-      if (covered != dests.size()) {
-        throw std::logic_error("allgather PEEL streams do not partition");
-      }
-    }
-  }
-
-  void on_delivery(const DeliveryEvent& ev) override {
-    if (scheme != Scheme::Orca) return;
-    const auto shard = static_cast<std::size_t>(ev.chunk);
-    auto& state = orca_shards[shard];
-    const auto host_it = state.host_of_endpoint.find(ev.receiver);
-    if (host_it == state.host_of_endpoint.end()) return;
-    const auto relays = state.relays_by_host.find(host_it->second);
-    if (relays == state.relays_by_host.end()) return;
-    if (!relayed.insert(delivery_key(host_it->second, ev.chunk)).second) return;
-    for (std::size_t i : relays->second) {
-      net().send_chunk(relay_streams[i], ev.chunk, chunk_sizes[shard]);
-    }
-  }
-
-  [[nodiscard]] std::vector<ExpectedDelivery> expected_deliveries() const override {
-    std::vector<ExpectedDelivery> out;
-    out.reserve(expected);
-    const std::size_t n = members.size();
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t r = 0; r < n; ++r) {
-        if (r == s) continue;
-        out.push_back({members[r], static_cast<int>(s), members[s], chunk_sizes[s]});
-      }
-    }
-    return out;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Ring AllReduce: reduce-scatter then all-gather around the same ring.
-// Chunk ids: shard s in the reduce phase is `s`, in the gather phase `s + n`.
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::RingAllReduceExec : ExecBase {
-  std::vector<NodeId> order;
-  std::vector<StreamId> edge;  ///< edge[r]: order[r] -> order[(r+1)%n]
-  std::unordered_map<StreamId, std::size_t> hop_of_stream;
-
-  void start() override {
-    const std::size_t n = order.size();
-    for (std::size_t r = 0; r < n; ++r) {
-      const Route route = runner->router_.path(
-          order[r], order[(r + 1) % n],
-          ecmp_hash(req.id, static_cast<std::uint64_t>(r), 0xa11'5edULL));
-      if (route.links.empty()) {
-        throw std::runtime_error("allreduce ring: endpoints disconnected");
-      }
-      StreamSpec spec = spec_from_route(route);
-      spec.cnp_mode = CnpMode::ReceiverTimer;
-      const StreamId s = open(std::move(spec));
-      edge.push_back(s);
-      hop_of_stream[s] = r;
-    }
-    // Reduce-scatter: every rank launches its own shard.
-    for (std::size_t r = 0; r < n; ++r) {
-      net().send_chunk(edge[r], static_cast<int>(r), chunk_sizes[r]);
-    }
-  }
-
-  void on_delivery(const DeliveryEvent& ev) override {
-    const std::size_t n = order.size();
-    const std::size_t rank = (hop_of_stream.at(ev.stream) + 1) % n;
-    const auto cid = static_cast<std::size_t>(ev.chunk);
-    if (cid < n) {
-      // Reduce phase: combine locally (free) and pass on; the last combiner
-      // flips the shard into the gather phase.
-      const std::size_t shard = cid;
-      if (rank != (shard + n - 1) % n) {
-        net().send_chunk(edge[rank], ev.chunk, chunk_sizes[shard]);
-      } else {
-        net().send_chunk(edge[rank], static_cast<int>(shard + n),
-                         chunk_sizes[shard]);
-      }
-    } else {
-      // Gather phase: reduced shard `cid - n` circulates to everyone.
-      const std::size_t shard = cid - n;
-      // It started at rank (shard+n-1)%n; it stops one before that.
-      if (rank != (shard + n - 2) % n) {
-        net().send_chunk(edge[rank], ev.chunk, chunk_sizes[shard]);
-      }
-    }
-  }
-
-  [[nodiscard]] std::vector<ExpectedDelivery> expected_deliveries() const override {
-    // Reduce chunk s visits every rank but s (its owner re-sends on
-    // recovery); gather chunk s+n carries the reduced shard, first held by
-    // the last combiner (s+n-1)%n, and visits everyone else. A recovery
-    // delivery skips the forwarding hook, but any deliveries the broken
-    // chain therefore never produced are in the missing set themselves.
-    std::vector<ExpectedDelivery> out;
-    out.reserve(expected);
-    const std::size_t n = order.size();
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t r = 0; r < n; ++r) {
-        if (r != s) {
-          out.push_back({order[r], static_cast<int>(s), order[s], chunk_sizes[s]});
-        }
-        const std::size_t combiner = (s + n - 1) % n;
-        if (r != combiner) {
-          out.push_back({order[r], static_cast<int>(s + n), order[combiner],
-                         chunk_sizes[s]});
-        }
-      }
-    }
-    return out;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Tree-reduce + multicast-broadcast AllReduce: gradients combine up a binary
-// rank tree (host-side reduction), then the root broadcasts the result via
-// the scheme's machinery — the phase PEEL accelerates.
-//
-// Chunk id spaces (all unique so delivery keys never collide):
-//   reduce:    c * n + child_rank      (per reduce edge)
-//   broadcast: chunks * n + c
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::TreeReduceBroadcastExec : ExecBase {
-  Scheme scheme = Scheme::Optimal;
-  std::vector<NodeId> order;      ///< rank 0 = root
-  std::vector<Bytes> piece_bytes; ///< the pipelined pieces of the buffer
-
-  std::vector<StreamId> up_stream_of_rank;  ///< child rank -> stream to parent
-  std::unordered_map<StreamId, std::size_t> rank_of_up_stream;
-  /// missing child contributions per (rank, piece).
-  std::vector<std::vector<int>> missing;
-
-  // Broadcast side.
-  std::vector<StreamId> down_streams;               // multicast schemes
-  std::vector<StreamId> down_edge_of_rank;          // BinaryTree scheme
-  std::unordered_map<StreamId, std::size_t> rank_of_down_stream;
-
-  [[nodiscard]] std::size_t n() const { return order.size(); }
-  [[nodiscard]] int pieces() const { return static_cast<int>(piece_bytes.size()); }
-
-  [[nodiscard]] int reduce_cid(int piece, std::size_t child_rank) const {
-    return piece * static_cast<int>(n()) + static_cast<int>(child_rank);
-  }
-  [[nodiscard]] int broadcast_cid(int piece) const {
-    return pieces() * static_cast<int>(n()) + piece;
-  }
-
-  void start() override {
-    const std::size_t count = n();
-    // Reduce edges: rank r -> parent (r-1)/2, for r >= 1.
-    up_stream_of_rank.assign(count, -1);
-    missing.assign(count, std::vector<int>(static_cast<std::size_t>(pieces()), 0));
-    for (std::size_t r = 0; r < count; ++r) {
-      int kids = 0;
-      if (2 * r + 1 < count) ++kids;
-      if (2 * r + 2 < count) ++kids;
-      for (auto& m : missing[r]) m = kids;
-    }
-    for (std::size_t r = 1; r < count; ++r) {
-      const std::size_t parent = (r - 1) / 2;
-      const Route route = runner->router_.path(
-          order[r], order[parent],
-          ecmp_hash(req.id, static_cast<std::uint64_t>(r), 0x5edcefULL));
-      if (route.links.empty()) {
-        throw std::runtime_error("allreduce tree: endpoints disconnected");
-      }
-      StreamSpec spec = spec_from_route(route);
-      spec.cnp_mode = CnpMode::ReceiverTimer;
-      const StreamId s = open(std::move(spec));
-      up_stream_of_rank[r] = s;
-      rank_of_up_stream[s] = r;
-    }
-
-    // Broadcast machinery from the root.
-    const NodeId root = order[0];
-    std::vector<NodeId> others(order.begin() + 1, order.end());
-    if (scheme == Scheme::BinaryTree) {
-      down_edge_of_rank.assign(count, -1);
-      for (std::size_t r = 1; r < count; ++r) {
-        const std::size_t parent = (r - 1) / 2;
-        const Route route = runner->router_.path(
-            order[parent], order[r],
-            ecmp_hash(req.id, static_cast<std::uint64_t>(r), 0xb0a'dca57ULL));
-        StreamSpec spec = spec_from_route(route);
-        spec.cnp_mode = CnpMode::ReceiverTimer;
-        const StreamId s = open(std::move(spec));
-        down_edge_of_rank[r] = s;
-        rank_of_down_stream[s] = r;
-      }
-    } else if (scheme == Scheme::Optimal) {
-      const MulticastTree tree = optimal_tree(fabric(), root, others, req.id);
-      StreamSpec spec = spec_from_tree(fabric().topo(), tree, others);
-      spec.cnp_mode = options().multicast_cnp_mode;
-      down_streams.push_back(open(std::move(spec)));
-    } else {  // Peel / PeelProgCores
-      std::shared_ptr<const std::vector<PeelStream>> cached;
-      std::vector<PeelStream> derived;
-      if (options().peel_asymmetric) {
-        cached = runner->asymmetric_trees_for(root, others);
-      } else {
-        const std::shared_ptr<const PeelPlan> plan =
-            runner->peel_plan_for(root, others);
-        derived = peel_static_trees(fabric(), *plan, req.id);
-      }
-      const std::vector<PeelStream>& parts = cached ? *cached : derived;
-      std::size_t covered = 0;
-      for (const auto& part : parts) {
-        covered += part.receivers.size();
-        if (part.receivers.empty()) continue;
-        StreamSpec spec = spec_from_tree(fabric().topo(), part.tree, part.receivers);
-        spec.cnp_mode = options().multicast_cnp_mode;
-        down_streams.push_back(open(std::move(spec)));
-      }
-      if (covered != others.size()) {
-        throw std::logic_error("allreduce PEEL streams do not partition");
-      }
-    }
-
-    // Leaves start pushing every piece up immediately.
-    for (std::size_t r = 1; r < count; ++r) {
-      if (2 * r + 1 >= count) {  // no children
-        for (int c = 0; c < pieces(); ++c) {
-          net().send_chunk(up_stream_of_rank[r], reduce_cid(c, r),
-                           piece_bytes[static_cast<std::size_t>(c)]);
-        }
-      }
-    }
-    // Degenerate group where the root has everything locally: n == 1 is
-    // rejected at submit; with n == 2..3 the leaves above cover it.
-  }
-
-  void broadcast_piece(int piece) {
-    const Bytes bytes = piece_bytes[static_cast<std::size_t>(piece)];
-    if (scheme == Scheme::BinaryTree) {
-      for (std::size_t child : {std::size_t{1}, std::size_t{2}}) {
-        if (child < n()) {
-          net().send_chunk(down_edge_of_rank[child], broadcast_cid(piece), bytes);
-        }
-      }
-    } else {
-      for (StreamId s : down_streams) {
-        net().send_chunk(s, broadcast_cid(piece), bytes);
-      }
-    }
-  }
-
-  void on_delivery(const DeliveryEvent& ev) override {
-    const int base = pieces() * static_cast<int>(n());
-    if (ev.chunk >= base) {
-      // Broadcast phase.
-      if (scheme == Scheme::BinaryTree) {
-        const std::size_t r = rank_of_down_stream.at(ev.stream);
-        for (std::size_t child : {2 * r + 1, 2 * r + 2}) {
-          if (child < n()) {
-            net().send_chunk(down_edge_of_rank[child], ev.chunk,
-                             piece_bytes[static_cast<std::size_t>(ev.chunk - base)]);
-          }
-        }
-      }
-      return;
-    }
-    // Reduce phase: a child's contribution for piece c arrived at its parent.
-    const std::size_t child = rank_of_up_stream.at(ev.stream);
-    const std::size_t parent = (child - 1) / 2;
-    const auto piece = static_cast<std::size_t>(ev.chunk) / n();
-    auto& left = missing[parent][piece];
-    if (--left > 0) return;
-    // Parent now holds the combined piece.
-    if (parent == 0) {
-      broadcast_piece(static_cast<int>(piece));
-    } else {
-      net().send_chunk(up_stream_of_rank[parent],
-                       reduce_cid(static_cast<int>(piece), parent),
-                       piece_bytes[piece]);
-    }
-  }
-
-  [[nodiscard]] std::vector<ExpectedDelivery> expected_deliveries() const override {
-    // Reduce edge: child rank r owes its parent one contribution per piece.
-    // Broadcast: the root owes every other rank each reduced piece (modeled
-    // as re-sendable by the root — byte-accurate, as everywhere else the
-    // simulation carries sizes, not values).
-    std::vector<ExpectedDelivery> out;
-    out.reserve(expected);
-    const std::size_t count = n();
-    for (int c = 0; c < pieces(); ++c) {
-      const Bytes bytes = piece_bytes[static_cast<std::size_t>(c)];
-      for (std::size_t r = 1; r < count; ++r) {
-        out.push_back({order[(r - 1) / 2], reduce_cid(c, r), order[r], bytes});
-      }
-      for (std::size_t r = 1; r < count; ++r) {
-        out.push_back({order[r], broadcast_cid(c), order[0], bytes});
-      }
-    }
-    return out;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// In-network AllReduce: the PEEL prefix parts fuse into ONE stream
-// (innet_fused_spec) whose forward map is the merged member-serving
-// multicast tree rerooted at the pivot — the first fan-out switch above the
-// initiating rank. Every member paces its contribution up the exact mirror
-// of its down-tree branch, switches combine child segments in SRAM
-// (src/sim/network.cpp reduce path), and the pivot's fully combined bytes
-// turn around into the ordinary prefix multicast down the same tree. Each
-// fabric link is crossed once up and once down, and every member's NIC
-// carries exactly 1× the buffer each way — less than Ring's 2(n-1)/n.
-//
-// Chunk ids are the piece indices directly: the reduce and broadcast halves
-// are one stream, so there is no second id space to keep disjoint.
-// ---------------------------------------------------------------------------
-
-struct CollectiveRunner::InNetAllReduceExec : ExecBase {
-  std::vector<NodeId> order;       ///< sorted members; order[0] roots the plan
-  std::vector<Bytes> piece_bytes;  ///< the pipelined pieces of the buffer
-  StreamId fused = -1;             ///< the single up+down reduce stream
-
-  [[nodiscard]] int pieces() const { return static_cast<int>(piece_bytes.size()); }
-
-  void start() override {
-    const NodeId root = order[0];
-    const std::vector<NodeId> others(order.begin() + 1, order.end());
-    StreamSpec spec;
-    try {
-      const std::shared_ptr<const std::vector<PeelStream>> plan =
-          runner->reduce_plan_for(root, others);
-      std::size_t covered = 0;
-      for (const auto& part : *plan) covered += part.receivers.size();
-      if (covered != others.size()) {
-        throw std::runtime_error("in-network reduce parts do not partition");
-      }
-      spec = innet_fused_spec(fabric().topo(), *plan, root, order);
-    } catch (const std::exception&) {
-      // Mid-outage submission: the static prefix expansion crossed a dead
-      // link, or a surgically repaired part pruned a member-serving branch
-      // (part trees carry no destination list, so repair_tree is free to
-      // drop them). Fuse one live layer-peel tree instead — the same
-      // fallback recover_scheme uses. If a member is genuinely unreachable
-      // this rethrows, exactly like every host-side scheme's router path.
-      const std::shared_ptr<const MulticastTree> tree =
-          runner->recovery_tree_for(root, others);
-      const PeelStream whole{*tree, others};
-      spec = innet_fused_spec(fabric().topo(), std::span{&whole, 1}, root,
-                              order);
-    }
-    spec.cnp_mode = options().multicast_cnp_mode;
-    fused = open(std::move(spec));
-    for (int c = 0; c < pieces(); ++c) {
-      net().send_chunk(fused, c, piece_bytes[static_cast<std::size_t>(c)]);
-    }
-  }
-
-  [[nodiscard]] std::vector<ExpectedDelivery> expected_deliveries() const override {
-    // Every member (the initiator included — the reversed trunk makes it an
-    // ordinary leaf of the down-tree) is owed every combined piece. Origin
-    // is the initiator only nominally: no single endpoint holds
-    // switch-combined bytes, so recover_scheme re-runs the reduction.
-    std::vector<ExpectedDelivery> out;
-    out.reserve(expected);
-    for (int c = 0; c < pieces(); ++c) {
-      const Bytes bytes = piece_bytes[static_cast<std::size_t>(c)];
-      for (NodeId m : order) out.push_back({m, c, order[0], bytes});
-    }
-    return out;
-  }
-
-  std::size_t recover_scheme(std::vector<ExpectedDelivery>& missing) override {
-    // Claim everything: the generic pass cannot re-send switch-combined
-    // bytes (no endpoint holds them), and a partially combined piece cannot
-    // be patched per receiver — the whole reduction re-runs over a fresh
-    // tree on live links. If some member is unreachable right now nothing
-    // is rescheduled, which keeps the damage mark set so a later pass
-    // (after repair) retries.
-    if (missing.empty()) return 0;
-    std::vector<int> redo;
-    for (const ExpectedDelivery& d : missing) redo.push_back(d.chunk);
-    std::sort(redo.begin(), redo.end());
-    redo.erase(std::unique(redo.begin(), redo.end()), redo.end());
-
-    const std::vector<NodeId> others(order.begin() + 1, order.end());
-    StreamSpec spec;
-    try {
-      const std::shared_ptr<const MulticastTree> tree =
-          runner->recovery_tree_for(order[0], others);
-      const PeelStream whole{*tree, others};
-      spec = innet_fused_spec(fabric().topo(), std::span{&whole, 1}, order[0],
-                              order);
-    } catch (const std::exception&) {
-      return 0;  // some member unreachable: a later pass retries
-    }
-    spec.cnp_mode = options().multicast_cnp_mode;
-    // Supersede the damaged stream: its in-flight contributions drop with
-    // it (the byte audit treats closed streams as superseded) and the
-    // fresh stream's ledger restarts the exactly-once accounting from
-    // zero — contributions can neither drop nor double-count across the
-    // repair.
-    const std::size_t rescheduled = missing.size();
-    missing.clear();
-    net().close_stream(fused);
-    const StreamId s = open(std::move(spec));
-    // Deliberately NOT in recovery_streams: member deliveries must still
-    // fire so the collective can finish.
-    open_recovery.push_back(s);
-    fused = s;
-    for (int cid : redo) {
-      net().send_chunk(s, cid, piece_bytes[static_cast<std::size_t>(cid)]);
-    }
-    return rescheduled;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Runner
-// ---------------------------------------------------------------------------
 
 CollectiveRunner::CollectiveRunner(Fabric fabric, DataPlane& net,
                                    EventQueue& queue, Rng rng,
@@ -1002,59 +67,66 @@ CollectiveRunner::CollectiveRunner(Fabric fabric, DataPlane& net,
 
 CollectiveRunner::~CollectiveRunner() { net_->set_delivery_handler({}); }
 
+SimTime CollectiveRunner::draw_setup_delay(bool pays) {
+  if (!pays || !options_.controller_delay_enabled) return 0;
+  return static_cast<SimTime>(rng_.normal_truncated(
+      static_cast<double>(options_.controller_mean),
+      static_cast<double>(options_.controller_stddev), 0.0));
+}
+
 void CollectiveRunner::submit(Scheme scheme, BroadcastRequest request) {
   if (request.destinations.empty() || request.message_bytes <= 0) {
     throw std::invalid_argument("broadcast needs destinations and a payload");
   }
-  if (execs_.contains(request.id)) {
+  if (collectives_.contains(request.id)) {
     throw std::invalid_argument("duplicate collective id");
   }
-
-  std::unique_ptr<ExecBase> exec;
-  SimTime setup = 0;
-  const bool pays_controller =
-      scheme == Scheme::Orca || scheme == Scheme::PeelProgCores;
-  if (pays_controller && options_.controller_delay_enabled) {
-    setup = static_cast<SimTime>(rng_.normal_truncated(
-        static_cast<double>(options_.controller_mean),
-        static_cast<double>(options_.controller_stddev), 0.0));
+  if (scheme == Scheme::InNet) {
+    throw std::invalid_argument(
+        "broadcast does not support InNet (no reduction phase to offload); "
+        "use Peel for the multicast itself");
   }
+  const SimTime setup = draw_setup_delay(scheme == Scheme::Orca ||
+                                         scheme == Scheme::PeelProgCores);
+  auto col = std::make_unique<Collective>(this, request.id, request.job);
+  std::vector<Bytes> chunks = split_chunks(request.message_bytes, options_.chunks);
+  const std::size_t group = request.destinations.size();
 
-  switch (scheme) {
-    case Scheme::Ring: exec = std::make_unique<RingExec>(); break;
-    case Scheme::BinaryTree: exec = std::make_unique<BinaryTreeExec>(); break;
-    case Scheme::Optimal:
-    case Scheme::Peel: {
-      auto m = std::make_unique<MulticastExec>();
-      m->scheme = scheme;
-      exec = std::move(m);
-      break;
+  if (scheme == Scheme::Ring || scheme == Scheme::BinaryTree) {
+    // Locality order: the source, then the members sorted.
+    std::vector<NodeId> order{request.source};
+    order.insert(order.end(), request.destinations.begin(),
+                 request.destinations.end());
+    std::sort(order.begin() + 1, order.end());
+    const bool ring = scheme == Scheme::Ring;
+    std::vector<int> origin(chunks.size(), 0);
+    col->add(0, std::make_unique<Overlay>(
+                    ring ? "ring" : "binary tree",
+                    ring ? 0x7269'6e67ULL : 0x7472'6565ULL,
+                    ring ? Overlay::Shape::Chain : Overlay::Shape::TreeDown,
+                    std::move(order), std::move(chunks), std::move(origin)));
+  } else {
+    auto m = std::make_unique<Multicast>(scheme, request.source,
+                                         std::move(request.destinations),
+                                         std::move(chunks), request.id,
+                                         options_.peel_asymmetric);
+    if (scheme == Scheme::Optimal || scheme == Scheme::Peel) {
+      // Striping (§2.3's multicast-vs-multipath question): chunks
+      // round-robin over trees that differ in their core/aggregation choice.
+      // Asymmetric greedy trees are failure-shaped and not striped.
+      m->selector = request.id * 1000003ULL;
+      m->stripes = options_.peel_asymmetric ? 1 : std::max(1, options_.stripe_trees);
+    } else if (scheme == Scheme::Orca) {
+      col->launch_delay = setup;
+    } else {  // PeelProgCores: static prefixes now, the exact tree later
+      // The migration target is the symmetric optimal tree, so the fast
+      // start stays on the symmetric static plan as well.
+      m->asymmetric = false;
+      m->migrate_after = setup;
     }
-    case Scheme::Orca: {
-      auto o = std::make_unique<OrcaExec>();
-      o->setup_delay = setup;
-      exec = std::move(o);
-      break;
-    }
-    case Scheme::PeelProgCores: {
-      auto p = std::make_unique<PeelProgCoresExec>();
-      p->setup_delay = setup;
-      exec = std::move(p);
-      break;
-    }
-    case Scheme::InNet:
-      throw std::invalid_argument(
-          "broadcast does not support InNet (no reduction phase to offload); "
-          "use Peel for the multicast itself");
+    col->add(0, std::move(m));
   }
-
-  exec->runner = this;
-  exec->req = std::move(request);
-  exec->chunk_sizes = split_chunks(exec->req.message_bytes, options_.chunks);
-  exec->expected = exec->req.destinations.size() * exec->chunk_sizes.size();
-  const std::size_t group = exec->req.destinations.size();
-  const Bytes bytes = exec->req.message_bytes;
-  register_exec(std::move(exec), scheme, setup, bytes, group);
+  register_collective(std::move(col), scheme, setup, request.message_bytes, group);
 }
 
 void CollectiveRunner::submit_allgather(Scheme scheme, AllGatherRequest request) {
@@ -1069,45 +141,44 @@ void CollectiveRunner::submit_allgather(Scheme scheme, AllGatherRequest request)
         "AllGather does not support InNet (nothing to reduce; every shard is "
         "already a plain multicast)");
   }
-  if (execs_.contains(request.id)) {
+  if (collectives_.contains(request.id)) {
     throw std::invalid_argument("duplicate collective id");
   }
-
   std::vector<NodeId> members = request.members;
   std::sort(members.begin(), members.end());
   const std::size_t n = members.size();
-
-  SimTime setup = 0;
-  if (scheme == Scheme::Orca && options_.controller_delay_enabled) {
-    setup = static_cast<SimTime>(rng_.normal_truncated(
-        static_cast<double>(options_.controller_mean),
-        static_cast<double>(options_.controller_stddev), 0.0));
-  }
-
-  std::unique_ptr<ExecBase> exec;
-  if (scheme == Scheme::Ring) {
-    auto ring = std::make_unique<RingAllGatherExec>();
-    ring->order = members;
-    exec = std::move(ring);
-  } else {
-    auto mc = std::make_unique<MulticastAllGatherExec>();
-    mc->scheme = scheme;
-    mc->setup_delay = setup;
-    mc->members = members;
-    exec = std::move(mc);
-  }
-
-  exec->runner = this;
-  exec->req.id = request.id;
-  exec->req.job = request.job;
-  exec->req.message_bytes = request.total_bytes;
+  const SimTime setup = draw_setup_delay(scheme == Scheme::Orca);
   // One chunk per member shard; every member receives the n-1 other shards.
   if (request.total_bytes < static_cast<Bytes>(n)) {
     throw std::invalid_argument("allgather shards need at least one byte each");
   }
-  exec->chunk_sizes = split_chunks(request.total_bytes, static_cast<int>(n));
-  exec->expected = n * (n - 1);
-  register_exec(std::move(exec), scheme, setup, request.total_bytes, n);
+  std::vector<Bytes> shards = split_chunks(request.total_bytes, static_cast<int>(n));
+  auto col = std::make_unique<Collective>(this, request.id, request.job);
+
+  if (scheme == Scheme::Ring) {
+    // Shard s starts at rank s and rotates until the rank before it.
+    std::vector<int> origin(n);
+    std::iota(origin.begin(), origin.end(), 0);
+    col->add(0, std::make_unique<Overlay>("allgather ring", 0xa11'6a74ULL,
+                                          Overlay::Shape::Ring, members,
+                                          std::move(shards), std::move(origin)));
+  } else {
+    // One multicast per member shard, all concurrent (PeelProgCores runs its
+    // static plan: per-shard migration would move at most one chunk).
+    if (scheme == Scheme::Orca) col->launch_delay = setup;
+    for (std::size_t r = 0; r < n; ++r) {
+      std::vector<NodeId> dests;
+      dests.reserve(n - 1);
+      for (NodeId m : members) {
+        if (m != members[r]) dests.push_back(m);
+      }
+      col->add(0, std::make_unique<Multicast>(
+                      scheme, members[r], std::move(dests),
+                      std::vector<Bytes>{shards[r]}, request.id * 7919ULL + r,
+                      options_.peel_asymmetric));
+    }
+  }
+  register_collective(std::move(col), scheme, setup, request.total_bytes, n);
 }
 
 void CollectiveRunner::submit_allreduce(Scheme scheme, AllReduceRequest request) {
@@ -1119,91 +190,90 @@ void CollectiveRunner::submit_allreduce(Scheme scheme, AllReduceRequest request)
         "AllReduce does not support Orca (its host-relay model has no "
         "reduction phase); use Optimal with controller_delay instead");
   }
-  if (execs_.contains(request.id)) {
+  if (collectives_.contains(request.id)) {
     throw std::invalid_argument("duplicate collective id");
   }
-
   std::vector<NodeId> members = request.members;
   std::sort(members.begin(), members.end());
   const std::size_t n = members.size();
+  auto col = std::make_unique<Collective>(this, request.id, request.job);
 
-  std::unique_ptr<ExecBase> exec;
-  std::size_t expected = 0;
-  std::vector<Bytes> chunk_sizes;
   if (scheme == Scheme::Ring) {
+    // Reduce-scatter then all-gather around one ring: shard s combines from
+    // rank s to rank s-1, which then circulates the result to everyone.
     if (request.buffer_bytes < static_cast<Bytes>(n)) {
       throw std::invalid_argument("allreduce shards need at least one byte each");
     }
-    auto ring = std::make_unique<RingAllReduceExec>();
-    ring->order = members;
-    chunk_sizes = split_chunks(request.buffer_bytes, static_cast<int>(n));
-    expected = 2 * n * (n - 1);
-    exec = std::move(ring);
-  } else if (scheme == Scheme::InNet) {
-    auto innet = std::make_unique<InNetAllReduceExec>();
-    innet->order = members;
-    innet->piece_bytes = split_chunks(request.buffer_bytes, options_.chunks);
-    chunk_sizes = innet->piece_bytes;
-    // Every member receives every combined piece off the fused stream's
-    // down multicast — the initiator included.
-    expected = n * innet->piece_bytes.size();
-    exec = std::move(innet);
+    const std::vector<Bytes> shards =
+        split_chunks(request.buffer_bytes, static_cast<int>(n));
+    std::vector<int> origin(n);
+    std::vector<int> combiner(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      origin[s] = static_cast<int>(s);
+      combiner[s] = static_cast<int>((s + n - 1) % n);
+    }
+    auto& scatter = col->add(
+        0, std::make_unique<Overlay>("allreduce ring", 0xa11'5edULL,
+                                     Overlay::Shape::Ring, members, shards,
+                                     std::move(origin)));
+    auto gather = std::make_unique<Overlay>("allreduce ring", 0xa11'5edULL,
+                                            Overlay::Shape::Ring, members, shards,
+                                            std::move(combiner));
+    gather->reuse = static_cast<const Overlay*>(&scatter);
+    col->add(1, std::move(gather));
   } else {
-    auto tree = std::make_unique<TreeReduceBroadcastExec>();
-    tree->scheme = scheme;
-    tree->order = members;
-    tree->piece_bytes = split_chunks(request.buffer_bytes, options_.chunks);
-    chunk_sizes = tree->piece_bytes;
-    expected = 2 * (n - 1) * tree->piece_bytes.size();
-    exec = std::move(tree);
+    std::vector<Bytes> pieces = split_chunks(request.buffer_bytes, options_.chunks);
+    std::vector<NodeId> others(members.begin() + 1, members.end());
+    if (scheme == Scheme::InNet) {
+      col->add(0, std::make_unique<Multicast>(scheme, members[0], std::move(others),
+                                              std::move(pieces), 0, false));
+    } else {
+      // Gradients combine up a binary rank tree at the hosts, then rank 0
+      // broadcasts each reduced piece with the scheme's own machinery.
+      col->add(0, std::make_unique<Overlay>(
+                      "allreduce tree", 0x5edcefULL, Overlay::Shape::TreeUp,
+                      members, pieces,
+                      std::vector<int>(pieces.size(), Overlay::kEveryLeaf)));
+      if (scheme == Scheme::BinaryTree) {
+        col->add(1, std::make_unique<Overlay>(
+                        "allreduce tree", 0xb0a'dca57ULL, Overlay::Shape::TreeDown,
+                        members, pieces, std::vector<int>(pieces.size(), 0)));
+      } else {
+        col->add(1, std::make_unique<Multicast>(scheme, members[0], std::move(others),
+                                                std::move(pieces), request.id,
+                                                options_.peel_asymmetric));
+      }
+    }
   }
-
-  exec->runner = this;
-  exec->req.id = request.id;
-  exec->req.job = request.job;
-  exec->req.message_bytes = request.buffer_bytes;
-  exec->chunk_sizes = std::move(chunk_sizes);
-  exec->expected = expected;
-  register_exec(std::move(exec), scheme, 0, request.buffer_bytes, n);
+  register_collective(std::move(col), scheme, 0, request.buffer_bytes, n);
 }
 
 std::shared_ptr<const PeelPlan> CollectiveRunner::peel_plan_for(
     NodeId source, const std::vector<NodeId>& dests) {
-  const auto build = [&] {
-    return fabric_.fat_tree
-               ? build_peel_plan(*fabric_.fat_tree, source, dests,
-                                 options_.peel_cover)
-               : build_peel_plan(*fabric_.leaf_spine, source, dests,
-                                 options_.peel_cover);
-  };
-  if (!options_.plan_cache) return std::make_shared<const PeelPlan>(build());
   // build_peel_plan never reads the failure set (symmetric prefix cover), so
   // the entry carries no edges and survives every topology delta.
-  return plan_cache_.get_or_build<PeelPlan>(PlanKind::PeelPlan, source, dests,
-                                            options_.peel_cover, build);
+  return memoized<PeelPlan>(
+      options_.plan_cache, plan_cache_, PlanKind::PeelPlan, source, dests,
+      options_.peel_cover,
+      [&] {
+        return fabric_.fat_tree ? build_peel_plan(*fabric_.fat_tree, source, dests,
+                                                  options_.peel_cover)
+                                : build_peel_plan(*fabric_.leaf_spine, source, dests,
+                                                  options_.peel_cover);
+      },
+      [](const PeelPlan&) { return std::vector<LinkId>{}; });
 }
 
 std::shared_ptr<const std::vector<PeelStream>> CollectiveRunner::reduce_plan_for(
     NodeId root, const std::vector<NodeId>& dests) {
-  const auto build = [&] {
-    // Selector 0: the reduce plan must be deterministic per (root, group) so
-    // repeated collectives share one cached artifact — stripe variety buys
-    // nothing here, the mirror is fixed by the forward cover anyway.
-    return peel_static_trees(fabric_, *peel_plan_for(root, dests), 0);
-  };
-  if (!options_.plan_cache) {
-    return std::make_shared<const std::vector<PeelStream>>(build());
-  }
-  return plan_cache_.get_or_build<std::vector<PeelStream>>(
-      PlanKind::ReducePlan, root, dests, options_.peel_cover, build,
-      [](const std::vector<PeelStream>& streams) {
-        std::vector<LinkId> edges;
-        for (const PeelStream& s : streams) {
-          const std::vector<LinkId> pairs = duplex_edge_pairs(s.tree);
-          edges.insert(edges.end(), pairs.begin(), pairs.end());
-        }
-        return edges;
-      });
+  // Selector 0: the reduce plan must be deterministic per (root, group) so
+  // repeated collectives share one cached artifact — stripe variety buys
+  // nothing here, the mirror is fixed by the forward cover anyway.
+  return memoized<std::vector<PeelStream>>(
+      options_.plan_cache, plan_cache_, PlanKind::ReducePlan, root, dests,
+      options_.peel_cover,
+      [&] { return peel_static_trees(fabric_, *peel_plan_for(root, dests), 0); },
+      part_edges);
 }
 
 std::shared_ptr<const std::vector<PeelStream>>
@@ -1212,36 +282,21 @@ CollectiveRunner::asymmetric_trees_for(NodeId source,
   if (!fabric_.leaf_spine) {
     throw std::runtime_error("asymmetric PEEL requires a leaf-spine fabric");
   }
-  const auto build = [&] {
-    return peel_asymmetric_trees(*fabric_.leaf_spine, source, dests);
-  };
-  if (!options_.plan_cache) {
-    return std::make_shared<const std::vector<PeelStream>>(build());
-  }
   // Asymmetric trees ignore the cover policy; a fixed cover keeps keys from
   // splitting on an input the builder never reads.
-  return plan_cache_.get_or_build<std::vector<PeelStream>>(
-      PlanKind::PeelAsymmetric, source, dests, PeelCoverOptions{}, build,
-      [](const std::vector<PeelStream>& streams) {
-        std::vector<LinkId> edges;
-        for (const PeelStream& s : streams) {
-          const std::vector<LinkId> pairs = duplex_edge_pairs(s.tree);
-          edges.insert(edges.end(), pairs.begin(), pairs.end());
-        }
-        return edges;
-      });
+  return memoized<std::vector<PeelStream>>(
+      options_.plan_cache, plan_cache_, PlanKind::PeelAsymmetric, source, dests,
+      PeelCoverOptions{},
+      [&] { return peel_asymmetric_trees(*fabric_.leaf_spine, source, dests); },
+      part_edges);
 }
 
 std::shared_ptr<const MulticastTree> CollectiveRunner::recovery_tree_for(
     NodeId origin, const std::vector<NodeId>& receivers) {
-  const auto build = [&] {
-    return layer_peel_tree(fabric_.topo(), origin, receivers);
-  };
-  if (!options_.plan_cache) {
-    return std::make_shared<const MulticastTree>(build());
-  }
-  return plan_cache_.get_or_build<MulticastTree>(
-      PlanKind::RecoveryTree, origin, receivers, PeelCoverOptions{}, build,
+  return memoized<MulticastTree>(
+      options_.plan_cache, plan_cache_, PlanKind::RecoveryTree, origin, receivers,
+      PeelCoverOptions{},
+      [&] { return layer_peel_tree(fabric_.topo(), origin, receivers); },
       [](const MulticastTree& tree) { return duplex_edge_pairs(tree); });
 }
 
@@ -1262,18 +317,14 @@ PlanRepair CollectiveRunner::repair_cached_plan(
         // are mirrored only at spec-build time), so one repair serves both.
         const auto& streams =
             *std::static_pointer_cast<const std::vector<PeelStream>>(value);
-        std::vector<PeelStream> fixed;
-        fixed.reserve(streams.size());
-        std::vector<LinkId> edges;
+        auto fixed = std::make_shared<std::vector<PeelStream>>();
+        fixed->reserve(streams.size());
         for (const PeelStream& s : streams) {
-          TreeRepairResult repaired = repair_tree(fabric_.topo(), s.tree);
-          const std::vector<LinkId> pairs = duplex_edge_pairs(repaired.tree);
-          edges.insert(edges.end(), pairs.begin(), pairs.end());
-          fixed.push_back(PeelStream{std::move(repaired.tree), s.receivers});
+          fixed->push_back(
+              PeelStream{repair_tree(fabric_.topo(), s.tree).tree, s.receivers});
         }
-        return PlanRepair{
-            std::make_shared<const std::vector<PeelStream>>(std::move(fixed)),
-            std::move(edges)};
+        std::vector<LinkId> edges = part_edges(*fixed);
+        return PlanRepair{std::move(fixed), std::move(edges)};
       }
       case PlanKind::PeelPlan:
         // Edge-free entries are never delta-indexed; nothing to repair.
@@ -1297,11 +348,11 @@ void CollectiveRunner::on_topology_delta(const TopologyDelta& delta) {
   // flight. Up transitions lose nothing and mark nothing.
   for (const LinkId pair : delta.down_pairs) {
     const LinkId rev = fabric_.topo().reverse_of(pair);
-    for (const auto& [id, exec] : execs_) {
-      if (damaged_execs_.contains(id)) continue;
-      for (const StreamId s : exec->streams) {
+    for (const auto& [id, col] : collectives_) {
+      if (damaged_.contains(id)) continue;
+      for (const StreamId s : col->streams) {
         if (net_->stream_uses_link(s, pair) || net_->stream_uses_link(s, rev)) {
-          damaged_execs_.insert(id);
+          damaged_.insert(id);
           break;
         }
       }
@@ -1327,47 +378,14 @@ void CollectiveRunner::on_topology_delta(const TopologyDelta& delta) {
       cache_after.invalidations - cache_before.invalidations;
 }
 
-std::size_t CollectiveRunner::recover_broadcast(std::uint64_t id) {
-  const auto it = execs_.find(id);
-  if (it == execs_.end() || it->second->req.destinations.empty()) return 0;
-  return recover_collective(id);
-}
-
-bool CollectiveRunner::recover_group_multicast(
-    ExecBase& exec, NodeId origin,
-    const std::map<NodeId, std::vector<const ExpectedDelivery*>>& by_receiver) {
-  std::vector<NodeId> receivers;
-  receivers.reserve(by_receiver.size());
-  for (const auto& [receiver, chunks] : by_receiver) receivers.push_back(receiver);
-  std::shared_ptr<const MulticastTree> tree;
-  try {
-    tree = recovery_tree_for(origin, receivers);
-  } catch (const std::exception&) {
-    return false;  // some receiver unreachable over live links right now
-  }
-  StreamSpec spec = spec_from_tree(fabric_.topo(), *tree, receivers);
-  spec.cnp_mode = options_.multicast_cnp_mode;
-  const StreamId s = exec.open(std::move(spec));
-  exec.recovery_streams.insert(s);
-  exec.open_recovery.push_back(s);
-  // One copy of each missing chunk serves the whole group; receivers that
-  // already hold a chunk get a duplicate the delivery ledger ignores.
-  std::map<int, Bytes> chunks;
-  for (const auto& [receiver, missing] : by_receiver) {
-    for (const ExpectedDelivery* d : missing) chunks[d->chunk] = d->bytes;
-  }
-  for (const auto& [chunk, bytes] : chunks) net_->send_chunk(s, chunk, bytes);
-  return true;
-}
-
 std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
-  const auto it = execs_.find(id);
-  if (it == execs_.end()) return 0;
-  ExecBase& exec = *it->second;
+  const auto it = collectives_.find(id);
+  if (it == collectives_.end()) return 0;
+  Collective& col = *it->second;
 
   std::vector<ExpectedDelivery> missing;
-  for (const ExpectedDelivery& d : exec.expected_deliveries()) {
-    if (!exec.delivered.contains(delivery_key(d.receiver, d.chunk))) {
+  for (const ExpectedDelivery& d : col.expected_deliveries()) {
+    if (!col.delivered.contains(Collective::key(d.receiver, d.chunk))) {
       missing.push_back(d);
     }
   }
@@ -1376,19 +394,20 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
   // re-enumerated above, and closing keeps repeated passes (one per flap)
   // from stacking duplicate senders. In-flight segments of a closed stream
   // drop silently; the byte audit treats such streams as superseded.
-  for (StreamId s : exec.open_recovery) net_->close_stream(s);
-  exec.open_recovery.clear();
+  for (StreamId s : col.open_recovery) net_->close_stream(s);
+  col.open_recovery.clear();
 
   if (missing.empty()) {
-    damaged_execs_.erase(id);
+    damaged_.erase(id);
     return 0;
   }
 
-  // Scheme-owned recovery first: an exec whose deliveries cannot be re-sent
-  // by any single endpoint (e.g. InNet's switch-combined reduce pieces)
+  // Transfer-owned recovery first: a transfer whose deliveries cannot be
+  // re-sent by any single endpoint (InNet's switch-combined reduce pieces)
   // claims them out of `missing` and re-schedules them itself.
   const std::size_t total = missing.size();
-  std::size_t rescheduled = exec.recover_scheme(missing);
+  std::size_t rescheduled = 0;
+  for (const auto& t : col.transfers) rescheduled += t->recover(col, missing);
 
   // Deterministic grouping: origins and receivers in ascending id order.
   std::map<NodeId, std::map<NodeId, std::vector<const ExpectedDelivery*>>> groups;
@@ -1397,12 +416,32 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
   }
 
   for (const auto& [origin, by_receiver] : groups) {
-    if (options_.recovery_trees && by_receiver.size() >= 2 &&
-        recover_group_multicast(exec, origin, by_receiver)) {
-      for (const auto& [receiver, chunks] : by_receiver) {
-        rescheduled += chunks.size();
+    // Several receivers of one origin share a fresh layer-peel multicast
+    // tree: one copy of each missing chunk serves the whole group, and
+    // receivers that already hold it get a duplicate the ledger ignores.
+    // Unreachable receivers (no tree) fall back to per-receiver unicasts.
+    std::shared_ptr<const MulticastTree> tree;
+    if (options_.recovery_trees && by_receiver.size() >= 2) {
+      std::vector<NodeId> receivers;
+      for (const auto& [receiver, chunks] : by_receiver) receivers.push_back(receiver);
+      try {
+        tree = recovery_tree_for(origin, receivers);
+      } catch (const std::exception&) {
       }
-      continue;
+      if (tree) {
+        StreamSpec spec = spec_from_tree(fabric_.topo(), *tree, receivers);
+        spec.cnp_mode = options_.multicast_cnp_mode;
+        const StreamId s = col.open(std::move(spec));
+        col.recovery_streams.insert(s);
+        col.open_recovery.push_back(s);
+        std::map<int, Bytes> chunks;
+        for (const auto& [receiver, owed] : by_receiver) {
+          for (const ExpectedDelivery* d : owed) chunks[d->chunk] = d->bytes;
+          rescheduled += owed.size();
+        }
+        for (const auto& [chunk, bytes] : chunks) net_->send_chunk(s, chunk, bytes);
+        continue;
+      }
     }
     for (const auto& [receiver, chunks] : by_receiver) {
       const Route route = router_.path(
@@ -1411,9 +450,9 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
       if (route.links.empty()) continue;  // unreachable: a later pass retries
       StreamSpec spec = spec_from_route(route);
       spec.cnp_mode = CnpMode::ReceiverTimer;
-      const StreamId s = exec.open(std::move(spec));
-      exec.recovery_streams.insert(s);
-      exec.open_recovery.push_back(s);
+      const StreamId s = col.open(std::move(spec));
+      col.recovery_streams.insert(s);
+      col.open_recovery.push_back(s);
       for (const ExpectedDelivery* d : chunks) {
         net_->send_chunk(s, d->chunk, d->bytes);
         ++rescheduled;
@@ -1423,15 +462,15 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
   // Full coverage clears the damage mark; a partial pass (some receiver
   // unreachable over live links) keeps it, so the next recover_all — e.g.
   // after a link-up delta — retries the remainder.
-  if (rescheduled == total) damaged_execs_.erase(id);
+  if (rescheduled == total) damaged_.erase(id);
   return rescheduled;
 }
 
 std::size_t CollectiveRunner::recover_all() {
   std::vector<std::uint64_t> ids;
-  ids.reserve(damaged_execs_.size());
-  for (const std::uint64_t id : damaged_execs_) {
-    if (execs_.contains(id)) ids.push_back(id);
+  ids.reserve(damaged_.size());
+  for (const std::uint64_t id : damaged_) {
+    if (collectives_.contains(id)) ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
   std::size_t rescheduled = 0;
@@ -1439,12 +478,14 @@ std::size_t CollectiveRunner::recover_all() {
   return rescheduled;
 }
 
-void CollectiveRunner::register_exec(std::unique_ptr<ExecBase> exec, Scheme scheme,
-                                     SimTime setup_delay, Bytes message_bytes,
-                                     std::size_t group_size) {
+void CollectiveRunner::register_collective(std::unique_ptr<Collective> collective,
+                                           Scheme scheme, SimTime setup_delay,
+                                           Bytes message_bytes,
+                                           std::size_t group_size) {
+  collective->expected = collective->expected_deliveries().size();
   CollectiveRecord record;
-  record.id = exec->req.id;
-  record.job = exec->req.job;
+  record.id = collective->id;
+  record.job = collective->job;
   record.scheme = scheme;
   record.submit_time = queue_->now();
   record.setup_delay = setup_delay;
@@ -1453,26 +494,26 @@ void CollectiveRunner::register_exec(std::unique_ptr<ExecBase> exec, Scheme sche
   record_index_[record.id] = records_.size();
   records_.push_back(record);
 
-  auto [it, inserted] = execs_.emplace(record.id, std::move(exec));
+  auto [it, inserted] = collectives_.emplace(record.id, std::move(collective));
   it->second->start();
 }
 
 void CollectiveRunner::handle_delivery(const DeliveryEvent& ev) {
-  const auto it = execs_.find(ev.tag);
-  if (it == execs_.end()) return;  // stray delivery after completion
-  if (it->second->handle(ev)) finish_exec(ev.tag);
+  const auto it = collectives_.find(ev.tag);
+  if (it == collectives_.end()) return;  // stray delivery after completion
+  if (it->second->handle(ev)) finish_collective(ev.tag);
 }
 
-void CollectiveRunner::finish_exec(std::uint64_t id) {
-  const auto it = execs_.find(id);
+void CollectiveRunner::finish_collective(std::uint64_t id) {
+  const auto it = collectives_.find(id);
   auto& record = records_[record_index_.at(id)];
   record.finished = true;
   record.finish_time = queue_->now();
   for (StreamId s : it->second->streams) net_->close_stream(s);
-  execs_.erase(it);
-  damaged_execs_.erase(id);
+  collectives_.erase(it);
+  damaged_.erase(id);
   // The handler may submit follow-up collectives, which re-enter
-  // register_exec and can reallocate records_ — hand it a copy.
+  // register_collective and can reallocate records_ — hand it a copy.
   if (finish_handler_) {
     const CollectiveRecord copy = record;
     finish_handler_(copy);
@@ -1481,22 +522,35 @@ void CollectiveRunner::finish_exec(std::uint64_t id) {
 
 std::vector<StuckFlowInfo> CollectiveRunner::stuck_flows() const {
   std::vector<StuckFlowInfo> out;
-  out.reserve(execs_.size());
-  for (const auto& [id, exec] : execs_) {
+  out.reserve(collectives_.size());
+  for (const auto& [id, col] : collectives_) {
     const CollectiveRecord& record = records_[record_index_.at(id)];
     StuckFlowInfo info;
     info.id = id;
     info.scheme = record.scheme;
     info.submit_time = record.submit_time;
-    info.delivered = exec->delivered.size();
-    info.expected = exec->expected;
-    info.streams.reserve(exec->streams.size());
-    for (StreamId s : exec->streams) {
+    info.delivered = col->delivered.size();
+    info.expected = col->expected;
+    std::vector<ExpectedDelivery> owed;
+    for (const auto& t : col->transfers) {
+      owed.clear();
+      for (int c = 0; c < t->chunk_count(); ++c) t->expect(c, owed);
+      if (info.phases.size() <= static_cast<std::size_t>(t->phase)) {
+        info.phases.resize(static_cast<std::size_t>(t->phase) + 1);
+      }
+      PhaseProgress& phase = info.phases[static_cast<std::size_t>(t->phase)];
+      phase.expected += owed.size();
+      for (const ExpectedDelivery& d : owed) {
+        phase.delivered += col->delivered.contains(Collective::key(d.receiver, d.chunk));
+      }
+    }
+    info.streams.reserve(col->streams.size());
+    for (StreamId s : col->streams) {
       info.streams.push_back(net_->stream_diagnostic(s));
     }
     out.push_back(std::move(info));
   }
-  // execs_ iteration order is unspecified; sort for deterministic reports.
+  // collectives_ iteration order is unspecified; sort for deterministic reports.
   std::sort(out.begin(), out.end(),
             [](const StuckFlowInfo& a, const StuckFlowInfo& b) {
               return a.id < b.id;
@@ -1510,11 +564,19 @@ std::string format_stuck_flows(const std::vector<StuckFlowInfo>& flows) {
   for (const StuckFlowInfo& f : flows) {
     std::snprintf(buf, sizeof buf,
                   "  collective %llu (%s, submitted t=%lld ns): %zu/%zu "
-                  "deliveries done\n",
+                  "deliveries done",
                   static_cast<unsigned long long>(f.id), to_string(f.scheme),
                   static_cast<long long>(f.submit_time), f.delivered,
                   f.expected);
     out += buf;
+    if (f.phases.size() > 1) {  // where a multi-phase collective stalled
+      for (std::size_t p = 0; p < f.phases.size(); ++p) {
+        std::snprintf(buf, sizeof buf, "%s phase %zu: %zu/%zu", p == 0 ? ";" : ",",
+                      p, f.phases[p].delivered, f.phases[p].expected);
+        out += buf;
+      }
+    }
+    out += '\n';
     for (const StreamDiagnostic& d : f.streams) {
       if (d.closed) continue;  // finished streams carry no signal
       std::snprintf(

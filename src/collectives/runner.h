@@ -20,7 +20,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -102,14 +101,23 @@ struct CollectiveRecord {
   }
 };
 
+/// Deliveries of one phase of a collective (e.g. the reduce and the
+/// broadcast halves of a tree AllReduce).
+struct PhaseProgress {
+  std::size_t delivered = 0;
+  std::size_t expected = 0;
+};
+
 /// Diagnostic snapshot of one unfinished collective — why it is stuck, per
-/// stream (see the stuck-flow watchdog in src/harness/experiment.h).
+/// phase and per stream (see the stuck-flow watchdog in
+/// src/harness/experiment.h).
 struct StuckFlowInfo {
   std::uint64_t id = 0;
   Scheme scheme = Scheme::Ring;
   SimTime submit_time = 0;
   std::size_t delivered = 0;  ///< (receiver, chunk) pairs completed
   std::size_t expected = 0;
+  std::vector<PhaseProgress> phases;  ///< in phase order; sums to the above
   std::vector<StreamDiagnostic> streams;
 };
 
@@ -154,7 +162,7 @@ struct RunnerOptions {
   /// Recovery passes re-send to >= 2 missing receivers of one origin over a
   /// fresh §2.3 layer-peel multicast tree (falling back to per-receiver
   /// unicasts when some receiver is currently unreachable). false = always
-  /// unicast, the original recover_broadcast behavior.
+  /// unicast.
   bool recovery_trees = true;
   /// Memoize control-plane construction (prefix plans, asymmetric trees,
   /// recovery trees) in a TreePlanCache with link-keyed surgical
@@ -252,17 +260,15 @@ class CollectiveRunner : public TopologyObserver {
   /// link-up delta). Returns the total deliveries rescheduled.
   std::size_t recover_all();
 
-  /// Backward-compatible alias: recover_collective restricted to broadcasts
-  /// (returns 0 for other collective kinds, as it always did).
-  std::size_t recover_broadcast(std::uint64_t id);
-
   [[nodiscard]] const std::vector<CollectiveRecord>& records() const noexcept {
     return records_;
   }
-  [[nodiscard]] std::size_t active_count() const noexcept { return execs_.size(); }
+  [[nodiscard]] std::size_t active_count() const noexcept {
+    return collectives_.size();
+  }
   [[nodiscard]] Router& router() noexcept { return router_; }
   /// Control-plane memoization counters (hits/misses/invalidations); the
-  /// cache itself is private, consulted by the scheme executors.
+  /// cache itself is private, consulted by the transfer builders.
   [[nodiscard]] const TreePlanCache& plan_cache() const noexcept {
     return plan_cache_;
   }
@@ -275,8 +281,8 @@ class CollectiveRunner : public TopologyObserver {
   /// of its streams' progress. Empty when everything completed.
   [[nodiscard]] std::vector<StuckFlowInfo> stuck_flows() const;
 
-  /// Called at the end of finish_exec, after the record is finalized and the
-  /// exec's streams are closed — the hook the workload engine uses to chain a
+  /// Called when a collective completes, after its record is finalized and
+  /// its streams are closed — the hook the workload engine uses to chain a
   /// job's next iteration off the previous one's completion. The handler runs
   /// on the control-plane queue's thread; it may submit new collectives or
   /// schedule closures, but must not destroy the runner.
@@ -285,32 +291,24 @@ class CollectiveRunner : public TopologyObserver {
   }
 
  private:
-  friend struct ExecBase;
-  struct ExecBase;
-  struct RingExec;
-  struct BinaryTreeExec;
-  struct MulticastExec;
-  struct OrcaExec;
-  struct PeelProgCoresExec;
-  struct RingAllGatherExec;
-  struct MulticastAllGatherExec;
-  struct RingAllReduceExec;
-  struct TreeReduceBroadcastExec;
-  struct InNetAllReduceExec;
+  // Every collective is a phase sequence (Collective) of transfers built
+  // from two primitives: Overlay (unicast streams between ranked endpoints,
+  // forwarding each chunk on receipt) and Multicast (one source to many over
+  // the scheme's in-network trees). See phases.h.
+  struct Collective;
+  struct Transfer;
+  struct Overlay;
+  struct Multicast;
 
-  void register_exec(std::unique_ptr<ExecBase> exec, Scheme scheme,
-                     SimTime setup_delay, Bytes message_bytes,
-                     std::size_t group_size);
+  /// Controller flow-setup delay drawn for schemes that pay it (0 when
+  /// RunnerOptions::controller_delay_enabled is off or `pays` is false).
+  SimTime draw_setup_delay(bool pays);
+  void register_collective(std::unique_ptr<Collective> collective, Scheme scheme,
+                           SimTime setup_delay, Bytes message_bytes,
+                           std::size_t group_size);
 
   void handle_delivery(const DeliveryEvent& ev);
-  void finish_exec(std::uint64_t id);
-
-  /// Opens one multicast recovery stream from `origin` to all its missing
-  /// receivers; false when no tree exists over live links (the caller then
-  /// falls back to per-receiver unicasts).
-  bool recover_group_multicast(
-      ExecBase& exec, NodeId origin,
-      const std::map<NodeId, std::vector<const ExpectedDelivery*>>& by_receiver);
+  void finish_collective(std::uint64_t id);
 
   // Memoized control-plane builders (TreePlanCache-backed; direct calls when
   // RunnerOptions::plan_cache is off). Each returns a shared, immutable
@@ -344,13 +342,13 @@ class CollectiveRunner : public TopologyObserver {
   Router router_;
   TreePlanCache plan_cache_;
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<ExecBase>> execs_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Collective>> collectives_;
   std::unordered_map<std::uint64_t, std::size_t> record_index_;
   std::vector<CollectiveRecord> records_;
   /// Collectives a down delta has hit (an open stream of theirs forwarded
   /// over a failed pair) and no recovery pass has fully covered yet.
   /// Maintained by on_topology_delta, consumed by recover_all.
-  std::unordered_set<std::uint64_t> damaged_execs_;
+  std::unordered_set<std::uint64_t> damaged_;
   DeltaApplyStats delta_stats_;
   std::function<void(const CollectiveRecord&)> finish_handler_;
 };

@@ -92,7 +92,7 @@ class Network final : public SimEventSink, public DataPlane {
   /// Topology failed first): queued segments on both directions are lost, as
   /// are segments still in flight on the dead wire. Streams routed through
   /// the link silently stop delivering past it — recovery is the collective
-  /// layer's job (CollectiveRunner::recover_broadcast).
+  /// layer's job (CollectiveRunner::recover_collective).
   void on_duplex_failed(LinkId l) override;
 
   /// Reacts to a mid-run repair of the duplex pair containing `l` (call

@@ -52,7 +52,7 @@ TEST_F(RecoveryFixture, BroadcastSurvivesMidRunLinkFailure) {
   std::size_t rescheduled = 0;
   queue.at(500 * kMicrosecond, [&] {
     runner.on_topology_delta(TopologyDelta::link_down(doomed));
-    rescheduled = runner.recover_broadcast(1);
+    rescheduled = runner.recover_collective(1);
   });
   queue.run();
 
@@ -95,8 +95,8 @@ TEST_F(RecoveryFixture, RecoveryIsNoOpWhenNothingMissing) {
   runner.submit(Scheme::Optimal, req);
   queue.run();
   // Finished collectives are gone from the active set.
-  EXPECT_EQ(runner.recover_broadcast(1), 0u);
-  EXPECT_EQ(runner.recover_broadcast(999), 0u);  // unknown id
+  EXPECT_EQ(runner.recover_collective(1), 0u);
+  EXPECT_EQ(runner.recover_collective(999), 0u);  // unknown id
 }
 
 TEST_F(RecoveryFixture, LostSegmentsAreCounted) {
@@ -162,6 +162,40 @@ TEST_F(RecoveryFixture, WatchdogTurnsFailedLinkHangIntoDiagnosticFailure) {
   }
 }
 
+TEST_F(RecoveryFixture, WatchdogReportsEachPhaseOfAStuckAllReduce) {
+  // A host-side tree AllReduce runs two phases: contributions combine up a
+  // binary rank tree, then rank 0 multicasts each reduced piece. Cut off
+  // mid-run, the report says how far each phase got.
+  EventQueue queue;
+  SimConfig sim;
+  Network net(ls.topo, sim, queue);
+  CollectiveRunner runner(fabric, net, queue, Rng(5), RunnerOptions{});
+  AllReduceRequest req;
+  req.id = 9;
+  for (std::size_t i = 0; i < 32; i += 4) req.members.push_back(ls.gpus[i]);
+  req.buffer_bytes = 32 * kMiB;
+  runner.submit_allreduce(Scheme::Optimal, req);
+  queue.run_until(2 * kMillisecond);
+
+  try {
+    enforce_all_finished(runner, "deadline 2ms exceeded");
+    FAIL() << "expected StuckFlowError";
+  } catch (const StuckFlowError& e) {
+    ASSERT_EQ(e.flows().size(), 1u);
+    const StuckFlowInfo& f = e.flows()[0];
+    ASSERT_EQ(f.phases.size(), 2u);
+    // 7 tree edges up and 7 receivers down, each owed all 8 pieces.
+    EXPECT_EQ(f.phases[0].expected, 56u);
+    EXPECT_EQ(f.phases[1].expected, 56u);
+    EXPECT_EQ(f.phases[0].expected + f.phases[1].expected, f.expected);
+    EXPECT_EQ(f.phases[0].delivered + f.phases[1].delivered, f.delivered);
+    EXPECT_LT(f.phases[1].delivered, f.phases[1].expected);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("; phase 0: "), std::string::npos) << what;
+    EXPECT_NE(what.find(", phase 1: "), std::string::npos) << what;
+  }
+}
+
 TEST_F(RecoveryFixture, RingRecoversWithoutForwardingConfusion) {
   // Kill a link under a ring stream, recover, and verify the scheme's
   // forwarding hooks don't fire for recovery deliveries (no crash, full
@@ -185,11 +219,11 @@ TEST_F(RecoveryFixture, RingRecoversWithoutForwardingConfusion) {
   });
   queue.at(600 * kMicrosecond, [&] {
     runner.on_topology_delta(TopologyDelta::link_down(doomed));
-    runner.recover_broadcast(1);
+    runner.recover_collective(1);
   });
   // A second recovery pass picks up anything the first one raced with; the
   // topology did not change again, so no new delta is needed.
-  queue.at(5 * kMillisecond, [&] { runner.recover_broadcast(1); });
+  queue.at(5 * kMillisecond, [&] { runner.recover_collective(1); });
   queue.run();
   EXPECT_TRUE(runner.records().front().finished);
 }
