@@ -46,7 +46,8 @@
 //                           flow = fluid max-min fast path (orders of
 //                           magnitude fewer events, CCT within the stated
 //                           per-figure tolerances — docs/simulator.md).
-//                           flow takes precedence over --shards.
+//                           flow runs on one event queue: combining it with
+//                           --shards > 0 is an error.
 //
 //   Workload mode (--workload): the positionals become
 //     [scheme] [collective] [group_gpus] [message_MiB] [load%] [jobs]
@@ -75,6 +76,11 @@
 //   (--audit, --watchdog, --deadline, --shards apply as usual; faults,
 //   replicas, and trace/telemetry exports are single-run-mode only.)
 //
+//   Exit status: 0 = every collective finished; 1 = unknown scheme,
+//   collective or flag, or unfinished collectives; 2 = a malformed or
+//   out-of-range value (number, --fidelity mode, fault-schedule file) or any
+//   other error the run raised, with the message on stderr.
+//
 //   e.g. scenario_cli peel broadcast 256 64 30 20 4 --audit --trace=run.json
 //   e.g. scenario_cli ring broadcast 64 8 30 10 --audit --watchdog
 //            --flap-mtbf=2000 --flap-mttr=500 --flap-links=2
@@ -85,9 +91,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/common/parse.h"
 #include "src/harness/sweep.h"
 #include "src/harness/workload.h"
 #include "src/sim/trace.h"
@@ -152,6 +160,23 @@ struct Flags {
   std::string tcam_csv;
 };
 
+/// A positive whole number of MiB, as bytes (capped so the bytes fit).
+Bytes parse_mib(const char* text) {
+  constexpr Bytes kMax = std::numeric_limits<Bytes>::max() / kMiB;
+  return parse_number<Bytes>(text, "message_MiB", 1, kMax) * kMiB;
+}
+
+constexpr long kMaxSampleUs = std::numeric_limits<long>::max() / kMicrosecond;
+
+/// A time value small enough to convert to simulated nanoseconds (SimTime)
+/// without overflowing: |µs| <= 1e15, |s| <= 1e9.
+double parse_us(const char* text, const char* what) {
+  return parse_number<double>(text, what, -1e15, 1e15);
+}
+double parse_seconds(const char* text, const char* what) {
+  return parse_number<double>(text, what, -1e9, 1e9);
+}
+
 bool flag_value(const char* arg, const char* name, const char** value) {
   const std::size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
@@ -176,62 +201,58 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
     } else if (flag_value(arg, "--samples-csv", &value)) {
       flags.samples_csv = value;
     } else if (flag_value(arg, "--sample-us", &value)) {
-      flags.sample_us = std::atol(value);
+      flags.sample_us = parse_number<long>(
+          value, "--sample-us", -kMaxSampleUs, kMaxSampleUs);
     } else if (!std::strcmp(arg, "--audit")) {
       flags.audit = true;
     } else if (!std::strcmp(arg, "--watchdog")) {
       flags.watchdog = true;
     } else if (flag_value(arg, "--deadline", &value)) {
-      flags.deadline_seconds = std::atof(value);
+      flags.deadline_seconds = parse_seconds(value, "--deadline");
     } else if (flag_value(arg, "--fault-schedule", &value)) {
       flags.fault_schedule = value;
     } else if (flag_value(arg, "--flap-mtbf", &value)) {
-      flags.flap_mtbf_us = std::atof(value);
+      flags.flap_mtbf_us = parse_us(value, "--flap-mtbf");
     } else if (flag_value(arg, "--flap-mttr", &value)) {
-      flags.flap_mttr_us = std::atof(value);
+      flags.flap_mttr_us = parse_us(value, "--flap-mttr");
     } else if (flag_value(arg, "--flap-links", &value)) {
-      flags.flap_links = std::atoi(value);
+      flags.flap_links = parse_number<int>(value, "--flap-links");
     } else if (flag_value(arg, "--flap-horizon", &value)) {
-      flags.flap_horizon_us = std::atof(value);
+      flags.flap_horizon_us = parse_us(value, "--flap-horizon");
     } else if (flag_value(arg, "--detect-us", &value)) {
-      flags.detect_us = std::atof(value);
+      flags.detect_us = parse_us(value, "--detect-us");
     } else if (!std::strcmp(arg, "--no-recover")) {
       flags.no_recover = true;
     } else if (flag_value(arg, "--stripes", &value)) {
-      flags.stripes = std::atoi(value);
+      flags.stripes = parse_number<int>(value, "--stripes");
     } else if (!std::strcmp(arg, "--no-plan-cache")) {
       flags.no_plan_cache = true;
     } else if (flag_value(arg, "--shards", &value)) {
-      flags.shards = std::atoi(value);
+      flags.shards = parse_number<int>(value, "--shards");
     } else if (flag_value(arg, "--fidelity", &value)) {
-      try {
-        flags.fidelity = parse_fidelity(value);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(1);
-      }
+      flags.fidelity = parse_fidelity(value);
     } else if (!std::strcmp(arg, "--workload")) {
       flags.workload = true;
     } else if (flag_value(arg, "--iters", &value)) {
-      flags.iters = std::atoi(value);
+      flags.iters = parse_number<int>(value, "--iters");
     } else if (flag_value(arg, "--gap-us", &value)) {
-      flags.gap_us = std::atof(value);
+      flags.gap_us = parse_us(value, "--gap-us");
     } else if (flag_value(arg, "--hold-us", &value)) {
-      flags.hold_us = std::atof(value);
+      flags.hold_us = parse_us(value, "--hold-us");
     } else if (flag_value(arg, "--rate", &value)) {
-      flags.rate = std::atof(value);
+      flags.rate = parse_number<double>(value, "--rate");
     } else if (flag_value(arg, "--churn", &value)) {
-      flags.churn = std::atoi(value);
+      flags.churn = parse_number<int>(value, "--churn");
     } else if (flag_value(arg, "--churn-frac", &value)) {
-      flags.churn_frac = std::atof(value);
+      flags.churn_frac = parse_number<double>(value, "--churn-frac");
     } else if (flag_value(arg, "--capacity", &value)) {
-      flags.capacity = std::atol(value);
+      flags.capacity = parse_number<long>(value, "--capacity");
     } else if (flag_value(arg, "--frag-share", &value)) {
-      flags.frag_share = std::atof(value);
+      flags.frag_share = parse_number<double>(value, "--frag-share");
     } else if (flag_value(arg, "--buddy-share", &value)) {
-      flags.buddy_share = std::atof(value);
+      flags.buddy_share = parse_number<double>(value, "--buddy-share");
     } else if (flag_value(arg, "--frag", &value)) {
-      flags.frag = std::atof(value);
+      flags.frag = parse_number<double>(value, "--frag");
     } else if (!std::strcmp(arg, "--closed-loop")) {
       flags.closed_loop = true;
     } else if (!std::strcmp(arg, "--no-fallback")) {
@@ -254,11 +275,12 @@ int run_workload_mode(const Flags& flags,
   WorkloadConfig wc;
   wc.scheme = arg(0) ? parse_scheme(arg(0)) : Scheme::Peel;
   wc.collective = arg(1) ? parse_collective(arg(1)) : CollectiveKind::Broadcast;
-  const int group = arg(2) ? std::atoi(arg(2)) : 16;
+  const int group = arg(2) ? parse_number<int>(arg(2), "group_gpus", 2) : 16;
   wc.arrivals.group_sizes = {group};
-  wc.arrivals.message_bytes = (arg(3) ? std::atoll(arg(3)) : 1) * kMiB;
-  const double load = (arg(4) ? std::atof(arg(4)) : 30.0) / 100.0;
-  wc.arrivals.jobs = arg(5) ? std::atoi(arg(5)) : 50;
+  wc.arrivals.message_bytes = arg(3) ? parse_mib(arg(3)) : kMiB;
+  const double load =
+      (arg(4) ? parse_number<double>(arg(4), "load%") : 30.0) / 100.0;
+  wc.arrivals.jobs = arg(5) ? parse_number<int>(arg(5), "jobs") : 50;
   wc.arrivals.iterations = flags.iters;
   wc.arrivals.iteration_gap_seconds = flags.gap_us * 1e-6;
   wc.arrivals.hold_seconds = flags.hold_us * 1e-6;
@@ -367,17 +389,10 @@ int run_workload_mode(const Flags& flags,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int cli_main(int argc, char** argv) {
   Flags flags;
   const std::vector<const char*> args = parse_flags(argc, argv, flags);
-  if (flags.workload) {
-    try {
-      return run_workload_mode(flags, args);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-  }
+  if (flags.workload) return run_workload_mode(flags, args);
   const auto arg = [&args](std::size_t i) -> const char* {
     return i < args.size() ? args[i] : nullptr;
   };
@@ -386,12 +401,13 @@ int main(int argc, char** argv) {
   ScenarioConfig& sc = spec.base;
   sc.scheme = arg(0) ? parse_scheme(arg(0)) : Scheme::Peel;
   sc.collective = arg(1) ? parse_collective(arg(1)) : CollectiveKind::Broadcast;
-  sc.group_size = arg(2) ? std::atoi(arg(2)) : 64;
-  sc.message_bytes = (arg(3) ? std::atoll(arg(3)) : 8) * kMiB;
-  sc.offered_load = (arg(4) ? std::atof(arg(4)) : 30.0) / 100.0;
-  sc.collectives = arg(5) ? std::atoi(arg(5)) : 20;
+  sc.group_size = arg(2) ? parse_number<int>(arg(2), "group_gpus", 2) : 64;
+  sc.message_bytes = arg(3) ? parse_mib(arg(3)) : 8 * kMiB;
+  sc.offered_load =
+      (arg(4) ? parse_number<double>(arg(4), "load%") : 30.0) / 100.0;
+  sc.collectives = arg(5) ? parse_number<int>(arg(5), "n") : 20;
   sc.seed = 20260705;
-  spec.replicas = arg(6) ? std::atoi(arg(6)) : 1;
+  spec.replicas = arg(6) ? parse_number<int>(arg(6), "replicas") : 1;
   if (spec.replicas > 1) spec.master_seed = sc.seed;
 
   const bool wants_telemetry = !flags.trace_path.empty() ||
@@ -410,12 +426,7 @@ int main(int argc, char** argv) {
   sc.deadline_seconds = flags.deadline_seconds;
 
   if (!flags.fault_schedule.empty()) {
-    try {
-      sc.faults.schedule = load_fault_schedule(flags.fault_schedule);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
+    sc.faults.schedule = load_fault_schedule(flags.fault_schedule);
   }
   if (flags.flap_mtbf_us > 0.0 || flags.flap_mttr_us > 0.0) {
     if (flags.flap_mtbf_us <= 0.0 || flags.flap_mttr_us <= 0.0) {
@@ -567,4 +578,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return cli_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "scenario_cli: %s\n", e.what());
+    return 2;
+  }
 }

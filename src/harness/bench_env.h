@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/parse.h"
 #include "src/sim/config.h"
 
 namespace peel::bench {
@@ -40,11 +41,11 @@ inline void apply_env_telemetry(SimConfig& sim) {
   sim.telemetry.record_trace = true;
 }
 
+/// PEEL_BENCH_SAMPLES when set to a positive count (0 keeps the default);
+/// throws std::invalid_argument on a malformed value.
 inline int samples_override(int full_default, int quick_default) {
-  if (const char* v = std::getenv("PEEL_BENCH_SAMPLES")) {
-    const int n = std::atoi(v);
-    if (n > 0) return n;
-  }
+  const int n = env_number("PEEL_BENCH_SAMPLES", 0).value_or(0);
+  if (n > 0) return n;
   return quick_mode() ? quick_default : full_default;
 }
 

@@ -1,18 +1,16 @@
-// Shared engine adapters for the harness drivers (run_scenario, run_single,
-// run_workload). Internal to src/harness — not part of the public API.
-//
-// Both engines expose one uniform surface the drivers are templated over:
-// the control-plane queue (submissions, fault timers, recovery closures),
-// the DataPlane the runner/injector talk to, the run loop, clocks/counters,
-// and telemetry access.
+// The one engine surface behind the harness drivers (run_scenario,
+// run_single_broadcast, run_workload), plus the two steps they share: building
+// a collective request and running + harvesting a run. Internal to
+// src/harness — not part of the public API.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "src/collectives/runner.h"
+#include "src/harness/experiment.h"
 #include "src/sim/flow_network.h"
 #include "src/sim/network.h"
 #include "src/sim/sharded.h"
@@ -20,156 +18,93 @@
 
 namespace peel::detail {
 
-/// Classic single-queue engine: one EventQueue, one Network.
-struct SoloEngine {
-  EventQueue queue;
-  Network net;
+/// Counters every engine reports once its run has quiesced.
+struct EngineStats {
+  std::uint64_t events = 0;
+  std::uint64_t segments = 0;
+  std::uint64_t segments_lost = 0;
+  std::uint64_t pfc_pauses = 0;
+  std::uint64_t ecn_marks = 0;
+  Bytes reduce_sram_peak = 0;
+  /// The solo and flow engines keep one fabric-wide gauge, so this equals
+  /// reduce_sram_peak there; the sharded engine reports its hottest domain.
+  Bytes reduce_sram_peak_max_domain = 0;
+};
 
-  SoloEngine(const Topology& topo, const SimConfig& sim)
-      : net(topo, sim, queue) {}
-
-  [[nodiscard]] EventQueue& control() noexcept { return queue; }
-  [[nodiscard]] DataPlane& data() noexcept { return net; }
-  void run() { queue.run(); }
-  void run_until(SimTime t) { queue.run_until(t); }
-  [[nodiscard]] bool empty() const { return queue.empty(); }
-  [[nodiscard]] SimTime now() const { return queue.now(); }
-  [[nodiscard]] std::uint64_t events() const { return queue.processed(); }
-  [[nodiscard]] std::uint64_t segments_serialized() const {
-    return net.segments_serialized();
+/// One simulation engine: a single-queue packet Network, a single-queue
+/// FlowNetwork, or a pod-sharded ShardedNetwork that owns its own queues.
+/// The drivers see only the control-plane queue (submissions, fault timers,
+/// recovery closures), the DataPlane the runner and injector talk to, the
+/// run loop, and the counters. Built by make_engine.
+class Engine {
+ public:
+  [[nodiscard]] EventQueue& control() noexcept {
+    return sharded_ ? sharded_->control() : queue_;
   }
-  [[nodiscard]] std::uint64_t segments_lost() const {
-    return net.segments_lost();
+  [[nodiscard]] DataPlane& data() noexcept { return *data_; }
+  void run() { sharded_ ? sharded_->run() : queue_.run(); }
+  void run_until(SimTime t) {
+    sharded_ ? sharded_->run_until(t) : queue_.run_until(t);
   }
-  [[nodiscard]] std::uint64_t pfc_pauses() const { return net.pfc_pauses(); }
-  [[nodiscard]] std::uint64_t segments_marked() const {
-    return net.segments_marked();
+  [[nodiscard]] bool empty() const {
+    return sharded_ ? sharded_->empty() : queue_.empty();
   }
-  [[nodiscard]] Bytes reduce_sram_peak() const {
-    return net.reduce_sram_peak();
+  [[nodiscard]] SimTime now() const {
+    return sharded_ ? sharded_->now() : queue_.now();
   }
-  /// Solo has one fabric-wide gauge; sum and max-domain coincide.
-  [[nodiscard]] Bytes reduce_sram_peak_max_domain() const {
-    return net.reduce_sram_peak();
-  }
-  void reserve_series(std::size_t expected) {
-    if (Telemetry* telem = net.telemetry()) telem->reserve_series(expected);
-  }
+  [[nodiscard]] EngineStats stats() const;
+  /// Capacity hint for the queue-depth series; a no-op without telemetry.
+  void reserve_series(std::size_t expected);
   /// Telemetry for audit/summary once the run has quiesced; null = disabled.
-  [[nodiscard]] const Telemetry* finished_telemetry() const {
-    return net.telemetry();
-  }
+  [[nodiscard]] const Telemetry* finished_telemetry() const;
+
+ private:
+  friend std::unique_ptr<Engine> make_engine(const Topology&, SimConfig,
+                                             Fidelity, int, bool);
+  Engine() = default;
+
+  EventQueue queue_;  ///< drives the packet and flow networks
+  std::optional<Network> packet_;
+  std::optional<FlowNetwork> flow_;
+  std::optional<ShardedNetwork> sharded_;
+  DataPlane* data_ = nullptr;
 };
 
-/// Flow-level (fluid) engine: one EventQueue, one FlowNetwork
-/// (src/sim/flow_network.h). Same shape as SoloEngine — the drivers cannot
-/// tell the fidelities apart.
-struct FlowEngine {
-  EventQueue queue;
-  FlowNetwork net;
+/// Builds the engine a run asked for: the flow engine for Fidelity::Flow,
+/// the sharded engine for `shards` > 0 worker threads, else the solo packet
+/// engine. `byte_audit` turns telemetry on (the audit needs its accounting).
+/// Throws std::invalid_argument for Fidelity::Flow with `shards` > 0: the
+/// flow engine runs on one queue and has no sharded form.
+[[nodiscard]] std::unique_ptr<Engine> make_engine(const Topology& topo,
+                                                  SimConfig sim,
+                                                  Fidelity fidelity,
+                                                  int shards, bool byte_audit);
 
-  FlowEngine(const Topology& topo, const SimConfig& sim)
-      : net(topo, sim, queue) {}
+/// Submits one collective of `kind` from `source` to `dests`. AllGather and
+/// AllReduce list the destinations, then the source, as members; `bytes` is
+/// the broadcast message, the AllGather total, or the AllReduce buffer.
+void submit_collective(CollectiveRunner& runner, CollectiveKind kind,
+                       Scheme scheme, std::uint64_t id, std::uint64_t job,
+                       NodeId source, std::vector<NodeId> dests, Bytes bytes);
 
-  [[nodiscard]] EventQueue& control() noexcept { return queue; }
-  [[nodiscard]] DataPlane& data() noexcept { return net; }
-  void run() { queue.run(); }
-  void run_until(SimTime t) { queue.run_until(t); }
-  [[nodiscard]] bool empty() const { return queue.empty(); }
-  [[nodiscard]] SimTime now() const { return queue.now(); }
-  [[nodiscard]] std::uint64_t events() const { return queue.processed(); }
-  [[nodiscard]] std::uint64_t segments_serialized() const {
-    return net.segments_serialized();
-  }
-  [[nodiscard]] std::uint64_t segments_lost() const {
-    return net.segments_lost();
-  }
-  [[nodiscard]] std::uint64_t pfc_pauses() const { return net.pfc_pauses(); }
-  [[nodiscard]] std::uint64_t segments_marked() const {
-    return net.segments_marked();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak() const {
-    return net.reduce_sram_peak();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak_max_domain() const {
-    return net.reduce_sram_peak();
-  }
-  void reserve_series(std::size_t expected) {
-    if (Telemetry* telem = net.telemetry()) telem->reserve_series(expected);
-  }
-  [[nodiscard]] const Telemetry* finished_telemetry() const {
-    return net.telemetry();
-  }
+/// How a run ends and what is checked once it has.
+struct RunChecks {
+  double deadline_seconds = 0.0;  ///< 0 = run to drain
+  bool watchdog = false;
+  bool byte_audit = false;
+  /// Audit failure contexts: a drained run with every collective finished
+  /// gets the full conservation check, any other only the over-delivery one.
+  const char* drain_context = "at drain";
+  const char* partial_context = "partial run, over-delivery check only";
 };
 
-/// Pod-sharded parallel engine (src/sim/sharded.h).
-struct ShardedEngine {
-  ShardedNetwork net;
-
-  ShardedEngine(const Topology& topo, const SimConfig& sim, int threads)
-      : net(topo, sim, threads) {}
-
-  [[nodiscard]] EventQueue& control() noexcept { return net.control(); }
-  [[nodiscard]] DataPlane& data() noexcept { return net; }
-  void run() { net.run(); }
-  void run_until(SimTime t) { net.run_until(t); }
-  [[nodiscard]] bool empty() const { return net.empty(); }
-  [[nodiscard]] SimTime now() const { return net.now(); }
-  [[nodiscard]] std::uint64_t events() const { return net.events_processed(); }
-  [[nodiscard]] std::uint64_t segments_serialized() const {
-    return net.segments_serialized();
-  }
-  [[nodiscard]] std::uint64_t segments_lost() const {
-    return net.segments_lost();
-  }
-  [[nodiscard]] std::uint64_t pfc_pauses() const { return net.pfc_pauses(); }
-  [[nodiscard]] std::uint64_t segments_marked() const {
-    return net.segments_marked();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak() const {
-    return net.reduce_sram_peak();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak_max_domain() const {
-    return net.reduce_sram_peak_max_domain();
-  }
-  void reserve_series(std::size_t expected) {
-    if (net.telemetry_enabled()) net.reserve_series(expected);
-  }
-  [[nodiscard]] const Telemetry* finished_telemetry() const {
-    return net.merged_telemetry();
-  }
-};
-
-/// Joins audit violation lines into one exception message.
-inline std::string audit_message(const char* context,
-                                 const std::vector<std::string>& violations) {
-  std::string msg = "byte-conservation audit failed (";
-  msg += context;
-  msg += "):";
-  for (const std::string& v : violations) {
-    msg += "\n  ";
-    msg += v;
-  }
-  return msg;
-}
-
-/// Builds the summary for result consumers, attaching flow lifetimes from
-/// collective records (the Network cannot know them).
-inline std::shared_ptr<const TelemetrySummary> make_summary(
-    const Telemetry& telem, const CollectiveRunner& runner, SimTime now) {
-  auto summary = std::make_shared<TelemetrySummary>(telem.summary(now));
-  summary->flows.reserve(runner.records().size());
-  for (const CollectiveRecord& record : runner.records()) {
-    FlowSpan f;
-    f.id = record.id;
-    f.name =
-        std::string(to_string(record.scheme)) + " #" + std::to_string(record.id);
-    f.begin = record.submit_time;
-    f.end = record.finished ? record.finish_time : now;
-    f.finished = record.finished;
-    summary->flows.push_back(std::move(f));
-  }
-  return summary;
-}
+/// Runs the engine to drain (or to the deadline), enforces the watchdog,
+/// collects CCTs and the unfinished count from the runner's records, runs
+/// the byte audit, and fills the telemetry summary, link bytes, engine
+/// counters, plan-cache and topology-delta fields of the result.
+[[nodiscard]] ScenarioResult run_and_harvest(Engine& engine,
+                                             const CollectiveRunner& runner,
+                                             const Topology& topo,
+                                             const RunChecks& checks);
 
 }  // namespace peel::detail

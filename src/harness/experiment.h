@@ -108,9 +108,10 @@ struct ScenarioConfig {
   /// decomposition is fixed by the topology, so any two positive values
   /// produce byte-identical results — the knob trades wall-clock only.
   int shards = 0;
-  /// Simulation fidelity. Fidelity::Flow selects the fluid engine and takes
-  /// precedence over `shards` (the flow engine is single-queue; its event
-  /// count is small enough that sharding would only add barrier overhead).
+  /// Simulation fidelity. Fidelity::Flow selects the fluid engine, which runs
+  /// on a single queue (its event count is small enough that sharding would
+  /// only add barrier overhead): combining it with `shards` > 0 throws
+  /// std::invalid_argument.
   Fidelity fidelity = Fidelity::Packet;
 
   /// Byte-conservation audit (src/sim/telemetry.h): forces telemetry on and
@@ -203,8 +204,8 @@ struct SingleRunOptions {
   bool byte_audit = byte_audit_env_default();
   /// Same engine selector as ScenarioConfig::shards (0 = single-queue).
   int shards = 0;
-  /// Same fidelity selector as ScenarioConfig::fidelity (Flow wins over
-  /// shards).
+  /// Same fidelity selector as ScenarioConfig::fidelity (Flow requires
+  /// shards == 0).
   Fidelity fidelity = Fidelity::Packet;
 };
 

@@ -1,10 +1,11 @@
 #include "src/harness/sweep.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <thread>
+
+#include "src/common/parse.h"
 
 namespace peel {
 
@@ -81,10 +82,9 @@ std::vector<SweepCell> materialize_cells(const SweepSpec& spec) {
 }
 
 int resolve_sweep_threads(int requested, std::size_t cells) {
-  if (const char* v = std::getenv("PEEL_BENCH_THREADS")) {
-    const int n = std::atoi(v);
-    if (n > 0) requested = n;
-  }
+  // 0 (like an unset variable) keeps the requested count.
+  const int env = env_number("PEEL_BENCH_THREADS", 0).value_or(0);
+  if (env > 0) requested = env;
   if (requested <= 0) {
     requested = static_cast<int>(std::thread::hardware_concurrency());
   }

@@ -17,9 +17,9 @@
 //   - Without `master_seed`, every cell keeps base.seed (the discipline of
 //     the original serial benches, kept so their CSVs stay byte-identical).
 //
-// Thread count: the PEEL_BENCH_THREADS environment variable overrides
-// everything; otherwise SweepOptions::threads; otherwise the hardware
-// concurrency. Always clamped to [1, cell count].
+// Thread count: a positive PEEL_BENCH_THREADS environment variable overrides
+// everything (a malformed one throws); otherwise SweepOptions::threads;
+// otherwise the hardware concurrency. Always clamped to [1, cell count].
 #pragma once
 
 #include <cstdint>
@@ -136,7 +136,7 @@ struct SweepOptions {
 
 /// Resolves the worker-thread count run_sweep will use: PEEL_BENCH_THREADS
 /// env override, else `requested`, else hardware concurrency; clamped to
-/// [1, cells].
+/// [1, cells]. Throws std::invalid_argument on a malformed PEEL_BENCH_THREADS.
 [[nodiscard]] int resolve_sweep_threads(int requested, std::size_t cells);
 
 /// Materializes the specs' cell configs in grid order (what run_sweep will

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/baselines/group_table.h"
@@ -17,11 +16,10 @@ namespace peel {
 
 namespace {
 
-using detail::audit_message;
-using detail::FlowEngine;
-using detail::make_summary;
-using detail::ShardedEngine;
-using detail::SoloEngine;
+using detail::Engine;
+using detail::make_engine;
+using detail::run_and_harvest;
+using detail::submit_collective;
 
 /// Collective ids are (job << 20) | iteration+1 — unique as long as a job
 /// runs fewer than 2^20 iterations, and trivially attributable both ways.
@@ -88,13 +86,23 @@ struct JobRt {
   int churned = 0;
 };
 
-template <typename Engine>
-WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
-                                 const WorkloadConfig& config,
-                                 const std::vector<JobSpec>& specs) {
-  EventQueue& queue = engine.control();
+}  // namespace
+
+WorkloadResult run_workload(const Fabric& fabric,
+                            const WorkloadConfig& config) {
+  validate(config);
+  // The arrival schedule is generated before the engine exists — it is a
+  // pure function of (arrivals, seed) and identical whichever engine runs it.
   Rng rng(config.seed);
-  CollectiveRunner runner(fabric, engine.data(), queue, rng.fork(0xc0'11ec),
+  Rng arrivals_rng = rng.fork(0xa41);
+  const std::vector<JobSpec> specs =
+      generate_arrivals(config.arrivals, arrivals_rng);
+
+  const std::unique_ptr<Engine> engine =
+      make_engine(fabric.topo(), config.sim, config.fidelity, config.shards,
+                  config.byte_audit);
+  EventQueue& queue = engine->control();
+  CollectiveRunner runner(fabric, engine->data(), queue, rng.fork(0xc0'11ec),
                           config.runner);
   Rng placer = rng.fork(0x97ace);
   Rng churner = rng.fork(0xc4112);
@@ -191,10 +199,17 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
     sample_tcam();  // stateless schemes timestamp a flat (all-zero) series
   };
 
-  /// Degrade to Ring or cancel, per config — shared by the arrival-reject
-  /// and churn-reject paths.
-  const auto reject = [&](std::size_t idx) {
+  /// Walks the job's current tree through admission. Returns the controller
+  /// latency an admitted Optimal job pays before its next submission; a
+  /// rejected job degrades to Ring or is cancelled, per config. Orca's
+  /// controller latency is charged per collective inside the runner (fig4);
+  /// charging it here too would double-count. Optimal models classic IP
+  /// multicast, whose join walks the controller once per membership epoch.
+  const auto admit = [&](std::size_t idx) -> SimTime {
     JobRt& job = rt[idx];
+    if (install_group(idx)) {
+      return job.scheme == Scheme::Optimal ? draw_setup() : 0;
+    }
     JobOutcome& out = result.jobs[idx];
     out.admitted = false;
     if (config.ring_fallback) {
@@ -205,39 +220,7 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
       job.cancelled = true;
       out.rejected = job.submitted == 0;
     }
-  };
-
-  const auto do_submit = [&](std::size_t idx, int iter) {
-    const JobSpec& spec = specs[idx];
-    JobRt& job = rt[idx];
-    const std::uint64_t id =
-        (spec.job << kIterationBits) | static_cast<std::uint64_t>(iter + 1);
-    if (config.collective == CollectiveKind::AllGather) {
-      AllGatherRequest req;
-      req.id = id;
-      req.job = spec.job;
-      req.members = job.dests;
-      req.members.push_back(job.source);
-      req.total_bytes = spec.message_bytes;
-      runner.submit_allgather(job.scheme, std::move(req));
-    } else if (config.collective == CollectiveKind::AllReduce) {
-      AllReduceRequest req;
-      req.id = id;
-      req.job = spec.job;
-      req.members = job.dests;
-      req.members.push_back(job.source);
-      req.buffer_bytes = spec.message_bytes;
-      runner.submit_allreduce(job.scheme, std::move(req));
-    } else {
-      BroadcastRequest req;
-      req.id = id;
-      req.job = spec.job;
-      req.source = job.source;
-      req.destinations = job.dests;
-      req.message_bytes = spec.message_bytes;
-      runner.submit(job.scheme, std::move(req));
-    }
-    ++job.submitted;
+    return 0;
   };
 
   // One iteration: churn if due (re-walking the controller for group-state
@@ -263,11 +246,7 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
           // Membership changed: the controller tears down the old entries
           // and walks the new tree through admission again.
           remove_group(idx);
-          if (install_group(idx)) {
-            delay += job.scheme == Scheme::Optimal ? draw_setup() : 0;
-          } else {
-            reject(idx);
-          }
+          delay += admit(idx);
           sample_tcam();
           if (job.cancelled) return;
         }
@@ -275,10 +254,16 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
     }
     const bool last = iter + 1 >= spec.iterations;
     const auto fire = [&, idx, iter, last] {
-      if (rt[idx].cancelled || rt[idx].departed) return;
-      do_submit(idx, iter);
+      const JobSpec& spec = specs[idx];
+      JobRt& job = rt[idx];
+      if (job.cancelled || job.departed) return;
+      const std::uint64_t id =
+          (spec.job << kIterationBits) | static_cast<std::uint64_t>(iter + 1);
+      submit_collective(runner, config.collective, job.scheme, id, spec.job,
+                        job.source, job.dests, spec.message_bytes);
+      ++job.submitted;
       if (last && !config.closed_loop) {
-        queue.after(specs[idx].hold, [&, idx] { depart(idx); });
+        queue.after(spec.hold, [&, idx] { depart(idx); });
       }
     };
     if (delay > 0) {
@@ -320,18 +305,7 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
       job.dests = std::move(sel.destinations);
       JobOutcome& out = result.jobs[idx];
       out.admitted = true;
-      SimTime setup = 0;
-      if (group_state) {
-        if (install_group(idx)) {
-          // Orca's controller latency is charged per collective inside the
-          // runner (fig4); charging it here too would double-count. Optimal
-          // models classic IP multicast, whose join walks the controller
-          // once per membership epoch — pay it on the first iteration.
-          if (job.scheme == Scheme::Optimal) setup = draw_setup();
-        } else {
-          reject(idx);
-        }
-      }
+      const SimTime setup = group_state ? admit(idx) : 0;
       sample_tcam();  // lifecycle sample even for stateless schemes
       if (job.cancelled) return;
       if (config.closed_loop) {
@@ -351,44 +325,26 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
     });
   }
 
-  if (config.deadline_seconds > 0.0) {
-    engine.run_until(seconds_to_sim(config.deadline_seconds));
-  } else {
-    engine.run();
-  }
-
-  if (config.watchdog) {
-    enforce_all_finished(
-        runner, engine.empty() ? "event queue drained"
-                               : "deadline " +
-                                     std::to_string(config.deadline_seconds) +
-                                     " s exceeded");
-  }
-
   // --- harvest -----------------------------------------------------------
-  ScenarioResult& sim = result.sim;
-  result.cct_seconds.reserve(runner.records().size());
-  std::unordered_map<std::uint64_t, std::pair<double, int>> per_job;
-  per_job.reserve(specs.size());
+  result.sim = run_and_harvest(
+      *engine, runner, fabric.topo(),
+      {.deadline_seconds = config.deadline_seconds,
+       .watchdog = config.watchdog,
+       .byte_audit = config.byte_audit,
+       .drain_context = "workload drain",
+       .partial_context = "partial workload, over-delivery only"});
+  result.cct_seconds = result.sim.cct_seconds;
+  // Per-job CCT: mean_cct_seconds holds the sum until the division below.
   for (const CollectiveRecord& record : runner.records()) {
-    if (!record.finished) {
-      ++sim.unfinished;
-      continue;
-    }
-    const double cct = record.cct_seconds();
-    result.cct_seconds.add(cct);
-    sim.cct_seconds.add(cct);
-    auto& [sum, count] = per_job[record.job];
-    sum += cct;
-    ++count;
+    if (!record.finished) continue;
+    JobOutcome& out = result.jobs[static_cast<std::size_t>(record.job) - 1];
+    out.mean_cct_seconds += record.cct_seconds();
+    ++out.iterations_finished;
   }
   for (std::size_t idx = 0; idx < specs.size(); ++idx) {
     JobOutcome& out = result.jobs[idx];
-    const auto it = per_job.find(specs[idx].job);
-    if (it != per_job.end() && it->second.second > 0) {
-      out.iterations_finished = it->second.second;
-      out.mean_cct_seconds =
-          it->second.first / static_cast<double>(it->second.second);
+    if (out.iterations_finished > 0) {
+      out.mean_cct_seconds /= static_cast<double>(out.iterations_finished);
       result.job_mean_cct_seconds.add(out.mean_cct_seconds);
     }
     if (out.fell_back) ++result.jobs_fell_back;
@@ -399,66 +355,11 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
     }
   }
 
-  if (const Telemetry* telem = engine.finished_telemetry()) {
-    if (config.byte_audit) {
-      const bool clean = sim.unfinished == 0 && engine.empty();
-      const std::vector<std::string> violations =
-          clean ? telem->conservation_violations()
-                : telem->over_delivery_violations();
-      if (!violations.empty()) {
-        throw std::runtime_error(audit_message(
-            clean ? "workload drain" : "partial workload, over-delivery only",
-            violations));
-      }
-    }
-    sim.telemetry = make_summary(*telem, runner, engine.now());
-  }
-
-  sim.fabric_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), true, true, false);
-  sim.core_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), true, false, false);
-  sim.sim_seconds = sim_to_seconds(engine.now());
-  sim.events = engine.events();
-  sim.segments = engine.segments_serialized();
-  sim.segments_lost = engine.segments_lost();
-  sim.pfc_pauses = engine.pfc_pauses();
-  sim.ecn_marks = engine.segments_marked();
-  sim.reduce_sram_peak = engine.reduce_sram_peak();
-  sim.reduce_sram_peak_max_domain = engine.reduce_sram_peak_max_domain();
-  sim.plan_cache = runner.plan_cache().stats();
+  const double seconds = result.sim.sim_seconds;
   result.controller_update_rate_hz =
-      sim.sim_seconds > 0.0
-          ? static_cast<double>(result.controller_updates) / sim.sim_seconds
-          : 0.0;
+      seconds > 0.0 ? static_cast<double>(result.controller_updates) / seconds
+                    : 0.0;
   return result;
-}
-
-}  // namespace
-
-WorkloadResult run_workload(const Fabric& fabric,
-                            const WorkloadConfig& config) {
-  validate(config);
-  SimConfig sim = config.sim;
-  if (config.byte_audit) sim.telemetry.enabled = true;
-
-  // The arrival schedule is generated before the engine exists — it is a
-  // pure function of (arrivals, seed) and identical whichever engine runs it.
-  Rng rng(config.seed);
-  Rng arrivals_rng = rng.fork(0xa41);
-  const std::vector<JobSpec> specs =
-      generate_arrivals(config.arrivals, arrivals_rng);
-
-  if (config.fidelity == Fidelity::Flow) {
-    FlowEngine engine(fabric.topo(), sim);
-    return run_workload_with(engine, fabric, config, specs);
-  }
-  if (config.shards > 0) {
-    ShardedEngine engine(fabric.topo(), sim, config.shards);
-    return run_workload_with(engine, fabric, config, specs);
-  }
-  SoloEngine engine(fabric.topo(), sim);
-  return run_workload_with(engine, fabric, config, specs);
 }
 
 }  // namespace peel

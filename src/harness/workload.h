@@ -59,7 +59,7 @@ struct WorkloadConfig {
   std::uint64_t seed = 1;
   /// Engine selector, as ScenarioConfig::shards (0 = single-queue solo).
   int shards = 0;
-  /// Fidelity selector, as ScenarioConfig::fidelity (Flow wins over shards).
+  /// Fidelity selector, as ScenarioConfig::fidelity (Flow requires shards 0).
   Fidelity fidelity = Fidelity::Packet;
   bool byte_audit = byte_audit_env_default();
   bool watchdog = false;

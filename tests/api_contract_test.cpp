@@ -4,13 +4,20 @@
 // the invariants every consumer relies on: monotone sequence stamping,
 // subscription-order notification, idempotent subscribe/unsubscribe,
 // duplex-pair normalization, and the AppliedFault::changed_pairs() view.
+//
+// The harness entry points share one engine selector; the EngineSelection
+// cases pin its one rejected combination (flow fidelity with shards > 0) at
+// each entry point, so none of them can silently fall back to another engine.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/harness/workload.h"
 #include "src/routing/topology_events.h"
+#include "src/topology/fat_tree.h"
 
 namespace peel {
 namespace {
@@ -118,6 +125,49 @@ TEST(TopologyChangeNames, ToStringCoversEveryKind) {
   EXPECT_STREQ(to_string(TopologyChange::LinkUp), "link-up");
   EXPECT_STREQ(to_string(TopologyChange::SwitchDown), "switch-down");
   EXPECT_STREQ(to_string(TopologyChange::SwitchUp), "switch-up");
+}
+
+const FatTree& small_fat_tree() {
+  static const FatTree ft = build_fat_tree(FatTreeConfig{4, 2, 4});
+  return ft;
+}
+
+TEST(EngineSelection, RunScenarioRejectsFlowWithShards) {
+  ScenarioConfig config;
+  config.group_size = 4;
+  config.message_bytes = 64 * kKiB;
+  config.collectives = 1;
+  config.fidelity = Fidelity::Flow;
+  config.shards = 2;
+  EXPECT_THROW((void)run_scenario(Fabric::of(small_fat_tree()), config),
+               std::invalid_argument);
+}
+
+TEST(EngineSelection, RunSingleBroadcastRejectsFlowWithShards) {
+  const Fabric fabric = Fabric::of(small_fat_tree());
+  SingleRunOptions options;
+  options.group.source = fabric.endpoints()[0];
+  options.group.destinations = {fabric.endpoints()[1], fabric.endpoints()[5]};
+  options.message_bytes = 64 * kKiB;
+  options.fidelity = Fidelity::Flow;
+  options.shards = 1;
+  EXPECT_THROW((void)run_single_broadcast(fabric, options),
+               std::invalid_argument);
+  options.shards = 0;  // the flow engine alone still runs
+  EXPECT_GT(run_single_broadcast(fabric, options).cct_seconds, 0.0);
+}
+
+TEST(EngineSelection, RunWorkloadRejectsFlowWithShards) {
+  WorkloadConfig config;
+  config.arrivals.jobs = 2;
+  config.arrivals.rate_per_second = 1e4;
+  config.arrivals.group_sizes = {4};
+  config.arrivals.message_bytes = 64 * kKiB;
+  config.arrivals.iterations = 1;
+  config.fidelity = Fidelity::Flow;
+  config.shards = 2;
+  EXPECT_THROW((void)run_workload(Fabric::of(small_fat_tree()), config),
+               std::invalid_argument);
 }
 
 }  // namespace

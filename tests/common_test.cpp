@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 
 #include "src/common/csv.h"
+#include "src/common/parse.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -158,6 +160,31 @@ TEST(Format, Bytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(2048), "2.00 KiB");
   EXPECT_EQ(format_bytes(8.0 * 1024 * 1024), "8.00 MiB");
+}
+
+TEST(ParseNumber, AcceptsWholeInRangeNumbers) {
+  EXPECT_EQ(parse_number<int>("42", "n"), 42);
+  EXPECT_EQ(parse_number<int>("-3", "n"), -3);
+  EXPECT_EQ(parse_number<long>("7", "n", 0, 10), 7);
+  EXPECT_DOUBLE_EQ(parse_number<double>("2.5e-3", "x"), 2.5e-3);
+  EXPECT_DOUBLE_EQ(parse_number<double>("30", "x"), 30.0);
+}
+
+TEST(ParseNumber, RejectsJunkAndOutOfRange) {
+  for (const char* bad : {"", "abc", "8x", " 8", "1.5", "99999999999"}) {
+    EXPECT_THROW((void)parse_number<int>(bad, "n"), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW((void)parse_number<double>("nan", "x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("1e400", "x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<int>("11", "n", 0, 10), std::invalid_argument);
+  try {
+    (void)parse_number<int>("abc", "--shards", 0, 8);
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--shards: expected an integer in [0, 8], got 'abc'");
+  }
 }
 
 TEST(Csv, EscapesSpecials) {

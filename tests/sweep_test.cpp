@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 
 #include "src/harness/sweep.h"
 
@@ -121,6 +122,17 @@ TEST(ResolveThreads, ClampsAndHonorsEnv) {
   setenv("PEEL_BENCH_THREADS", "5", 1);
   EXPECT_EQ(resolve_sweep_threads(1, 100), 5);  // env wins over the request
   EXPECT_EQ(resolve_sweep_threads(1, 2), 2);
+  setenv("PEEL_BENCH_THREADS", "0", 1);
+  EXPECT_EQ(resolve_sweep_threads(3, 100), 3);  // 0 keeps the request
+  unsetenv("PEEL_BENCH_THREADS");
+}
+
+TEST(ResolveThreads, MalformedEnvValueThrows) {
+  for (const char* bad : {"banana", "4x", "2.5", "-1", "99999999999"}) {
+    setenv("PEEL_BENCH_THREADS", bad, 1);
+    EXPECT_THROW((void)resolve_sweep_threads(1, 100), std::invalid_argument)
+        << bad;
+  }
   unsetenv("PEEL_BENCH_THREADS");
 }
 
