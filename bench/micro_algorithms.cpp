@@ -1,12 +1,15 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible.
+// the actual costs so the scaling is visible. The last two isolate simulator
+// components: the event scheduler in steady state and a plan-cache hit.
 #include <benchmark/benchmark.h>
 
+#include "src/collectives/plan_cache.h"
 #include "src/prefix/cover.h"
 #include "src/prefix/plan.h"
 #include "src/prefix/prefix.h"
 #include "src/routing/router.h"
+#include "src/sim/event_queue.h"
 #include "src/steiner/layer_peel.h"
 #include "src/steiner/symmetric.h"
 #include "src/topology/failures.h"
@@ -117,6 +120,63 @@ void BM_EcmpPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EcmpPath);
+
+/// Self-sustaining event churn: every fired event reschedules itself a
+/// pseudo-random delta ahead, so the queue holds a constant population while
+/// the clock advances — the pop-one-push-one steady state of a simulation.
+struct ChurnSink final : SimEventSink {
+  EventQueue* queue = nullptr;
+  std::uint64_t lcg = 0x2545F4914F6CDD1DULL;
+
+  /// Mostly ladder-scale deltas (1 ns – ~8 µs, the serialization/propagation
+  /// range) with every 256th event thrown ~1 ms out, so rungs, the active
+  /// heap, overflow, and rebase all stay on the measured path.
+  SimTime next_delta() noexcept {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::uint64_t draw = lcg >> 33;
+    if ((draw & 0xff) == 0) return kMillisecond;
+    return 1 + static_cast<SimTime>(draw % 8192);
+  }
+
+  void on_sim_event(const SimEvent& ev) override {
+    queue->after(next_delta(), ev);
+  }
+};
+
+void BM_SchedulerSteadyState(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  EventQueue queue;
+  ChurnSink sink;
+  sink.queue = &queue;
+  queue.bind_sink(&sink);
+  SimEvent ev;
+  ev.kind = SimEventKind::Pump;
+  for (std::size_t i = 0; i < depth; ++i) queue.after(sink.next_delta(), ev);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(queue.step());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerSteadyState)->Arg(1 << 10)->Arg(1 << 15)->Arg(1 << 18);
+
+void BM_PlanCacheHit(benchmark::State& state) {
+  // One k=16, 64-GPU PeelPlan key, served from the cache after one miss.
+  const FatTree ft = build_fat_tree(FatTreeConfig{16, 8, 8});
+  const std::vector<NodeId>& gpus = ft.endpoints();
+  const NodeId source = gpus.front();
+  const std::vector<NodeId> dests(gpus.begin() + 1, gpus.begin() + 64);
+  TreePlanCache cache;
+  auto lookup = [&] {
+    return cache.get_or_build<PeelPlan>(
+        PlanKind::PeelPlan, source, dests, PeelCoverOptions{},
+        [&] { return build_peel_plan(ft, source, dests); });
+  };
+  (void)lookup();  // the one miss
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lookup()->packets.size());
+  }
+}
+BENCHMARK(BM_PlanCacheHit);
 
 }  // namespace
 }  // namespace peel

@@ -11,14 +11,11 @@
 # mutating private topology copies, and the pod-sharded engine's
 # shard-invariance suite, which drives the worker pool + mailbox barriers).
 #
-# Set PEEL_CHECK_PERF=1 to additionally run the perf smoke leg: a Release
-# build of the simulator performance suite (scripts/perf.sh) in quick mode,
-# the standalone scheduler/control-plane microbench, a report-only diff
-# of the fresh BENCH_sim.json columns against the committed copy
-# (scripts/perf_diff.sh), an audited flow-fidelity smoke (scenario_cli
-# --fidelity=flow, with a packet-vs-flow byte-totals cross-check), and an
-# audited in-network AllReduce smoke through scenario_cli. It gates on
-# determinism (perf_suite --check), not on speed.
+# Set PEEL_CHECK_PERF=1 to additionally run the Release smoke leg
+# (scripts/smoke.sh): the csv_gate_test determinism gate, audited
+# shard-invariance, flow-vs-packet, in-network AllReduce and workload runs
+# through scenario_cli, and the benchmark self-check. It gates on
+# determinism and correctness, not on speed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,26 +45,7 @@ if [[ "${PEEL_CHECK_TSAN:-0}" != "0" ]]; then
 fi
 
 if [[ "${PEEL_CHECK_PERF:-0}" != "0" ]]; then
-  echo "== perf smoke (Release perf_suite, quick mode) =="
-  PEEL_BENCH_QUICK=1 scripts/perf.sh "${JOBS}"
-  echo "== scheduler + control-plane microbench (quick) =="
-  PEEL_BENCH_QUICK=1 ./build-perf/bench/perf_suite --microbench
-  echo "== perf diff vs committed BENCH_sim.json (report-only) =="
-  scripts/perf_diff.sh
-  echo "== flow-fidelity smoke (scenario_cli --fidelity=flow, audited) =="
-  ./build-perf/examples/scenario_cli peel broadcast 64 8 30 10 \
-      --audit --watchdog --fidelity=flow | tee /tmp/peel_flow_smoke.txt
-  ./build-perf/examples/scenario_cli peel broadcast 64 8 30 10 \
-      --audit --watchdog --fidelity=packet | tee /tmp/peel_packet_smoke.txt
-  # Byte accounting is fidelity-independent (same trees, same chunks);
-  # CCT differs within documented tolerances, so only byte lines are diffed.
-  diff <(grep -E 'fabric|core links' /tmp/peel_flow_smoke.txt) \
-       <(grep -E 'fabric|core links' /tmp/peel_packet_smoke.txt)
-  echo "== in-network AllReduce smoke (scenario_cli innet, audited) =="
-  ./build-perf/examples/scenario_cli innet allreduce 16 8 30 5 --audit --watchdog
-  echo "== multi-tenant workload smoke (scenario_cli --workload, audited) =="
-  ./build-perf/examples/scenario_cli --workload optimal broadcast 16 1 30 40 \
-      --churn=1 --capacity=8 --audit --watchdog
+  scripts/smoke.sh "${JOBS}"
 fi
 
 echo "== all checks passed =="

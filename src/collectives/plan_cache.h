@@ -28,8 +28,8 @@
 // byte-transparency: a surviving (or repaired) plan may legitimately differ
 // from what a from-scratch rebuild would produce now.
 //
-// Hit/miss/insertion/invalidation/repair counters feed ScenarioResult,
-// scenario_cli and the perf_suite microbench columns in BENCH_sim.json.
+// Hit/miss/insertion/invalidation/repair counters feed ScenarioResult and
+// scenario_cli; bench/micro_algorithms times a hit (BM_PlanCacheHit).
 #pragma once
 
 #include <algorithm>

@@ -185,8 +185,8 @@ struct ExpectedDelivery {
 
 /// Accumulated wall-clock cost of the control plane's topology-delta apply
 /// path (on_topology_delta: route flush, damage marking, surgical plan
-/// repair/eviction), surfaced through ScenarioResult so fault-cell perf
-/// regressions show up in perf_diff output. Host time, never simulated time
+/// repair/eviction), surfaced through ScenarioResult and the scenario_cli
+/// summary so fault-path slowdowns are visible. Host time, never simulated time
 /// — it can never perturb a run's byte streams.
 struct DeltaApplyStats {
   std::uint64_t deltas = 0;          ///< on_topology_delta invocations

@@ -247,14 +247,56 @@ std::vector<PeelStream> peel_static_trees(const Fabric& fabric, const PeelPlan& 
       tors_by_pod[static_cast<int>(topo.node(tor).pod)].emplace_back(tor, false);
     }
 
+    // The salt picks the replication switches. If a switch link that pick
+    // needs is down, the next candidate in salt order whose links are all up
+    // takes over; with every link up the salted pick stands.
     const std::uint64_t salt = selector * 1315423911ULL + r;
+    auto live = [&](NodeId u, NodeId v) {
+      return topo.find_link(u, v) != kInvalidLink;
+    };
+    auto tors_live = [&](NodeId repl, const auto& tors) {
+      return std::all_of(tors.begin(), tors.end(), [&](const auto& t) {
+        return t.first == src_tor || live(repl, t.first);
+      });
+    };
     if (fabric.fat_tree) {
       const FatTree& ft = *fabric.fat_tree;
-      const int half = ft.config.k / 2;
-      const int a = static_cast<int>(salt % static_cast<std::uint64_t>(half));
-      const int j = static_cast<int>((salt / static_cast<std::uint64_t>(half)) %
-                                     static_cast<std::uint64_t>(half));
+      const std::uint64_t half = static_cast<std::uint64_t>(ft.config.k / 2);
       const int src_pod = static_cast<int>(topo.node(src_tor).pod);
+      const bool remote_pods =
+          std::any_of(tors_by_pod.begin(), tors_by_pod.end(),
+                      [&](const auto& kv) { return kv.first != src_pod; });
+      // Candidate c is aggregation index c % half under core column c / half.
+      auto candidate_live = [&](int a, int j) {
+        const NodeId src_agg = ft.agg_at(src_pod, a);
+        if (!live(src_tor, src_agg)) return false;
+        const NodeId core = ft.core_at(a, j);
+        if (remote_pods && !live(src_agg, core)) return false;
+        for (const auto& [pod, tors] : tors_by_pod) {
+          if (pod == src_pod) {
+            if (!tors_live(src_agg, tors)) return false;
+            continue;
+          }
+          const NodeId agg = ft.agg_at(pod, a);
+          if (!live(core, agg) || !tors_live(agg, tors)) return false;
+        }
+        return true;
+      };
+      int a = -1;
+      int j = -1;
+      for (std::uint64_t t = 0; t < half * half && a < 0; ++t) {
+        const std::uint64_t c = (salt % (half * half) + t) % (half * half);
+        if (candidate_live(static_cast<int>(c % half),
+                           static_cast<int>(c / half))) {
+          a = static_cast<int>(c % half);
+          j = static_cast<int>(c / half);
+        }
+      }
+      if (a < 0) {
+        throw std::runtime_error(
+            "peel_static_trees: no live aggregation/core pair reaches every "
+            "covered rack");
+      }
       const NodeId src_agg = ft.agg_at(src_pod, a);
       tree.add_link(topo, topo.find_link(src_tor, src_agg));
       // The source pod's aggregation switch expands the ToR prefix locally...
@@ -264,9 +306,6 @@ std::vector<PeelStream> peel_static_trees(const Fabric& fabric, const PeelPlan& 
         }
       }
       // ...and the core expands the pod prefix toward every other pod.
-      const bool remote_pods =
-          std::any_of(tors_by_pod.begin(), tors_by_pod.end(),
-                      [&](const auto& kv) { return kv.first != src_pod; });
       if (remote_pods) {
         const NodeId core = ft.core_at(a, j);
         tree.add_link(topo, topo.find_link(src_agg, core));
@@ -281,8 +320,21 @@ std::vector<PeelStream> peel_static_trees(const Fabric& fabric, const PeelPlan& 
       }
     } else {
       const LeafSpine& ls = *fabric.leaf_spine;
-      const NodeId spine = ls.spines[static_cast<std::size_t>(
-          salt % ls.spines.size())];
+      NodeId spine = kInvalidNode;
+      for (std::size_t t = 0; t < ls.spines.size() && spine == kInvalidNode;
+           ++t) {
+        const NodeId s =
+            ls.spines[(salt % ls.spines.size() + t) % ls.spines.size()];
+        const bool ok =
+            live(src_tor, s) &&
+            std::all_of(tors_by_pod.begin(), tors_by_pod.end(),
+                        [&](const auto& kv) { return tors_live(s, kv.second); });
+        if (ok) spine = s;
+      }
+      if (spine == kInvalidNode) {
+        throw std::runtime_error(
+            "peel_static_trees: no live spine reaches every covered rack");
+      }
       tree.add_link(topo, topo.find_link(src_tor, spine));
       for (const auto& [pod, tors] : tors_by_pod) {
         for (const auto& [tor, has_members] : tors) {

@@ -32,8 +32,8 @@
 //     depends on the bucket width, only the constant factors do.
 //
 // Every tier orders by the same (t, seq) key, so firing order is identical
-// to the single-heap implementation this replaced (the `perf_suite --check`
-// byte-identical CSV gate and the thread-invariance tests enforce that).
+// to the single-heap implementation this replaced (the byte-identical CSV
+// gate, csv_gate_test, and the thread-invariance tests enforce that).
 #pragma once
 
 #include <algorithm>
@@ -180,7 +180,7 @@ class EventQueue {
   static constexpr int kBuckets = 512;  // power of two (ring indexing)
   static constexpr int kBucketMask = kBuckets - 1;
   /// Default bucket stride: 2^6 ns = 64 ns per bucket, ~33 µs ladder span.
-  /// Tuned on the perf_suite reference cell: segment serialization and
+  /// Tuned on a k=16 Peel Broadcast cell: segment serialization and
   /// propagation delays (0.1–5 µs) land in rungs as O(1) push_backs instead
   /// of active-heap sifts; slower timers (telemetry sampler, throttled
   /// pacing) overflow and are folded back in by the periodic rebase.

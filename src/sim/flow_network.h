@@ -16,8 +16,7 @@
 // completions are invalidated lazily via per-stream generation counters, so
 // a rate change costs one reschedule, not a queue scan. The result is
 // O(receivers + links) work per chunk instead of O(segments x hops), which
-// is where the >= 20x event reduction in BENCH_sim.json's flow_fidelity
-// section comes from.
+// is where the >= 20x event reduction flow_fidelity_test asserts comes from.
 //
 // The byte-audit contract is identical to the packet engine's: all integer
 // telemetry for a chunk (inject, per-link enqueue+serialize, per-receiver

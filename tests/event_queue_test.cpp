@@ -1,6 +1,6 @@
 // Ladder-scheduler tests: the (t, seq) total order across every storage tier
 // of the EventQueue — active heap, rungs, overflow, and the closure side
-// heap. The data-plane determinism gate (perf_suite --check) would catch a
+// heap. The data-plane determinism gate (csv_gate_test) would catch a
 // global ordering break eventually; these tests pin the contract at the unit
 // level, including the tier-boundary cases a scenario may not visit.
 #include <gtest/gtest.h>

@@ -9,6 +9,7 @@
 
 #include "src/harness/experiment.h"
 #include "src/topology/failures.h"
+#include "src/topology/fat_tree.h"
 #include "src/topology/leaf_spine.h"
 
 namespace peel {
@@ -241,6 +242,33 @@ TEST(FaultRecovery, FlappingRunIsSeedReproducible) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.fault_downs, b.fault_downs);
   EXPECT_EQ(a.recovered_deliveries, b.recovered_deliveries);
+}
+
+TEST(FaultRecovery, PeelAllGatherOnFatTreeSurvivesAggCoreOutage) {
+  // Static PEEL trees on a fat-tree climb to a salted (aggregation, core)
+  // pair. Here every pod link of core (0, 0) goes down while fragmented
+  // AllGathers run, so rules salted onto that core must move to a live pair
+  // (recovery and fresh submissions alike) instead of failing the build.
+  FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 2});
+  const Fabric fabric = Fabric::of(ft);
+  ScenarioConfig config = base_config();
+  config.scheme = Scheme::Peel;
+  config.collective = CollectiveKind::AllGather;
+  config.group_size = 32;
+  config.fragmentation = 0.25;
+  config.collectives = 6;
+  const NodeId core = ft.core_at(0, 0);
+  for (LinkId l : ft.topo.out_links(core)) {
+    config.faults.schedule.link_down(seconds_to_sim(20e-6), l);
+  }
+  for (LinkId l : ft.topo.out_links(core)) {
+    config.faults.schedule.link_up(seconds_to_sim(3e-3), l);
+  }
+
+  const ScenarioResult r = run_scenario(fabric, config);
+  EXPECT_EQ(r.unfinished, 0u);
+  EXPECT_EQ(r.fault_downs, 8u);
+  EXPECT_EQ(r.fault_ups, 8u);
 }
 
 TEST(FaultRecovery, ScheduleIsValidatedAgainstTheFabric) {

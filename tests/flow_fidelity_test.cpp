@@ -166,9 +166,9 @@ TEST(FlowFidelity, DifferentialStaticFailures) {
   expect_differential(fabric, config, kFailureFigureTolerance);
 }
 
-// The perf_suite reference cell (Peel Broadcast k=16): the flow path must
-// cut simulator events by >= 20x — the acceptance floor behind the
-// flow_fidelity section of BENCH_sim.json.
+// A scaled-down Peel Broadcast reference cell (8 MiB, 16 GPUs): the flow
+// path must cut simulator events by >= 20x — the flow engine's acceptance
+// floor.
 TEST(FlowFidelity, EventReductionOnReferenceCell) {
   const FatTree ft = build_fat_tree(FatTreeConfig{4, 2, 4});
   const Fabric fabric = Fabric::of(ft);

@@ -120,6 +120,79 @@ TEST(PeelStaticTrees, CompactCoverChargesRedundantRacks) {
   EXPECT_GT(tree_tors, 1u);  // member rack 3 + over-covered racks 1-2
 }
 
+/// First link of any stream into a core switch (a fat-tree core or a
+/// leaf–spine spine), or kInvalidLink.
+LinkId first_link_into_core(const Topology& topo,
+                            const std::vector<PeelStream>& streams) {
+  for (const PeelStream& s : streams) {
+    for (LinkId l : s.tree.links()) {
+      if (topo.kind(topo.link(l).dst) == NodeKind::Core) return l;
+    }
+  }
+  return kInvalidLink;
+}
+
+/// Fails the first link a stream climbs into the core tier over, rebuilds,
+/// and checks the rebuilt trees: valid on the damaged fabric, same receivers,
+/// and every stream that did not cross the failed pair keeps its links.
+template <typename Net>
+void expect_steers_around_failed_uplink(Net& net, const PeelPlan& plan) {
+  const Fabric fabric = Fabric::of(net);
+  const auto intact = peel_static_trees(fabric, plan, 3);
+  ASSERT_FALSE(intact.empty());
+  const LinkId cut = first_link_into_core(net.topo, intact);
+  ASSERT_NE(cut, kInvalidLink);
+  net.topo.fail_duplex(cut);
+
+  std::vector<PeelStream> rebuilt;
+  ASSERT_NO_THROW(rebuilt = peel_static_trees(fabric, plan, 3));
+  ASSERT_EQ(rebuilt.size(), intact.size());
+  for (std::size_t i = 0; i < rebuilt.size(); ++i) {
+    const MulticastTree& tree = rebuilt[i].tree;
+    EXPECT_TRUE(tree.validate(net.topo).ok) << tree.validate(net.topo).error;
+    for (LinkId l : tree.links()) EXPECT_FALSE(net.topo.link(l).failed);
+    EXPECT_EQ(rebuilt[i].receivers, intact[i].receivers);
+    const auto& old_links = intact[i].tree.links();
+    const bool crossed =
+        std::any_of(old_links.begin(), old_links.end(), [&](LinkId l) {
+          return l == cut || l == net.topo.reverse_of(cut);
+        });
+    if (!crossed) {
+      EXPECT_EQ(tree.links(), old_links) << "stream " << i;
+    }
+  }
+}
+
+TEST(PeelStaticTrees, SteersAroundAFailedAggCoreLink) {
+  FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 2});
+  const NodeId source = ft.gpus[0];
+  std::vector<NodeId> dests(ft.gpus.begin() + 1, ft.gpus.begin() + 40);
+  dests.push_back(ft.gpus[200]);  // a remote pod: rules climb to the core
+  const PeelPlan plan = build_peel_plan(ft, source, dests);
+  expect_steers_around_failed_uplink(ft, plan);
+}
+
+TEST(PeelStaticTrees, SteersAroundAFailedLeafSpineLink) {
+  LeafSpine ls = build_leaf_spine(LeafSpineConfig{4, 8, 1, 2});
+  const NodeId source = ls.gpus[0];
+  const std::vector<NodeId> dests(ls.gpus.begin() + 1, ls.gpus.end());
+  const PeelPlan plan = build_peel_plan(ls, source, dests);
+  expect_steers_around_failed_uplink(ls, plan);
+}
+
+TEST(PeelStaticTrees, ThrowsWhenNoReplicationSwitchIsReachable) {
+  FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 2});
+  const Fabric fabric = Fabric::of(ft);
+  const NodeId source = ft.gpus[0];
+  const std::vector<NodeId> dests(ft.gpus.begin() + 1, ft.gpus.begin() + 40);
+  const PeelPlan plan = build_peel_plan(ft, source, dests);
+  const NodeId src_tor = ft.topo.tor_of(ft.topo.host_of(source));
+  for (int a = 0; a < ft.aggs_per_pod(); ++a) {
+    ft.topo.fail_duplex(ft.topo.find_link(src_tor, ft.agg_at(0, a)));
+  }
+  EXPECT_THROW((void)peel_static_trees(fabric, plan, 3), std::runtime_error);
+}
+
 TEST(PeelAsymmetricTrees, DecomposesPerSpineAndPrefixBlock) {
   LeafSpine ls = build_leaf_spine(LeafSpineConfig{4, 8, 1, 2});
   // Make spine 0 unable to reach leaves 4-7 so the greedy tree needs two
