@@ -16,7 +16,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Ablation — prefix cover modes under fragmentation",
                 "§3.3 bounded covers, §3.4 resource fragmentation");
 
@@ -81,3 +83,7 @@ int main() {
               "CSV -> ablation_cover_modes.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("ablation_cover_modes", run_bench); }

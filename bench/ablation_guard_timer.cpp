@@ -13,7 +13,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Ablation — sender-side CNP guard timer", "§4 (12x p99 claim)");
 
   const FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 8});
@@ -57,3 +59,7 @@ int main() {
               p99_raw / std::max(1e-12, p99_guard));
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("ablation_guard_timer", run_bench); }

@@ -13,7 +13,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Ablation — striping chunks over multiple trees",
                 "§2.3 open question (multicast vs multipath)");
 
@@ -54,3 +56,7 @@ int main() {
               "CSV -> ablation_striping.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("ablation_striping", run_bench); }

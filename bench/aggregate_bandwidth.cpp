@@ -11,7 +11,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Aggregate bandwidth — PEEL vs unicast schedules",
                 "§1 bullet (23% vs rings)");
 
@@ -58,3 +60,7 @@ int main() {
               "floor).\nCSV -> aggregate_bandwidth.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("aggregate_bandwidth", run_bench); }

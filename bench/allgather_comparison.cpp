@@ -16,7 +16,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Extension — AllGather under every scheme",
                 "beyond the paper: composing one multicast per shard");
 
@@ -63,3 +65,7 @@ int main() {
   std::printf("CSV -> allgather_comparison.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("allgather_comparison", run_bench); }

@@ -22,7 +22,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Extension — AllReduce under every scheme",
                 "beyond the paper: tree-reduce + multicast broadcast vs ring");
 
@@ -75,3 +77,7 @@ int main() {
               "CSV -> allreduce_comparison.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("allreduce_comparison", run_bench); }

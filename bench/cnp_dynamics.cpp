@@ -16,7 +16,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("CNP dynamics — sender rate under coalescing policies",
                 "§4 guard timer, mechanism view");
 
@@ -111,3 +113,7 @@ int main() {
               "per mode)\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("cnp_dynamics", run_bench); }

@@ -23,7 +23,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Deployment ladder — what each upgrade buys",
                 "§3.4 open question (incremental deployment)");
 
@@ -67,3 +69,7 @@ int main() {
               "CSV -> deployment_ladder.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("deployment_ladder", run_bench); }

@@ -18,7 +18,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Figure 1 — the bandwidth gap", "Fig. 1 (a)-(c)");
 
   // 8 GPUs attached directly to the leaves (the figure draws no host tier).
@@ -57,3 +59,7 @@ int main() {
               "traffic by 70-80%%; CSV -> fig1_bandwidth_gap.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("fig1_bandwidth_gap", run_bench); }

@@ -11,7 +11,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Figure 3 — RSBF per-packet overhead", "Fig. 3");
 
   const int ks[] = {4, 8, 16, 32, 64};
@@ -42,3 +44,7 @@ int main() {
   std::printf("CSV -> fig3_rsbf_overhead.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("fig3_rsbf_overhead", run_bench); }

@@ -15,7 +15,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Figure 4 — Orca controller overhead", "Fig. 4");
 
   const FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 8});
@@ -71,3 +73,7 @@ int main() {
               "CSV -> fig4_orca_setup.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("fig4_orca_setup", run_bench); }

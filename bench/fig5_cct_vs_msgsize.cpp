@@ -16,7 +16,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Figure 5 — CCT vs message size", "Fig. 5 (mean & p99)");
 
   const FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 8});
@@ -75,3 +77,7 @@ int main() {
               "CSV -> fig5_cct_vs_msgsize.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("fig5_cct_vs_msgsize", run_bench); }

@@ -14,7 +14,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Figure 6 — CCT vs Broadcast scale", "Fig. 6 (mean & p99)");
 
   const FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 8});
@@ -63,3 +65,7 @@ int main() {
               "(scale independence).\nCSV -> fig6_cct_vs_scale.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("fig6_cct_vs_scale", run_bench); }

@@ -26,7 +26,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Figure 7 — robustness to failures", "Fig. 7 (mean & p99)");
 
   const std::vector<double> failure_pcts =
@@ -172,3 +174,7 @@ int main() {
               "CSV -> fig7_dynamic_failures.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("fig7_failure_sweep", run_bench); }

@@ -1,15 +1,20 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible. The last two isolate simulator
-// components: the event scheduler in steady state and a plan-cache hit.
+// the actual costs so the scaling is visible. The last three isolate
+// simulator components: the event scheduler in steady state, a plan-cache
+// hit, and opening + closing one stream on the packet data plane.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "src/collectives/plan_cache.h"
+#include "src/collectives/trees.h"
 #include "src/prefix/cover.h"
 #include "src/prefix/plan.h"
 #include "src/prefix/prefix.h"
 #include "src/routing/router.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/network.h"
 #include "src/steiner/layer_peel.h"
 #include "src/steiner/symmetric.h"
 #include "src/topology/failures.h"
@@ -177,6 +182,48 @@ void BM_PlanCacheHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanCacheHit);
+
+void BM_OpenStream(benchmark::State& state) {
+  // Network::open_stream + close_stream for one 64-GPU group spread over a
+  // k-ary fat-tree: arg 1 = 0 opens one PEEL multicast packet class, 1 the
+  // InNet fused reduce stream. open_stream compiles node-count-sized tables
+  // (fwd_offset, recv_index), so the cost tracks the fabric, not the group.
+  const int k = static_cast<int>(state.range(0));
+  const bool reduce = state.range(1) != 0;
+  const FatTree ft = build_fat_tree(FatTreeConfig{k, -1, 8});
+  const std::vector<NodeId>& gpus = ft.endpoints();
+  std::vector<NodeId> members;
+  for (std::size_t i = 0; i < 64; ++i) {
+    members.push_back(gpus[i * (gpus.size() / 64)]);
+  }
+  const std::vector<NodeId> dests(members.begin() + 1, members.end());
+  const std::vector<PeelStream> parts = peel_static_trees(
+      Fabric::of(ft), build_peel_plan(ft, members.front(), dests), 0);
+  const StreamSpec spec =
+      reduce ? innet_fused_spec(ft.topo, parts, members.front(), members)
+             : spec_from_tree(ft.topo, parts.front().tree,
+                              parts.front().receivers);
+
+  EventQueue queue;
+  std::optional<Network> net;
+  std::size_t opened = 0;
+  for (auto _ : state) {
+    // Closed streams keep a small header each; a fresh Network every 4096
+    // opens bounds the memory a long run accumulates.
+    if (opened++ % 4096 == 0) {
+      state.PauseTiming();
+      net.reset();
+      net.emplace(ft.topo, SimConfig{}, queue);
+      state.ResumeTiming();
+    }
+    const StreamId s = net->open_stream(spec);
+    benchmark::DoNotOptimize(s);
+    net->close_stream(s);
+  }
+  state.SetLabel(std::string(reduce ? "reduce, " : "multicast, ") +
+                 std::to_string(ft.topo.node_count()) + " nodes");
+}
+BENCHMARK(BM_OpenStream)->ArgsProduct({{8, 16, 32}, {0, 1}});
 
 }  // namespace
 }  // namespace peel

@@ -16,7 +16,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Small-message latency — the microsecond regime",
                 "§1/§3 (setup latency intolerable on RDMA fabrics)");
 
@@ -60,3 +62,7 @@ int main() {
               "of magnitude.\nCSV -> small_message_latency.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("small_message_latency", run_bench); }

@@ -12,7 +12,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Switch state & header size vs k", "§1, §3.2 headline numbers");
 
   Table table({"k", "hosts", "ToRs/pod", "PEEL rules/agg", "naive entries",
@@ -49,3 +51,7 @@ int main() {
   std::printf("CSV -> state_header_table.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("state_header_table", run_bench); }

@@ -18,7 +18,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Concurrent groups vs switch state",
                 "§1 barrier 2, §5 (TCAM exhaustion)");
 
@@ -61,3 +63,7 @@ int main() {
               "CSV -> state_vs_groups.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("state_vs_groups", run_bench); }

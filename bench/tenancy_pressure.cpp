@@ -47,9 +47,7 @@ std::string capacity_label(const Cell& cell) {
   return cell.capacity == 0 ? "unlimited" : std::to_string(cell.capacity);
 }
 
-}  // namespace
-
-int main() {
+int run_bench() {
   bench::banner("Multi-tenant tenancy pressure",
                 "§1 barrier 2, §5 (TCAM exhaustion under continuous traffic)");
 
@@ -175,3 +173,7 @@ int main() {
       cells.front().result.static_rules_per_switch);
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("tenancy_pressure", run_bench); }

@@ -20,7 +20,9 @@
 
 using namespace peel;
 
-int main() {
+namespace {
+
+int run_bench() {
   bench::banner("Tree quality — greedy vs exact Steiner optimum", "§2.3");
 
   const int trials = bench::samples_override(200, 25);
@@ -68,3 +70,7 @@ int main() {
               "CSV -> tree_quality.csv\n");
   return 0;
 }
+
+}  // namespace
+
+int main() { return bench::guarded_main("tree_quality", run_bench); }

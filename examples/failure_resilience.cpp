@@ -8,8 +8,8 @@
 //
 // Usage: failure_resilience [failure_percent]
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/harness/bench_env.h"
 #include "src/harness/experiment.h"
 #include "src/steiner/exact.h"
 #include "src/steiner/layer_peel.h"
@@ -17,8 +17,12 @@
 
 using namespace peel;
 
-int main(int argc, char** argv) {
-  const double failure_pct = argc > 1 ? std::atof(argv[1]) : 8.0;
+namespace {
+
+int run_example(int argc, char** argv) {
+  const double failure_pct =
+      argc > 1 ? parse_number<double>(argv[1], "failure_percent", 0.0, 100.0)
+               : 8.0;
 
   LeafSpineConfig config;  // paper's Figure-7 fabric
   config.spines = 16;
@@ -129,4 +133,11 @@ int main(int argc, char** argv) {
                 format_seconds(runner.records().front().cct_seconds()).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("failure_resilience",
+                             [&] { return run_example(argc, argv); });
 }

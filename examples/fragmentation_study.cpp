@@ -9,17 +9,20 @@
 //
 // Usage: fragmentation_study [group_gpus]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "src/harness/bench_env.h"
 #include "src/harness/experiment.h"
 #include "src/harness/table.h"
 #include "src/prefix/plan.h"
 
 using namespace peel;
 
-int main(int argc, char** argv) {
-  const int group = argc > 1 ? std::atoi(argv[1]) : 128;
+namespace {
+
+int run_example(int argc, char** argv) {
+  const int group =
+      argc > 1 ? parse_number<int>(argv[1], "group_gpus", 1) : 128;
 
   FatTreeConfig config;
   config.k = 8;
@@ -68,4 +71,11 @@ int main(int argc, char** argv) {
               "cover caps packet count at the price of redundant rack "
               "deliveries (the paper's adaptive-prefix-packing frontier).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("fragmentation_study",
+                             [&] { return run_example(argc, argv); });
 }

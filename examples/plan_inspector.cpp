@@ -10,16 +10,18 @@
 // With no racks given, reproduces the paper's §3.2 example (an 8-ToR pod,
 // racks 010..111).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "src/harness/bench_env.h"
 #include "src/prefix/cover.h"
 #include "src/prefix/prefix.h"
 
 using namespace peel;
 
-int main(int argc, char** argv) {
-  const int k = argc > 1 ? std::atoi(argv[1]) : 16;
+namespace {
+
+int run_example(int argc, char** argv) {
+  const int k = argc > 1 ? parse_number<int>(argv[1], "k") : 16;
   if (k < 4 || k % 2) {
     std::fprintf(stderr, "k must be even and >= 4\n");
     return 1;
@@ -85,4 +87,11 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("plan_inspector",
+                             [&] { return run_example(argc, argv); });
 }

@@ -9,18 +9,21 @@
 //
 // Usage: rail_optimized [servers_per_segment] [segments]
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/collectives/rail_trees.h"
 #include "src/common/stats.h"
+#include "src/harness/bench_env.h"
 
 using namespace peel;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_example(int argc, char** argv) {
   RailConfig config;
   config.rails = 8;
-  config.hosts_per_segment = argc > 1 ? std::atoi(argv[1]) : 16;
-  config.segments = argc > 2 ? std::atoi(argv[2]) : 2;
+  config.hosts_per_segment =
+      argc > 1 ? parse_number<int>(argv[1], "servers_per_segment", 1) : 16;
+  config.segments = argc > 2 ? parse_number<int>(argv[2], "segments", 1) : 2;
   const RailFabric rf = build_rail_fabric(config);
   std::printf("rail fabric: %d rails x %d servers x %d segment(s) = %zu GPUs\n",
               config.rails, config.hosts_per_segment, config.segments,
@@ -72,4 +75,11 @@ int main(int argc, char** argv) {
   std::printf("\nEach member server receives exactly one fabric copy over its "
               "rail NIC; cross-rail fan-out rides NVLink at 900 GB/s.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("rail_optimized",
+                             [&] { return run_example(argc, argv); });
 }

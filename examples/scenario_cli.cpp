@@ -90,12 +90,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "src/common/parse.h"
+#include "src/harness/bench_env.h"
 #include "src/harness/sweep.h"
 #include "src/harness/workload.h"
 #include "src/sim/trace.h"
@@ -581,10 +581,6 @@ int cli_main(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  try {
-    return cli_main(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "scenario_cli: %s\n", e.what());
-    return 2;
-  }
+  return bench::guarded_main("scenario_cli",
+                             [&] { return cli_main(argc, argv); });
 }

@@ -7,18 +7,23 @@
 //
 // Usage: training_job [collectives] [message_MiB] [group_gpus]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "src/harness/bench_env.h"
 #include "src/harness/experiment.h"
 #include "src/harness/table.h"
 
 using namespace peel;
 
-int main(int argc, char** argv) {
-  const int collectives = argc > 1 ? std::atoi(argv[1]) : 20;
-  const Bytes message = (argc > 2 ? std::atoll(argv[2]) : 16) * kMiB;
-  const int group = argc > 3 ? std::atoi(argv[3]) : 64;
+namespace {
+
+int run_example(int argc, char** argv) {
+  const int collectives =
+      argc > 1 ? parse_number<int>(argv[1], "collectives", 1) : 20;
+  const Bytes message =
+      (argc > 2 ? parse_number<Bytes>(argv[2], "message_MiB", 1) : 16) * kMiB;
+  const int group =
+      argc > 3 ? parse_number<int>(argv[3], "group_gpus", 1) : 64;
 
   FatTreeConfig config;
   config.k = 8;
@@ -52,4 +57,11 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("training_job",
+                             [&] { return run_example(argc, argv); });
 }

@@ -12,7 +12,9 @@
 #   - shard invariance: the same run at 1 and 4 pod-sharded workers, diffed
 #   - flow vs packet: fabric/core byte totals must match exactly (CCT may
 #     differ within the tolerances flow_fidelity_test asserts)
-#   - in-network AllReduce and multi-tenant workload runs, audited
+#   - in-network AllReduce, audited, and the same run at 1 and 4 sharded
+#     workers, diffed
+#   - multi-tenant workload run, audited
 #   - python3 perfbench/selfcheck.py
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -40,8 +42,11 @@ echo "== flow vs packet byte totals (scenario_cli --fidelity, audited) =="
 diff <(grep -E 'fabric|core links' "${OUT}/flow.txt") \
      <(grep -E 'fabric|core links' "${OUT}/packet.txt")
 
-echo "== in-network AllReduce (scenario_cli innet, audited) =="
+echo "== in-network AllReduce (scenario_cli innet, audited; --shards=1 vs --shards=4) =="
 "${CLI}" innet allreduce 16 8 30 5 --audit --watchdog
+"${CLI}" innet allreduce 16 8 30 5 --audit --watchdog --shards=1 > "${OUT}/innet1.txt"
+"${CLI}" innet allreduce 16 8 30 5 --audit --watchdog --shards=4 > "${OUT}/innet4.txt"
+diff "${OUT}/innet1.txt" "${OUT}/innet4.txt"
 
 echo "== multi-tenant workload (scenario_cli --workload, audited) =="
 "${CLI}" --workload optimal broadcast 16 1 30 40 --churn=1 --capacity=8 --audit --watchdog

@@ -17,11 +17,25 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "src/common/parse.h"
 #include "src/sim/config.h"
 
 namespace peel::bench {
+
+/// Runs a bench's or example's main body. An exception it lets escape — a
+/// malformed PEEL_BENCH_* value or argument, a run that throws — becomes
+/// "<name>: <message>" on stderr and exit status 2 instead of an abort.
+template <typename Body>
+int guarded_main(const char* name, Body&& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name, e.what());
+    return 2;
+  }
+}
 
 inline bool quick_mode() {
   const char* v = std::getenv("PEEL_BENCH_QUICK");

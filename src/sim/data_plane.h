@@ -37,10 +37,6 @@ struct StreamSpec {
   /// toward `source` (the reduction root — the stream's only receiver), and
   /// each interior node combines child segments before forwarding upstream.
   std::vector<NodeId> contributors;
-  /// Sharded-engine replica mask, parallel to `contributors`: 1 = this
-  /// engine instance paces that contributor's injector, 0 = a peer domain
-  /// does. Empty = all local (the single-queue engine).
-  std::vector<std::uint8_t> contributor_local;
 };
 
 struct DeliveryEvent {
@@ -56,8 +52,8 @@ struct StreamDiagnostic {
   StreamId stream = -1;
   std::uint64_t tag = 0;
   bool closed = false;
-  bool pump_blocked = false;    ///< injection stalled on a full source buffer
-  bool pump_scheduled = false;  ///< a pump event is in flight
+  bool pump_blocked = false;    ///< an injector stalled on a full buffer
+  bool pump_scheduled = false;  ///< an injector's pump event is in flight
   std::size_t pending_chunks = 0;           ///< chunks not fully injected yet
   Bytes bytes_pending_injection = 0;        ///< of those chunks
   std::size_t incomplete_deliveries = 0;    ///< (receiver, chunk) short of target
@@ -83,6 +79,9 @@ class DataPlane {
 
   /// Removes chunks whose injection has not begun; returns their indices
   /// (used by PEEL+programmable cores to migrate traffic mid-collective).
+  /// A closed stream has nothing unsent. Multicast streams only: throws
+  /// std::logic_error on an open in-network reduce stream, whose
+  /// contributions cannot migrate.
   virtual std::vector<int> cancel_unsent_chunks(StreamId stream) = 0;
 
   /// Frees a finished stream's bookkeeping (forwarding table, progress).

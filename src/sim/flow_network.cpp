@@ -172,6 +172,10 @@ std::vector<int> FlowNetwork::cancel_unsent_chunks(StreamId stream) {
   FlowState& f = flow(stream);
   std::vector<int> cancelled;
   if (f.closed) return cancelled;
+  if (f.reduce) {
+    throw std::logic_error(
+        "cancel_unsent_chunks: in-network reduce streams cannot be cancelled");
+  }
   settle(stream, queue_->now());
   // Keep the chunk currently mid-transfer (if any); drop the rest.
   std::size_t keep = f.pending_head;
@@ -217,7 +221,6 @@ void FlowNetwork::close_stream(StreamId stream) {
   release(f.spec.forward);
   release(f.spec.receivers);
   release(f.spec.contributors);
-  release(f.spec.contributor_local);
   release(f.links);
   release(f.link_live);
   release(f.fwd_links);

@@ -119,8 +119,6 @@ class FlowNetwork final : public DataPlane {
   [[nodiscard]] const Telemetry* telemetry() const noexcept {
     return telem_.get();
   }
-  [[nodiscard]] EventQueue& queue() noexcept { return *queue_; }
-  [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
 
  private:
   struct PendingChunk {

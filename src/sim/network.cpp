@@ -45,11 +45,7 @@ Network::~Network() {
 void Network::on_sim_event(const SimEvent& ev) {
   switch (ev.kind) {
     case SimEventKind::Pump:
-      if (streams_[static_cast<std::size_t>(ev.a)].injectors.empty()) {
-        pump(ev.a);
-      } else {
-        pump_reduce(ev.a, ev.b);
-      }
+      pump(ev.a, ev.b);
       return;
     case SimEventKind::FinishTx:
       finish_tx(ev.a, ev.epoch);
@@ -60,13 +56,8 @@ void Network::on_sim_event(const SimEvent& ev) {
     case SimEventKind::CnpRate: {
       auto& st = streams_[static_cast<std::size_t>(ev.a)];
       if (st.closed) return;
-      if (st.injectors.empty()) {
-        st.cc.on_cnp(queue_->now());
-      } else {
-        // Reduce stream: the CNP targets one contributor's injector (ev.b).
-        auto& inj = st.injectors[static_cast<std::size_t>(ev.b)];
-        if (inj.local) inj.cc.on_cnp(queue_->now());
-      }
+      auto& inj = st.injectors[static_cast<std::size_t>(ev.b)];
+      if (inj.local) inj.cc.on_cnp(queue_->now());
       return;
     }
     case SimEventKind::ReduceEmit:
@@ -138,12 +129,6 @@ StreamDiagnostic Network::stream_diagnostic(StreamId s) const {
   d.stream = s;
   d.tag = st.spec.tag;
   d.closed = st.closed;
-  d.pump_blocked = st.pump_blocked;
-  d.pump_scheduled = st.pump_scheduled;
-  for (std::size_t i = st.pending_head; i < st.pending.size(); ++i) {
-    ++d.pending_chunks;
-    d.bytes_pending_injection += st.pending[i].bytes - st.pending[i].injected;
-  }
   for (const auto& inj : st.injectors) {
     d.pump_blocked |= inj.pump_blocked;
     d.pump_scheduled |= inj.pump_scheduled;
@@ -200,18 +185,22 @@ Bytes Network::max_queue_peak() const {
   return peak;
 }
 
-StreamId Network::open_stream(StreamSpec spec) {
+StreamId Network::open_stream(
+    StreamSpec spec, const std::vector<std::uint8_t>& injector_local) {
   const auto id = static_cast<StreamId>(streams_.size());
   const std::size_t node_count = topo_->node_count();
   StreamState st;
   const bool reduce = !spec.contributors.empty();
   if (!reduce) {
-    // Reduce streams pace per contributor instead; spec.source is the pivot
-    // switch where the combined bytes turn around into the down multicast —
-    // nothing injects there.
-    const double line = source_line_rate(spec, spec.source);
-    st.cc =
-        Dcqcn(config_.dcqcn, line, spec.cnp_mode, config_.sender_guard_interval);
+    // A multicast's one injector sits at its source. Reduce streams pace per
+    // contributor instead; their spec.source is the pivot switch where the
+    // combined bytes turn around into the down multicast — nothing injects
+    // there.
+    Injector inj;
+    inj.node = spec.source;
+    inj.cc = Dcqcn(config_.dcqcn, source_line_rate(spec, spec.source),
+                   spec.cnp_mode, config_.sender_guard_interval);
+    st.injectors.push_back(std::move(inj));
   }
 
   // Compile the forwarding map into CSR form: count out-degrees, prefix-sum
@@ -253,11 +242,6 @@ StreamId Network::open_stream(StreamSpec spec) {
   st.last_cnp.assign(st.recv_nodes.size(), kMinCnp);
 
   if (reduce) {
-    if (!spec.contributor_local.empty() &&
-        spec.contributor_local.size() != spec.contributors.size()) {
-      throw std::invalid_argument(
-          "contributor_local mask must match contributors");
-    }
     // The forward map is the down multicast tree; contributions climb the
     // exact mirror of the same links. Invert it once: node -> the one
     // forward link pointing at it.
@@ -275,11 +259,9 @@ StreamId Network::open_stream(StreamSpec spec) {
     // against the first fabric link of its own up-path (the mirror of the
     // down-tree branch that serves it).
     st.injectors.reserve(spec.contributors.size());
-    for (std::size_t i = 0; i < spec.contributors.size(); ++i) {
-      ReduceInjector inj;
-      inj.node = spec.contributors[i];
-      inj.local =
-          spec.contributor_local.empty() || spec.contributor_local[i] != 0;
+    for (NodeId contributor : spec.contributors) {
+      Injector inj;
+      inj.node = contributor;
       const auto in_it = in_link.find(inj.node);
       if (in_it == in_link.end()) {
         throw std::invalid_argument(
@@ -349,6 +331,14 @@ StreamId Network::open_stream(StreamSpec spec) {
           "reduce stream source is not an interior node of the forward map");
     }
   }
+  if (!injector_local.empty()) {
+    if (injector_local.size() != st.injectors.size()) {
+      throw std::invalid_argument("injector_local mask must match injectors");
+    }
+    for (std::size_t i = 0; i < st.injectors.size(); ++i) {
+      st.injectors[i].local = injector_local[i] != 0;
+    }
+  }
 
   st.spec = std::move(spec);
   streams_.push_back(std::move(st));
@@ -375,7 +365,7 @@ void Network::note_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   const auto ci = static_cast<std::size_t>(chunk_index);
   if (st.chunk_want.size() <= ci) st.chunk_want.resize(ci + 1, 0);
   st.chunk_want[ci] = bytes;
-  if (telem_ && !st.injectors.empty() && bytes > 0) {
+  if (telem_ && st.reduce() && bytes > 0) {
     telem_->on_reduce_target(stream, chunk_index, bytes);
   }
 }
@@ -390,25 +380,20 @@ void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   const auto ci = static_cast<std::size_t>(chunk_index);
   if (st.chunk_want.size() <= ci) st.chunk_want.resize(ci + 1, 0);
   st.chunk_want[ci] = bytes;
-  if (!st.injectors.empty()) {
-    // In-network reduction: every (engine-local) contributor injects its own
-    // copy of the chunk; the tree combines them on the way to the root.
-    if (telem_) telem_->on_reduce_target(stream, chunk_index, bytes);
-    for (std::size_t i = 0; i < st.injectors.size(); ++i) {
-      ReduceInjector& inj = st.injectors[i];
-      if (!inj.local) continue;
-      inj.pending.push_back(PendingChunk{chunk_index, bytes, 0});
-      if (!inj.pump_scheduled) {
-        inj.pump_scheduled = true;
-        queue_->after(0, SimEvent{SimEventKind::Pump, false, stream,
-                                  static_cast<std::int32_t>(i)});
-      }
-    }
-  } else {
-    st.pending.push_back(PendingChunk{chunk_index, bytes, 0});
-    if (!st.pump_scheduled) {
-      st.pump_scheduled = true;
-      queue_->after(0, SimEvent{SimEventKind::Pump, false, stream});
+  if (telem_ && st.reduce()) {
+    telem_->on_reduce_target(stream, chunk_index, bytes);
+  }
+  // Every (engine-local) injector queues the chunk: a multicast's source
+  // sends it once; each reduce contributor injects its own copy, and the
+  // tree combines them on the way to the root.
+  for (std::size_t i = 0; i < st.injectors.size(); ++i) {
+    Injector& inj = st.injectors[i];
+    if (!inj.local) continue;
+    inj.pending.push_back(PendingChunk{chunk_index, bytes, 0});
+    if (!inj.pump_scheduled) {
+      inj.pump_scheduled = true;
+      queue_->after(0, SimEvent{SimEventKind::Pump, false, stream,
+                                static_cast<std::int32_t>(i)});
     }
   }
   // A lapsed telemetry sampler (the event queue momentarily drained at a
@@ -424,14 +409,20 @@ void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
 std::vector<int> Network::cancel_unsent_chunks(StreamId stream) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
   std::vector<int> cancelled;
-  // Keep the chunk currently mid-injection (if any); drop the rest.
-  std::size_t keep = st.pending_head;
-  if (keep < st.pending.size() && st.pending[keep].injected > 0) ++keep;
-  for (std::size_t i = keep; i < st.pending.size(); ++i) {
-    cancelled.push_back(st.pending[i].chunk);
-    st.chunk_want[static_cast<std::size_t>(st.pending[i].chunk)] = 0;
+  if (st.closed) return cancelled;
+  if (st.reduce()) {
+    throw std::logic_error(
+        "cancel_unsent_chunks: in-network reduce streams cannot be cancelled");
   }
-  st.pending.resize(keep);
+  // Keep the chunk currently mid-injection (if any); drop the rest.
+  Injector& inj = st.injectors.front();
+  std::size_t keep = inj.pending_head;
+  if (keep < inj.pending.size() && inj.pending[keep].injected > 0) ++keep;
+  for (std::size_t i = keep; i < inj.pending.size(); ++i) {
+    cancelled.push_back(inj.pending[i].chunk);
+    st.chunk_want[static_cast<std::size_t>(inj.pending[i].chunk)] = 0;
+  }
+  inj.pending.resize(keep);
   return cancelled;
 }
 
@@ -459,16 +450,18 @@ void Network::close_stream(StreamId stream) {
   release(st.progress);
   release(st.last_cnp);
   release(st.chunk_want);
-  release(st.pending);
   release(st.spec.contributors);
-  release(st.spec.contributor_local);
-  release(st.injectors);
+  // stream_cc still reads the first injector after close; the rest go.
+  if (st.injectors.size() > 1) {
+    st.injectors.erase(st.injectors.begin() + 1, st.injectors.end());
+    st.injectors.shrink_to_fit();
+  }
+  if (!st.injectors.empty()) release(st.injectors.front().pending);
   release(st.combiners);
   release(st.combiner_of_node);
   // Whatever this stream still held in combiner SRAM is discarded with it.
   reduce_held_ -= st.reduce_held;
   st.reduce_held = 0;
-  st.pending_head = 0;
 }
 
 void Network::on_duplex_failed(LinkId l) {
@@ -512,64 +505,16 @@ void Network::on_duplex_restored(LinkId l) {
   }
 }
 
-void Network::pump(StreamId stream) {
+void Network::pump(StreamId stream, std::int32_t injector) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
-  st.pump_scheduled = false;
   if (st.closed) return;
-
-  while (st.pending_head < st.pending.size()) {
-    const SimTime now = queue_->now();
-    // Backpressure: a paused source (its own egress buffers full, e.g. under
-    // PFC from downstream) stops injecting; release_buffer re-arms the pump.
-    if (nodes_[static_cast<std::size_t>(st.spec.source)].buffered >
-        pause_threshold_) {
-      st.pump_blocked = true;
-      blocked_pumps_[static_cast<std::size_t>(st.spec.source)].push_back(
-          BlockedPump{stream, -1});
-      return;
-    }
-    if (st.pace_next > now) {
-      st.pump_scheduled = true;
-      queue_->at(st.pace_next, SimEvent{SimEventKind::Pump, false, stream});
-      return;
-    }
-    const double rate = config_.congestion_control
-                            ? st.cc.rate(now)
-                            : st.cc.line_rate();
-    auto& pc = st.pending[st.pending_head];
-    const Bytes seg_bytes =
-        std::min<Bytes>(config_.segment_bytes, pc.bytes - pc.injected);
-    const Segment seg{stream, pc.chunk, static_cast<std::int32_t>(seg_bytes),
-                      kInvalidLink, false};
-    if (telem_) telem_->on_inject(stream, pc.chunk, seg_bytes);
-    const auto src = static_cast<std::size_t>(st.spec.source);
-    const std::int32_t out_begin = st.fwd_offset[src];
-    const std::int32_t out_end = st.fwd_offset[src + 1];
-    for (std::int32_t i = out_begin; i < out_end; ++i) {
-      enqueue_segment(st.fwd_links[static_cast<std::size_t>(i)], seg);
-    }
-    pc.injected += seg_bytes;
-    if (pc.injected == pc.bytes) {
-      ++st.pending_head;
-      if (st.pending_head == st.pending.size()) {
-        st.pending.clear();
-        st.pending_head = 0;
-      }
-    }
-    const double tx_ns = static_cast<double>(seg_bytes) / rate;
-    st.pace_next =
-        std::max(st.pace_next, now) + static_cast<SimTime>(std::ceil(tx_ns));
-  }
-}
-
-void Network::pump_reduce(StreamId stream, std::int32_t injector) {
-  auto& st = streams_[static_cast<std::size_t>(stream)];
-  ReduceInjector& inj = st.injectors[static_cast<std::size_t>(injector)];
+  Injector& inj = st.injectors[static_cast<std::size_t>(injector)];
   inj.pump_scheduled = false;
-  if (st.closed) return;
 
   while (inj.pending_head < inj.pending.size()) {
     const SimTime now = queue_->now();
+    // Backpressure: a paused injector (its node's buffers full, e.g. under
+    // PFC from downstream) stops injecting; release_buffer re-arms the pump.
     if (nodes_[static_cast<std::size_t>(inj.node)].buffered >
         pause_threshold_) {
       inj.pump_blocked = true;
@@ -590,11 +535,19 @@ void Network::pump_reduce(StreamId stream, std::int32_t injector) {
         std::min<Bytes>(config_.segment_bytes, pc.bytes - pc.injected);
     const Segment seg{stream, pc.chunk, static_cast<std::int32_t>(seg_bytes),
                       kInvalidLink, false};
-    if (telem_) {
-      telem_->on_inject(stream, pc.chunk, seg_bytes);
-      telem_->on_reduce_contribute(stream, inj.node, pc.chunk, seg_bytes);
+    if (telem_) telem_->on_inject(stream, pc.chunk, seg_bytes);
+    if (inj.up_link != kInvalidLink) {
+      if (telem_) {
+        telem_->on_reduce_contribute(stream, inj.node, pc.chunk, seg_bytes);
+      }
+      enqueue_segment(inj.up_link, seg);
+    } else {
+      const auto src = static_cast<std::size_t>(inj.node);
+      for (std::int32_t i = st.fwd_offset[src]; i < st.fwd_offset[src + 1];
+           ++i) {
+        enqueue_segment(st.fwd_links[static_cast<std::size_t>(i)], seg);
+      }
     }
-    enqueue_segment(inj.up_link, seg);
     pc.injected += seg_bytes;
     if (pc.injected == pc.bytes) {
       ++inj.pending_head;
@@ -738,28 +691,20 @@ void Network::release_buffer(NodeId n, LinkId ingress, Bytes bytes) {
   }
   if (N.buffered > resume_threshold_) return;
   for (LinkId in : topo_->in_links(n)) unpause(in);
-  // Re-arm source pumps blocked on this node's buffer.
+  // Re-arm injector pumps blocked on this node's buffer.
   auto& waiting_here = blocked_pumps_[static_cast<std::size_t>(n)];
   if (!waiting_here.empty()) {
     std::vector<BlockedPump> waiting = std::move(waiting_here);
     waiting_here.clear();
     for (const BlockedPump& bp : waiting) {
       auto& st = streams_[static_cast<std::size_t>(bp.stream)];
-      if (bp.injector < 0) {
-        st.pump_blocked = false;
-        if (!st.pump_scheduled && !st.closed) {
-          st.pump_scheduled = true;
-          queue_->after(0, SimEvent{SimEventKind::Pump, false, bp.stream});
-        }
-      } else if (!st.closed) {
-        ReduceInjector& inj =
-            st.injectors[static_cast<std::size_t>(bp.injector)];
-        inj.pump_blocked = false;
-        if (!inj.pump_scheduled) {
-          inj.pump_scheduled = true;
-          queue_->after(
-              0, SimEvent{SimEventKind::Pump, false, bp.stream, bp.injector});
-        }
+      if (st.closed) continue;
+      Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
+      inj.pump_blocked = false;
+      if (!inj.pump_scheduled) {
+        inj.pump_scheduled = true;
+        queue_->after(
+            0, SimEvent{SimEventKind::Pump, false, bp.stream, bp.injector});
       }
     }
   }
@@ -902,18 +847,15 @@ void Network::maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver) {
     last = now;
   }
   if (telem_) telem_->on_cnp(s, receiver, now);
-  if (!st.injectors.empty()) {
-    // Reduce stream: one ECN mark at the root fans out into a CNP per
-    // contributor — the many-to-one twin of the multicast CNP implosion the
-    // guard timer (CnpMode::SenderGuard) coalesces at each injector.
-    for (std::size_t i = 0; i < st.injectors.size(); ++i) {
-      post_event(now + config_.cnp_delay,
-                 SimEvent{SimEventKind::CnpRate, false, s,
-                          static_cast<std::int32_t>(i)});
-    }
-    return;
+  // One CNP per injector: a multicast's source gets one; on a reduce stream
+  // an ECN mark at the root fans out into a CNP per contributor — the
+  // many-to-one twin of the multicast CNP implosion the guard timer
+  // (CnpMode::SenderGuard) coalesces at each injector.
+  for (std::size_t i = 0; i < st.injectors.size(); ++i) {
+    post_event(now + config_.cnp_delay,
+               SimEvent{SimEventKind::CnpRate, false, s,
+                        static_cast<std::int32_t>(i)});
   }
-  post_event(now + config_.cnp_delay, SimEvent{SimEventKind::CnpRate, false, s});
 }
 
 }  // namespace peel

@@ -12,6 +12,13 @@
 // the network calls back on every completed (receiver, chunk) delivery so
 // schemes like Ring can pipeline (forward a chunk as soon as it landed).
 //
+// Senders: every stream owns a vector of paced injectors, each a DCQCN rate
+// controller plus a chunk FIFO and a pacing clock that stops under source
+// backpressure. A multicast has exactly one, at spec.source, enqueuing onto
+// the source's compiled fan-out slice; an in-network reduce stream has one
+// per contributor, each enqueuing on the mirror of its in-link. One pump()
+// serves both, and Pump/CnpRate events name the injector in SimEvent::b.
+//
 // Hot-path layout: open_stream compiles the StreamSpec's forwarding map into
 // a CSR table (per-node offsets into one flat LinkId array) and the receiver
 // set into a dense node->index map, so the per-segment work in arrive() is
@@ -63,7 +70,16 @@ class Network final : public SimEventSink, public DataPlane {
     on_delivery_ = std::move(handler);
   }
 
-  StreamId open_stream(StreamSpec spec) override;
+  StreamId open_stream(StreamSpec spec) override {
+    return open_stream(std::move(spec), {});
+  }
+
+  /// Shard-mode replica open: `injector_local` is parallel to the stream's
+  /// injectors (the source of a multicast; spec.contributors of a reduce
+  /// stream) — 1 = this replica paces that injector, 0 = a peer domain
+  /// does. Empty = every injector local (the single-queue engine).
+  StreamId open_stream(StreamSpec spec,
+                       const std::vector<std::uint8_t>& injector_local);
 
   /// Shard-mode: reserves the next StreamId with no forwarding/receiver
   /// state, keeping ids aligned across domain replicas that do not
@@ -83,6 +99,7 @@ class Network final : public SimEventSink, public DataPlane {
 
   /// Removes chunks whose injection has not begun; returns their indices
   /// (used by PEEL+programmable cores to migrate traffic mid-collective).
+  /// Throws std::logic_error on an open in-network reduce stream.
   std::vector<int> cancel_unsent_chunks(StreamId stream) override;
 
   /// Frees a finished stream's bookkeeping (forwarding table, progress).
@@ -145,11 +162,11 @@ class Network final : public SimEventSink, public DataPlane {
   }
   /// Deepest egress queue observed anywhere in the fabric.
   [[nodiscard]] Bytes max_queue_peak() const;
+  /// Rate controller of stream `s`'s first injector: a multicast's source,
+  /// contributor 0 of a reduce stream. Still readable after close_stream.
   [[nodiscard]] const Dcqcn& stream_cc(StreamId s) const {
-    return streams_[static_cast<std::size_t>(s)].cc;
+    return streams_[static_cast<std::size_t>(s)].injectors.front().cc;
   }
-  [[nodiscard]] EventQueue& queue() noexcept { return *queue_; }
-  [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
 
   /// Non-null iff SimConfig::telemetry.enabled (src/sim/telemetry.h).
   /// Mutable access for capacity hints (Telemetry::reserve_series); counter
@@ -157,9 +174,6 @@ class Network final : public SimEventSink, public DataPlane {
   [[nodiscard]] Telemetry* telemetry() noexcept { return telem_.get(); }
   [[nodiscard]] const Telemetry* telemetry() const noexcept {
     return telem_.get();
-  }
-  [[nodiscard]] std::size_t stream_count() const noexcept {
-    return streams_.size();
   }
   /// True while `s` is open and its compiled forwarding table replicates
   /// onto `l` (one direction; callers check both directions of a duplex
@@ -213,16 +227,19 @@ class Network final : public SimEventSink, public DataPlane {
     Bytes injected = 0;
   };
 
-  /// One contributor's paced sender on an in-network reduce stream — the
-  /// per-source half of StreamState, replicated per contributing endpoint.
-  struct ReduceInjector {
+  /// One paced sender: a multicast's source, or one contributor of an
+  /// in-network reduce stream.
+  struct Injector {
     NodeId node = kInvalidNode;
-    LinkId up_link = kInvalidLink;  ///< mirror of the spec's in-link to `node`
+    /// kInvalidLink: enqueue onto `node`'s fan-out slice of the compiled
+    /// forwarding table (a multicast source). Otherwise the mirror of the
+    /// spec's in-link to `node`, up which a reduce contribution climbs.
+    LinkId up_link = kInvalidLink;
     Dcqcn cc;
     std::vector<PendingChunk> pending;  // FIFO via pending_head
     std::size_t pending_head = 0;
     bool pump_scheduled = false;
-    bool pump_blocked = false;
+    bool pump_blocked = false;  // waiting for `node`'s buffer to drain
     bool local = true;  ///< sharded engine: false = a peer domain paces this
     SimTime pace_next = 0;
   };
@@ -245,18 +262,16 @@ class Network final : public SimEventSink, public DataPlane {
 
   struct StreamState {
     StreamSpec spec;
-    Dcqcn cc;
-    std::vector<PendingChunk> pending;  // FIFO via pending_head
-    std::size_t pending_head = 0;
-    bool pump_scheduled = false;
-    bool pump_blocked = false;  // waiting for the source's buffer to drain
     bool closed = false;
-    SimTime pace_next = 0;
 
-    // In-network reduction (non-empty injectors <=> spec.contributors set):
-    // one paced injector per contributor, one combiner per aggregation node,
-    // and a dense node -> combiner index for the arrive() fast path.
-    std::vector<ReduceInjector> injectors;
+    /// Paced senders, indexed by SimEvent::b of Pump/CnpRate events: one at
+    /// spec.source for a multicast, one per spec.contributors entry for a
+    /// reduce stream.
+    std::vector<Injector> injectors;
+
+    // In-network reduction (non-empty combiners <=> spec.contributors set):
+    // one combiner per aggregation node and a dense node -> combiner index
+    // for the arrive() fast path.
     std::vector<ReduceCombiner> combiners;
     std::vector<std::int32_t> combiner_of_node;
     Bytes reduce_held = 0;  ///< this stream's share of the SRAM gauge
@@ -277,12 +292,12 @@ class Network final : public SimEventSink, public DataPlane {
     std::vector<std::vector<Bytes>> progress;
     /// [receiver index] -> last CNP emission (CnpMode::ReceiverTimer).
     std::vector<SimTime> last_cnp;
+
+    [[nodiscard]] bool reduce() const noexcept { return !combiners.empty(); }
   };
 
-  void pump(StreamId s);
-  /// Paced injection for contributor `injector` of reduce stream `s` (the
-  /// reduce-stream twin of pump()).
-  void pump_reduce(StreamId s, std::int32_t injector);
+  /// Paced injection for injector `injector` of stream `s`.
+  void pump(StreamId s, std::int32_t injector);
   /// A segment of reduce stream `s` arrived at combiner `combiner` over the
   /// child link in `slot`: absorb it, advance the min-over-children
   /// frontier, and schedule a ReduceEmit for any newly combined bytes.
@@ -308,7 +323,7 @@ class Network final : public SimEventSink, public DataPlane {
   void finish_tx(LinkId l, std::uint32_t fail_epoch);
   void arrive(LinkId l, Segment seg, std::uint32_t fail_epoch);
   /// Buffer released at node `n` for a segment that arrived over `ingress`;
-  /// lifts PFC pauses and re-arms blocked source pumps as thresholds allow.
+  /// lifts PFC pauses and re-arms blocked injector pumps as thresholds allow.
   void release_buffer(NodeId n, LinkId ingress, Bytes bytes);
   void unpause(LinkId l);
   void maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver);
@@ -319,8 +334,8 @@ class Network final : public SimEventSink, public DataPlane {
   void sample_tick();
   /// Rate of the first fabric-class link a segment injected at `start`
   /// traverses (NVLink hops are skipped — the NIC, not NVLink, paces).
-  /// `start` is spec.source for broadcast streams and each contributor for
-  /// reduce streams.
+  /// Paces a multicast's source injector; open_stream walks a reduce
+  /// contributor's mirrored up-path the same way.
   [[nodiscard]] double source_line_rate(const StreamSpec& spec,
                                         NodeId start) const;
 
@@ -335,9 +350,7 @@ class Network final : public SimEventSink, public DataPlane {
   /// link -> its slot within its destination node's in-link list; valid for
   /// every link because each directed link has exactly one destination.
   std::vector<std::int32_t> in_slot_of_link_;
-  /// Streams whose pacing is blocked on a full source buffer, per node.
-  /// `injector` is -1 for broadcast streams, else the index of the reduce
-  /// injector parked at the node.
+  /// Injectors whose pacing is blocked on a full buffer, per node.
   struct BlockedPump {
     StreamId stream;
     std::int32_t injector;

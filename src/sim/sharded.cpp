@@ -88,15 +88,11 @@ bool ShardedNetwork::route(int from, SimTime t, const SimEvent& ev) {
     case SimEventKind::Arrive:
       target = plan_.domain_of_node(topo_->link(ev.a).dst);
       break;
-    case SimEventKind::CnpRate: {
-      // Reduce streams fan one CNP per injector (ev.b = injector index);
-      // each rate limiter lives with its contributor's endpoint.
-      const StreamInfo& si = streams_[static_cast<std::size_t>(ev.a)];
-      target = si.injector_domain.empty()
-                   ? si.src_domain
-                   : si.injector_domain[static_cast<std::size_t>(ev.b)];
+    case SimEventKind::CnpRate:
+      // ev.b names the injector; its rate limiter lives with its endpoint.
+      target = streams_[static_cast<std::size_t>(ev.a)]
+                   .injector_domain[static_cast<std::size_t>(ev.b)];
       break;
-    }
     case SimEventKind::PfcPause:
     case SimEventKind::PfcResume:
       target = plan_.domain_of_node(topo_->link(ev.a).src);
@@ -289,6 +285,9 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
 
   StreamInfo info;
   info.src_domain = plan_.domain_of_node(spec.source);
+  if (spec.contributors.empty()) {
+    info.injector_domain.push_back(info.src_domain);
+  }
   for (NodeId c : spec.contributors) {
     info.injector_domain.push_back(plan_.domain_of_node(c));
   }
@@ -309,17 +308,14 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
       for (NodeId r : spec.receivers) {
         if (plan_.domain_of_node(r) == d) per.receivers.push_back(r);
       }
-      if (!spec.contributors.empty()) {
-        // Every replica keeps the full contributor list (combiner child
-        // slots and CNP injector indices must align across domains); the
-        // mask says which injectors THIS replica paces.
-        per.contributor_local.resize(spec.contributors.size());
-        for (std::size_t i = 0; i < spec.contributors.size(); ++i) {
-          per.contributor_local[i] =
-              static_cast<std::uint8_t>(info.injector_domain[i] == d ? 1 : 0);
-        }
+      // Every replica keeps the full injector list (combiner child slots
+      // and CNP injector indices must align across domains); the mask says
+      // which injectors THIS replica paces.
+      std::vector<std::uint8_t> local(info.injector_domain.size());
+      for (std::size_t i = 0; i < local.size(); ++i) {
+        local[i] = static_cast<std::uint8_t>(info.injector_domain[i] == d);
       }
-      got = net.open_stream(std::move(per));
+      got = net.open_stream(std::move(per), local);
       info.footprint.push_back(d);
     }
     if (id < 0) {
@@ -338,14 +334,10 @@ void ShardedNetwork::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   // multicast, every contributor-owning domain for a reduce stream. The
   // remaining footprint domains only mirror the chunk's target size so
   // arrivals there can complete (receiver, chunk) deliveries.
-  const auto paces = [&](int d) {
-    if (info.injector_domains.empty()) return d == info.src_domain;
-    return std::binary_search(info.injector_domains.begin(),
-                              info.injector_domains.end(), d);
-  };
   for (int d : info.footprint) {
     Network& net = *domains_[static_cast<std::size_t>(d)]->net;
-    if (paces(d)) {
+    if (std::binary_search(info.injector_domains.begin(),
+                           info.injector_domains.end(), d)) {
       net.send_chunk(stream, chunk_index, bytes);
     } else {
       net.note_chunk(stream, chunk_index, bytes);
@@ -395,9 +387,9 @@ StreamDiagnostic ShardedNetwork::stream_diagnostic(StreamId s) const {
   StreamDiagnostic d = domains_[static_cast<std::size_t>(info.src_domain)]
                            ->net->stream_diagnostic(s);
   // Receiver progress is partitioned across the footprint (each replica
-  // tracks only domain-owned receivers), and a reduce stream's injector
-  // pending state is partitioned the same way; multicast pump state lives
-  // at the source alone (other replicas report zeros).
+  // tracks only domain-owned receivers), and injector pending state is
+  // partitioned across the injector domains (a multicast's one injector
+  // lives at the source; other replicas report zeros).
   for (int fd : info.footprint) {
     if (fd == info.src_domain) continue;
     const StreamDiagnostic part =

@@ -11,8 +11,10 @@
 //     in the domain of the link's *source* node;
 //   - a node's shared buffer, per-ingress accounting, and Arrive handling
 //     run in the node's domain;
-//   - a stream's pump and congestion-control state run in the source node's
-//     domain; per-receiver delivery progress runs in each receiver's domain.
+//   - a stream injector's pump and congestion-control state run in its
+//     node's domain (a multicast's one injector is its source; a reduce
+//     stream has one per contributor); per-receiver delivery progress runs
+//     in each receiver's domain.
 //
 // Exactly three event kinds can cross a domain boundary, and each carries a
 // physical delay of at least one cross-domain link propagation:
@@ -23,8 +25,8 @@
 //   - PfcPause / PfcResume frames from the buffer-owning mirror side to the
 //     serializer-owning side (delay = the ingress link's propagation).
 //
-// In-network reduce streams introduce no fourth kind: each injector paces in
-// its contributor's domain, a combiner's absorb/emit runs in its node's
+// In-network reduce streams introduce no fourth kind: each contributor's
+// injector paces in its domain, a combiner's absorb/emit runs in its node's
 // domain (ReduceEmit schedules on the local queue and the links it emits on
 // originate at that node), and only the Arrive hops between them cross.
 //
@@ -197,9 +199,10 @@ class ShardedNetwork final : public DataPlane {
     int src_domain = -1;
     /// Domains holding real (non-stub) replicas, ascending.
     std::vector<int> footprint;
-    /// Reduce streams only: contributor index -> owning domain (CnpRate
-    /// events carry the injector index, not a node). Empty = not a reduce
-    /// stream.
+    /// Injector index -> owning domain (CnpRate events carry the injector
+    /// index, not a node): {src_domain} for a multicast's one injector, one
+    /// entry per contributor for a reduce stream. Each replica opens with
+    /// the mask "injector_domain[i] == my domain" (Network::open_stream).
     std::vector<int> injector_domain;
     /// Distinct owning domains of the above, ascending: the replicas whose
     /// send_chunk actually paces injectors (the rest only note_chunk).

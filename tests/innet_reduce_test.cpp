@@ -17,8 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "src/collectives/trees.h"
 #include "src/harness/experiment.h"
+#include "src/prefix/plan.h"
+#include "src/sim/flow_network.h"
 #include "src/sim/network.h"
+#include "src/sim/sharded.h"
 #include "src/topology/fat_tree.h"
 
 namespace peel {
@@ -297,6 +301,46 @@ TEST(InNetReduce, RejectsNonReduceCollectives) {
   ag.total_bytes = kMiB;
   EXPECT_THROW(runner.submit_allgather(Scheme::InNet, ag),
                std::invalid_argument);
+}
+
+TEST(InNetReduce, CancelUnsentChunksThrowsOnEveryEngine) {
+  // One contract on all three engines: a reduce stream's queued
+  // contributions cannot migrate, so cancelling them throws rather than
+  // returning {} while every injector keeps its chunks. The stream then
+  // completes untouched, and a closed stream has nothing left to cancel.
+  const FatTree ft = build_fat_tree(FatTreeConfig{4, 2, 4});
+  Rng rng(606);
+  const std::vector<NodeId> members = random_group(ft, rng, 8);
+  const NodeId root = members.front();
+  const std::vector<NodeId> others(members.begin() + 1, members.end());
+  const std::vector<PeelStream> parts =
+      peel_static_trees(Fabric::of(ft), build_peel_plan(ft, root, others), 0);
+  const StreamSpec spec = innet_fused_spec(ft.topo, parts, root, members);
+  const int chunks = 4;
+
+  const auto check = [&](const char* engine, DataPlane& dp,
+                         const std::function<void()>& run) {
+    SCOPED_TRACE(engine);
+    std::size_t delivered = 0;
+    dp.set_delivery_handler([&](const DeliveryEvent&) { ++delivered; });
+    const StreamId s = dp.open_stream(spec);
+    for (int c = 0; c < chunks; ++c) dp.send_chunk(s, c, kMiB);
+    EXPECT_THROW((void)dp.cancel_unsent_chunks(s), std::logic_error);
+    run();
+    EXPECT_EQ(delivered, members.size() * static_cast<std::size_t>(chunks));
+    dp.close_stream(s);
+    EXPECT_TRUE(dp.cancel_unsent_chunks(s).empty());
+  };
+
+  const SimConfig cfg;
+  EventQueue solo_queue;
+  Network solo(ft.topo, cfg, solo_queue);
+  check("solo", solo, [&] { solo_queue.run(); });
+  ShardedNetwork sharded(ft.topo, cfg, 2);
+  check("sharded", sharded, [&] { sharded.run(); });
+  EventQueue flow_queue;
+  FlowNetwork flow(ft.topo, cfg, flow_queue);
+  check("flow", flow, [&] { flow_queue.run(); });
 }
 
 TEST(InNetReduce, Deterministic) {
