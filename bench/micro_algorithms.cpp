@@ -2,10 +2,10 @@
 // about *polynomial-time* tree construction and O(k) state — these measure
 // the actual costs so the scaling is visible. The last three isolate
 // simulator components: the event scheduler in steady state, a plan-cache
-// hit, and opening + closing one stream on the packet data plane.
+// hit, and opening + closing one stream on each data-plane engine.
 #include <benchmark/benchmark.h>
 
-#include <optional>
+#include <memory>
 
 #include "src/collectives/plan_cache.h"
 #include "src/collectives/trees.h"
@@ -14,7 +14,9 @@
 #include "src/prefix/prefix.h"
 #include "src/routing/router.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/flow_network.h"
 #include "src/sim/network.h"
+#include "src/sim/sharded.h"
 #include "src/steiner/layer_peel.h"
 #include "src/steiner/symmetric.h"
 #include "src/topology/failures.h"
@@ -184,12 +186,16 @@ void BM_PlanCacheHit(benchmark::State& state) {
 BENCHMARK(BM_PlanCacheHit);
 
 void BM_OpenStream(benchmark::State& state) {
-  // Network::open_stream + close_stream for one 64-GPU group spread over a
-  // k-ary fat-tree: arg 1 = 0 opens one PEEL multicast packet class, 1 the
-  // InNet fused reduce stream. open_stream compiles node-count-sized tables
-  // (fwd_offset, recv_index), so the cost tracks the fabric, not the group.
+  // open_stream + close_stream for one 64-GPU group spread over a k-ary
+  // fat-tree: arg 1 = 0 opens one PEEL multicast packet class, 1 the InNet
+  // fused reduce stream; arg 2 picks the engine: 0 the solo packet Network,
+  // 1 the sharded engine with one worker, 2 the flow engine. The packet
+  // engines build node-count-sized tables (fwd_offset, recv_index) per open
+  // replica, so their cost tracks the fabric, not the group; the sharded
+  // engine opens a replica in every domain the stream touches.
   const int k = static_cast<int>(state.range(0));
   const bool reduce = state.range(1) != 0;
+  const int engine = static_cast<int>(state.range(2));
   const FatTree ft = build_fat_tree(FatTreeConfig{k, -1, 8});
   const std::vector<NodeId>& gpus = ft.endpoints();
   std::vector<NodeId> members;
@@ -205,25 +211,36 @@ void BM_OpenStream(benchmark::State& state) {
                               parts.front().receivers);
 
   EventQueue queue;
-  std::optional<Network> net;
+  std::unique_ptr<DataPlane> plane;
   std::size_t opened = 0;
   for (auto _ : state) {
-    // Closed streams keep a small header each; a fresh Network every 4096
+    // Closed streams keep a small header each; a fresh engine every 4096
     // opens bounds the memory a long run accumulates.
     if (opened++ % 4096 == 0) {
       state.PauseTiming();
-      net.reset();
-      net.emplace(ft.topo, SimConfig{}, queue);
+      plane.reset();
+      if (engine == 0) {
+        plane = std::make_unique<Network>(ft.topo, SimConfig{}, queue);
+      } else if (engine == 1) {
+        plane = std::make_unique<ShardedNetwork>(ft.topo, SimConfig{}, 1);
+      } else {
+        plane = std::make_unique<FlowNetwork>(ft.topo, SimConfig{}, queue);
+      }
       state.ResumeTiming();
     }
-    const StreamId s = net->open_stream(spec);
+    const StreamId s = plane->open_stream(spec);
     benchmark::DoNotOptimize(s);
-    net->close_stream(s);
+    plane->close_stream(s);
   }
-  state.SetLabel(std::string(reduce ? "reduce, " : "multicast, ") +
+  static const char* const kEngines[] = {"solo", "sharded", "flow"};
+  state.SetLabel(std::string(kEngines[engine]) +
+                 (reduce ? ", reduce, " : ", multicast, ") +
                  std::to_string(ft.topo.node_count()) + " nodes");
 }
-BENCHMARK(BM_OpenStream)->ArgsProduct({{8, 16, 32}, {0, 1}});
+// A k=32 sharded engine holds 33 full Network replicas, so it stops at k=16.
+BENCHMARK(BM_OpenStream)
+    ->ArgsProduct({{8, 16, 32}, {0, 1}, {0, 2}})
+    ->ArgsProduct({{8, 16}, {0, 1}, {1}});
 
 }  // namespace
 }  // namespace peel

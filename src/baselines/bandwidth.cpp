@@ -9,17 +9,6 @@ int LinkLoad::total() const {
   return std::accumulate(per_link.begin(), per_link.end(), 0);
 }
 
-int LinkLoad::fabric_total(const Topology& topo) const {
-  int sum = 0;
-  for (std::size_t l = 0; l < per_link.size(); ++l) {
-    const Link& lk = topo.link(static_cast<LinkId>(l));
-    if (is_switch(topo.kind(lk.src)) || is_switch(topo.kind(lk.dst))) {
-      if (lk.kind != LinkKind::NvLink) sum += per_link[l];
-    }
-  }
-  return sum;
-}
-
 int LinkLoad::core_total(const Topology& topo) const {
   int sum = 0;
   for (std::size_t l = 0; l < per_link.size(); ++l) {

@@ -19,8 +19,6 @@ struct LinkLoad {
   std::vector<int> per_link;
 
   [[nodiscard]] int total() const;
-  /// Traversals on switch-to-switch links only (the "core links" of Fig. 1).
-  [[nodiscard]] int fabric_total(const Topology& topo) const;
   /// Traversals on links between switch tiers Core<->Tor / Core<->Agg /
   /// Agg<->Tor excluding host access (the congested spine of the fabric).
   [[nodiscard]] int core_total(const Topology& topo) const;

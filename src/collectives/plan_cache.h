@@ -90,7 +90,6 @@ class TreePlanCache {
       PlanKind kind, NodeId source, const std::vector<NodeId>& dests,
       const std::shared_ptr<const void>& value)>;
   void apply_delta(const TopologyDelta& delta, const RepairFn& repair = {}) {
-    if (delta.seq > last_delta_seq_) last_delta_seq_ = delta.seq;
     if (delta.down_pairs.empty()) return;
     // Collect the affected keys first: repairing an entry re-indexes it,
     // which must not race the bucket iteration. A plan whose tree traverses
@@ -154,7 +153,6 @@ class TreePlanCache {
     Entry entry;
     entry.value = value;
     entry.edges = normalize_edges(edges_of(*value));
-    entry.insert_seq = last_delta_seq_;
     const auto pos = entries_.emplace(std::move(key), std::move(entry)).first;
     index(&pos->first, pos->second.edges);
     ++stats_.insertions;
@@ -176,10 +174,6 @@ class TreePlanCache {
 
   [[nodiscard]] const PlanCacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  /// Sequence number of the last delta consumed (monotone, 0 = none yet).
-  [[nodiscard]] std::uint64_t last_delta_seq() const noexcept {
-    return last_delta_seq_;
-  }
 
  private:
   struct Key {
@@ -211,7 +205,6 @@ class TreePlanCache {
   struct Entry {
     std::shared_ptr<const void> value;
     std::vector<LinkId> edges;  ///< sorted, deduped duplex-pair reps
-    std::uint64_t insert_seq = 0;
     std::uint64_t last_pass = 0;  ///< apply_delta pass that last touched this
   };
 
@@ -236,7 +229,6 @@ class TreePlanCache {
   }
 
   std::size_t capacity_;
-  std::uint64_t last_delta_seq_ = 0;
   std::uint64_t apply_pass_ = 0;
   PlanCacheStats stats_;
   // Node-based map: Key addresses stay stable across rehashes, so the

@@ -118,10 +118,7 @@ void CollectiveRunner::submit(Scheme scheme, BroadcastRequest request) {
       m->stripes = options_.peel_asymmetric ? 1 : std::max(1, options_.stripe_trees);
     } else if (scheme == Scheme::Orca) {
       col->launch_delay = setup;
-    } else {  // PeelProgCores: static prefixes now, the exact tree later
-      // The migration target is the symmetric optimal tree, so the fast
-      // start stays on the symmetric static plan as well.
-      m->asymmetric = false;
+    } else {  // PeelProgCores: PEEL's fast start now, the exact tree later
       m->migrate_after = setup;
     }
     col->add(0, std::move(m));

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/baselines/group_table.h"
+#include "src/collectives/trees.h"
 #include "src/harness/engine.h"
 #include "src/prefix/prefix.h"
 #include "src/steiner/symmetric.h"
@@ -48,19 +49,6 @@ void validate(const WorkloadConfig& config) {
       config.scheme == Scheme::Orca) {
     throw std::invalid_argument("workload: AllReduce does not support Orca");
   }
-}
-
-/// Optimal multicast tree over the failure-free fabric — the footprint a
-/// group's switch entries occupy. The job id seeds the core/agg selector so
-/// concurrent groups spread across the redundant tier (and their entries
-/// across switches), as an ECMP-hashing controller would.
-[[nodiscard]] MulticastTree group_tree(const Fabric& fabric, NodeId source,
-                                       const std::vector<NodeId>& dests,
-                                       std::uint64_t selector) {
-  return fabric.fat_tree
-             ? optimal_fat_tree_tree(*fabric.fat_tree, source, dests, selector)
-             : optimal_leaf_spine_tree(*fabric.leaf_spine, source, dests,
-                                       selector);
 }
 
 /// PEEL's per-switch static rule budget on this fabric: 2^(m+1)-1 rules over
@@ -171,8 +159,12 @@ WorkloadResult run_workload(const Fabric& fabric,
   const auto install_group = [&](std::size_t idx) -> bool {
     const JobSpec& spec = specs[idx];
     JobRt& job = rt[idx];
+    // The optimal tree over the failure-free fabric is the footprint the
+    // group's switch entries occupy. The job id seeds the core/agg selector
+    // so concurrent groups spread across the redundant tier, as an
+    // ECMP-hashing controller would.
     const MulticastTree tree =
-        group_tree(fabric, job.source, job.dests, spec.job);
+        optimal_tree(fabric, job.source, job.dests, spec.job);
     if (!table.install(spec.job, tree)) {
       ++result.admission_failures;
       return false;

@@ -71,6 +71,12 @@ class DataPlane {
   virtual void set_delivery_handler(
       std::function<void(const DeliveryEvent&)> handler) = 0;
 
+  /// Every engine validates `spec` in compile_stream (src/sim/stream_tree.h)
+  /// and throws std::invalid_argument, consuming no StreamId, on an
+  /// out-of-range node or link id, an out-link listed under a node it does
+  /// not leave, a source with no out-link, or a reduce stream that is not a
+  /// tree rooted at `source` with leaf contributors. Unreached receivers and
+  /// multicast nodes entered twice are legal; the byte audit reports them.
   virtual StreamId open_stream(StreamSpec spec) = 0;
 
   /// Queues `bytes` of chunk `chunk_index` for paced injection at the source.

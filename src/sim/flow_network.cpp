@@ -7,14 +7,6 @@
 
 namespace peel {
 
-namespace {
-
-/// Rate floor for a flow whose compiled link set is empty (a degenerate
-/// single-node spec): chunks complete in ~1 ns instead of dividing by zero.
-constexpr double kUnboundedRate = 1e6;  // bytes per ns
-
-}  // namespace
-
 FlowNetwork::FlowNetwork(const Topology& topo, const SimConfig& config,
                          EventQueue& queue)
     : topo_(&topo), config_(config), queue_(&queue) {
@@ -36,102 +28,56 @@ Bytes FlowNetwork::last_segment(Bytes bytes) const noexcept {
 // Stream lifecycle
 
 StreamId FlowNetwork::open_stream(StreamSpec spec) {
+  std::shared_ptr<const StreamTree> tree = compile_stream(*topo_, spec);
+  const StreamTree& t = *tree;
   const auto id = static_cast<StreamId>(flows_.size());
   flows_.emplace_back();
   FlowState& f = flows_.back();
-  f.reduce = !spec.contributors.empty();
+  f.tag = t.tag;
 
-  // Compile the directed link set. The forward map is the multicast tree
-  // oriented away from the source (toward it, semantically, for a reduce
-  // stream); a reduce flow additionally occupies the reverse of every
-  // forward link — the contributor up-paths that mirror the down-tree.
-  const auto node_total = static_cast<std::size_t>(topo_->node_count());
-  std::vector<LinkId> parent_link(node_total, kInvalidLink);
-  for (const auto& [node, outs] : spec.forward) {
-    if (node < 0 || static_cast<std::size_t>(node) >= node_total) {
-      throw std::invalid_argument("stream spec names an unknown node");
-    }
-    for (LinkId l : outs) {
-      if (l < 0 || static_cast<std::size_t>(l) >= links_.size()) {
-        throw std::invalid_argument("stream spec names an unknown link");
-      }
-      f.fwd_links.push_back(l);
-      const NodeId child = topo_->link(l).dst;
-      if (parent_link[static_cast<std::size_t>(child)] != kInvalidLink &&
-          f.reduce) {
-        throw std::invalid_argument(
-            "reduce stream forward map is not a tree (node has two parents)");
-      }
-      if (parent_link[static_cast<std::size_t>(child)] == kInvalidLink) {
-        parent_link[static_cast<std::size_t>(child)] = l;
-      }
-    }
+  // The directed link set: the tree's out-links, plus (reduce streams) the
+  // reverse of each one — the contributor up-paths that mirror the
+  // down-tree.
+  f.links = t.out_links;
+  if (t.reduce()) {
+    for (LinkId l : t.out_links) f.links.push_back(topo_->reverse_of(l));
   }
-  std::sort(f.fwd_links.begin(), f.fwd_links.end());
-  f.fwd_links.erase(std::unique(f.fwd_links.begin(), f.fwd_links.end()),
-                    f.fwd_links.end());
-  f.links = f.fwd_links;
-  if (f.reduce) {
-    f.up_links.reserve(f.fwd_links.size());
-    for (LinkId l : f.fwd_links) f.up_links.push_back(topo_->reverse_of(l));
-    std::sort(f.up_links.begin(), f.up_links.end());
-    f.links.insert(f.links.end(), f.up_links.begin(), f.up_links.end());
-    std::sort(f.links.begin(), f.links.end());
-    f.links.erase(std::unique(f.links.begin(), f.links.end()), f.links.end());
-    for (const auto& [node, outs] : spec.forward) {
-      if (!outs.empty()) f.combiner_nodes.push_back(node);
-    }
-    std::sort(f.combiner_nodes.begin(), f.combiner_nodes.end());
-  }
+  std::sort(f.links.begin(), f.links.end());
+  f.links.erase(std::unique(f.links.begin(), f.links.end()), f.links.end());
   f.link_live.assign(f.links.size(), 1);
 
-  // Per-receiver path timing: walk the parent chain back to the source and
-  // accumulate propagation plus per-hop line-rate inverse (the cut-through
-  // delay of the chunk's final segment).
-  const auto walk = [&](NodeId from, SimTime& prop, double& inv, int& hops) {
-    prop = 0;
-    inv = 0.0;
-    hops = 0;
-    NodeId at = from;
-    std::size_t guard = 0;
-    while (at != spec.source) {
-      if (at < 0 || ++guard > node_total) {
-        throw std::invalid_argument(
-            "stream spec has no forward path between source and endpoint");
-      }
-      const LinkId l = parent_link[static_cast<std::size_t>(at)];
-      if (l == kInvalidLink) {
-        throw std::invalid_argument(
-            "stream spec has no forward path between source and endpoint");
-      }
-      const Link& lk = topo_->link(l);
+  // Path timing: walk the parent links back to the source, accumulating
+  // propagation plus per-hop line-rate inverse (the cut-through delay of the
+  // chunk's final segment). Returns the hop count, or -1 for a node the
+  // source never reaches.
+  const auto walk = [&](NodeId from, SimTime& prop, double& inv) {
+    const StreamTree::Node* n = t.find(from);
+    if (n == nullptr || (n->up < 0 && from != t.source)) return -1;
+    int hops = 0;
+    for (; n->up >= 0; n = &t.nodes[static_cast<std::size_t>(n->up)], ++hops) {
+      const Link& lk = topo_->link(n->parent);
       prop += lk.propagation;
       inv += 1.0 / lk.rate.bytes_per_ns();
-      ++hops;
-      at = lk.src;
     }
+    return hops;
   };
-  f.recvs.reserve(spec.receivers.size());
-  for (NodeId r : spec.receivers) {
-    const bool dup =
-        std::any_of(f.recvs.begin(), f.recvs.end(),
-                    [r](const RecvInfo& ri) { return ri.node == r; });
-    if (dup) continue;  // first entry wins, as in the packet engine
+  f.recvs.reserve(t.receivers.size());
+  for (NodeId r : t.receivers) {
     RecvInfo ri;
     ri.node = r;
-    int hops = 0;
-    walk(r, ri.prop_sum, ri.inv_rate_sum, hops);
+    // A receiver the forward map never reaches is never credited: the audit
+    // and the stuck-flow diagnostic report it.
+    ri.live = walk(r, ri.prop_sum, ri.inv_rate_sum) >= 0;
     f.recvs.push_back(ri);
   }
-  if (f.reduce) {
+  if (t.reduce()) {
     // The pipeline's tail byte must climb from the slowest contributor to
     // the pivot (one combine latency per aggregation hop) before the down
     // multicast can retire it.
-    for (NodeId c : spec.contributors) {
+    for (const StreamTree::Injector& inj : t.injectors) {
       SimTime prop = 0;
       double inv = 0.0;
-      int hops = 0;
-      walk(c, prop, inv, hops);
+      const int hops = walk(inj.node, prop, inv);
       const SimTime up =
           prop +
           static_cast<SimTime>(std::ceil(
@@ -141,15 +87,9 @@ StreamId FlowNetwork::open_stream(StreamSpec spec) {
     }
   }
 
-  if (telem_) {
-    std::vector<NodeId> recvs;
-    recvs.reserve(f.recvs.size());
-    for (const RecvInfo& ri : f.recvs) recvs.push_back(ri.node);
-    telem_->on_stream_open(id, spec.tag, recvs);
-    if (f.reduce) telem_->on_reduce_open(id, spec.contributors);
-  }
+  if (telem_) telem_->on_stream_open(id, t, t.receivers);
 
-  f.spec = std::move(spec);
+  f.tree = std::move(tree);
   if (topo_->failed_link_count() > 0) refresh_live_set(id);
   return id;
 }
@@ -161,7 +101,7 @@ void FlowNetwork::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   if (chunk_index < 0) {
     throw std::invalid_argument("chunk index must be non-negative");
   }
-  if (telem_ && f.reduce) {
+  if (telem_ && f.tree->reduce()) {
     telem_->on_reduce_target(stream, chunk_index, bytes);
   }
   f.pending.push_back(PendingChunk{chunk_index, bytes});
@@ -172,7 +112,7 @@ std::vector<int> FlowNetwork::cancel_unsent_chunks(StreamId stream) {
   FlowState& f = flow(stream);
   std::vector<int> cancelled;
   if (f.closed) return cancelled;
-  if (f.reduce) {
+  if (f.tree->reduce()) {
     throw std::logic_error(
         "cancel_unsent_chunks: in-network reduce streams cannot be cancelled");
   }
@@ -218,15 +158,10 @@ void FlowNetwork::close_stream(StreamId stream) {
   }
   f.closed = true;
   auto release = [](auto& c) { std::decay_t<decltype(c)>{}.swap(c); };
-  release(f.spec.forward);
-  release(f.spec.receivers);
-  release(f.spec.contributors);
+  f.tree.reset();
   release(f.links);
   release(f.link_live);
-  release(f.fwd_links);
   release(f.recvs);
-  release(f.up_links);
-  release(f.combiner_nodes);
   release(f.pending);
   f.pending_head = 0;
   f.head_done = 0.0;
@@ -292,7 +227,7 @@ void FlowNetwork::deactivate(StreamId s) {
 }
 
 double FlowNetwork::utilization_cap(const FlowState& f) const {
-  switch (f.spec.cnp_mode) {
+  switch (f.tree->cnp_mode) {
     case CnpMode::SenderGuard:
       return config_.flow.guard_utilization;
     case CnpMode::ReceiverTimer:
@@ -306,7 +241,8 @@ double FlowNetwork::utilization_cap(const FlowState& f) const {
 }
 
 double FlowNetwork::line_rate_floor(const FlowState& f) const {
-  double floor = kUnboundedRate;
+  // Never empty: a valid spec's source has an out-link.
+  double floor = topo_->link(f.links.front()).rate.bytes_per_ns();
   for (LinkId l : f.links) {
     floor = std::min(floor, topo_->link(l).rate.bytes_per_ns());
   }
@@ -315,7 +251,6 @@ double FlowNetwork::line_rate_floor(const FlowState& f) const {
 
 void FlowNetwork::recompute_component(StreamId seed) {
   const SimTime now = queue_->now();
-  ++rate_recomputes_;
 
   // Connected component: streams transitively sharing a live link with the
   // seed. The seed itself is included whether or not it is still active (a
@@ -484,10 +419,10 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
   // instant, so hop conservation (enqueued == serialized) holds by
   // construction and a chunk that never completes leaves no trace.
   const std::uint64_t nseg = chunk_segments(head.bytes);
-  if (f.reduce && telem_) {
-    for (NodeId c : f.spec.contributors) {
+  if (f.tree->reduce() && telem_) {
+    for (const StreamTree::Injector& inj : f.tree->injectors) {
       telem_->on_inject(s, head.chunk, head.bytes);
-      telem_->on_reduce_contribute(s, c, head.chunk, head.bytes);
+      telem_->on_reduce_contribute(s, inj.node, head.chunk, head.bytes);
     }
   } else if (telem_) {
     telem_->on_inject(s, head.chunk, head.bytes);
@@ -510,12 +445,12 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
       if (telem_) telem_->on_wire_drop(s, head.bytes);
     }
   }
-  if (f.reduce && telem_) {
-    for (LinkId l : f.up_links) {
-      telem_->on_reduce_absorb(s, l, head.chunk, head.bytes);
-    }
-    for (NodeId n : f.combiner_nodes) {
-      telem_->on_reduce_emit(s, n, head.chunk, head.bytes);
+  if (f.tree->reduce() && telem_) {
+    for (const StreamTree::Combiner& cb : f.tree->combiners) {
+      for (LinkId l : cb.child_links) {
+        telem_->on_reduce_absorb(s, l, head.chunk, head.bytes);
+      }
+      telem_->on_reduce_emit(s, cb.node, head.chunk, head.bytes);
     }
   }
 
@@ -532,7 +467,7 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
             std::ceil(static_cast<double>(tail) * ri.inv_rate_sum));
     DeliveryEvent ev;
     ev.stream = s;
-    ev.tag = f.spec.tag;
+    ev.tag = f.tag;
     ev.receiver = ri.node;
     ev.chunk = head.chunk;
     queue_->at(now + offset, [this, ev] {
@@ -559,16 +494,14 @@ void FlowNetwork::refresh_live_set(StreamId s) {
   if (visit_stamp_.size() < static_cast<std::size_t>(topo_->node_count())) {
     visit_stamp_.resize(static_cast<std::size_t>(topo_->node_count()), 0);
   }
+  const StreamTree& t = *f.tree;
   const std::uint32_t epoch = ++visit_epoch_;
-  std::vector<NodeId> frontier;
-  frontier.push_back(f.spec.source);
-  visit_stamp_[static_cast<std::size_t>(f.spec.source)] = epoch;
-  // The compiled set is small; scan it per frontier node (flat and cheap).
+  std::vector<NodeId> frontier{t.source};
+  visit_stamp_[static_cast<std::size_t>(t.source)] = epoch;
   for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const NodeId at = frontier[i];
-    for (LinkId l : f.fwd_links) {
+    for (LinkId l : t.out_of(*t.find(frontier[i]))) {
       const Link& lk = topo_->link(l);
-      if (lk.src != at || lk.failed) continue;
+      if (lk.failed) continue;
       auto& stamp = visit_stamp_[static_cast<std::size_t>(lk.dst)];
       if (stamp == epoch) continue;
       stamp = epoch;
@@ -583,13 +516,11 @@ void FlowNetwork::refresh_live_set(StreamId s) {
   for (std::size_t i = 0; i < f.links.size(); ++i) {
     const Link& lk = topo_->link(f.links[i]);
     // A forward link is live when its upstream end is reachable and the wire
-    // itself is up; an up-path (reduce mirror) link hangs off the same
-    // duplex pair, so the same test applies to its reverse orientation.
-    const NodeId upstream_end =
-        f.reduce && !std::binary_search(f.fwd_links.begin(), f.fwd_links.end(),
-                                        f.links[i])
-            ? lk.dst
-            : lk.src;
+    // itself is up. A reduce mirror link (not its dst's parent link) hangs
+    // off the same duplex pair, so the same test applies to its reverse
+    // orientation.
+    const bool mirror = t.reduce() && t.find(lk.dst)->parent != f.links[i];
+    const NodeId upstream_end = mirror ? lk.dst : lk.src;
     const char live = static_cast<char>(!lk.failed && reached(upstream_end));
     if (live == f.link_live[i]) continue;
     LinkAccum& a = links_[static_cast<std::size_t>(f.links[i])];
@@ -627,7 +558,7 @@ void FlowNetwork::on_duplex_failed(LinkId l) {
         std::binary_search(f.links.begin(), f.links.end(), a) ||
         std::binary_search(f.links.begin(), f.links.end(), b);
     if (!uses) continue;
-    if (f.reduce) {
+    if (f.tree->reduce()) {
       if (f.frozen) continue;
       // A reduce pipeline cannot run truncated (the pivot would combine
       // short); freeze it and let the recovery pass supersede the stream,
@@ -670,7 +601,7 @@ void FlowNetwork::on_duplex_restored(LinkId l) {
   const LinkId b = topo_->reverse_of(l);
   for (StreamId s = 0; static_cast<StreamId>(flows_.size()) > s; ++s) {
     FlowState& f = flow(s);
-    if (f.closed || f.reduce) continue;  // frozen reduce awaits supersede
+    if (f.closed || f.tree->reduce()) continue;  // reduce awaits supersede
     const bool uses =
         std::binary_search(f.links.begin(), f.links.end(), a) ||
         std::binary_search(f.links.begin(), f.links.end(), b);
@@ -686,14 +617,15 @@ void FlowNetwork::on_duplex_restored(LinkId l) {
 bool FlowNetwork::stream_uses_link(StreamId s, LinkId l) const {
   const FlowState& f = flow(s);
   if (f.closed) return false;
-  return std::binary_search(f.fwd_links.begin(), f.fwd_links.end(), l);
+  const std::vector<LinkId>& out = f.tree->out_links;
+  return std::find(out.begin(), out.end(), l) != out.end();
 }
 
 StreamDiagnostic FlowNetwork::stream_diagnostic(StreamId s) const {
   const FlowState& f = flow(s);
   StreamDiagnostic d;
   d.stream = s;
-  d.tag = f.spec.tag;
+  d.tag = f.tag;
   d.closed = f.closed;
   d.pump_blocked = f.frozen;
   d.pump_scheduled = f.completion_scheduled;
@@ -705,14 +637,6 @@ StreamDiagnostic FlowNetwork::stream_diagnostic(StreamId s) const {
   d.incomplete_deliveries =
       d.pending_chunks * f.recvs.size() + (f.short_delivery ? 1 : 0);
   return d;
-}
-
-double FlowNetwork::link_rate(LinkId l) const {
-  double sum = 0.0;
-  for (StreamId s : links_[static_cast<std::size_t>(l)].active) {
-    sum += flow(s).rate;
-  }
-  return sum;
 }
 
 }  // namespace peel

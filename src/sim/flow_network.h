@@ -55,6 +55,7 @@
 #include "src/sim/config.h"
 #include "src/sim/data_plane.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/stream_tree.h"
 #include "src/sim/telemetry.h"
 #include "src/topology/topology.h"
 
@@ -101,14 +102,6 @@ class FlowNetwork final : public DataPlane {
   [[nodiscard]] Bytes total_bytes_serialized() const noexcept {
     return total_bytes_;
   }
-  /// Max-min component re-solves performed (diagnostic).
-  [[nodiscard]] std::uint64_t rate_recomputes() const noexcept {
-    return rate_recomputes_;
-  }
-
-  /// Current summed allocated rate on a directed link, in bytes/ns — one
-  /// point of the piecewise-constant utilization series.
-  [[nodiscard]] double link_rate(LinkId l) const;
   /// ∫ rate dt over the run so far, in bytes. At drain this equals the
   /// audited link_bytes(l) (see the header comment and the property test).
   [[nodiscard]] double link_rate_integral(LinkId l) const {
@@ -138,9 +131,10 @@ class FlowNetwork final : public DataPlane {
   };
 
   struct FlowState {
-    StreamSpec spec;
+    /// The compiled stream; released on close.
+    std::shared_ptr<const StreamTree> tree;
+    std::uint64_t tag = 0;
     bool closed = false;
-    bool reduce = false;
     /// Reduce stream hit a failure in its fused tree; rate pinned to 0
     /// until the recovery pass closes (supersedes) it.
     bool frozen = false;
@@ -153,16 +147,10 @@ class FlowNetwork final : public DataPlane {
     /// contributor up-paths that mirror the down-tree.
     std::vector<LinkId> links;
     std::vector<char> link_live;  ///< parallel: on the source-reachable part
-    /// Forward links only (what stream_uses_link answers for, mirroring the
-    /// packet engine's compiled fwd_links).
-    std::vector<LinkId> fwd_links;
 
     std::vector<RecvInfo> recvs;
-    /// Reduce streams: the mirrored child links (reverse of each forward
-    /// link) and combiner nodes for the ledger records, plus the worst-case
-    /// contributor->pivot pipeline delay added to every delivery offset.
-    std::vector<LinkId> up_links;
-    std::vector<NodeId> combiner_nodes;
+    /// Reduce streams: the worst-case contributor->pivot pipeline delay
+    /// added to every delivery offset.
     SimTime up_offset = 0;
 
     std::vector<PendingChunk> pending;  // FIFO via pending_head
@@ -238,7 +226,6 @@ class FlowNetwork final : public DataPlane {
   Bytes total_bytes_ = 0;
   std::uint64_t segments_serialized_ = 0;
   std::uint64_t lost_segments_ = 0;
-  std::uint64_t rate_recomputes_ = 0;
 };
 
 }  // namespace peel

@@ -30,11 +30,7 @@ Network::Network(const Topology& topo, const SimConfig& config, EventQueue& queu
   queue_->bind_sink(this);
   if (config_.telemetry.enabled) {
     telem_ = std::make_unique<Telemetry>(config_.telemetry, topo);
-    if (config_.telemetry.sample_interval > 0) {
-      sampler_armed_ = true;
-      queue_->after(config_.telemetry.sample_interval,
-                    SimEvent{SimEventKind::SampleTick});
-    }
+    rearm_sampler();
   }
 }
 
@@ -127,7 +123,7 @@ StreamDiagnostic Network::stream_diagnostic(StreamId s) const {
   const auto& st = streams_[static_cast<std::size_t>(s)];
   StreamDiagnostic d;
   d.stream = s;
-  d.tag = st.spec.tag;
+  d.tag = st.tag;
   d.closed = st.closed;
   for (const auto& inj : st.injectors) {
     d.pump_blocked |= inj.pump_blocked;
@@ -149,204 +145,73 @@ StreamDiagnostic Network::stream_diagnostic(StreamId s) const {
   return d;
 }
 
-double Network::source_line_rate(const StreamSpec& spec, NodeId start) const {
-  // The rate limiter physically sits at the NIC: walk through any leading
-  // NVLink hop(s) and pace against the first fabric-facing link.  Pacing
-  // against NVLink itself (900 B/ns) would let a GPU-sourced stream dump the
-  // whole message into local buffers before congestion control can act.
-  auto it = spec.forward.find(start);
-  if (it == spec.forward.end() || it->second.empty()) {
-    throw std::invalid_argument("stream source has no out-links");
-  }
-  NodeId cursor = start;
-  for (int depth = 0; depth < 4; ++depth) {
-    const auto hop = spec.forward.find(cursor);
-    if (hop == spec.forward.end() || hop->second.empty()) break;
-    double rate = topo_->link(hop->second.front()).rate.bytes_per_ns();
-    bool all_nvlink = true;
-    for (LinkId l : hop->second) {
-      rate = std::min(rate, topo_->link(l).rate.bytes_per_ns());
-      all_nvlink &= topo_->link(l).kind == LinkKind::NvLink;
-    }
-    if (!all_nvlink || hop->second.size() > 1) return rate;
-    cursor = topo_->link(hop->second.front()).dst;
-  }
-  // Pure-NVLink stream (intra-host delivery): no NIC on the path.
-  double rate = topo_->link(it->second.front()).rate.bytes_per_ns();
-  for (LinkId l : it->second) {
-    rate = std::min(rate, topo_->link(l).rate.bytes_per_ns());
-  }
-  return rate;
-}
-
 Bytes Network::max_queue_peak() const {
   Bytes peak = 0;
   for (const LinkState& l : links_) peak = std::max(peak, l.queue_peak);
   return peak;
 }
 
-StreamId Network::open_stream(
-    StreamSpec spec, const std::vector<std::uint8_t>& injector_local) {
+StreamId Network::open_stream(StreamSpec spec) {
+  const std::shared_ptr<const StreamTree> tree = compile_stream(*topo_, spec);
+  return open_replica(tree, tree->receivers, {});
+}
+
+StreamId Network::open_replica(
+    std::shared_ptr<const StreamTree> tree, std::span<const NodeId> receivers,
+    const std::vector<std::uint8_t>& injector_local) {
+  const StreamTree& t = *tree;
+  if (!injector_local.empty() && injector_local.size() != t.injectors.size()) {
+    throw std::invalid_argument("injector_local mask must match injectors");
+  }
   const auto id = static_cast<StreamId>(streams_.size());
   const std::size_t node_count = topo_->node_count();
   StreamState st;
-  const bool reduce = !spec.contributors.empty();
-  if (!reduce) {
-    // A multicast's one injector sits at its source. Reduce streams pace per
-    // contributor instead; their spec.source is the pivot switch where the
-    // combined bytes turn around into the down multicast — nothing injects
-    // there.
+  st.tag = t.tag;
+  for (std::size_t i = 0; i < t.injectors.size(); ++i) {
+    const StreamTree::Injector& ti = t.injectors[i];
     Injector inj;
-    inj.node = spec.source;
-    inj.cc = Dcqcn(config_.dcqcn, source_line_rate(spec, spec.source),
-                   spec.cnp_mode, config_.sender_guard_interval);
+    inj.node = ti.node;
+    inj.up_link = ti.up_link;
+    inj.cc = Dcqcn(config_.dcqcn, topo_->link(ti.pace_link).rate.bytes_per_ns(),
+                   t.cnp_mode, config_.sender_guard_interval);
+    inj.local = injector_local.empty() || injector_local[i] != 0;
     st.injectors.push_back(std::move(inj));
   }
 
-  // Compile the forwarding map into CSR form: count out-degrees, prefix-sum
-  // into offsets, then drop each node's out-links (in spec order) into its
-  // slice. arrive() then replicates with two array reads and no hashing.
+  // Index the tree's out-links by node: fwd_offset[n] is where node n's
+  // slice starts. The tree lists slices in node order, so the offsets are a
+  // prefix sum of out-degrees. arrive() then replicates with two array
+  // reads and no hashing.
   st.fwd_offset.assign(node_count + 1, 0);
-  std::size_t total_out = 0;
-  for (const auto& [node, outs] : spec.forward) {
-    if (node < 0 || static_cast<std::size_t>(node) >= node_count) {
-      throw std::invalid_argument("stream forward map names an unknown node");
-    }
-    st.fwd_offset[static_cast<std::size_t>(node) + 1] =
-        static_cast<std::int32_t>(outs.size());
-    total_out += outs.size();
+  for (const StreamTree::Node& tn : t.nodes) {
+    st.fwd_offset[static_cast<std::size_t>(tn.node) + 1] =
+        tn.out_end - tn.out_begin;
   }
   for (std::size_t n = 0; n < node_count; ++n) {
     st.fwd_offset[n + 1] += st.fwd_offset[n];
   }
-  st.fwd_links.resize(total_out);
-  for (const auto& [node, outs] : spec.forward) {
-    std::copy(outs.begin(), outs.end(),
-              st.fwd_links.begin() +
-                  st.fwd_offset[static_cast<std::size_t>(node)]);
-  }
 
-  // Dense receiver index (deduplicated, first occurrence wins).
   st.recv_index.assign(node_count, -1);
-  for (NodeId r : spec.receivers) {
-    if (r < 0 || static_cast<std::size_t>(r) >= node_count) {
-      throw std::invalid_argument("stream receiver list names an unknown node");
-    }
-    auto& slot = st.recv_index[static_cast<std::size_t>(r)];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(st.recv_nodes.size());
-      st.recv_nodes.push_back(r);
-    }
+  for (std::size_t i = 0; i < receivers.size(); ++i) {
+    st.recv_index[static_cast<std::size_t>(receivers[i])] =
+        static_cast<std::int32_t>(i);
   }
-  st.progress.resize(st.recv_nodes.size());
-  st.last_cnp.assign(st.recv_nodes.size(), kMinCnp);
+  st.progress.resize(receivers.size());
+  st.last_cnp.assign(receivers.size(), kMinCnp);
 
-  if (reduce) {
-    // The forward map is the down multicast tree; contributions climb the
-    // exact mirror of the same links. Invert it once: node -> the one
-    // forward link pointing at it.
-    std::unordered_map<NodeId, LinkId> in_link;
-    in_link.reserve(st.fwd_links.size());
-    for (const auto& [node, outs] : spec.forward) {
-      for (LinkId l : outs) {
-        if (!in_link.try_emplace(topo_->link(l).dst, l).second) {
-          throw std::invalid_argument(
-              "reduce stream forward map is not a tree");
-        }
-      }
-    }
-    // One paced injector per contributing endpoint, each rate-limited
-    // against the first fabric link of its own up-path (the mirror of the
-    // down-tree branch that serves it).
-    st.injectors.reserve(spec.contributors.size());
-    for (NodeId contributor : spec.contributors) {
-      Injector inj;
-      inj.node = contributor;
-      const auto in_it = in_link.find(inj.node);
-      if (in_it == in_link.end()) {
-        throw std::invalid_argument(
-            "reduce contributor is not in the down-tree");
-      }
-      const auto cn = static_cast<std::size_t>(inj.node);
-      if (st.fwd_offset[cn] != st.fwd_offset[cn + 1]) {
-        throw std::invalid_argument(
-            "reduce contributor is an interior node of the down-tree; "
-            "in-network combining at an injecting endpoint is not modeled");
-      }
-      inj.up_link = topo_->reverse_of(in_it->second);
-      // The rate limiter physically sits at the NIC: walk through any
-      // leading NVLink mirror hop(s) and pace against the first
-      // fabric-facing up-link (source_line_rate's reduce twin).
-      LinkId pace = inj.up_link;
-      for (int depth = 0;
-           depth < 4 && topo_->link(pace).kind == LinkKind::NvLink; ++depth) {
-        const auto up = in_link.find(topo_->link(pace).dst);
-        if (up == in_link.end()) break;  // pure-NVLink path: no NIC to pace at
-        pace = topo_->reverse_of(up->second);
-      }
-      const double line = topo_->link(pace).rate.bytes_per_ns();
-      inj.cc = Dcqcn(config_.dcqcn, line, spec.cnp_mode,
-                     config_.sender_guard_interval);
-      st.injectors.push_back(std::move(inj));
-    }
-    // Every interior node of the down-tree is an aggregation point whose
-    // fan-in set is link-for-link the mirror of its fan-out: it holds a
-    // chunk's bytes until every mirrored child link has delivered them, then
-    // forwards the combined frontier up its own mirrored in-link — or, at
-    // the pivot (spec.source, the only interior node with no in-link),
-    // launches it onto the forward fan-out. Node order and child order are
-    // canonicalized by sorting, so combiner indices do not depend on the
-    // forward map's iteration order.
-    std::vector<NodeId> combine_nodes;
-    combine_nodes.reserve(spec.forward.size());
-    for (const auto& [node, outs] : spec.forward) {
-      if (!outs.empty()) combine_nodes.push_back(node);
-    }
-    std::sort(combine_nodes.begin(), combine_nodes.end());
+  if (t.reduce()) {
     st.combiner_of_node.assign(node_count, -1);
-    st.combiners.reserve(combine_nodes.size());
-    bool pivot_seen = false;
-    for (NodeId n : combine_nodes) {
-      ReduceCombiner cb;
-      cb.node = n;
-      cb.child_links.reserve(spec.forward.at(n).size());
-      for (LinkId l : spec.forward.at(n)) {
-        cb.child_links.push_back(topo_->reverse_of(l));
-      }
-      std::sort(cb.child_links.begin(), cb.child_links.end());
-      if (const auto it = in_link.find(n); it != in_link.end()) {
-        cb.up_link = topo_->reverse_of(it->second);
-      } else if (n == spec.source) {
-        pivot_seen = true;
-      } else {
-        throw std::invalid_argument(
-            "reduce stream down-tree is rooted away from spec.source");
-      }
-      st.combiner_of_node[static_cast<std::size_t>(n)] =
-          static_cast<std::int32_t>(st.combiners.size());
-      st.combiners.push_back(std::move(cb));
+    for (std::size_t i = 0; i < t.combiners.size(); ++i) {
+      st.combiner_of_node[static_cast<std::size_t>(t.combiners[i].node)] =
+          static_cast<std::int32_t>(i);
     }
-    if (!pivot_seen) {
-      throw std::invalid_argument(
-          "reduce stream source is not an interior node of the forward map");
-    }
-  }
-  if (!injector_local.empty()) {
-    if (injector_local.size() != st.injectors.size()) {
-      throw std::invalid_argument("injector_local mask must match injectors");
-    }
-    for (std::size_t i = 0; i < st.injectors.size(); ++i) {
-      st.injectors[i].local = injector_local[i] != 0;
-    }
+    st.combiners.resize(t.combiners.size());
   }
 
-  st.spec = std::move(spec);
+  if (telem_) telem_->on_stream_open(id, t, receivers);
+  st.fwd_links = t.out_links;
+  st.tree = std::move(tree);
   streams_.push_back(std::move(st));
-  if (telem_) {
-    const StreamSpec& sp = streams_.back().spec;
-    telem_->on_stream_open(id, sp.tag, sp.receivers);
-    if (reduce) telem_->on_reduce_open(id, sp.contributors);
-  }
   return id;
 }
 
@@ -365,7 +230,7 @@ void Network::note_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   const auto ci = static_cast<std::size_t>(chunk_index);
   if (st.chunk_want.size() <= ci) st.chunk_want.resize(ci + 1, 0);
   st.chunk_want[ci] = bytes;
-  if (telem_ && st.reduce() && bytes > 0) {
+  if (telem_ && st.tree->reduce() && bytes > 0) {
     telem_->on_reduce_target(stream, chunk_index, bytes);
   }
 }
@@ -374,15 +239,7 @@ void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
   if (st.closed) throw std::logic_error("send_chunk on closed stream");
   if (bytes <= 0) throw std::invalid_argument("chunk bytes must be positive");
-  if (chunk_index < 0) {
-    throw std::invalid_argument("chunk index must be non-negative");
-  }
-  const auto ci = static_cast<std::size_t>(chunk_index);
-  if (st.chunk_want.size() <= ci) st.chunk_want.resize(ci + 1, 0);
-  st.chunk_want[ci] = bytes;
-  if (telem_ && st.reduce()) {
-    telem_->on_reduce_target(stream, chunk_index, bytes);
-  }
+  note_chunk(stream, chunk_index, bytes);
   // Every (engine-local) injector queues the chunk: a multicast's source
   // sends it once; each reduce contributor injects its own copy, and the
   // tree combines them on the way to the root.
@@ -399,18 +256,14 @@ void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   // A lapsed telemetry sampler (the event queue momentarily drained at a
   // tick) restarts with the new work instead of staying dead for the rest
   // of the run.
-  if (telem_ && config_.telemetry.sample_interval > 0 && !sampler_armed_) {
-    sampler_armed_ = true;
-    queue_->after(config_.telemetry.sample_interval,
-                  SimEvent{SimEventKind::SampleTick});
-  }
+  rearm_sampler();
 }
 
 std::vector<int> Network::cancel_unsent_chunks(StreamId stream) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
   std::vector<int> cancelled;
   if (st.closed) return cancelled;
-  if (st.reduce()) {
+  if (st.tree->reduce()) {
     throw std::logic_error(
         "cancel_unsent_chunks: in-network reduce streams cannot be cancelled");
   }
@@ -429,7 +282,7 @@ std::vector<int> Network::cancel_unsent_chunks(StreamId stream) {
 void Network::close_stream(StreamId stream) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
   if (telem_ && !st.closed) {
-    // Computed before the spec/progress are cleared below.
+    // Computed before the tree/progress are released below.
     telem_->on_stream_close(stream,
                             stream_diagnostic(stream).incomplete_deliveries == 0);
   }
@@ -441,16 +294,13 @@ void Network::close_stream(StreamId stream) {
   // NB: `v = {}` is initializer-list assignment and keeps capacity, exactly
   // like clear(); swapping with a default-constructed temporary frees it.
   auto release = [](auto& c) { std::decay_t<decltype(c)>{}.swap(c); };
-  release(st.spec.forward);
-  release(st.spec.receivers);
+  st.tree.reset();
+  st.fwd_links = {};
   release(st.fwd_offset);
-  release(st.fwd_links);
   release(st.recv_index);
-  release(st.recv_nodes);
   release(st.progress);
   release(st.last_cnp);
   release(st.chunk_want);
-  release(st.spec.contributors);
   // stream_cc still reads the first injector after close; the rest go.
   if (st.injectors.size() > 1) {
     st.injectors.erase(st.injectors.begin() + 1, st.injectors.end());
@@ -733,7 +583,8 @@ void Network::arrive(LinkId l, Segment seg, std::uint32_t fail_epoch) {
   if (!st.combiner_of_node.empty()) {
     const std::int32_t ci = st.combiner_of_node[static_cast<std::size_t>(n)];
     if (ci >= 0) {
-      const auto& kids = st.combiners[static_cast<std::size_t>(ci)].child_links;
+      const auto& kids =
+          st.tree->combiners[static_cast<std::size_t>(ci)].child_links;
       const auto slot = static_cast<std::size_t>(
           std::lower_bound(kids.begin(), kids.end(), l) - kids.begin());
       if (slot < kids.size() && kids[slot] == l) {
@@ -763,7 +614,7 @@ void Network::arrive(LinkId l, Segment seg, std::uint32_t fail_epoch) {
     const Bytes want = ci < st.chunk_want.size() ? st.chunk_want[ci] : 0;
     if (want > 0 && got >= want) {
       if (on_delivery_) {
-        on_delivery_(DeliveryEvent{seg.stream, st.spec.tag, n, seg.chunk});
+        on_delivery_(DeliveryEvent{seg.stream, st.tag, n, seg.chunk});
       }
     }
   }
@@ -773,19 +624,21 @@ void Network::reduce_absorb(StreamId s, std::int32_t combiner,
                             std::size_t slot, const Segment& seg) {
   auto& st = streams_[static_cast<std::size_t>(s)];
   ReduceCombiner& cb = st.combiners[static_cast<std::size_t>(combiner)];
+  const StreamTree::Combiner& shape =
+      st.tree->combiners[static_cast<std::size_t>(combiner)];
   const auto chunk = static_cast<std::size_t>(seg.chunk);
   if (cb.child_bytes.size() <= chunk) {
     cb.child_bytes.resize(chunk + 1);
     cb.out_progress.resize(chunk + 1, 0);
   }
   auto& row = cb.child_bytes[chunk];
-  if (row.empty()) row.assign(cb.child_links.size(), 0);
+  if (row.empty()) row.assign(shape.child_links.size(), 0);
   row[slot] += seg.bytes;
   st.reduce_held += seg.bytes;
   reduce_held_ += seg.bytes;
   reduce_held_peak_ = std::max(reduce_held_peak_, reduce_held_);
   if (telem_) {
-    telem_->on_reduce_absorb(s, cb.child_links[slot], seg.chunk, seg.bytes);
+    telem_->on_reduce_absorb(s, shape.child_links[slot], seg.chunk, seg.bytes);
   }
 
   // A chunk's bytes leave the combiner at the pace of its slowest child;
@@ -800,7 +653,7 @@ void Network::reduce_absorb(StreamId s, std::int32_t combiner,
   const Bytes freed = delta * static_cast<Bytes>(row.size());
   st.reduce_held -= freed;
   reduce_held_ -= freed;
-  if (telem_) telem_->on_reduce_emit(s, cb.node, seg.chunk, delta);
+  if (telem_) telem_->on_reduce_emit(s, shape.node, seg.chunk, delta);
 
   // The combined bytes re-enter the fabric one ALU latency later (ReduceEmit
   // fires on this domain's own queue — the combiner and the serializer it
@@ -814,8 +667,8 @@ void Network::reduce_emit(StreamId s, std::int32_t combiner,
                           std::int32_t chunk, Bytes bytes, bool marked) {
   auto& st = streams_[static_cast<std::size_t>(s)];
   if (st.closed) return;
-  const ReduceCombiner& cb =
-      st.combiners[static_cast<std::size_t>(combiner)];
+  const StreamTree::Combiner& cb =
+      st.tree->combiners[static_cast<std::size_t>(combiner)];
   // ingress = kInvalidLink: combined segments come out of combiner SRAM
   // (tracked by the reduce_held gauge), not an ingress queue, so they are
   // deliberately outside per-ingress PFC accounting — pausing the fast
@@ -840,7 +693,7 @@ void Network::reduce_emit(StreamId s, std::int32_t combiner,
 void Network::maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver) {
   auto& st = streams_[static_cast<std::size_t>(s)];
   const SimTime now = queue_->now();
-  if (st.spec.cnp_mode == CnpMode::ReceiverTimer) {
+  if (st.tree->cnp_mode == CnpMode::ReceiverTimer) {
     SimTime& last = st.last_cnp[static_cast<std::size_t>(recv_idx)];
     // kMinCnp is far enough in the past that a fresh receiver always passes.
     if (now - last < config_.receiver_cnp_interval) return;

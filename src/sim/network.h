@@ -19,9 +19,10 @@
 // per contributor, each enqueuing on the mirror of its in-link. One pump()
 // serves both, and Pump/CnpRate events name the injector in SimEvent::b.
 //
-// Hot-path layout: open_stream compiles the StreamSpec's forwarding map into
-// a CSR table (per-node offsets into one flat LinkId array) and the receiver
-// set into a dense node->index map, so the per-segment work in arrive() is
+// Hot-path layout: open_stream compiles the spec once (compile_stream,
+// src/sim/stream_tree.h) and indexes the tree's out-links as a CSR table
+// (per-node offsets into the tree's flat out-link array) and the receiver
+// set as a dense node->index map, so the per-segment work in arrive() is
 // array indexing with no hashing. Steady-state events (pump, finish_tx,
 // arrive, CNP delivery, telemetry ticks) are scheduled as packed SimEvents
 // dispatched back through SimEventSink instead of heap-allocated
@@ -34,7 +35,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -42,6 +43,7 @@
 #include "src/sim/data_plane.h"
 #include "src/sim/dcqcn.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/stream_tree.h"
 #include "src/sim/telemetry.h"
 #include "src/topology/topology.h"
 
@@ -70,16 +72,15 @@ class Network final : public SimEventSink, public DataPlane {
     on_delivery_ = std::move(handler);
   }
 
-  StreamId open_stream(StreamSpec spec) override {
-    return open_stream(std::move(spec), {});
-  }
+  StreamId open_stream(StreamSpec spec) override;
 
-  /// Shard-mode replica open: `injector_local` is parallel to the stream's
-  /// injectors (the source of a multicast; spec.contributors of a reduce
-  /// stream) — 1 = this replica paces that injector, 0 = a peer domain
-  /// does. Empty = every injector local (the single-queue engine).
-  StreamId open_stream(StreamSpec spec,
-                       const std::vector<std::uint8_t>& injector_local);
+  /// Shard-mode replica open of a stream ShardedNetwork already compiled:
+  /// `receivers` is the subset of tree->receivers this replica tracks, and
+  /// `injector_local` is parallel to tree->injectors — 1 = this replica
+  /// paces that injector, 0 = a peer domain does; empty = all local.
+  StreamId open_replica(std::shared_ptr<const StreamTree> tree,
+                        std::span<const NodeId> receivers,
+                        const std::vector<std::uint8_t>& injector_local);
 
   /// Shard-mode: reserves the next StreamId with no forwarding/receiver
   /// state, keeping ids aligned across domain replicas that do not
@@ -131,9 +132,9 @@ class Network final : public SimEventSink, public DataPlane {
   /// external use).
   void on_sim_event(const SimEvent& ev) override;
 
-  /// Shard-mode: restarts a lapsed telemetry sampler after a mailbox drain
-  /// delivered fresh cross-domain work to this domain's queue (the same
-  /// re-arming send_chunk performs when new local work shows up).
+  /// Arms the telemetry sampler unless it is running: at construction, when
+  /// send_chunk brings new local work, and (shard mode) after a mailbox
+  /// drain delivered fresh cross-domain work to this domain's queue.
   void rearm_sampler();
 
   /// Segments dropped by mid-run failures.
@@ -231,9 +232,9 @@ class Network final : public SimEventSink, public DataPlane {
   /// in-network reduce stream.
   struct Injector {
     NodeId node = kInvalidNode;
-    /// kInvalidLink: enqueue onto `node`'s fan-out slice of the compiled
-    /// forwarding table (a multicast source). Otherwise the mirror of the
-    /// spec's in-link to `node`, up which a reduce contribution climbs.
+    /// kInvalidLink: enqueue onto `node`'s fan-out slice of the forwarding
+    /// table (a multicast source). Otherwise the mirror of the tree's in-link
+    /// to `node`, up which a reduce contribution climbs.
     LinkId up_link = kInvalidLink;
     Dcqcn cc;
     std::vector<PendingChunk> pending;  // FIFO via pending_head
@@ -244,47 +245,40 @@ class Network final : public SimEventSink, public DataPlane {
     SimTime pace_next = 0;
   };
 
-  /// Combining state at one aggregation point of a reduce stream — an
-  /// interior node of the spec's down-tree, whose fan-in set is the exact
-  /// mirror of its forward fan-out. A chunk's bytes move upstream only once
-  /// every child link has delivered them, so out_progress[chunk] tracks min
-  /// over children. Bytes a faster child is ahead by sit in switch SRAM (the
+  /// Combining state at one aggregation point of a reduce stream, parallel
+  /// to StreamTree::combiners. A chunk's bytes move upstream only once every
+  /// child link has delivered them, so out_progress[chunk] tracks min over
+  /// children. Bytes a faster child is ahead by sit in switch SRAM (the
   /// Network-wide reduce_held gauge).
   struct ReduceCombiner {
-    NodeId node = kInvalidNode;
-    /// Mirror of the in-link above `node`; kInvalidLink marks the pivot
-    /// (spec.source), whose combined bytes launch the forward multicast.
-    LinkId up_link = kInvalidLink;
-    std::vector<LinkId> child_links;  ///< sorted; mirrors of the fan-out links
     std::vector<std::vector<Bytes>> child_bytes;  ///< [chunk][child slot]
     std::vector<Bytes> out_progress;              ///< [chunk] bytes forwarded
   };
 
   struct StreamState {
-    StreamSpec spec;
+    /// The compiled stream; released on close.
+    std::shared_ptr<const StreamTree> tree;
+    std::uint64_t tag = 0;
     bool closed = false;
 
-    /// Paced senders, indexed by SimEvent::b of Pump/CnpRate events: one at
-    /// spec.source for a multicast, one per spec.contributors entry for a
-    /// reduce stream.
+    /// Paced senders, parallel to tree->injectors and indexed by SimEvent::b
+    /// of Pump/CnpRate events.
     std::vector<Injector> injectors;
 
-    // In-network reduction (non-empty combiners <=> spec.contributors set):
-    // one combiner per aggregation node and a dense node -> combiner index
-    // for the arrive() fast path.
+    // In-network reduction (non-empty combiners <=> a reduce tree): one
+    // combiner per aggregation node and a dense node -> combiner index for
+    // the arrive() fast path.
     std::vector<ReduceCombiner> combiners;
     std::vector<std::int32_t> combiner_of_node;
     Bytes reduce_held = 0;  ///< this stream's share of the SRAM gauge
 
-    // Compiled forwarding table (CSR over node ids): node n replicates onto
-    // fwd_links[fwd_offset[n] .. fwd_offset[n+1]), in the exact order the
-    // spec's forward map listed them.
+    // Forwarding table (CSR over node ids): node n replicates onto
+    // fwd_links[fwd_offset[n] .. fwd_offset[n+1]), in spec order.
     std::vector<std::int32_t> fwd_offset;
-    std::vector<LinkId> fwd_links;
+    std::span<const LinkId> fwd_links;  ///< tree->out_links
 
     // Dense receiver-side state, keyed by compact receiver index.
     std::vector<std::int32_t> recv_index;  ///< node -> compact index, or -1
-    std::vector<NodeId> recv_nodes;        ///< compact index -> node
     /// chunk -> bytes the collective queued for it; 0 = no such chunk
     /// (send_chunk enforces positive sizes, so 0 is unambiguous).
     std::vector<Bytes> chunk_want;
@@ -292,8 +286,6 @@ class Network final : public SimEventSink, public DataPlane {
     std::vector<std::vector<Bytes>> progress;
     /// [receiver index] -> last CNP emission (CnpMode::ReceiverTimer).
     std::vector<SimTime> last_cnp;
-
-    [[nodiscard]] bool reduce() const noexcept { return !combiners.empty(); }
   };
 
   /// Paced injection for injector `injector` of stream `s`.
@@ -332,12 +324,6 @@ class Network final : public SimEventSink, public DataPlane {
   /// drained simulation alive. send_chunk re-arms a lapsed sampler, so quiet
   /// gaps between collective phases don't kill the time series for good.
   void sample_tick();
-  /// Rate of the first fabric-class link a segment injected at `start`
-  /// traverses (NVLink hops are skipped — the NIC, not NVLink, paces).
-  /// Paces a multicast's source injector; open_stream walks a reduce
-  /// contributor's mirrored up-path the same way.
-  [[nodiscard]] double source_line_rate(const StreamSpec& spec,
-                                        NodeId start) const;
 
   const Topology* topo_;
   SimConfig config_;

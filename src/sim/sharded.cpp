@@ -267,55 +267,47 @@ void ShardedNetwork::run_until(SimTime t) { advance(true, t); }
 // DataPlane
 
 StreamId ShardedNetwork::open_stream(StreamSpec spec) {
+  // Compiled once, before any replica is touched: a rejected spec leaves
+  // every domain (and the StreamId sequence) unchanged.
+  std::shared_ptr<const StreamTree> tree = compile_stream(*topo_, spec);
+
   // Footprint: every domain that pumps, forwards, terminates a forwarded
-  // link, or receives. Those get a real replica (full forwarding table,
-  // receivers filtered to domain-owned nodes); the rest get an id-aligning
-  // stub that no event will ever reference.
+  // link, or receives. Those get a real replica (the shared tree, receivers
+  // filtered to domain-owned nodes); the rest get an id-aligning stub that
+  // no event will ever reference.
   std::vector<char> in_footprint(static_cast<std::size_t>(domain_total_), 0);
-  auto mark = [&](NodeId n) {
-    in_footprint[static_cast<std::size_t>(plan_.domain_of_node(n))] = 1;
-  };
-  mark(spec.source);
-  for (const auto& [node, outs] : spec.forward) {
-    mark(node);
-    for (LinkId l : outs) mark(topo_->link(l).dst);
+  for (const StreamTree::Node& tn : tree->nodes) {
+    in_footprint[static_cast<std::size_t>(plan_.domain_of_node(tn.node))] = 1;
   }
-  for (NodeId r : spec.receivers) mark(r);
-  for (NodeId c : spec.contributors) mark(c);
+  for (NodeId r : tree->receivers) {
+    in_footprint[static_cast<std::size_t>(plan_.domain_of_node(r))] = 1;
+  }
 
   StreamInfo info;
-  info.src_domain = plan_.domain_of_node(spec.source);
-  if (spec.contributors.empty()) {
-    info.injector_domain.push_back(info.src_domain);
+  info.src_domain = plan_.domain_of_node(tree->source);
+  for (const StreamTree::Injector& inj : tree->injectors) {
+    info.injector_domain.push_back(plan_.domain_of_node(inj.node));
   }
-  for (NodeId c : spec.contributors) {
-    info.injector_domain.push_back(plan_.domain_of_node(c));
-  }
-  info.injector_domains = info.injector_domain;
-  std::sort(info.injector_domains.begin(), info.injector_domains.end());
-  info.injector_domains.erase(
-      std::unique(info.injector_domains.begin(), info.injector_domains.end()),
-      info.injector_domains.end());
   StreamId id = -1;
+  std::vector<NodeId> receivers;
+  std::vector<std::uint8_t> local(info.injector_domain.size());
   for (int d = 0; d < domain_total_; ++d) {
     Network& net = *domains_[static_cast<std::size_t>(d)]->net;
     StreamId got;
     if (in_footprint[static_cast<std::size_t>(d)] == 0) {
       got = net.open_stream_stub();
     } else {
-      StreamSpec per = spec;
-      per.receivers.clear();
-      for (NodeId r : spec.receivers) {
-        if (plan_.domain_of_node(r) == d) per.receivers.push_back(r);
+      receivers.clear();
+      for (NodeId r : tree->receivers) {
+        if (plan_.domain_of_node(r) == d) receivers.push_back(r);
       }
       // Every replica keeps the full injector list (combiner child slots
       // and CNP injector indices must align across domains); the mask says
       // which injectors THIS replica paces.
-      std::vector<std::uint8_t> local(info.injector_domain.size());
       for (std::size_t i = 0; i < local.size(); ++i) {
         local[i] = static_cast<std::uint8_t>(info.injector_domain[i] == d);
       }
-      got = net.open_stream(std::move(per), local);
+      got = net.open_replica(tree, receivers, local);
       info.footprint.push_back(d);
     }
     if (id < 0) {
@@ -336,8 +328,8 @@ void ShardedNetwork::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   // arrivals there can complete (receiver, chunk) deliveries.
   for (int d : info.footprint) {
     Network& net = *domains_[static_cast<std::size_t>(d)]->net;
-    if (std::binary_search(info.injector_domains.begin(),
-                           info.injector_domains.end(), d)) {
+    if (std::find(info.injector_domain.begin(), info.injector_domain.end(),
+                  d) != info.injector_domain.end()) {
       net.send_chunk(stream, chunk_index, bytes);
     } else {
       net.note_chunk(stream, chunk_index, bytes);

@@ -117,8 +117,6 @@ class ShardedNetwork final : public DataPlane {
   /// Total events processed across the control queue and all domains.
   [[nodiscard]] std::uint64_t events_processed() const;
 
-  [[nodiscard]] int domain_count() const noexcept { return domain_total_; }
-  [[nodiscard]] int worker_count() const noexcept { return workers_; }
   [[nodiscard]] const ShardPlan& plan() const noexcept { return plan_; }
 
   /// Adaptive-window execution counters. Dense control planes (fault
@@ -202,11 +200,8 @@ class ShardedNetwork final : public DataPlane {
     /// Injector index -> owning domain (CnpRate events carry the injector
     /// index, not a node): {src_domain} for a multicast's one injector, one
     /// entry per contributor for a reduce stream. Each replica opens with
-    /// the mask "injector_domain[i] == my domain" (Network::open_stream).
+    /// the mask "injector_domain[i] == my domain" (Network::open_replica).
     std::vector<int> injector_domain;
-    /// Distinct owning domains of the above, ascending: the replicas whose
-    /// send_chunk actually paces injectors (the rest only note_chunk).
-    std::vector<int> injector_domains;
   };
 
   /// Routes a hook-posted event: false = local to `from` (schedule there),

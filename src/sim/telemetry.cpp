@@ -36,11 +36,16 @@ void Telemetry::advance_depth(LinkAccum& a, Bytes new_depth, SimTime now) {
   a.peak = std::max(a.peak, new_depth);
 }
 
-void Telemetry::on_stream_open(std::int32_t s, std::uint64_t tag,
-                               const std::vector<NodeId>& receivers) {
+void Telemetry::on_stream_open(std::int32_t s, const StreamTree& tree,
+                               std::span<const NodeId> receivers) {
   StreamAccum& st = stream(s);
-  st.tag = tag;
-  st.receivers = receivers;
+  st.tag = tree.tag;
+  st.receivers.assign(receivers.begin(), receivers.end());
+  if (!tree.reduce()) return;
+  st.reduce = true;
+  for (const StreamTree::Injector& inj : tree.injectors) {
+    st.contributors.push_back(inj.node);
+  }
 }
 
 void Telemetry::on_inject(std::int32_t s, int chunk, Bytes bytes) {
@@ -112,16 +117,9 @@ void Telemetry::on_stream_close(std::int32_t s, bool complete) {
   if (!complete) stream(s).closed_incomplete = true;
 }
 
-void Telemetry::on_reduce_open(std::int32_t s,
-                               const std::vector<NodeId>& contributors) {
-  StreamAccum& st = stream(s);
-  st.reduce = true;
-  st.contributors = contributors;
-}
-
 void Telemetry::on_reduce_target(std::int32_t s, int chunk, Bytes bytes) {
   StreamAccum& st = stream(s);
-  st.reduce = true;  // note_chunk replicas may never see on_reduce_open
+  st.reduce = true;  // note_chunk replicas may never see on_stream_open
   st.reduce_target[chunk] = bytes;
 }
 

@@ -26,12 +26,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/units.h"
 #include "src/sim/config.h"
+#include "src/sim/stream_tree.h"
 #include "src/topology/topology.h"
 
 namespace peel {
@@ -116,8 +118,10 @@ class Telemetry {
   [[nodiscard]] const TelemetryConfig& config() const noexcept { return config_; }
 
   // --- hooks (called by Network; see network.cpp) -------------------------
-  void on_stream_open(std::int32_t stream, std::uint64_t tag,
-                      const std::vector<NodeId>& receivers);
+  /// `receivers` is the subset of tree.receivers this engine tracks (a
+  /// sharded replica's own). A reduce tree also opens its ledger.
+  void on_stream_open(std::int32_t stream, const StreamTree& tree,
+                      std::span<const NodeId> receivers);
   /// Bytes of `chunk` injected at the stream's source (counted once, before
   /// source-side replication onto out-links).
   void on_inject(std::int32_t stream, int chunk, Bytes bytes);
@@ -158,9 +162,6 @@ class Telemetry {
   //   the root is credited exactly target bytes,
   // checked as `> target` anytime (double-count) and `== target` at drain
   // (exactly-once) for streams that closed complete and lost nothing.
-  /// Declares `stream` an in-network reduction with this contributor set.
-  void on_reduce_open(std::int32_t stream,
-                      const std::vector<NodeId>& contributors);
   /// Per-chunk target: the bytes each rank owes (send_chunk/note_chunk).
   void on_reduce_target(std::int32_t stream, int chunk, Bytes bytes);
   /// `contributor` injected `bytes` of `chunk` (subset of on_inject).
@@ -250,7 +251,7 @@ class Telemetry {
     /// by another stream); exempts it from the under-delivery check.
     bool closed_incomplete = false;
 
-    // Reduction ledger (reduce == true streams only; see on_reduce_open).
+    // Reduction ledger (reduce == true streams only; see on_stream_open).
     bool reduce = false;
     std::vector<NodeId> contributors;
     std::unordered_map<int, Bytes> reduce_target;  ///< chunk -> per-rank bytes

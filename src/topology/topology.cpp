@@ -55,14 +55,6 @@ LinkId Topology::find_link(NodeId a, NodeId b) const {
   return kInvalidLink;
 }
 
-std::vector<NodeId> Topology::nodes_of_kind(NodeKind k) const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].kind == k) out.push_back(static_cast<NodeId>(i));
-  }
-  return out;
-}
-
 std::string Topology::name(NodeId id) const {
   const Node& n = node(id);
   char buf[64];

@@ -104,9 +104,6 @@ class Topology {
   /// Live link from a to b, or kInvalidLink.
   [[nodiscard]] LinkId find_link(NodeId a, NodeId b) const;
 
-  /// All node ids of the given kind, in creation order.
-  [[nodiscard]] std::vector<NodeId> nodes_of_kind(NodeKind k) const;
-
   /// Human-readable name, e.g. "tor[p2.1]", "core[3]", "gpu[h17.5]".
   [[nodiscard]] std::string name(NodeId id) const;
 

@@ -8,15 +8,23 @@
 // The harness entry points share one engine selector; the EngineSelection
 // cases pin its one rejected combination (flow fidelity with shards > 0) at
 // each entry point, so none of them can silently fall back to another engine.
+//
+// The StreamContract cases pin DataPlane::open_stream's one contract on the
+// solo, sharded and flow engines: what it rejects, that a rejection leaves
+// the engine unchanged, and what it accepts for the audit to report.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/harness/workload.h"
 #include "src/routing/topology_events.h"
+#include "src/sim/flow_network.h"
+#include "src/sim/network.h"
+#include "src/sim/sharded.h"
 #include "src/topology/fat_tree.h"
 
 namespace peel {
@@ -168,6 +176,163 @@ TEST(EngineSelection, RunWorkloadRejectsFlowWithShards) {
   config.shards = 2;
   EXPECT_THROW((void)run_workload(Fabric::of(small_fat_tree()), config),
                std::invalid_argument);
+}
+
+/// Hand-built specs on the k=4 fat-tree: host h0 carries g0..g3, host h1
+/// carries g4..g7, and both hang off ToR t0.
+struct ContractSpecs {
+  const FatTree& ft = small_fat_tree();
+  const Topology& topo = ft.topo;
+  NodeId g0 = ft.gpus[0], g1 = ft.gpus[1], g4 = ft.gpus[4], g5 = ft.gpus[5];
+  NodeId far = ft.gpus[8];  ///< under another ToR; no spec below reaches it
+  NodeId h0 = ft.hosts[0], h1 = ft.hosts[1];
+  NodeId t0 = ft.tor_at(0, 0);
+
+  [[nodiscard]] LinkId link(NodeId a, NodeId b) const {
+    return topo.find_link(a, b);
+  }
+  /// g0 -> h0 -> {g1, t0}; t0 -> h1 -> {g4, g5}.
+  [[nodiscard]] StreamSpec multicast() const {
+    StreamSpec s;
+    s.source = g0;
+    s.forward[g0] = {link(g0, h0)};
+    s.forward[h0] = {link(h0, g1), link(h0, t0)};
+    s.forward[t0] = {link(t0, h1)};
+    s.forward[h1] = {link(h1, g4), link(h1, g5)};
+    s.receivers = {g1, g4, g5};
+    return s;
+  }
+  /// An in-network reduce pivoting at t0: g0, g1 and g4 contribute up the
+  /// mirror of t0 -> {h0 -> {g0, g1}, h1 -> {g4}} and receive the result.
+  [[nodiscard]] StreamSpec reduce() const {
+    StreamSpec s;
+    s.source = t0;
+    s.forward[t0] = {link(t0, h0), link(t0, h1)};
+    s.forward[h0] = {link(h0, g0), link(h0, g1)};
+    s.forward[h1] = {link(h1, g4)};
+    s.receivers = {g0, g1, g4};
+    s.contributors = {g0, g1, g4};
+    return s;
+  }
+};
+
+/// Runs `check` once per engine, each on a fresh engine over the same fabric.
+using EngineCheck =
+    std::function<void(DataPlane&, const std::function<void()>& run)>;
+
+void for_each_engine(const EngineCheck& check) {
+  const Topology& topo = small_fat_tree().topo;
+  const SimConfig cfg;
+  {
+    SCOPED_TRACE("solo");
+    EventQueue queue;
+    Network net(topo, cfg, queue);
+    check(net, [&] { queue.run(); });
+  }
+  {
+    SCOPED_TRACE("sharded, 2 workers");
+    ShardedNetwork net(topo, cfg, 2);
+    check(net, [&] { net.run(); });
+  }
+  {
+    SCOPED_TRACE("flow");
+    EventQueue queue;
+    FlowNetwork net(topo, cfg, queue);
+    check(net, [&] { queue.run(); });
+  }
+}
+
+TEST(StreamContract, MalformedSpecsThrowAndLeaveTheEngineUnchanged) {
+  const ContractSpecs c;
+  struct Case {
+    const char* name;
+    std::function<StreamSpec()> spec;
+  };
+  const std::vector<Case> cases = {
+      {"out-link id past link_count()",
+       [&] {
+         StreamSpec s = c.multicast();
+         s.forward[c.h0].push_back(static_cast<LinkId>(c.topo.link_count()));
+         return s;
+       }},
+      {"receiver id past node_count()",
+       [&] {
+         StreamSpec s = c.multicast();
+         s.receivers.push_back(static_cast<NodeId>(c.topo.node_count()));
+         return s;
+       }},
+      {"out-link listed under a node it does not leave",
+       [&] {
+         StreamSpec s = c.multicast();
+         s.forward[c.t0].push_back(c.link(c.h1, c.g4));
+         return s;
+       }},
+      {"multicast source with no out-link",
+       [&] {
+         StreamSpec s = c.multicast();
+         s.forward.erase(c.g0);
+         return s;
+       }},
+      {"reduce contributor on an interior node",
+       [&] {
+         StreamSpec s = c.reduce();
+         s.contributors.push_back(c.h0);
+         return s;
+       }},
+      {"reduce contributor outside the tree",
+       [&] {
+         StreamSpec s = c.reduce();
+         s.contributors.push_back(c.far);
+         return s;
+       }},
+      {"reduce tree rooted away from spec.source",
+       [&] {
+         StreamSpec s = c.reduce();
+         s.source = c.h0;
+         return s;
+       }},
+      {"reduce forward map that is not a tree",
+       [&] {
+         StreamSpec s = c.reduce();
+         s.forward[c.g1] = {c.link(c.g1, c.h0)};
+         return s;
+       }},
+  };
+  for (const Case& bad : cases) {
+    SCOPED_TRACE(bad.name);
+    for_each_engine([&](DataPlane& dp, const std::function<void()>& run) {
+      std::size_t delivered = 0;
+      dp.set_delivery_handler([&](const DeliveryEvent&) { ++delivered; });
+      const StreamId first = dp.open_stream(c.multicast());
+      EXPECT_THROW((void)dp.open_stream(bad.spec()), std::invalid_argument);
+      // The rejection consumed no StreamId, and the engine still delivers.
+      const StreamId next = dp.open_stream(c.reduce());
+      EXPECT_EQ(next, first + 1);
+      dp.send_chunk(first, 0, 64 * kKiB);
+      dp.send_chunk(next, 0, 64 * kKiB);
+      run();
+      EXPECT_EQ(delivered, 6u);
+      EXPECT_EQ(dp.stream_diagnostic(first).incomplete_deliveries, 0u);
+      EXPECT_EQ(dp.stream_diagnostic(next).incomplete_deliveries, 0u);
+    });
+  }
+}
+
+TEST(StreamContract, UnreachedReceiverIsAcceptedAndReportedIncomplete) {
+  // Legal but wrong: the spec opens everywhere, the reached receivers get
+  // their bytes, and the stuck-flow diagnostic reports the one that cannot.
+  const ContractSpecs c;
+  StreamSpec spec = c.multicast();
+  spec.receivers.push_back(c.far);
+  for_each_engine([&](DataPlane& dp, const std::function<void()>& run) {
+    std::size_t delivered = 0;
+    dp.set_delivery_handler([&](const DeliveryEvent&) { ++delivered; });
+    const StreamId s = dp.open_stream(spec);
+    dp.send_chunk(s, 0, 64 * kKiB);
+    run();
+    EXPECT_EQ(delivered, 3u);
+    EXPECT_GT(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
+  });
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "src/collectives/runner.h"
 #include "src/harness/experiment.h"
@@ -205,6 +206,26 @@ TEST(LeafSpineCollectives, AsymmetricPeelBeatsUnicastUnderFailures) {
   const auto ring = run(fabric, Scheme::Ring, g, 8 * kMiB);
   EXPECT_LT(peel.cct_seconds, ring.cct_seconds);
   EXPECT_LT(peel.fabric_bytes, ring.fabric_bytes);
+}
+
+TEST_F(SmallFatTree, ProgCoresHonorsPeelAsymmetricLikePeel) {
+  // PEEL+ProgCores is PEEL's fast start plus migration, so peel_asymmetric
+  // reaches its Broadcast exactly as it reaches PEEL's: on a fat-tree both
+  // reject it with the same error instead of one silently running symmetric.
+  RunnerOptions opts;
+  opts.peel_asymmetric = true;
+  const GroupSelection g = group(0, 8);
+  const auto error_of = [&](Scheme scheme) {
+    try {
+      (void)run(fabric, scheme, g, kMiB, opts);
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of(Scheme::Peel),
+            "asymmetric PEEL requires a leaf-spine fabric");
+  EXPECT_EQ(error_of(Scheme::PeelProgCores), error_of(Scheme::Peel));
 }
 
 TEST(SchemeNames, Strings) {
