@@ -7,8 +7,12 @@
 # Usage: scripts/smoke.sh [jobs]
 #
 # Steps:
-#   - Release build of csv_gate_test and scenario_cli into build-release/
+#   - Release build of csv_gate_test, scenario_cli and the paper benches
+#     into build-release/
 #   - csv_gate_test: recomputed rows of the committed CSVs, byte for byte
+#   - every paper bench in quick mode, once plain and once under
+#     PEEL_BYTE_AUDIT=1 (an audit failure exits non-zero), in two temp
+#     dirs; CSVs and stdout must be byte-identical
 #   - shard invariance: the same run at 1 and 4 pod-sharded workers, diffed
 #   - flow vs packet: fabric/core byte totals must match exactly (CCT may
 #     differ within the tolerances flow_fidelity_test asserts)
@@ -21,15 +25,28 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc 2>/dev/null || echo 2)}"
 CLI=./build-release/examples/scenario_cli
+BENCH="${PWD}/build-release/bench"
+mapfile -t BENCHES < \
+  <(sed -n 's/^peel_add_bench(\(.*\))$/\1/p' bench/CMakeLists.txt)
 OUT="$(mktemp -d)"
 trap 'rm -rf "${OUT}"' EXIT
 
 echo "== configure + build build-release (Release) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j "${JOBS}" --target csv_gate_test scenario_cli
+cmake --build build-release -j "${JOBS}" --target csv_gate_test scenario_cli \
+  "${BENCHES[@]}"
 
 echo "== determinism gate (csv_gate_test) =="
 ./build-release/tests/csv_gate_test
+
+echo "== paper benches, quick mode: plain vs PEEL_BYTE_AUDIT=1 =="
+mkdir "${OUT}/plain" "${OUT}/audit"
+for b in "${BENCHES[@]}"; do
+  (cd "${OUT}/plain" && PEEL_BENCH_QUICK=1 "${BENCH}/${b}" > "${b}.stdout")
+  (cd "${OUT}/audit" &&
+     PEEL_BENCH_QUICK=1 PEEL_BYTE_AUDIT=1 "${BENCH}/${b}" > "${b}.stdout")
+done
+diff -r "${OUT}/plain" "${OUT}/audit"
 
 echo "== shard invariance (scenario_cli --shards=1 vs --shards=4) =="
 "${CLI}" peel broadcast 64 8 30 10 --audit --watchdog --shards=1 > "${OUT}/shards1.txt"

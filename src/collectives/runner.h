@@ -266,7 +266,6 @@ class CollectiveRunner : public TopologyObserver {
   [[nodiscard]] std::size_t active_count() const noexcept {
     return collectives_.size();
   }
-  [[nodiscard]] Router& router() noexcept { return router_; }
   /// Control-plane memoization counters (hits/misses/invalidations); the
   /// cache itself is private, consulted by the transfer builders.
   [[nodiscard]] const TreePlanCache& plan_cache() const noexcept {

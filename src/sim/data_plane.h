@@ -74,13 +74,17 @@ class DataPlane {
   /// Every engine validates `spec` in compile_stream (src/sim/stream_tree.h)
   /// and throws std::invalid_argument, consuming no StreamId, on an
   /// out-of-range node or link id, an out-link listed under a node it does
-  /// not leave, a source with no out-link, or a reduce stream that is not a
-  /// tree rooted at `source` with leaf contributors. Unreached receivers and
-  /// multicast nodes entered twice are legal; the byte audit reports them.
+  /// not leave, a source with no out-link, a cycle reachable from the
+  /// source, or a reduce stream that is not a tree rooted at `source` with
+  /// leaf contributors. Unreached receivers and multicast nodes entered
+  /// twice are legal; the byte audit reports them.
   virtual StreamId open_stream(StreamSpec spec) = 0;
 
   /// Queues `bytes` of chunk `chunk_index` for paced injection at the source.
   /// Chunk indices must be non-negative (they key dense per-receiver state).
+  /// A chunk index is sent at most once per stream, so each chunk has one
+  /// target: throws std::logic_error, consuming nothing, when the chunk
+  /// already has a positive target. A cancelled chunk may be sent again.
   virtual void send_chunk(StreamId stream, int chunk_index, Bytes bytes) = 0;
 
   /// Removes chunks whose injection has not begun; returns their indices

@@ -35,15 +35,31 @@ StreamId FlowNetwork::open_stream(StreamSpec spec) {
   FlowState& f = flows_.back();
   f.tag = t.tag;
 
-  // The directed link set: the tree's out-links, plus (reduce streams) the
-  // reverse of each one — the contributor up-paths that mirror the
-  // down-tree.
-  f.links = t.out_links;
-  if (t.reduce()) {
-    for (LinkId l : t.out_links) f.links.push_back(topo_->reverse_of(l));
+  // The directed link set, each link with the copies of a chunk it
+  // carries: one per path into a reached node, per listing of the link
+  // under it — exactly the packet engine's replication, so an unreached
+  // node's out-links carry nothing. A reduce stream adds the reverse of
+  // each out-link: the contributor up-paths that mirror the down-tree.
+  std::vector<std::pair<LinkId, std::int64_t>> carried;
+  carried.reserve(t.out_links.size() * (t.reduce() ? 2 : 1));
+  for (const StreamTree::Node& tn : t.nodes) {
+    if (tn.paths == 0) continue;
+    for (LinkId l : t.out_of(tn)) carried.emplace_back(l, tn.paths);
   }
-  std::sort(f.links.begin(), f.links.end());
-  f.links.erase(std::unique(f.links.begin(), f.links.end()), f.links.end());
+  if (t.reduce()) {
+    for (LinkId l : t.out_links) carried.emplace_back(topo_->reverse_of(l), 1);
+  }
+  std::sort(carried.begin(), carried.end());
+  f.links.reserve(carried.size());
+  f.link_copies.reserve(carried.size());
+  for (const auto& [l, copies] : carried) {
+    if (!f.links.empty() && f.links.back() == l) {
+      f.link_copies.back() += copies;
+    } else {
+      f.links.push_back(l);
+      f.link_copies.push_back(copies);
+    }
+  }
   f.link_live.assign(f.links.size(), 1);
 
   // Path timing: walk the parent links back to the source, accumulating
@@ -68,6 +84,7 @@ StreamId FlowNetwork::open_stream(StreamSpec spec) {
     // A receiver the forward map never reaches is never credited: the audit
     // and the stuck-flow diagnostic report it.
     ri.live = walk(r, ri.prop_sum, ri.inv_rate_sum) >= 0;
+    if (ri.live) ri.paths = t.find(r)->paths;
     f.recvs.push_back(ri);
   }
   if (t.reduce()) {
@@ -101,9 +118,13 @@ void FlowNetwork::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   if (chunk_index < 0) {
     throw std::invalid_argument("chunk index must be non-negative");
   }
-  if (telem_ && f.tree->reduce()) {
-    telem_->on_reduce_target(stream, chunk_index, bytes);
+  const auto ci = static_cast<std::size_t>(chunk_index);
+  if (f.sent.size() <= ci) f.sent.resize(ci + 1, 0);
+  if (f.sent[ci] != 0) {
+    throw std::logic_error("chunk index already sent on this stream");
   }
+  f.sent[ci] = 1;
+  if (telem_) telem_->on_chunk_target(stream, chunk_index, bytes);
   f.pending.push_back(PendingChunk{chunk_index, bytes});
   if (!f.active && !f.frozen) activate(stream);
 }
@@ -121,7 +142,10 @@ std::vector<int> FlowNetwork::cancel_unsent_chunks(StreamId stream) {
   std::size_t keep = f.pending_head;
   if (keep < f.pending.size() && f.head_done > 0.0) ++keep;
   for (std::size_t i = keep; i < f.pending.size(); ++i) {
-    cancelled.push_back(f.pending[i].chunk);
+    const int chunk = f.pending[i].chunk;
+    cancelled.push_back(chunk);
+    f.sent[static_cast<std::size_t>(chunk)] = 0;
+    if (telem_) telem_->on_chunk_target(stream, chunk, 0);
   }
   f.pending.resize(keep);
   if (f.active && f.pending_head == f.pending.size()) deactivate(stream);
@@ -137,12 +161,7 @@ void FlowNetwork::close_stream(StreamId stream) {
     // The head chunk's partial fluid dies with the stream: it was never
     // serialized (lump-sum accounting fires at completion), so take it back
     // out of the rate integrals to keep them equal to the audited bytes.
-    for (std::size_t i = 0; i < f.links.size(); ++i) {
-      if (f.link_live[i]) {
-        links_[static_cast<std::size_t>(f.links[i])].util_integral -=
-            f.head_done;
-      }
-    }
+    add_fluid(f, -f.head_done);
   }
   const bool complete = f.pending_head == f.pending.size() &&
                         !f.short_delivery && !f.frozen;
@@ -161,6 +180,8 @@ void FlowNetwork::close_stream(StreamId stream) {
   f.tree.reset();
   release(f.links);
   release(f.link_live);
+  release(f.link_copies);
+  release(f.sent);
   release(f.recvs);
   release(f.pending);
   f.pending_head = 0;
@@ -181,9 +202,14 @@ void FlowNetwork::settle(StreamId s, SimTime now) {
       std::min(f.rate * static_cast<double>(dt), remaining);
   if (progressed <= 0.0) return;
   f.head_done += progressed;
+  add_fluid(f, progressed);
+}
+
+void FlowNetwork::add_fluid(const FlowState& f, double bytes) {
   for (std::size_t i = 0; i < f.links.size(); ++i) {
     if (f.link_live[i]) {
-      links_[static_cast<std::size_t>(f.links[i])].util_integral += progressed;
+      links_[static_cast<std::size_t>(f.links[i])].util_integral +=
+          bytes * f.link_copies[i];
     }
   }
 }
@@ -418,35 +444,36 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
   // The audited lump: every integer record for this chunk lands here, at one
   // instant, so hop conservation (enqueued == serialized) holds by
   // construction and a chunk that never completes leaves no trace.
-  const std::uint64_t nseg = chunk_segments(head.bytes);
-  if (f.tree->reduce() && telem_) {
-    for (const StreamTree::Injector& inj : f.tree->injectors) {
-      telem_->on_inject(s, head.chunk, head.bytes);
-      telem_->on_reduce_contribute(s, inj.node, head.chunk, head.bytes);
+  const StreamTree& t = *f.tree;
+  if (telem_) {
+    for (const StreamTree::Injector& inj : t.injectors) {
+      telem_->on_contribute(s, inj.node, head.chunk, head.bytes);
     }
-  } else if (telem_) {
-    telem_->on_inject(s, head.chunk, head.bytes);
   }
   for (std::size_t i = 0; i < f.links.size(); ++i) {
     const LinkId l = f.links[i];
+    const Bytes bytes = head.bytes * f.link_copies[i];
+    const std::uint64_t nseg =
+        chunk_segments(head.bytes) *
+        static_cast<std::uint64_t>(f.link_copies[i]);
     if (f.link_live[i]) {
       LinkAccum& a = links_[static_cast<std::size_t>(l)];
-      a.serialized += head.bytes;
+      a.serialized += bytes;
       a.segments += nseg;
-      total_bytes_ += head.bytes;
       segments_serialized_ += nseg;
       if (telem_) {
-        telem_->on_enqueue(l, s, head.bytes, 0, now);
-        telem_->on_serialized(l, s, head.bytes, 0, now);
+        telem_->on_enqueue(l, s, bytes, 0, now);
+        telem_->on_serialized(l, s, bytes, 0, now);
       }
     } else {
       // The replication onto the severed subtree died on the wire.
       lost_segments_ += nseg;
-      if (telem_) telem_->on_wire_drop(s, head.bytes);
+      if (telem_) telem_->on_wire_drop(s, bytes);
     }
   }
-  if (f.tree->reduce() && telem_) {
-    for (const StreamTree::Combiner& cb : f.tree->combiners) {
+  if (telem_) {
+    // Empty for a multicast.
+    for (const StreamTree::Combiner& cb : t.combiners) {
       for (LinkId l : cb.child_links) {
         telem_->on_reduce_absorb(s, l, head.chunk, head.bytes);
       }
@@ -460,7 +487,9 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
       f.short_delivery = true;
       continue;
     }
-    if (telem_) telem_->on_deliver(s, ri.node, head.chunk, head.bytes);
+    if (telem_) {
+      telem_->on_deliver(s, ri.node, head.chunk, head.bytes * ri.paths);
+    }
     const SimTime offset =
         f.up_offset + ri.prop_sum +
         static_cast<SimTime>(
@@ -529,12 +558,12 @@ void FlowNetwork::refresh_live_set(StreamId s) {
         a.active.push_back(s);
         // Catch the link's integral up with the head chunk's progress so the
         // completion lump matches it (the chunk retires over the full set).
-        a.util_integral += f.head_done;
+        a.util_integral += f.head_done * f.link_copies[i];
       } else {
         a.active.erase(std::remove(a.active.begin(), a.active.end(), s),
                        a.active.end());
         // The partial fluid on the dead wire is gone.
-        a.util_integral -= f.head_done;
+        a.util_integral -= f.head_done * f.link_copies[i];
         lost_partial = true;
       }
     }
@@ -566,12 +595,7 @@ void FlowNetwork::on_duplex_failed(LinkId l) {
       settle(s, queue_->now());
       if (f.active) {
         if (f.head_done > 0.0) {
-          for (std::size_t i = 0; i < f.links.size(); ++i) {
-            if (f.link_live[i]) {
-              links_[static_cast<std::size_t>(f.links[i])].util_integral -=
-                  f.head_done;
-            }
-          }
+          add_fluid(f, -f.head_done);
           lost_segments_ += chunk_segments(
               std::max<Bytes>(static_cast<Bytes>(f.head_done), 1));
           if (telem_) {

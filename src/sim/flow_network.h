@@ -19,14 +19,17 @@
 // is where the >= 20x event reduction flow_fidelity_test asserts comes from.
 //
 // The byte-audit contract is identical to the packet engine's: all integer
-// telemetry for a chunk (inject, per-link enqueue+serialize, per-receiver
-// delivery credit, and the reduction ledger for fused reduce streams) is
-// recorded lump-sum at the chunk's completion instant, so conservation holds
-// by construction and cancelled or truncated chunks never leave phantom
-// bytes behind. Delivery *callbacks* still fire at physically plausible
-// times (completion + per-receiver path delay), so pipelined collectives
-// (Ring's store-and-forward chaining) see the same chunk-granularity timing
-// structure as the packet engine.
+// telemetry for a chunk (every injector's contribution, per-link
+// enqueue+serialize, per-receiver delivery credit, and the combiner rows of
+// a fused reduce stream) is recorded lump-sum at the chunk's completion
+// instant, so conservation holds by construction and cancelled or truncated
+// chunks never leave phantom bytes behind. Each receiver and each link is
+// credited once per path from the source into it (StreamTree::Node::paths),
+// so a forward map that enters a node twice over-delivers here exactly as
+// it does on the packet engine. Delivery *callbacks* still fire at
+// physically plausible times (completion + per-receiver path delay), so
+// pipelined collectives (Ring's store-and-forward chaining) see the same
+// chunk-granularity timing structure as the packet engine.
 //
 // Fault semantics mirror the packet engine at flow granularity:
 //   - a broadcast stream crossing a failed duplex pair keeps flowing on the
@@ -99,9 +102,6 @@ class FlowNetwork final : public DataPlane {
   /// Combiner SRAM holding is a segment-skew phenomenon; a single-rate fluid
   /// reduce stream has no skew to hold.
   [[nodiscard]] Bytes reduce_sram_peak() const noexcept { return 0; }
-  [[nodiscard]] Bytes total_bytes_serialized() const noexcept {
-    return total_bytes_;
-  }
   /// ∫ rate dt over the run so far, in bytes. At drain this equals the
   /// audited link_bytes(l) (see the header comment and the property test).
   [[nodiscard]] double link_rate_integral(LinkId l) const {
@@ -127,6 +127,9 @@ class FlowNetwork final : public DataPlane {
     NodeId node = kInvalidNode;
     SimTime prop_sum = 0;
     double inv_rate_sum = 0.0;  ///< ns per byte, summed over path hops
+    /// Copies of each chunk the receiver gets: its paths from the source
+    /// (StreamTree::Node::paths), 1 on a tree.
+    std::int32_t paths = 0;
     bool live = true;           ///< still source-reachable (faults)
   };
 
@@ -147,6 +150,12 @@ class FlowNetwork final : public DataPlane {
     /// contributor up-paths that mirror the down-tree.
     std::vector<LinkId> links;
     std::vector<char> link_live;  ///< parallel: on the source-reachable part
+    /// Parallel: copies of each chunk the link carries — one per path into
+    /// its source, per listing (1 on a tree and on every mirror link).
+    std::vector<std::int64_t> link_copies;
+    /// chunk -> 1 while the chunk has a positive target (send_chunk until
+    /// cancelled): a chunk index is sent at most once per stream.
+    std::vector<char> sent;
 
     std::vector<RecvInfo> recvs;
     /// Reduce streams: the worst-case contributor->pivot pipeline delay
@@ -186,6 +195,9 @@ class FlowNetwork final : public DataPlane {
 
   /// Accrues head-chunk progress (and per-link rate integrals) up to `now`.
   void settle(StreamId s, SimTime now);
+  /// Adds `bytes` of head-chunk fluid to every live link's rate integral,
+  /// once per copy the link carries; negative takes partial progress back.
+  void add_fluid(const FlowState& f, double bytes);
   /// Adds/removes `s` from its live links' active lists.
   void attach(StreamId s);
   void detach(StreamId s);
@@ -223,7 +235,6 @@ class FlowNetwork final : public DataPlane {
   std::vector<std::uint32_t> visit_stamp_;
   std::uint32_t visit_epoch_ = 0;
 
-  Bytes total_bytes_ = 0;
   std::uint64_t segments_serialized_ = 0;
   std::uint64_t lost_segments_ = 0;
 };

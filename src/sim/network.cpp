@@ -145,12 +145,6 @@ StreamDiagnostic Network::stream_diagnostic(StreamId s) const {
   return d;
 }
 
-Bytes Network::max_queue_peak() const {
-  Bytes peak = 0;
-  for (const LinkState& l : links_) peak = std::max(peak, l.queue_peak);
-  return peak;
-}
-
 StreamId Network::open_stream(StreamSpec spec) {
   const std::shared_ptr<const StreamTree> tree = compile_stream(*topo_, spec);
   return open_replica(tree, tree->receivers, {});
@@ -229,10 +223,11 @@ void Network::note_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   }
   const auto ci = static_cast<std::size_t>(chunk_index);
   if (st.chunk_want.size() <= ci) st.chunk_want.resize(ci + 1, 0);
-  st.chunk_want[ci] = bytes;
-  if (telem_ && st.tree->reduce() && bytes > 0) {
-    telem_->on_reduce_target(stream, chunk_index, bytes);
+  if (bytes > 0 && st.chunk_want[ci] > 0) {
+    throw std::logic_error("chunk index already sent on this stream");
   }
+  st.chunk_want[ci] = bytes;
+  if (telem_) telem_->on_chunk_target(stream, chunk_index, bytes);
 }
 
 void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
@@ -273,7 +268,7 @@ std::vector<int> Network::cancel_unsent_chunks(StreamId stream) {
   if (keep < inj.pending.size() && inj.pending[keep].injected > 0) ++keep;
   for (std::size_t i = keep; i < inj.pending.size(); ++i) {
     cancelled.push_back(inj.pending[i].chunk);
-    st.chunk_want[static_cast<std::size_t>(inj.pending[i].chunk)] = 0;
+    note_chunk(stream, inj.pending[i].chunk, 0);
   }
   inj.pending.resize(keep);
   return cancelled;
@@ -385,11 +380,8 @@ void Network::pump(StreamId stream, std::int32_t injector) {
         std::min<Bytes>(config_.segment_bytes, pc.bytes - pc.injected);
     const Segment seg{stream, pc.chunk, static_cast<std::int32_t>(seg_bytes),
                       kInvalidLink, false};
-    if (telem_) telem_->on_inject(stream, pc.chunk, seg_bytes);
+    if (telem_) telem_->on_contribute(stream, inj.node, pc.chunk, seg_bytes);
     if (inj.up_link != kInvalidLink) {
-      if (telem_) {
-        telem_->on_reduce_contribute(stream, inj.node, pc.chunk, seg_bytes);
-      }
       enqueue_segment(inj.up_link, seg);
     } else {
       const auto src = static_cast<std::size_t>(inj.node);

@@ -89,13 +89,15 @@ class Network final : public SimEventSink, public DataPlane {
   StreamId open_stream_stub();
 
   /// Queues `bytes` of chunk `chunk_index` for paced injection at the source.
-  /// Chunk indices must be non-negative (they key dense per-receiver state).
+  /// Chunk indices must be non-negative (they key dense per-receiver state);
+  /// a repeat of a chunk with a positive target throws std::logic_error.
   void send_chunk(StreamId stream, int chunk_index, Bytes bytes) override;
 
-  /// Shard-mode mirror of send_chunk for non-source domain replicas: records
-  /// the chunk's target size so arrivals in this domain can complete
-  /// deliveries, without scheduling any injection here. `bytes` 0 un-records
-  /// a chunk (mirrors cancel_unsent_chunks on the source domain).
+  /// Records the chunk's target size so arrivals in this domain can
+  /// complete deliveries, without scheduling any injection; send_chunk
+  /// calls it first, and the sharded engine mirrors send_chunk with it on
+  /// non-injecting replicas. `bytes` 0 un-records a chunk (cancel); a
+  /// positive size on a chunk that already has one throws std::logic_error.
   void note_chunk(StreamId stream, int chunk_index, Bytes bytes);
 
   /// Removes chunks whose injection has not begun; returns their indices
@@ -161,8 +163,6 @@ class Network final : public SimEventSink, public DataPlane {
   [[nodiscard]] Bytes link_queue_peak(LinkId l) const {
     return links_[static_cast<std::size_t>(l)].queue_peak;
   }
-  /// Deepest egress queue observed anywhere in the fabric.
-  [[nodiscard]] Bytes max_queue_peak() const;
   /// Rate controller of stream `s`'s first injector: a multicast's source,
   /// contributor 0 of a reduce stream. Still readable after close_stream.
   [[nodiscard]] const Dcqcn& stream_cc(StreamId s) const {

@@ -423,12 +423,6 @@ std::uint64_t ShardedNetwork::events_processed() const {
   return n;
 }
 
-Bytes ShardedNetwork::total_bytes_serialized() const {
-  Bytes n = 0;
-  for (const auto& dom : domains_) n += dom->net->total_bytes_serialized();
-  return n;
-}
-
 std::uint64_t ShardedNetwork::segments_serialized() const {
   std::uint64_t n = 0;
   for (const auto& dom : domains_) n += dom->net->segments_serialized();
@@ -455,11 +449,6 @@ std::uint64_t ShardedNetwork::segments_lost() const {
   return n;
 }
 
-std::uint64_t ShardedNetwork::duplex_repairs() const {
-  // Every replica increments on the same restore call — read one, not the sum.
-  return domains_.front()->net->duplex_repairs();
-}
-
 Bytes ShardedNetwork::reduce_sram_peak() const {
   Bytes n = 0;
   for (const auto& dom : domains_) n += dom->net->reduce_sram_peak();
@@ -470,14 +459,6 @@ Bytes ShardedNetwork::reduce_sram_peak_max_domain() const {
   Bytes peak = 0;
   for (const auto& dom : domains_) {
     peak = std::max(peak, dom->net->reduce_sram_peak());
-  }
-  return peak;
-}
-
-Bytes ShardedNetwork::max_queue_peak() const {
-  Bytes peak = 0;
-  for (const auto& dom : domains_) {
-    peak = std::max(peak, dom->net->max_queue_peak());
   }
   return peak;
 }

@@ -117,8 +117,6 @@ class ShardedNetwork final : public DataPlane {
   /// Total events processed across the control queue and all domains.
   [[nodiscard]] std::uint64_t events_processed() const;
 
-  [[nodiscard]] const ShardPlan& plan() const noexcept { return plan_; }
-
   /// Adaptive-window execution counters. Dense control planes (fault
   /// storms, churny workloads) clamp every advance window to the next
   /// control event, so windows shrink until most hold events in a single
@@ -135,13 +133,10 @@ class ShardedNetwork final : public DataPlane {
   }
 
   // --- merged counters (sums / maxima over the domain replicas) -----------
-  [[nodiscard]] Bytes total_bytes_serialized() const;
   [[nodiscard]] std::uint64_t segments_serialized() const;
   [[nodiscard]] std::uint64_t segments_marked() const;
   [[nodiscard]] std::uint64_t pfc_pauses() const;
   [[nodiscard]] std::uint64_t segments_lost() const;
-  [[nodiscard]] std::uint64_t duplex_repairs() const;
-  [[nodiscard]] Bytes max_queue_peak() const;
   /// Sum of per-domain combining-SRAM high-water marks. Combining state is
   /// domain-local (a combiner's arrivals and emits all run in its node's
   /// domain), so each domain's gauge peaks independently; the sum is an

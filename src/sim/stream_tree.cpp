@@ -1,6 +1,7 @@
 #include "src/sim/stream_tree.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -104,13 +105,47 @@ std::shared_ptr<const StreamTree> compile_stream(const Topology& topo,
   // Breadth-first from the source: the first link to enter a node becomes
   // its parent.
   std::vector<std::size_t> frontier{root};
+  std::size_t reached_links = 0;
+  bool enters_source = false;
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     for (LinkId l : t.out_of(t.nodes[frontier[i]])) {
+      ++reached_links;
       const std::size_t child = index_of(topo.link(l).dst);
+      enters_source |= child == root;
       if (t.nodes[child].parent != kInvalidLink || child == root) continue;
       t.nodes[child].parent = l;
       t.nodes[child].up = static_cast<std::int32_t>(frontier[i]);
       frontier.push_back(child);
+    }
+  }
+  // One link into every reached node but the source, and none into it, is
+  // a tree: one path everywhere. Anything else gets a topological pass over
+  // the reached part, which both rejects a cycle (a segment would lap it
+  // forever) and counts each node's paths.
+  if (!enters_source && reached_links + 1 == frontier.size()) {
+    for (std::size_t i : frontier) t.nodes[i].paths = 1;
+  } else {
+    std::vector<std::int32_t> fan_in(t.nodes.size(), 0);
+    for (std::size_t i : frontier) {
+      for (LinkId l : t.out_of(t.nodes[i])) {
+        ++fan_in[index_of(topo.link(l).dst)];
+      }
+    }
+    std::vector<std::size_t> order;
+    if (fan_in[root] == 0) order.push_back(root);
+    t.nodes[root].paths = 1;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const std::int64_t paths = t.nodes[order[i]].paths;
+      for (LinkId l : t.out_of(t.nodes[order[i]])) {
+        const std::size_t child = index_of(topo.link(l).dst);
+        StreamTree::Node& cn = t.nodes[child];
+        cn.paths = static_cast<std::int32_t>(
+            std::min<std::int64_t>(cn.paths + paths, INT32_MAX));
+        if (--fan_in[child] == 0) order.push_back(child);
+      }
+    }
+    if (order.size() != frontier.size()) {
+      reject("stream forward map has a cycle reachable from the source");
     }
   }
 

@@ -31,6 +31,11 @@ struct StreamTree {
     /// Index in `nodes` of the parent link's source; -1 where parent is
     /// kInvalidLink. Following it walks a reached node up to the source.
     std::int32_t up = -1;
+    /// Distinct paths from the source into this node, a link listed twice
+    /// counting twice: 1 at the source and everywhere on a tree, 0 where
+    /// unreached, more where the forward map enters a node again (legal,
+    /// and the byte audit reports it). Saturates at INT32_MAX.
+    std::int32_t paths = 0;
     /// out_links[out_begin, out_end): this node's out-links, in spec order.
     std::int32_t out_begin = 0;
     std::int32_t out_end = 0;

@@ -40,16 +40,22 @@ void Telemetry::on_stream_open(std::int32_t s, const StreamTree& tree,
                                std::span<const NodeId> receivers) {
   StreamAccum& st = stream(s);
   st.tag = tree.tag;
-  st.receivers.assign(receivers.begin(), receivers.end());
-  if (!tree.reduce()) return;
-  st.reduce = true;
   for (const StreamTree::Injector& inj : tree.injectors) {
-    st.contributors.push_back(inj.node);
+    st.accounts[{Account::Injector, inj.node}];
   }
+  for (NodeId r : receivers) st.accounts[{Account::Receiver, r}];
 }
 
-void Telemetry::on_inject(std::int32_t s, int chunk, Bytes bytes) {
-  stream(s).injected[chunk] += bytes;
+void Telemetry::on_chunk_target(std::int32_t s, int chunk, Bytes bytes) {
+  StreamAccum& st = stream(s);
+  const auto c = static_cast<std::size_t>(chunk);
+  if (st.target.size() <= c) st.target.resize(c + 1, 0);
+  st.target[c] = bytes;
+}
+
+void Telemetry::on_contribute(std::int32_t s, NodeId node, int chunk,
+                              Bytes bytes) {
+  stream(s).credit({Account::Injector, node}, chunk, bytes);
 }
 
 void Telemetry::on_enqueue(LinkId l, std::int32_t s, Bytes bytes,
@@ -110,32 +116,21 @@ void Telemetry::on_cnp(std::int32_t s, NodeId receiver, SimTime now) {
 
 void Telemetry::on_deliver(std::int32_t s, NodeId receiver, int chunk,
                            Bytes bytes) {
-  stream(s).delivered[receiver][chunk] += bytes;
+  stream(s).credit({Account::Receiver, receiver}, chunk, bytes);
 }
 
 void Telemetry::on_stream_close(std::int32_t s, bool complete) {
   if (!complete) stream(s).closed_incomplete = true;
 }
 
-void Telemetry::on_reduce_target(std::int32_t s, int chunk, Bytes bytes) {
-  StreamAccum& st = stream(s);
-  st.reduce = true;  // note_chunk replicas may never see on_stream_open
-  st.reduce_target[chunk] = bytes;
-}
-
-void Telemetry::on_reduce_contribute(std::int32_t s, NodeId contributor,
-                                     int chunk, Bytes bytes) {
-  stream(s).contributed[contributor][chunk] += bytes;
-}
-
 void Telemetry::on_reduce_absorb(std::int32_t s, LinkId l, int chunk,
                                  Bytes bytes) {
-  stream(s).absorbed[l][chunk] += bytes;
+  stream(s).credit({Account::ChildLink, l}, chunk, bytes);
 }
 
 void Telemetry::on_reduce_emit(std::int32_t s, NodeId node, int chunk,
                                Bytes bytes) {
-  stream(s).emitted[node][chunk] += bytes;
+  stream(s).credit({Account::Combiner, node}, chunk, bytes);
 }
 
 void Telemetry::sample(SimTime now) {
@@ -150,76 +145,42 @@ void Telemetry::sample(SimTime now) {
   samples_.push_back(q);
 }
 
-namespace {
-
-/// Anytime reduction-ledger checks: any account credited past the per-rank
-/// target is a double-count (a rank contributing twice, a combiner absorbing
-/// a duplicate child segment, or duplicate combined forwards).
-void reduce_over_violations(std::int32_t id, std::uint64_t tag,
-                            const std::unordered_map<int, Bytes>& target,
-                            const char* what, NodeId where,
-                            const std::unordered_map<int, Bytes>& account,
-                            std::vector<std::string>& out) {
-  for (const auto& [chunk, got] : account) {
-    const auto t = target.find(chunk);
-    const Bytes want = t == target.end() ? 0 : t->second;
-    if (got <= want) continue;
-    char buf[200];
-    std::snprintf(buf, sizeof buf,
-                  "%s: %s %d accounts %lld bytes of chunk %d against a "
-                  "per-rank target of %lld (reduction double-count)",
-                  describe_stream(id, tag).c_str(), what, where,
-                  static_cast<long long>(got), chunk,
-                  static_cast<long long>(want));
-    out.emplace_back(buf);
-  }
+const char* Telemetry::account_name(Account kind) {
+  static constexpr const char* kNames[] = {"injector", "child link",
+                                           "combiner", "receiver"};
+  return kNames[static_cast<std::size_t>(kind)];
 }
-
-}  // namespace
 
 std::vector<std::string> Telemetry::over_delivery_violations() const {
   std::vector<std::string> out;
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     const StreamAccum& st = streams_[i];
-    const auto id = static_cast<std::int32_t>(i);
-    if (st.reduce) {
-      // Combining legitimately collapses k child segments into one, so the
-      // injected-vs-delivered identity is replaced by the ledger: nothing —
-      // contribution, absorption, combined forward, or a member's delivery
-      // credit from the down multicast — may exceed the per-rank target.
-      for (const auto& [node, chunks] : st.contributed) {
-        reduce_over_violations(id, st.tag, st.reduce_target, "contributor",
-                               node, chunks, out);
+    // A receiver may hold no more of a chunk than its target and the least
+    // any injector contributed of it (injector rows sort first).
+    std::vector<Bytes> receiver_bound = st.target;
+    for (const auto& [row, cells] : st.accounts) {
+      if (row.first != Account::Injector) break;
+      for (std::size_t c = 0; c < receiver_bound.size(); ++c) {
+        receiver_bound[c] =
+            std::min(receiver_bound[c], c < cells.size() ? cells[c] : 0);
       }
-      for (const auto& [link, chunks] : st.absorbed) {
-        reduce_over_violations(id, st.tag, st.reduce_target, "child link",
-                               static_cast<NodeId>(link), chunks, out);
-      }
-      for (const auto& [node, chunks] : st.emitted) {
-        reduce_over_violations(id, st.tag, st.reduce_target, "combiner", node,
-                               chunks, out);
-      }
-      for (const auto& [receiver, chunks] : st.delivered) {
-        reduce_over_violations(id, st.tag, st.reduce_target, "receiver",
-                               receiver, chunks, out);
-      }
-      continue;
     }
-    for (const auto& [receiver, chunks] : st.delivered) {
-      for (const auto& [chunk, got] : chunks) {
-        const auto want = st.injected.find(chunk);
-        const Bytes injected = want == st.injected.end() ? 0 : want->second;
-        if (got > injected) {
-          char buf[160];
-          std::snprintf(buf, sizeof buf,
-                        "%s: receiver %d got %lld bytes of chunk %d but only "
-                        "%lld were injected (duplicate replication)",
-                        describe_stream(static_cast<std::int32_t>(i), st.tag)
-                            .c_str(),
-                        receiver, static_cast<long long>(got), chunk,
-                        static_cast<long long>(injected));
-          out.emplace_back(buf);
-        }
+    for (const auto& [row, cells] : st.accounts) {
+      const std::vector<Bytes>& bound =
+          row.first == Account::Receiver ? receiver_bound : st.target;
+      for (std::size_t c = 0; c < cells.size(); ++c) {
+        const Bytes most = c < bound.size() ? bound[c] : 0;
+        if (cells[c] <= most) continue;
+        char buf[200];
+        std::snprintf(buf, sizeof buf,
+                      "%s: %s %d accounts %lld bytes of chunk %d but may "
+                      "hold at most %lld (duplicate replication)",
+                      describe_stream(static_cast<std::int32_t>(i), st.tag)
+                          .c_str(),
+                      account_name(row.first), row.second,
+                      static_cast<long long>(cells[c]), static_cast<int>(c),
+                      static_cast<long long>(most));
+        out.emplace_back(buf);
       }
     }
   }
@@ -247,88 +208,29 @@ std::vector<std::string> Telemetry::conservation_violations() const {
                                            st.lost_queued));
       out.emplace_back(buf);
     }
-    // Exact delivery to the destination set. Two legitimate exemptions:
-    // streams that lost segments to failures (recovery runs on new streams)
-    // and streams their owner closed before completion (superseded — the
-    // collective finished through another stream). Everything else must hit
-    // the target exactly.
+    // Exactly once at drain: every account reaches the target of every
+    // chunk. Two legitimate exemptions: streams that lost segments to
+    // failures (recovery runs on new streams) and streams their owner
+    // closed before completion (superseded — the collective finished
+    // through another stream). Accounts past the target were reported
+    // above; this reports the short ones.
     const bool lossy =
         st.lost_queued > 0 || st.lost_wire > 0 || st.lost_ingress > 0;
     if (lossy || st.closed_incomplete) continue;
-    if (st.reduce) {
-      // Exactly-once at drain: every contributor injected its full share of
-      // every chunk once, every observed ledger account (child absorption,
-      // combined forward, member delivery credit) landed exactly on the
-      // per-rank target. Under-absorption anywhere starves the pivot's down
-      // multicast, so it shows up at every receiver, each of which is
-      // checked against every target chunk.
-      const auto expect = [&](const char* what, NodeId where, int chunk,
-                              Bytes got, Bytes want) {
-        if (got == want) return;
+    for (const auto& [row, cells] : st.accounts) {
+      for (std::size_t c = 0; c < st.target.size(); ++c) {
+        const Bytes want = st.target[c];
+        const Bytes got = c < cells.size() ? cells[c] : 0;
+        if (want <= 0 || got >= want) continue;
         char buf[200];
         std::snprintf(buf, sizeof buf,
                       "%s: %s %d accounts %lld of %lld target bytes of chunk "
-                      "%d with no segment losses (reduction ledger)",
-                      describe_stream(id, st.tag).c_str(), what, where,
+                      "%d with no segment losses",
+                      describe_stream(id, st.tag).c_str(),
+                      account_name(row.first), row.second,
                       static_cast<long long>(got), static_cast<long long>(want),
-                      chunk);
+                      static_cast<int>(c));
         out.emplace_back(buf);
-      };
-      for (const auto& [chunk, want] : st.reduce_target) {
-        if (want <= 0) continue;
-        for (NodeId c : st.contributors) {
-          Bytes got = 0;
-          const auto rows = st.contributed.find(c);
-          if (rows != st.contributed.end()) {
-            const auto cell = rows->second.find(chunk);
-            if (cell != rows->second.end()) got = cell->second;
-          }
-          expect("contributor", c, chunk, got, want);
-        }
-        for (NodeId r : st.receivers) {
-          Bytes got = 0;
-          const auto rows = st.delivered.find(r);
-          if (rows != st.delivered.end()) {
-            const auto cell = rows->second.find(chunk);
-            if (cell != rows->second.end()) got = cell->second;
-          }
-          expect("receiver", r, chunk, got, want);
-        }
-      }
-      for (const auto& [link, chunks] : st.absorbed) {
-        for (const auto& [chunk, got] : chunks) {
-          const auto t = st.reduce_target.find(chunk);
-          expect("child link", static_cast<NodeId>(link), chunk, got,
-                 t == st.reduce_target.end() ? 0 : t->second);
-        }
-      }
-      for (const auto& [node, chunks] : st.emitted) {
-        for (const auto& [chunk, got] : chunks) {
-          const auto t = st.reduce_target.find(chunk);
-          expect("combiner", node, chunk, got,
-                 t == st.reduce_target.end() ? 0 : t->second);
-        }
-      }
-      continue;
-    }
-    for (NodeId receiver : st.receivers) {
-      const auto got_it = st.delivered.find(receiver);
-      for (const auto& [chunk, injected] : st.injected) {
-        Bytes got = 0;
-        if (got_it != st.delivered.end()) {
-          const auto c = got_it->second.find(chunk);
-          if (c != got_it->second.end()) got = c->second;
-        }
-        if (got < injected) {
-          char buf[180];
-          std::snprintf(buf, sizeof buf,
-                        "%s: receiver %d got %lld of %lld injected bytes of "
-                        "chunk %d with no segment losses",
-                        describe_stream(id, st.tag).c_str(), receiver,
-                        static_cast<long long>(got),
-                        static_cast<long long>(injected), chunk);
-          out.emplace_back(buf);
-        }
       }
     }
   }
@@ -366,12 +268,15 @@ void Telemetry::merge_from(const Telemetry& other) {
     // stub accum (no on_stream_open); any domain that saw the open agrees on
     // the tag, so max() just skips the zeroed stubs.
     a.tag = std::max(a.tag, b.tag);
-    a.receivers.insert(a.receivers.end(), b.receivers.begin(),
-                       b.receivers.end());
-    for (const auto& [chunk, bytes] : b.injected) a.injected[chunk] += bytes;
-    for (const auto& [receiver, chunks] : b.delivered) {
-      auto& mine = a.delivered[receiver];
-      for (const auto& [chunk, bytes] : chunks) mine[chunk] += bytes;
+    if (a.target.size() < b.target.size()) a.target.resize(b.target.size());
+    for (std::size_t c = 0; c < b.target.size(); ++c) {
+      // Every domain that recorded a target agrees on it.
+      a.target[c] = std::max(a.target[c], b.target[c]);
+    }
+    for (const auto& [row, cells] : b.accounts) {
+      std::vector<Bytes>& mine = a.accounts[row];
+      if (mine.size() < cells.size()) mine.resize(cells.size(), 0);
+      for (std::size_t c = 0; c < cells.size(); ++c) mine[c] += cells[c];
     }
     a.enqueued += b.enqueued;
     a.serialized += b.serialized;
@@ -379,27 +284,6 @@ void Telemetry::merge_from(const Telemetry& other) {
     a.lost_wire += b.lost_wire;
     a.lost_ingress += b.lost_ingress;
     a.closed_incomplete = a.closed_incomplete || b.closed_incomplete;
-    // Reduction ledger: structure fields (contributor set, per-chunk target)
-    // are identical in every domain that recorded them; accounts sum because
-    // each (contributor / child link / combiner / root) has exactly one
-    // writing domain.
-    a.reduce = a.reduce || b.reduce;
-    if (a.contributors.empty()) a.contributors = b.contributors;
-    for (const auto& [chunk, bytes] : b.reduce_target) {
-      a.reduce_target[chunk] = std::max(a.reduce_target[chunk], bytes);
-    }
-    for (const auto& [node, chunks] : b.contributed) {
-      auto& mine = a.contributed[node];
-      for (const auto& [chunk, bytes] : chunks) mine[chunk] += bytes;
-    }
-    for (const auto& [link, chunks] : b.absorbed) {
-      auto& mine = a.absorbed[link];
-      for (const auto& [chunk, bytes] : chunks) mine[chunk] += bytes;
-    }
-    for (const auto& [node, chunks] : b.emitted) {
-      auto& mine = a.emitted[node];
-      for (const auto& [chunk, bytes] : chunks) mine[chunk] += bytes;
-    }
   }
 
   // Samples: merge-join on timestamp. Each link's depth (and pause state) is

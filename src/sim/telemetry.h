@@ -9,12 +9,16 @@
 //      shared-buffer peak occupancy), with optional fixed-interval
 //      time-series samples of fabric-wide queue state.
 //
-//   2. A byte-conservation audit — per stream, every byte injected at the
-//      source must be delivered to exactly the stream's receiver set, with
-//      hop-by-hop replication accounted: at drain, bytes enqueued on links
-//      equal bytes serialized plus bytes lost to failures, and no receiver
-//      is ever credited more bytes of a chunk than were injected
-//      ("exactly once per destination").
+//   2. A byte ledger per stream — one account table for multicast and
+//      in-network reduce streams alike. A multicast is audited as a reduce
+//      stream with one contributor (its source) and no combiners. Each
+//      row (injector, combiner child link, combiner, receiver) maps a chunk
+//      to the bytes it accounted; each chunk has one target. At any time no
+//      account may exceed its chunk's target and no receiver may be credited
+//      more of a chunk than the least any injector has contributed
+//      ("exactly once per destination"); at drain, hop by hop, bytes
+//      enqueued on links equal bytes serialized plus bytes lost to failures,
+//      and every account of a complete, loss-free stream hits the target.
 //
 //   3. Trace events — PFC pause spans and CNP emissions (plus flow
 //      lifetimes filled in by the harness) for the Chrome-trace exporter in
@@ -26,9 +30,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.h"
@@ -115,16 +120,18 @@ class Telemetry {
  public:
   Telemetry(const TelemetryConfig& config, const Topology& topo);
 
-  [[nodiscard]] const TelemetryConfig& config() const noexcept { return config_; }
-
   // --- hooks (called by Network; see network.cpp) -------------------------
-  /// `receivers` is the subset of tree.receivers this engine tracks (a
-  /// sharded replica's own). A reduce tree also opens its ledger.
+  /// Opens the stream's ledger with a row per injector of `tree` and per
+  /// receiver in `receivers`, the subset of tree.receivers this engine
+  /// tracks (a sharded replica's own).
   void on_stream_open(std::int32_t stream, const StreamTree& tree,
                       std::span<const NodeId> receivers);
-  /// Bytes of `chunk` injected at the stream's source (counted once, before
-  /// source-side replication onto out-links).
-  void on_inject(std::int32_t stream, int chunk, Bytes bytes);
+  /// The bytes every injector owes of `chunk` and every receiver is owed
+  /// (send_chunk); 0 cancels the chunk (cancel_unsent_chunks).
+  void on_chunk_target(std::int32_t stream, int chunk, Bytes bytes);
+  /// The injector at `node` put `bytes` of `chunk` into the fabric (counted
+  /// once, before replication onto a multicast source's out-links).
+  void on_contribute(std::int32_t stream, NodeId node, int chunk, Bytes bytes);
   void on_enqueue(LinkId l, std::int32_t stream, Bytes bytes, Bytes new_depth,
                   SimTime now);
   void on_ecn_mark(LinkId l);
@@ -151,22 +158,9 @@ class Telemetry {
   /// under-delivery check — over-delivery and hop conservation still apply.
   void on_stream_close(std::int32_t stream, bool complete);
 
-  // --- reduction ledger (in-network reduce streams) -----------------------
-  // In-switch combining legitimately "destroys" bytes (k child segments
-  // leave as one), so the generic injected-vs-delivered identity cannot
-  // audit a reduce stream. These hooks build the replacement: a first-class
-  // ledger of who owed what. Per chunk the contract is
-  //   every contributor injects target bytes exactly once,
-  //   every combiner child link delivers exactly target bytes,
-  //   every combiner forwards exactly target combined bytes,
-  //   the root is credited exactly target bytes,
-  // checked as `> target` anytime (double-count) and `== target` at drain
-  // (exactly-once) for streams that closed complete and lost nothing.
-  /// Per-chunk target: the bytes each rank owes (send_chunk/note_chunk).
-  void on_reduce_target(std::int32_t stream, int chunk, Bytes bytes);
-  /// `contributor` injected `bytes` of `chunk` (subset of on_inject).
-  void on_reduce_contribute(std::int32_t stream, NodeId contributor, int chunk,
-                            Bytes bytes);
+  // A reduce stream's combiners merge k child segments into one, so each
+  // child link into a combiner and each combiner's output keeps its own
+  // row, held to the same per-chunk target as every other account.
   /// A combiner absorbed `bytes` of `chunk` over child link `l`.
   void on_reduce_absorb(std::int32_t stream, LinkId l, int chunk, Bytes bytes);
   /// Combiner at `node` advanced `chunk`'s combined frontier by `bytes`
@@ -185,19 +179,23 @@ class Telemetry {
   }
 
   // --- invariants ---------------------------------------------------------
-  /// "Exactly once per destination": streams where some receiver was
-  /// credited MORE bytes of a chunk than the source injected. Always a bug
-  /// (duplicate replication), valid at any point in the run.
+  /// Ledger accounts past their bound: any account holding more of a chunk
+  /// than its target, or a receiver credited more than the least any
+  /// injector contributed. Always a bug (duplicate replication, a double
+  /// contribution or combine), valid at any point in the run. One entry per
+  /// offending account and chunk.
   [[nodiscard]] std::vector<std::string> over_delivery_violations() const;
 
   /// Full byte-conservation report. Only meaningful once the event queue has
   /// drained and every collective finished: per stream, (a) bytes enqueued
   /// on links == bytes serialized + bytes dropped from queues by failures
   /// (hop-by-hop replication accounted, no residue stuck in queues), and
-  /// (b) every receiver was credited exactly the injected bytes of every
-  /// chunk — unless the stream lost segments to failures, in which case
-  /// under-delivery is the expected symptom and only over-delivery counts.
-  /// Includes over_delivery_violations(). Empty == audit passed.
+  /// (b) for every chunk with a positive target, every injector and
+  /// receiver account, and every child-link and combiner account the run
+  /// touched, holds exactly the target — unless the stream lost segments to
+  /// failures or its owner closed it incomplete, in which case only the
+  /// over-bound check counts. Includes over_delivery_violations(). Empty ==
+  /// audit passed.
   [[nodiscard]] std::vector<std::string> conservation_violations() const;
 
   /// Snapshot of all counters with time-weighted values closed out at `now`
@@ -210,8 +208,9 @@ class Telemetry {
   /// The sharded engine runs one Telemetry per pod domain; each accumulator
   /// field has exactly one writing domain (link serializer counters live in
   /// the link's src domain, PFC pause spans in the buffer-owning dst domain,
-  /// per-receiver delivery credits in the receiver's domain), so summing is
-  /// exact, peaks merge by max, and closed_incomplete flags OR together.
+  /// each ledger account in its injector's, combiner's or receiver's
+  /// domain), so summing is exact, peaks merge by max, and closed_incomplete
+  /// flags OR together.
   /// Queue-depth samples merge by timestamp; trace events concatenate in the
   /// caller's (domain-id) order. Call on a fresh instance, folding domains
   /// in ascending id order, to get a summary equivalent to a single global
@@ -236,12 +235,20 @@ class Telemetry {
     Bytes buffer_peak = 0;
   };
 
+  /// A ledger row's kind, in the order violations list them.
+  enum class Account : std::uint8_t { Injector, ChildLink, Combiner, Receiver };
+  /// (kind, node — or link for a child link).
+  using Row = std::pair<Account, std::int32_t>;
+  static const char* account_name(Account kind);
+
   struct StreamAccum {
     std::uint64_t tag = 0;
-    std::vector<NodeId> receivers;
-    std::unordered_map<int, Bytes> injected;  ///< chunk -> bytes at source
-    /// receiver -> chunk -> bytes credited.
-    std::unordered_map<NodeId, std::unordered_map<int, Bytes>> delivered;
+    /// chunk -> bytes each injector owes and each receiver is owed; 0 = not
+    /// sent, or cancelled.
+    std::vector<Bytes> target;
+    /// row -> chunk -> bytes accounted. Every injector and tracked receiver
+    /// has a row from on_stream_open on; combiner rows appear when used.
+    std::map<Row, std::vector<Bytes>> accounts;
     Bytes enqueued = 0;
     Bytes serialized = 0;
     Bytes lost_queued = 0;   ///< dropped from queues by failures
@@ -251,16 +258,12 @@ class Telemetry {
     /// by another stream); exempts it from the under-delivery check.
     bool closed_incomplete = false;
 
-    // Reduction ledger (reduce == true streams only; see on_stream_open).
-    bool reduce = false;
-    std::vector<NodeId> contributors;
-    std::unordered_map<int, Bytes> reduce_target;  ///< chunk -> per-rank bytes
-    /// contributor -> chunk -> bytes injected.
-    std::unordered_map<NodeId, std::unordered_map<int, Bytes>> contributed;
-    /// child link -> chunk -> bytes absorbed at the link's combiner.
-    std::unordered_map<LinkId, std::unordered_map<int, Bytes>> absorbed;
-    /// combiner node -> chunk -> combined bytes forwarded/credited.
-    std::unordered_map<NodeId, std::unordered_map<int, Bytes>> emitted;
+    void credit(Row row, int chunk, Bytes bytes) {
+      std::vector<Bytes>& cells = accounts[row];
+      const auto c = static_cast<std::size_t>(chunk);
+      if (cells.size() <= c) cells.resize(c + 1, 0);
+      cells[c] += bytes;
+    }
   };
 
   void advance_depth(LinkAccum& a, Bytes new_depth, SimTime now);

@@ -291,6 +291,12 @@ TEST(StreamContract, MalformedSpecsThrowAndLeaveTheEngineUnchanged) {
          s.source = c.h0;
          return s;
        }},
+      {"multicast forward map with a cycle through the source",
+       [&] {
+         StreamSpec s = c.multicast();
+         s.forward[c.h0].push_back(c.link(c.h0, c.g0));
+         return s;
+       }},
       {"reduce forward map that is not a tree",
        [&] {
          StreamSpec s = c.reduce();
@@ -332,6 +338,29 @@ TEST(StreamContract, UnreachedReceiverIsAcceptedAndReportedIncomplete) {
     run();
     EXPECT_EQ(delivered, 3u);
     EXPECT_GT(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
+  });
+}
+
+TEST(StreamContract, ChunkIndexIsSentAtMostOncePerStream) {
+  // One target per chunk and stream: a repeat throws and consumes nothing,
+  // while a chunk cancelled before any of it was sent may be sent again.
+  const ContractSpecs c;
+  for_each_engine([&](DataPlane& dp, const std::function<void()>& run) {
+    std::size_t delivered = 0;
+    dp.set_delivery_handler([&](const DeliveryEvent&) { ++delivered; });
+    const StreamId s = dp.open_stream(c.multicast());
+    dp.send_chunk(s, 0, 256 * kKiB);
+    EXPECT_THROW(dp.send_chunk(s, 0, 256 * kKiB), std::logic_error);
+    run();
+    EXPECT_EQ(delivered, 3u);
+    EXPECT_THROW(dp.send_chunk(s, 0, 64 * kKiB), std::logic_error);
+
+    dp.send_chunk(s, 1, 64 * kKiB);
+    EXPECT_EQ(dp.cancel_unsent_chunks(s), std::vector<int>{1});
+    dp.send_chunk(s, 1, 64 * kKiB);
+    run();
+    EXPECT_EQ(delivered, 6u);
+    EXPECT_EQ(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
   });
 }
 

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "src/harness/experiment.h"
+#include "src/sim/flow_network.h"
 #include "src/sim/network.h"
+#include "src/sim/sharded.h"
 #include "src/sim/trace.h"
 #include "src/topology/fat_tree.h"
 #include "src/topology/topology.h"
@@ -223,6 +225,73 @@ TEST(Telemetry, AuditCatchesOverDelivery) {
   EXPECT_NE(over[0].find("duplicate replication"), std::string::npos);
   // conservation_violations includes the over-delivery report.
   EXPECT_FALSE(net.telemetry()->conservation_violations().empty());
+}
+
+TEST(Telemetry, EveryEngineCatchesDuplicateReplication) {
+  // The spec above on all three engines, with the sink forwarding on: a
+  // node entered by two listed links is legal but audited, so each engine
+  // credits the sink once per path, replicates each copy onward, reports
+  // the same one over-delivery, and puts the same bytes on every link.
+  Topology topo;
+  const NodeId src = topo.add_node(Node{NodeKind::Host, 0, 0});
+  const NodeId sw = topo.add_node(Node{NodeKind::Tor, 0, 0});
+  const NodeId sink = topo.add_node(Node{NodeKind::Host, 0, 1});
+  const NodeId next = topo.add_node(Node{NodeKind::Host, 0, 2});
+  const LinkId up = topo.add_duplex_link(src, sw, 100_gbps, 100);
+  const LinkId d1 = topo.add_duplex_link(sw, sink, 100_gbps, 100);
+  const LinkId d2 = topo.add_duplex_link(sw, sink, 100_gbps, 100);
+  const LinkId onward = topo.add_duplex_link(sink, next, 100_gbps, 100);
+  StreamSpec spec;
+  spec.source = src;
+  spec.forward[src] = {up};
+  spec.forward[sw] = {d1, d2};
+  spec.forward[sink] = {onward};
+  spec.receivers = {sink};
+
+  // `run` drains the engine and returns its (merged) telemetry.
+  const auto drive = [&](DataPlane& dp, const auto& run) {
+    const StreamId s = dp.open_stream(spec);
+    dp.send_chunk(s, 0, 64 * kKiB);
+    const auto over = run()->over_delivery_violations();
+    EXPECT_EQ(over.size(), 1u);
+    for (const std::string& v : over) {
+      EXPECT_NE(v.find("duplicate replication"), std::string::npos) << v;
+    }
+    std::vector<Bytes> bytes;
+    for (LinkId l = 0; static_cast<std::size_t>(l) < topo.link_count(); ++l) {
+      bytes.push_back(dp.link_bytes(l));
+    }
+    return bytes;
+  };
+
+  EventQueue solo_q;
+  Network solo(topo, telemetry_config(), solo_q);
+  const std::vector<Bytes> want = drive(solo, [&] {
+    solo_q.run();
+    return solo.telemetry();
+  });
+  EXPECT_EQ(want[static_cast<std::size_t>(d1)], 64 * kKiB);
+  EXPECT_EQ(want[static_cast<std::size_t>(d2)], 64 * kKiB);
+  EXPECT_EQ(want[static_cast<std::size_t>(onward)], 128 * kKiB);
+  {
+    SCOPED_TRACE("sharded, 2 workers");
+    ShardedNetwork sharded(topo, telemetry_config(), 2);
+    const std::vector<Bytes> got = drive(sharded, [&] {
+      sharded.run();
+      return sharded.merged_telemetry();
+    });
+    EXPECT_EQ(got, want);
+  }
+  {
+    SCOPED_TRACE("flow");
+    EventQueue flow_q;
+    FlowNetwork flow(topo, telemetry_config(), flow_q);
+    const std::vector<Bytes> got = drive(flow, [&] {
+      flow_q.run();
+      return flow.telemetry();
+    });
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST(Telemetry, AuditFlagsUnderDeliveryOnLossFreeStream) {
