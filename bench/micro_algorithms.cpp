@@ -1,14 +1,19 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible. The last three isolate
+// the actual costs so the scaling is visible. The last four isolate
 // simulator components: the event scheduler in steady state, a plan-cache
-// hit, and opening + closing one stream on each data-plane engine.
+// hit, opening + closing one stream on each data-plane engine, and the flow
+// engine's max-min solve against component size.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/collectives/plan_cache.h"
 #include "src/collectives/trees.h"
+#include "src/common/rng.h"
 #include "src/prefix/cover.h"
 #include "src/prefix/plan.h"
 #include "src/prefix/prefix.h"
@@ -241,6 +246,72 @@ void BM_OpenStream(benchmark::State& state) {
 BENCHMARK(BM_OpenStream)
     ->ArgsProduct({{8, 16, 32}, {0, 1}, {0, 2}})
     ->ArgsProduct({{8, 16}, {0, 1}, {1}});
+
+void BM_FlowSolve(benchmark::State& state) {
+  // One FlowNetwork max-min solve against component size: N PEEL multicast
+  // streams (16 random members each, the first packet of each plan) on the
+  // k=32 lean fat-tree (one GPU per host, one host per ToR), each sharing a
+  // link with an earlier one, so all N form one connected component. N - 1
+  // carry a chunk that never finishes; each iteration activates the last
+  // stream with one chunk and drains it again (send_chunk, then
+  // cancel_unsent_chunks), two solves of the whole component.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  FatTreeConfig lean;
+  lean.k = 32;
+  lean.hosts_per_tor = 1;
+  lean.gpus_per_host = 1;
+  const FatTree ft = build_fat_tree(lean);
+  const Fabric fabric = Fabric::of(ft);
+  const std::vector<NodeId>& gpus = ft.endpoints();
+
+  Rng rng(20261017);
+  std::vector<StreamSpec> specs;
+  std::vector<char> used(ft.topo.link_count(), 0);
+  while (specs.size() < n) {
+    std::vector<NodeId> members = gpus;
+    rng.shuffle(members);
+    const std::vector<NodeId> dests(members.begin() + 1, members.begin() + 16);
+    const std::vector<PeelStream> parts = peel_static_trees(
+        fabric, build_peel_plan(ft, members.front(), dests), 0);
+    StreamSpec spec = spec_from_tree(ft.topo, parts.front().tree,
+                                     parts.front().receivers);
+    bool joins = specs.empty();
+    for (const auto& [node, links] : spec.forward) {
+      for (LinkId l : links) joins = joins || used[static_cast<std::size_t>(l)];
+    }
+    if (!joins) continue;
+    for (const auto& [node, links] : spec.forward) {
+      for (LinkId l : links) used[static_cast<std::size_t>(l)] = 1;
+    }
+    specs.push_back(std::move(spec));
+  }
+
+  // Every solve schedules a completion per re-rated flow and nothing runs
+  // the queue, so a fresh engine every `cycle` iterations bounds memory.
+  const std::size_t cycle = std::max<std::size_t>(16, 65536 / n);
+  std::unique_ptr<EventQueue> queue;
+  std::unique_ptr<FlowNetwork> net;
+  StreamId probe = 0;
+  std::size_t done = 0;
+  for (auto _ : state) {
+    if (done++ % cycle == 0) {
+      state.PauseTiming();
+      net.reset();
+      queue = std::make_unique<EventQueue>();
+      net = std::make_unique<FlowNetwork>(ft.topo, SimConfig{}, *queue);
+      for (std::size_t i = 0; i < n; ++i) {
+        probe = net->open_stream(specs[i]);
+        if (i + 1 < n) net->send_chunk(probe, 0, 1LL << 40);
+      }
+      state.ResumeTiming();
+    }
+    net->send_chunk(probe, 0, 4 * kMiB);
+    benchmark::DoNotOptimize(net->cancel_unsent_chunks(probe));
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+  state.SetLabel("solves; component of " + std::to_string(n) + " streams");
+}
+BENCHMARK(BM_FlowSolve)->Arg(16)->Arg(128)->Arg(512);
 
 }  // namespace
 }  // namespace peel

@@ -19,6 +19,8 @@
 #   - in-network AllReduce, audited, and the same run at 1 and 4 sharded
 #     workers, diffed
 #   - multi-tenant workload run, audited
+#   - multi-tenant workload at flow fidelity (the max-min solver), audited,
+#     run twice and diffed
 #   - python3 perfbench/selfcheck.py
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -67,6 +69,13 @@ diff "${OUT}/innet1.txt" "${OUT}/innet4.txt"
 
 echo "== multi-tenant workload (scenario_cli --workload, audited) =="
 "${CLI}" --workload optimal broadcast 16 1 30 40 --churn=1 --capacity=8 --audit --watchdog
+
+echo "== flow-fidelity workload (scenario_cli --workload --fidelity=flow, audited, twice) =="
+FLOW_WORKLOAD=(--workload peel broadcast 16 1 20 40 --fidelity=flow --churn=1
+               --frag-share=0.25 --buddy-share=0.5 --audit --watchdog)
+"${CLI}" "${FLOW_WORKLOAD[@]}" | tee "${OUT}/flow_workload1.txt"
+"${CLI}" "${FLOW_WORKLOAD[@]}" > "${OUT}/flow_workload2.txt"
+diff "${OUT}/flow_workload1.txt" "${OUT}/flow_workload2.txt"
 
 echo "== benchmark self-check (perfbench/selfcheck.py) =="
 python3 perfbench/selfcheck.py

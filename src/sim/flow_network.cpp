@@ -12,6 +12,7 @@ FlowNetwork::FlowNetwork(const Topology& topo, const SimConfig& config,
     : topo_(&topo), config_(config), queue_(&queue) {
   config_.validate();
   links_.resize(topo.link_count());
+  link_slot_.assign(topo.link_count(), -1);
   if (config_.telemetry.enabled) {
     telem_ = std::make_unique<Telemetry>(config_.telemetry, topo);
   }
@@ -172,7 +173,9 @@ void FlowNetwork::close_stream(StreamId stream) {
     f.rate = 0.0;
     ++f.gen;
     f.completion_scheduled = false;
-    f.closed = true;
+    // Before marking the stream closed: the component walk starts from the
+    // seed's links, and a closed seed has none, so its former neighbours
+    // would keep their shares of the bandwidth it freed.
     recompute_component(stream);
   }
   f.closed = true;
@@ -276,137 +279,195 @@ double FlowNetwork::line_rate_floor(const FlowState& f) const {
 }
 
 void FlowNetwork::recompute_component(StreamId seed) {
-  const SimTime now = queue_->now();
+  if (flow_stamp_.size() < flows_.size()) {
+    flow_stamp_.resize(flows_.size(), 0);
+    flow_member_.resize(flows_.size(), 0);
+  }
+  const std::uint32_t epoch = ++flow_epoch_;
+  members_.clear();
+  slots_.clear();
+  slot_members_.clear();
+  member_slots_.clear();
+  heap_.clear();
+  const auto fill_of = [](const Slot& k) {
+    return std::max(k.cap, 0.0) / static_cast<double>(k.count);
+  };
+  // The member index of stream `t`, enqueuing it on first sight.
+  const auto enqueue = [&](StreamId t) {
+    auto& stamp = flow_stamp_[static_cast<std::size_t>(t)];
+    auto& index = flow_member_[static_cast<std::size_t>(t)];
+    if (stamp != epoch) {
+      stamp = epoch;
+      index = static_cast<std::int32_t>(members_.size());
+      members_.push_back(Member{t});
+    }
+    return index;
+  };
 
   // Connected component: streams transitively sharing a live link with the
   // seed. The seed itself is included whether or not it is still active (a
-  // departure perturbs exactly the flows it used to share links with).
-  if (visit_stamp_.size() < flows_.size()) {
-    visit_stamp_.resize(flows_.size(), 0);
-  }
-  const std::uint32_t epoch = ++visit_epoch_;
-  std::vector<StreamId> comp;
-  comp.push_back(seed);
-  visit_stamp_[static_cast<std::size_t>(seed)] = epoch;
-  for (std::size_t i = 0; i < comp.size(); ++i) {
-    const FlowState& f = flow(comp[i]);
-    if (f.closed) continue;
-    for (std::size_t j = 0; j < f.links.size(); ++j) {
-      if (!f.link_live[j]) continue;
-      for (StreamId t :
-           links_[static_cast<std::size_t>(f.links[j])].active) {
-        auto& stamp = visit_stamp_[static_cast<std::size_t>(t)];
-        if (stamp == epoch) continue;
-        stamp = epoch;
-        comp.push_back(t);
-      }
-    }
-  }
-  std::sort(comp.begin(), comp.end());
-
-  std::vector<StreamId> act;
-  act.reserve(comp.size());
-  for (StreamId s : comp) {
-    if (flow(s).active) act.push_back(s);
-  }
-
-  // Progressive-filling max-min over the component's live links. Slots are
-  // assigned in ascending link id order, and ties in the fill level resolve
-  // to the lowest link id, so the allocation is a pure function of the
-  // component state.
-  std::vector<LinkId> slot_link;
-  std::vector<double> slot_cap;
-  std::vector<int> slot_count;
-  std::vector<std::vector<std::size_t>> flow_slots(act.size());
-  {
-    std::vector<std::int32_t> slot_of(links_.size(), -1);
-    std::vector<LinkId> used;
-    for (StreamId s : act) {
-      const FlowState& f = flow(s);
-      for (std::size_t j = 0; j < f.links.size(); ++j) {
-        if (f.link_live[j] && slot_of[static_cast<std::size_t>(f.links[j])] < 0) {
-          slot_of[static_cast<std::size_t>(f.links[j])] = 0;
-          used.push_back(f.links[j]);
-        }
-      }
-    }
-    std::sort(used.begin(), used.end());
-    slot_link = used;
-    slot_cap.resize(used.size());
-    slot_count.assign(used.size(), 0);
-    for (std::size_t i = 0; i < used.size(); ++i) {
-      slot_of[static_cast<std::size_t>(used[i])] =
-          static_cast<std::int32_t>(i);
-      slot_cap[i] = topo_->link(used[i]).rate.bytes_per_ns();
-    }
-    for (std::size_t fi = 0; fi < act.size(); ++fi) {
-      const FlowState& f = flow(act[fi]);
+  // departure perturbs exactly the flows it used to share links with). A
+  // link's active list is exactly the component flows crossing it. A
+  // shared link becomes a slot the first time the walk reaches it, and
+  // only then are its flows enqueued, so every (link, flow) pair is touched
+  // once; the walk lays out both directions of the flow-slot incidence as
+  // flat CSR ranges. A link only one flow crosses keeps a constant fill
+  // (its line rate) until that flow is assigned, so of a flow's private
+  // links only the lowest (rate, link id) can ever be a bottleneck: it
+  // enters the heap as the flow's own candidate, and the rest are skipped.
+  enqueue(seed);
+  std::size_t unassigned = 0;
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const FlowState& f = flow(members_[i].stream);
+    const auto begin = static_cast<std::int32_t>(member_slots_.size());
+    double solo_rate = std::numeric_limits<double>::infinity();
+    LinkId solo_link = kInvalidLink;
+    if (!f.closed) {
       for (std::size_t j = 0; j < f.links.size(); ++j) {
         if (!f.link_live[j]) continue;
-        const auto slot = static_cast<std::size_t>(
-            slot_of[static_cast<std::size_t>(f.links[j])]);
-        flow_slots[fi].push_back(slot);
-        ++slot_count[slot];
+        const LinkId l = f.links[j];
+        std::int32_t& slot = link_slot_[static_cast<std::size_t>(l)];
+        if (slot < 0) {
+          const std::vector<StreamId>& users =
+              links_[static_cast<std::size_t>(l)].active;
+          if (users.size() <= 1) {
+            // An active flow is on the active list of each of its live
+            // links; only an inactive seed meets another flow's private
+            // link (or an idle one).
+            if (f.active) {
+              const double rate = topo_->link(l).rate.bytes_per_ns();
+              if (rate < solo_rate) {
+                solo_rate = rate;
+                solo_link = l;
+              }
+            } else if (!users.empty()) {
+              enqueue(users.front());
+            }
+            continue;
+          }
+          slot = static_cast<std::int32_t>(slots_.size());
+          const auto n = static_cast<std::int32_t>(users.size());
+          Slot& k = slots_.emplace_back(
+              Slot{topo_->link(l).rate.bytes_per_ns(), 0.0, l, n, n,
+                   static_cast<std::int32_t>(slot_members_.size()), 0});
+          k.key = fill_of(k);
+          heap_.push_back(HeapEntry{k.key, l, slot});
+          for (StreamId t : users) slot_members_.push_back(enqueue(t));
+        }
+        if (f.active) member_slots_.push_back(slot);
       }
+    }
+    Member& m = members_[i];
+    m.slots_begin = begin;
+    m.slots_end = static_cast<std::int32_t>(member_slots_.size());
+    if (solo_link != kInvalidLink) {
+      // A private link's fill, max(rate, 0) / 1, is its rate.
+      heap_.push_back(HeapEntry{solo_rate, solo_link,
+                                ~static_cast<std::int32_t>(i)});
+    }
+    if (m.slots_end > begin || solo_link != kInvalidLink) ++unassigned;
+  }
+
+  // Progressive-filling max-min. The next bottleneck is the candidate with
+  // the lowest (fill, link id), taken from a min-heap keyed lazily. Each
+  // slot owns one entry whose key never exceeds the slot's fill: filling
+  // only raises a fill, so a changed slot keeps its entry and is re-keyed
+  // when that entry reaches the top (a rounding dip below the key pushes a
+  // new entry at once). An entry on top whose key equals its fill is
+  // therefore the true minimum. Each level assigns that fill to every
+  // unassigned flow through the bottleneck and subtracts it from all of the
+  // flow's slots. Every flow assigned in one level subtracts the same fill,
+  // so the order within a level cannot change a capacity: each slot sees
+  // the same subtractions, in the same level order, as a full rescan of
+  // every link per level would.
+  std::make_heap(heap_.begin(), heap_.end());
+  const auto push = [&](Slot& k, double key, std::int32_t idx) {
+    k.key = key;
+    heap_.push_back(HeapEntry{key, k.link, idx});
+    std::push_heap(heap_.begin(), heap_.end());
+  };
+  std::uint32_t level = 0;
+  const auto assign = [&](Member& m, double fill) {
+    m.fair = fill;
+    --unassigned;
+    for (std::int32_t v = m.slots_begin; v < m.slots_end; ++v) {
+      const std::int32_t idx = member_slots_[static_cast<std::size_t>(v)];
+      Slot& k = slots_[static_cast<std::size_t>(idx)];
+      k.cap -= fill;
+      --k.count;
+      if (k.touched != level) {
+        k.touched = level;
+        touched_.push_back(idx);
+      }
+    }
+  };
+  while (unassigned > 0 && !heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end());
+    const HeapEntry top = heap_.back();
+    heap_.pop_back();
+    touched_.clear();
+    if (top.index < 0) {  // a flow's private link
+      Member& m = members_[static_cast<std::size_t>(~top.index)];
+      if (m.fair >= 0.0) continue;
+      ++level;
+      assign(m, top.fill);
+    } else {
+      Slot& b = slots_[static_cast<std::size_t>(top.index)];
+      if (b.count <= 0 || top.fill != b.key) continue;  // drained, replaced
+      const double fill = fill_of(b);
+      if (fill != top.fill) {
+        push(b, fill, top.index);
+        continue;
+      }
+      ++level;
+      for (std::int32_t u = b.members_begin; u < b.members_begin + b.users;
+           ++u) {
+        Member& m = members_[static_cast<std::size_t>(slot_members_[u])];
+        if (m.fair < 0.0) assign(m, fill);
+      }
+    }
+    for (std::int32_t idx : touched_) {
+      Slot& k = slots_[static_cast<std::size_t>(idx)];
+      if (k.count <= 0) continue;
+      const double now_fill = fill_of(k);
+      if (now_fill < k.key) push(k, now_fill, idx);
     }
   }
-  const std::vector<int> initial_count = slot_count;
-
-  std::vector<double> fair(act.size(), 0.0);
-  std::vector<char> assigned(act.size(), 0);
-  for (;;) {
-    std::size_t best = slot_link.size();
-    double best_fill = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < slot_link.size(); ++i) {
-      if (slot_count[i] <= 0) continue;
-      const double fill =
-          std::max(slot_cap[i], 0.0) / static_cast<double>(slot_count[i]);
-      if (fill < best_fill) {
-        best_fill = fill;
-        best = i;
-      }
-    }
-    if (best == slot_link.size()) break;
-    for (std::size_t fi = 0; fi < act.size(); ++fi) {
-      if (assigned[fi]) continue;
-      const auto& slots = flow_slots[fi];
-      if (std::find(slots.begin(), slots.end(), best) == slots.end()) continue;
-      assigned[fi] = 1;
-      fair[fi] = best_fill;
-      for (std::size_t slot : slots) {
-        slot_cap[slot] -= best_fill;
-        --slot_count[slot];
-      }
-    }
+  for (const Slot& k : slots_) {
+    link_slot_[static_cast<std::size_t>(k.link)] = -1;
   }
 
-  for (std::size_t fi = 0; fi < act.size(); ++fi) {
-    FlowState& f = flow(act[fi]);
+  // Re-rate the flows whose rate changed, in ascending stream id, so
+  // completions are scheduled (and sequence-numbered) in an order that
+  // depends only on the component.
+  rerated_.clear();
+  for (const Member& m : members_) {
+    const FlowState& f = flow(m.stream);
+    if (!f.active) continue;
     double rate;
-    if (flow_slots[fi].empty()) {
+    if (m.fair < 0.0) {
       // Every link this flow occupies is dead: the source keeps pacing into
       // the outage at line rate, exactly as the packet engine's pump keeps
       // injecting into a dead port (the bytes are recorded as losses when
       // each chunk retires).
       rate = line_rate_floor(f);
     } else {
-      rate = fair[fi];
-      bool contended = false;
-      for (std::size_t slot : flow_slots[fi]) {
-        if (initial_count[slot] >= 2) {
-          contended = true;
-          break;
-        }
-      }
-      if (contended && config_.congestion_control) {
+      rate = m.fair;
+      // Contended: some link started the solve shared, i.e. is a slot.
+      if (m.slots_end > m.slots_begin && config_.congestion_control) {
         rate *= utilization_cap(f);
       }
     }
     if (rate != f.rate || !f.completion_scheduled) {
-      settle(act[fi], now);
-      f.rate = rate;
-      schedule_completion(act[fi]);
+      rerated_.emplace_back(m.stream, rate);
     }
+  }
+  std::sort(rerated_.begin(), rerated_.end());
+  const SimTime now = queue_->now();
+  for (const auto& [s, rate] : rerated_) {
+    settle(s, now);
+    flow(s).rate = rate;
+    schedule_completion(s);
   }
 }
 
@@ -520,25 +581,25 @@ void FlowNetwork::refresh_live_set(StreamId s) {
   settle(s, queue_->now());
 
   // Source-reachable subset of the compiled links over the current topology.
-  if (visit_stamp_.size() < static_cast<std::size_t>(topo_->node_count())) {
-    visit_stamp_.resize(static_cast<std::size_t>(topo_->node_count()), 0);
+  if (node_stamp_.size() < topo_->node_count()) {
+    node_stamp_.resize(topo_->node_count(), 0);
   }
   const StreamTree& t = *f.tree;
-  const std::uint32_t epoch = ++visit_epoch_;
+  const std::uint32_t epoch = ++node_epoch_;
   std::vector<NodeId> frontier{t.source};
-  visit_stamp_[static_cast<std::size_t>(t.source)] = epoch;
+  node_stamp_[static_cast<std::size_t>(t.source)] = epoch;
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     for (LinkId l : t.out_of(*t.find(frontier[i]))) {
       const Link& lk = topo_->link(l);
       if (lk.failed) continue;
-      auto& stamp = visit_stamp_[static_cast<std::size_t>(lk.dst)];
+      auto& stamp = node_stamp_[static_cast<std::size_t>(lk.dst)];
       if (stamp == epoch) continue;
       stamp = epoch;
       frontier.push_back(lk.dst);
     }
   }
   const auto reached = [&](NodeId n) {
-    return visit_stamp_[static_cast<std::size_t>(n)] == epoch;
+    return node_stamp_[static_cast<std::size_t>(n)] == epoch;
   };
 
   bool lost_partial = false;

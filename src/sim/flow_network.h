@@ -18,6 +18,25 @@
 // O(receivers + links) work per chunk instead of O(segments x hops), which
 // is where the >= 20x event reduction flow_fidelity_test asserts comes from.
 //
+// One solve (recompute_component) walks each (link, flow) pair of the
+// component once and allocates nothing in steady state: a persistent
+// per-link slot index and member scratch buffers (flat CSR flow<->link
+// lists) are reused across calls. Progressive filling then takes
+// bottlenecks from a lazily keyed min-heap of C candidates (one per link
+// two or more flows share, plus one per flow), so a solve costs at worst
+// O((P + C) log C) for P flow-link pairs, plus the re-rated flows'
+// reschedules. The allocation is exact, bit for bit, to a full rescan of
+// every link at every fill level:
+//   - a link's fill is max(remaining capacity, 0) / unassigned flows, and
+//     the bottleneck is the lowest (fill, link id);
+//   - each level assigns that fill to every unassigned flow through the
+//     bottleneck and subtracts it from each of their links, so every link
+//     sees the same subtractions in the same order;
+//   - a flow is contended (DCQCN cap) when a live link of it carried two
+//     or more active flows when the solve began;
+//   - flows whose rate changed are settled and rescheduled in ascending
+//     stream id, so event sequence numbers depend only on the component.
+//
 // The byte-audit contract is identical to the packet engine's: all integer
 // telemetry for a chunk (every injector's contribution, per-link
 // enqueue+serialize, per-receiver delivery credit, and the combiner rows of
@@ -53,6 +72,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/config.h"
@@ -231,9 +251,54 @@ class FlowNetwork final : public DataPlane {
   std::function<void(const DeliveryEvent&)> on_delivery_;
   std::unique_ptr<Telemetry> telem_;
 
-  /// Scratch for component BFS (epoch-stamped visited marks).
-  std::vector<std::uint32_t> visit_stamp_;
-  std::uint32_t visit_epoch_ = 0;
+  // --- solver scratch, reused by every recompute_component call ---------
+  /// One stream of the component being solved. Its slots are
+  /// member_slots_[slots_begin, slots_end) (empty unless it is active).
+  struct Member {
+    StreamId stream = -1;
+    std::int32_t slots_begin = 0;
+    std::int32_t slots_end = 0;
+    double fair = -1.0;  ///< max-min share; < 0 until assigned
+  };
+  /// One link of the component that two or more flows cross: remaining
+  /// capacity, the key of its heap entry, flows not yet assigned, its
+  /// members slot_members_[members_begin, members_begin + users), and the
+  /// last fill level that changed it.
+  struct Slot {
+    double cap = 0.0;
+    double key = 0.0;
+    LinkId link = kInvalidLink;
+    std::int32_t count = 0;
+    std::int32_t users = 0;
+    std::int32_t members_begin = 0;
+    std::uint32_t touched = 0;
+  };
+  /// A bottleneck candidate: a slot (index >= 0) or the private link of
+  /// member ~index. The heap's top is the lowest (fill, link id).
+  struct HeapEntry {
+    double fill;
+    LinkId link;
+    std::int32_t index;
+    bool operator<(const HeapEntry& o) const noexcept {
+      return fill != o.fill ? fill > o.fill : link > o.link;
+    }
+  };
+  /// Per directed link: its index in slots_ during a solve, -1 otherwise.
+  std::vector<std::int32_t> link_slot_;
+  /// Per stream: component stamp (epoch-stamped) and index in members_.
+  std::vector<std::uint32_t> flow_stamp_;
+  std::vector<std::int32_t> flow_member_;
+  std::uint32_t flow_epoch_ = 0;
+  std::vector<Member> members_;
+  std::vector<Slot> slots_;
+  std::vector<std::int32_t> slot_members_;  ///< CSR: slot -> member indices
+  std::vector<std::int32_t> member_slots_;  ///< CSR: member -> slot indices
+  std::vector<HeapEntry> heap_;
+  std::vector<std::int32_t> touched_;
+  std::vector<std::pair<StreamId, double>> rerated_;
+  /// Per node: source-reachability stamp for refresh_live_set.
+  std::vector<std::uint32_t> node_stamp_;
+  std::uint32_t node_epoch_ = 0;
 
   std::uint64_t segments_serialized_ = 0;
   std::uint64_t lost_segments_ = 0;

@@ -74,20 +74,17 @@ NodeId Topology::tor_of_endpoint(NodeId endpoint) const {
   return cur;
 }
 
-void Topology::fail_duplex(LinkId l) {
-  links_[static_cast<std::size_t>(l)].failed = true;
-  links_[static_cast<std::size_t>(reverse_of(l))].failed = true;
-}
-
-void Topology::restore_duplex(LinkId l) {
-  links_[static_cast<std::size_t>(l)].failed = false;
-  links_[static_cast<std::size_t>(reverse_of(l))].failed = false;
-}
-
-std::size_t Topology::failed_link_count() const noexcept {
-  std::size_t n = 0;
-  for (const Link& l : links_) n += l.failed ? 1 : 0;
-  return n;
+void Topology::set_duplex_failed(LinkId l, bool failed) {
+  for (LinkId d : {l, reverse_of(l)}) {
+    Link& lk = links_[static_cast<std::size_t>(d)];
+    if (lk.failed == failed) continue;
+    lk.failed = failed;
+    if (failed) {
+      ++failed_links_;
+    } else {
+      --failed_links_;
+    }
+  }
 }
 
 }  // namespace peel

@@ -119,18 +119,26 @@ class Topology {
   }
 
   // --- failures -----------------------------------------------------------
-  /// Fails both directions of the duplex pair containing `l`.
-  void fail_duplex(LinkId l);
+  /// Fails both directions of the duplex pair containing `l`. Failing a
+  /// failed pair (or restoring a live one) is a no-op.
+  void fail_duplex(LinkId l) { set_duplex_failed(l, true); }
   /// Restores both directions.
-  void restore_duplex(LinkId l);
-  [[nodiscard]] std::size_t failed_link_count() const noexcept;
+  void restore_duplex(LinkId l) { set_duplex_failed(l, false); }
+  /// Failed directed links, O(1): kept by fail_duplex / restore_duplex,
+  /// which count only real state changes.
+  [[nodiscard]] std::size_t failed_link_count() const noexcept {
+    return failed_links_;
+  }
 
  private:
+  void set_duplex_failed(LinkId l, bool failed);
+
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_links_;
   std::vector<std::vector<LinkId>> in_links_;
   std::vector<NodeId> parent_;
+  std::size_t failed_links_ = 0;
 };
 
 }  // namespace peel

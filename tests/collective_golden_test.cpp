@@ -264,7 +264,7 @@ const Golden kGolden[] = {
     {"flap_allreduce_peel", 0xa194cbd79dac511bULL},
     {"flap_allreduce_innet", 0xf1c9724af7728f81ULL},
     {"flap_sharded_allreduce_innet", 0x3e7d6b399b83569cULL},
-    {"flap_flow_allgather_ring", 0x15fa924e210e81dfULL},
+    {"flap_flow_allgather_ring", 0xe0603137fce5abd7ULL},
     {"deadline_bcast_peel", 0x07e6c9b80578211eULL},
     {"deadline_sharded_allgather_ring", 0xc4ed50c7ab92f1a8ULL},
     {"deadline_watchdog_allreduce_ring", 0x9e171edb40ea73c6ULL},

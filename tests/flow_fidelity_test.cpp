@@ -15,10 +15,18 @@
 //      byte audit, under the flow engine.
 //   4. Determinism — flow-fidelity sweep cells are byte-identical across
 //      sweep worker-thread counts.
+//   5. Analytic max-min — hand-built streams with congestion control off
+//      get exactly the max-min fair shares worked out by hand: multi-level
+//      fills, tied bottlenecks, departures that split a component, and a
+//      close that frees bandwidth for the stream's neighbours.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/harness/experiment.h"
@@ -371,6 +379,155 @@ TEST(FlowFidelity, WorkloadEngineRunsUnderFlowFidelity) {
   EXPECT_EQ(r.jobs_submitted, 20u);
   EXPECT_EQ(r.sim.unfinished, 0u);
   EXPECT_GT(r.sim.events, 0u);
+}
+
+// --- 5. analytic max-min ----------------------------------------------------
+
+// Unicast streams along hand-picked paths of the k=4 fat-tree (hosts as
+// endpoints, every link 12.5 B/ns), congestion control off: a flow's rate is
+// exactly its max-min fair share. Chunks are sized rate * kT, with every
+// share an exact binary fraction of the line rate, so each chunk finishes
+// at kT exactly when its share is right.
+class AnalyticMaxMin : public ::testing::Test {
+ protected:
+  static constexpr double kLineRate = 12.5;  // bytes/ns
+  static constexpr SimTime kT = 100 * kMicrosecond;
+
+  AnalyticMaxMin() : ft_(build_fat_tree(FatTreeConfig{4, 2, 0})) {
+    sim_.congestion_control = false;
+    net_ = std::make_unique<FlowNetwork>(ft_.topo, sim_, queue_);
+    net_->set_delivery_handler([this](const DeliveryEvent& ev) {
+      delivered_[{ev.stream, ev.chunk}] = queue_.now();
+    });
+  }
+
+  /// Opens a unicast along consecutive nodes of `path` and sends one chunk.
+  StreamId send_along(const std::vector<NodeId>& path, Bytes bytes) {
+    StreamSpec spec;
+    spec.source = path.front();
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      spec.forward[path[i]] = {ft_.topo.find_link(path[i], path[i + 1])};
+    }
+    spec.receivers = {path.back()};
+    const StreamId s = net_->open_stream(std::move(spec));
+    net_->send_chunk(s, 0, bytes);
+    return s;
+  }
+
+  /// Bytes a flow at `rate` carries in `ns`.
+  static Bytes carried(double rate, SimTime ns) {
+    return static_cast<Bytes>(rate * static_cast<double>(ns));
+  }
+
+  /// Expects chunk 0 of `s` (`bytes` over `hops` links) delivered at
+  /// `done` plus the path delay: per-hop propagation and the final
+  /// segment's cut-through at line rate.
+  void expect_delivered(StreamId s, Bytes bytes, int hops, SimTime done) {
+    const Bytes seg = sim_.segment_bytes;
+    const Bytes tail = bytes % seg > 0 ? bytes % seg : std::min(bytes, seg);
+    const SimTime want =
+        done + hops * ft_.config.link_propagation +
+        static_cast<SimTime>(std::ceil(static_cast<double>(tail * hops) /
+                                       kLineRate));
+    const auto it = delivered_.find({s, 0});
+    ASSERT_NE(it, delivered_.end()) << "stream " << s << " never delivered";
+    EXPECT_NEAR(static_cast<double>(it->second), static_cast<double>(want),
+                2.0)
+        << "stream " << s;
+  }
+
+  FatTree ft_;
+  SimConfig sim_;
+  EventQueue queue_;
+  std::unique_ptr<FlowNetwork> net_;
+  std::map<std::pair<StreamId, int>, SimTime> delivered_;
+  // Pod 0's switches.
+  NodeId t0_ = ft_.tor_at(0, 0);
+  NodeId t1_ = ft_.tor_at(0, 1);
+  NodeId a0_ = ft_.agg_at(0, 0);
+  NodeId a1_ = ft_.agg_at(0, 1);
+};
+
+// t0->a0 carries f1..f4 (level 1: C/4 each); a0->t1 carries f4, f5, f6
+// (level 2: the 3C/4 left shared by f5, f6, 3C/8 each); t1->a1 carries f6,
+// f7 (level 3: f7 gets the 5C/8 left).
+TEST_F(AnalyticMaxMin, ThreeLevelFill) {
+  const double c = kLineRate;
+  const Bytes l1 = carried(c / 4, kT);
+  const Bytes l2 = carried(3 * c / 8, kT);
+  const Bytes l3 = carried(5 * c / 8, kT);
+  std::vector<std::pair<StreamId, int>> flows;  // (stream, hops)
+  for (int i = 0; i < 3; ++i) flows.emplace_back(send_along({t0_, a0_}, l1), 1);
+  flows.emplace_back(send_along({t0_, a0_, t1_}, l1), 2);
+  flows.emplace_back(send_along({a0_, t1_}, l2), 1);
+  flows.emplace_back(send_along({a0_, t1_, a1_}, l2), 2);
+  flows.emplace_back(send_along({t1_, a1_}, l3), 1);
+  const Bytes bytes[] = {l1, l1, l1, l1, l2, l2, l3};
+  queue_.run();
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    expect_delivered(flows[i].first, bytes[i], flows[i].second, kT);
+  }
+}
+
+// t0->a0 and a0->t1 both start at C/4 with four flows each, the tie going
+// to the lower link id; whichever goes first, g4..g7 end at C/4 and g8, the
+// second flow on t1->a1, gets the 3C/4 that g7 leaves.
+TEST_F(AnalyticMaxMin, TiedBottlenecks) {
+  const double c = kLineRate;
+  const Bytes quarter = carried(c / 4, kT);
+  const Bytes rest = carried(3 * c / 4, kT);
+  std::vector<std::pair<StreamId, int>> flows;  // (stream, hops)
+  for (int i = 0; i < 3; ++i) {
+    flows.emplace_back(send_along({t0_, a0_}, quarter), 1);
+  }
+  flows.emplace_back(send_along({t0_, a0_, t1_}, quarter), 2);
+  for (int i = 0; i < 2; ++i) {
+    flows.emplace_back(send_along({a0_, t1_}, quarter), 1);
+  }
+  flows.emplace_back(send_along({a0_, t1_, a1_}, quarter), 2);
+  const StreamId g8 = send_along({t1_, a1_}, rest);
+  queue_.run();
+  for (const auto& [s, hops] : flows) {
+    expect_delivered(s, quarter, hops, kT);
+  }
+  expect_delivered(g8, rest, 1, kT);
+}
+
+// d crosses t0->a0->t1 and joins p (t0->a0) and q (a0->t1) into one
+// component at C/2 each. When d finishes at kT/5 the component splits in
+// two, and p and q each run alone at C.
+TEST_F(AnalyticMaxMin, DepartureSplitsComponent) {
+  const double c = kLineRate;
+  constexpr SimTime kDone = kT / 5;
+  const Bytes shared = carried(c / 2, kDone);
+  const Bytes long_bytes = shared + carried(c, kT - kDone);
+  const StreamId p = send_along({t0_, a0_}, long_bytes);
+  const StreamId d = send_along({t0_, a0_, t1_}, shared);
+  const StreamId q = send_along({a0_, t1_}, long_bytes);
+  queue_.run();
+  expect_delivered(d, shared, 2, kDone);
+  expect_delivered(p, long_bytes, 1, kT);
+  expect_delivered(q, long_bytes, 1, kT);
+}
+
+// Closing a stream mid-chunk hands its bandwidth to its neighbours: a
+// (2 x 8 MiB) and b (4 MiB) share h0->t0->h1 at C/2 until a closes at
+// 10 us, after which b runs alone at C.
+TEST_F(AnalyticMaxMin, ClosingAnActiveStreamReRatesItsNeighbours) {
+  const NodeId h0 = ft_.hosts[0];
+  const NodeId h1 = ft_.hosts[1];
+  const StreamId a = send_along({h0, t0_, h1}, 8 * kMiB);
+  net_->send_chunk(a, 1, 8 * kMiB);
+  const StreamId b = send_along({h0, t0_, h1}, 4 * kMiB);
+  constexpr SimTime kClose = 10 * kMicrosecond;
+  queue_.after(kClose, [this, a] { net_->close_stream(a); });
+  queue_.run();
+  const double alone_ns =
+      static_cast<double>(4 * kMiB - carried(kLineRate / 2, kClose)) /
+      kLineRate;
+  expect_delivered(b, 4 * kMiB, 2,
+                   kClose + static_cast<SimTime>(std::ceil(alone_ns)));
+  EXPECT_EQ(delivered_.count({a, 0}), 0u);
 }
 
 }  // namespace

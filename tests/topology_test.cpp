@@ -47,6 +47,28 @@ TEST(Topology, FindLinkRespectsFailures) {
   EXPECT_EQ(t.failed_link_count(), 0u);
 }
 
+TEST(Topology, FailedLinkCountIgnoresRepeatedTransitions) {
+  Topology t;
+  const NodeId a = t.add_node(Node{NodeKind::Tor, 0, 0});
+  const NodeId b = t.add_node(Node{NodeKind::Core, -1, 0});
+  const NodeId c = t.add_node(Node{NodeKind::Core, -1, 1});
+  const LinkId ab = t.add_duplex_link(a, b, 100_gbps);
+  const LinkId ac = t.add_duplex_link(a, c, 100_gbps);
+  t.fail_duplex(ab);
+  t.fail_duplex(t.reverse_of(ab));  // the same pair again, other direction
+  EXPECT_EQ(t.failed_link_count(), 2u);
+  t.fail_duplex(ac);
+  EXPECT_EQ(t.failed_link_count(), 4u);
+  t.restore_duplex(ab);
+  t.restore_duplex(ab);
+  EXPECT_EQ(t.failed_link_count(), 2u);
+  EXPECT_FALSE(t.link(ab).failed);
+  EXPECT_TRUE(t.link(ac).failed);
+  t.restore_duplex(t.reverse_of(ac));
+  t.restore_duplex(ac);
+  EXPECT_EQ(t.failed_link_count(), 0u);
+}
+
 TEST(Topology, LiveNeighborsSkipFailed) {
   Topology t;
   const NodeId a = t.add_node(Node{NodeKind::Tor, 0, 0});
