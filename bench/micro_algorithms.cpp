@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible. The last four isolate
+// the actual costs so the scaling is visible. The last five isolate
 // simulator components: the event scheduler in steady state, a plan-cache
-// hit, opening + closing one stream on each data-plane engine, and the flow
-// engine's max-min solve against component size.
+// hit, opening + closing one stream on each data-plane engine, the flow
+// engine's max-min solve against component size, and the packet engine
+// draining a source that many streams are backed up behind.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -312,6 +313,51 @@ void BM_FlowSolve(benchmark::State& state) {
   state.SetLabel("solves; component of " + std::to_string(n) + " streams");
 }
 BENCHMARK(BM_FlowSolve)->Arg(16)->Arg(128)->Arg(512);
+
+void BM_SourceBacklog(benchmark::State& state) {
+  // K streams from one host through host -> ToR (100G) -> host, 4 x 1 MiB
+  // chunks each, behind a 1 MiB buffer, without congestion control. With
+  // K > 1 the host buffer fills and every pump blocks, so each segment the
+  // up-link drains wakes all K injectors: the cost of waking a backlogged
+  // source. One iteration runs the whole transfer to drain.
+  const int k = static_cast<int>(state.range(0));
+  Topology topo;
+  const NodeId src = topo.add_node(Node{NodeKind::Host, 0, 0});
+  const NodeId tor = topo.add_node(Node{NodeKind::Tor, 0, 0});
+  const NodeId dst = topo.add_node(Node{NodeKind::Host, 0, 1});
+  const LinkId up = topo.add_duplex_link(src, tor, 100_gbps, 100);
+  const LinkId down = topo.add_duplex_link(tor, dst, 100_gbps, 100);
+  StreamSpec spec;
+  spec.source = src;
+  spec.forward[src] = {up};
+  spec.forward[tor] = {down};
+  spec.receivers = {dst};
+  SimConfig config;
+  config.congestion_control = false;
+  config.switch_buffer_bytes = 1 * kMiB;
+
+  std::uint64_t events = 0;
+  std::uint64_t segments = 0;
+  for (auto _ : state) {
+    EventQueue queue;
+    Network net(topo, config, queue);
+    for (int i = 0; i < k; ++i) {
+      const StreamId s = net.open_stream(spec);
+      for (int c = 0; c < 4; ++c) net.send_chunk(s, c, 1 * kMiB);
+    }
+    queue.run();
+    events += queue.processed();
+    segments += net.segments_serialized();
+    benchmark::DoNotOptimize(segments);
+  }
+  const auto segs = static_cast<double>(segments);
+  state.counters["events_per_segment"] = static_cast<double>(events) / segs;
+  // Seconds per serialized segment (kInvert of a rate): "150n" = 150 ns.
+  state.counters["time_per_segment"] = benchmark::Counter(
+      segs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(std::to_string(k) + " streams");
+}
+BENCHMARK(BM_SourceBacklog)->Arg(1)->Arg(16)->Arg(64);
 
 }  // namespace
 }  // namespace peel

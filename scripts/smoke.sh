@@ -7,8 +7,8 @@
 # Usage: scripts/smoke.sh [jobs]
 #
 # Steps:
-#   - Release build of csv_gate_test, scenario_cli and the paper benches
-#     into build-release/
+#   - Release build of csv_gate_test, scenario_cli, the paper benches and
+#     micro_algorithms into build-release/
 #   - csv_gate_test: recomputed rows of the committed CSVs, byte for byte
 #   - every paper bench in quick mode, once plain and once under
 #     PEEL_BYTE_AUDIT=1 (an audit failure exits non-zero), in two temp
@@ -21,6 +21,8 @@
 #   - multi-tenant workload run, audited
 #   - multi-tenant workload at flow fidelity (the max-min solver), audited,
 #     run twice and diffed
+#   - every microbench once (micro_algorithms, minimal time): gates on the
+#     exit status, so a microbench that throws or crashes fails the smoke
 #   - python3 perfbench/selfcheck.py
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,7 +38,7 @@ trap 'rm -rf "${OUT}"' EXIT
 echo "== configure + build build-release (Release) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}" --target csv_gate_test scenario_cli \
-  "${BENCHES[@]}"
+  micro_algorithms "${BENCHES[@]}"
 
 echo "== determinism gate (csv_gate_test) =="
 ./build-release/tests/csv_gate_test
@@ -76,6 +78,9 @@ FLOW_WORKLOAD=(--workload peel broadcast 16 1 20 40 --fidelity=flow --churn=1
 "${CLI}" "${FLOW_WORKLOAD[@]}" | tee "${OUT}/flow_workload1.txt"
 "${CLI}" "${FLOW_WORKLOAD[@]}" > "${OUT}/flow_workload2.txt"
 diff "${OUT}/flow_workload1.txt" "${OUT}/flow_workload2.txt"
+
+echo "== every microbench once (micro_algorithms; exit status only) =="
+"${BENCH}/micro_algorithms" --benchmark_min_time=0.001 > "${OUT}/micro.txt"
 
 echo "== benchmark self-check (perfbench/selfcheck.py) =="
 python3 perfbench/selfcheck.py

@@ -49,7 +49,9 @@ namespace peel {
 /// Type tag of a packed data-plane event (see SimEvent).
 enum class SimEventKind : std::uint8_t {
   None = 0,   ///< entry carries a boxed Action instead
-  Pump,       ///< inject the next paced segment of stream `a`
+  Pump,       ///< inject the next paced segment of stream `a`, injector
+              ///< `b`; with `flag` set, pump the next `b` injectors a
+              ///< backpressure release woke instead (one event per release)
   FinishTx,   ///< link `a` finished serializing its head segment (epoch)
   Arrive,     ///< segment (stream b, chunk c, bytes d, ingress e, marked
               ///< flag) reaches the far end of link `a` (epoch)

@@ -41,7 +41,11 @@ Network::~Network() {
 void Network::on_sim_event(const SimEvent& ev) {
   switch (ev.kind) {
     case SimEventKind::Pump:
-      pump(ev.a, ev.b);
+      if (ev.flag) {
+        pump_woken(ev.b);
+      } else {
+        pump(ev.a, ev.b);
+      }
       return;
     case SimEventKind::FinishTx:
       finish_tx(ev.a, ev.epoch);
@@ -70,13 +74,13 @@ void Network::on_sim_event(const SimEvent& ev) {
     // sides, and a stale pause must never wedge a repaired link.
     case SimEventKind::PfcPause: {
       auto& L = links_[static_cast<std::size_t>(ev.a)];
-      if (L.fail_epoch == ev.epoch) L.pfc_paused = true;
+      if (L.fail_epoch == ev.epoch) set_pfc_paused(ev.a, true);
       return;
     }
     case SimEventKind::PfcResume: {
       auto& L = links_[static_cast<std::size_t>(ev.a)];
       if (L.fail_epoch == ev.epoch && L.pfc_paused) {
-        L.pfc_paused = false;
+        set_pfc_paused(ev.a, false);
         if (L.blocked) try_start(ev.a);
       }
       return;
@@ -335,7 +339,12 @@ void Network::on_duplex_failed(LinkId l) {
       L.head = 0;
     }
     L.blocked = false;
-    L.pfc_paused = false;
+    // The pause dies with the link: close its telemetry span here, or it
+    // would run on through the outage until some later resume. (A sharded
+    // domain that only applied the remote pause frame never opened one, so
+    // on_unpause is a no-op there.)
+    if (L.pfc_paused && telem_) telem_->on_unpause(dir, queue_->now());
+    set_pfc_paused(dir, false);
   }
 }
 
@@ -447,7 +456,7 @@ void Network::enqueue_segment(LinkId l, Segment seg) {
     // ingress port that keeps contributing.
     auto& ingress_link = links_[static_cast<std::size_t>(seg.ingress)];
     if (N.buffered > pause_threshold_ && !ingress_link.pfc_paused) {
-      ingress_link.pfc_paused = true;
+      set_pfc_paused(seg.ingress, true);
       ++pfc_pauses_;
       if (telem_) telem_->on_pause(seg.ingress, queue_->now());
       // Sharded engine: if another domain owns the ingress link's
@@ -504,10 +513,18 @@ void Network::finish_tx(LinkId l, std::uint32_t fail_epoch) {
   try_start(l);
 }
 
+void Network::set_pfc_paused(LinkId l, bool paused) {
+  auto& L = links_[static_cast<std::size_t>(l)];
+  if (L.pfc_paused == paused) return;
+  L.pfc_paused = paused;
+  nodes_[static_cast<std::size_t>(topo_->link(l).dst)].paused_in +=
+      paused ? 1 : -1;
+}
+
 void Network::unpause(LinkId l) {
   auto& L = links_[static_cast<std::size_t>(l)];
   if (!L.pfc_paused) return;
-  L.pfc_paused = false;
+  set_pfc_paused(l, false);
   if (telem_) telem_->on_unpause(l, queue_->now());
   if (L.blocked) try_start(l);
   post_pfc(SimEventKind::PfcResume, l);
@@ -532,23 +549,42 @@ void Network::release_buffer(NodeId n, LinkId ingress, Bytes bytes) {
     }
   }
   if (N.buffered > resume_threshold_) return;
-  for (LinkId in : topo_->in_links(n)) unpause(in);
-  // Re-arm injector pumps blocked on this node's buffer.
-  auto& waiting_here = blocked_pumps_[static_cast<std::size_t>(n)];
-  if (!waiting_here.empty()) {
-    std::vector<BlockedPump> waiting = std::move(waiting_here);
-    waiting_here.clear();
-    for (const BlockedPump& bp : waiting) {
-      auto& st = streams_[static_cast<std::size_t>(bp.stream)];
-      if (st.closed) continue;
-      Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
-      inj.pump_blocked = false;
-      if (!inj.pump_scheduled) {
-        inj.pump_scheduled = true;
-        queue_->after(
-            0, SimEvent{SimEventKind::Pump, false, bp.stream, bp.injector});
-      }
+  // unpause() is a no-op on a running link, so the walk matters only while
+  // some in-link is paused.
+  if (N.paused_in > 0) {
+    for (LinkId in : topo_->in_links(n)) unpause(in);
+  }
+  // Re-arm injector pumps blocked on this node's buffer: one event pumps
+  // them all, in the order they blocked. (This loop only flags and queues,
+  // so the list cannot change under it.)
+  auto& waiting = blocked_pumps_[static_cast<std::size_t>(n)];
+  if (waiting.empty()) return;
+  const std::size_t first = woken_.size();
+  for (const BlockedPump& bp : waiting) {
+    auto& st = streams_[static_cast<std::size_t>(bp.stream)];
+    if (st.closed) continue;
+    Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
+    inj.pump_blocked = false;
+    if (!inj.pump_scheduled) {
+      inj.pump_scheduled = true;
+      woken_.push_back(bp);
     }
+  }
+  waiting.clear();
+  const auto count = static_cast<std::int32_t>(woken_.size() - first);
+  if (count > 0) {
+    queue_->after(0, SimEvent{SimEventKind::Pump, true, 0, count});
+  }
+}
+
+void Network::pump_woken(std::int32_t count) {
+  for (std::int32_t i = 0; i < count; ++i) {
+    const BlockedPump bp = woken_[woken_head_++];
+    pump(bp.stream, bp.injector);
+  }
+  if (woken_head_ == woken_.size()) {
+    woken_.clear();
+    woken_head_ = 0;
   }
 }
 

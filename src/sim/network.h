@@ -30,6 +30,17 @@
 // construction. Both changes are behavior-neutral: event sequence numbers,
 // firing order, and RNG draw order are exactly what the closure-based code
 // produced.
+//
+// Source backpressure: a pump that finds its node's buffer over the PFC
+// threshold parks its injector on the node's blocked list. When the buffer
+// drains to the resume level, release_buffer wakes the whole list with ONE
+// event (a Pump with `flag` set, carrying a count) that pumps the woken
+// injectors in the order they blocked. One Pump per injector, scheduled at
+// the same instant with consecutive sequence numbers, would fire
+// back-to-back in that same order, so the batch changes only the event
+// count. The resume walk over a node's in-links runs only while one of them
+// is PFC-paused: every pause flip goes through set_pfc_paused, which keeps a
+// per-node count.
 #pragma once
 
 #include <algorithm>
@@ -220,6 +231,9 @@ class Network final : public SimEventSink, public DataPlane {
     /// traffic through a node from deadlocking. Indexed by the link's
     /// position in this node's in-link list (in_slot_of_link_).
     std::vector<Bytes> per_ingress;
+    /// In-links of this node whose pfc_paused is set (set_pfc_paused keeps
+    /// it); release_buffer skips its resume walk while it is zero.
+    std::int32_t paused_in = 0;
   };
 
   struct PendingChunk {
@@ -290,6 +304,9 @@ class Network final : public SimEventSink, public DataPlane {
 
   /// Paced injection for injector `injector` of stream `s`.
   void pump(StreamId s, std::int32_t injector);
+  /// Pumps the next `count` injectors release_buffer woke, in wake order
+  /// (the handler of a Pump event with `flag` set).
+  void pump_woken(std::int32_t count);
   /// A segment of reduce stream `s` arrived at combiner `combiner` over the
   /// child link in `slot`: absorb it, advance the min-over-children
   /// frontier, and schedule a ReduceEmit for any newly combined bytes.
@@ -318,6 +335,9 @@ class Network final : public SimEventSink, public DataPlane {
   /// lifts PFC pauses and re-arms blocked injector pumps as thresholds allow.
   void release_buffer(NodeId n, LinkId ingress, Bytes bytes);
   void unpause(LinkId l);
+  /// The one place a link's pfc_paused flips; keeps NodeState::paused_in of
+  /// the link's destination in step. A no-op when the state is unchanged.
+  void set_pfc_paused(LinkId l, bool paused);
   void maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver);
   /// Telemetry time-series sampler: records one sample, then reschedules
   /// itself only while other events remain, so it never keeps an otherwise
@@ -342,6 +362,12 @@ class Network final : public SimEventSink, public DataPlane {
     std::int32_t injector;
   };
   std::vector<std::vector<BlockedPump>> blocked_pumps_;
+  /// Injectors woken by release_buffer whose batched Pump event is pending,
+  /// a FIFO via woken_head_. Every batch is scheduled at the current
+  /// instant, so batches fire in the order they were scheduled, and each
+  /// pops its own count from the front.
+  std::vector<BlockedPump> woken_;
+  std::size_t woken_head_ = 0;
 
   std::function<void(const DeliveryEvent&)> on_delivery_;
   std::unique_ptr<Telemetry> telem_;

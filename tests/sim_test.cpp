@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/dcqcn.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/network.h"
+#include "src/sim/telemetry.h"
 #include "src/topology/topology.h"
 
 namespace peel {
@@ -354,6 +356,124 @@ TEST(Network, PfcPausesAndStaysLossless) {
   EXPECT_GT(net.pfc_pauses(), 0u);
   EXPECT_EQ(net.total_bytes_serialized(),
             2 * (4 * 2 * kMiB));  // nothing lost, both hops carried it all
+}
+
+TEST(Network, LinkFailureClosesPfcPauseSpan) {
+  // Regression: a duplex failure cleared a paused direction's PFC state
+  // without closing its telemetry span, so pfc_pause_time and the sampled
+  // paused_links counted the dead link through the whole outage, and the
+  // span closed only at some resume after the repair.
+  Topology topo;
+  const NodeId src = topo.add_node(Node{NodeKind::Host, 0, 0});
+  const NodeId sw = topo.add_node(Node{NodeKind::Tor, 0, 0});
+  const NodeId sink = topo.add_node(Node{NodeKind::Host, 0, 1});
+  const LinkId fast = topo.add_duplex_link(src, sw, 400_gbps, 100);
+  topo.add_duplex_link(sw, sink, 100_gbps, 100);
+
+  EventQueue q;
+  SimConfig cfg;
+  cfg.switch_buffer_bytes = 256 * kKiB;
+  cfg.congestion_control = false;
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.record_trace = true;
+  cfg.telemetry.sample_interval = 5 * kMicrosecond;
+  Network net(topo, cfg, q);
+  StreamSpec spec;
+  spec.source = src;
+  spec.forward[src] = {fast};
+  spec.forward[sw] = {topo.find_link(sw, sink)};
+  spec.receivers = {sink};
+  const StreamId s = net.open_stream(spec);
+  for (int c = 0; c < 4; ++c) net.send_chunk(s, c, 2 * kMiB);
+
+  // The switch pauses the fast link at ~5.3 us; fail it just after that,
+  // repair it 100 us later, then drain.
+  const SimTime down = 5'400;
+  const SimTime up = down + 100 * kMicrosecond;
+  q.run_until(down);
+  ASSERT_GT(net.pfc_pauses(), 0u);
+  topo.fail_duplex(fast);
+  net.on_duplex_failed(fast);
+  q.run_until(up);
+  topo.restore_duplex(fast);
+  net.on_duplex_restored(fast);
+  q.run();
+
+  const TelemetrySummary sum = net.telemetry()->summary(q.now());
+  ASSERT_FALSE(sum.pauses.empty());
+  EXPECT_EQ(sum.pauses.front().link, fast);
+  EXPECT_LT(sum.pauses.front().begin, down);
+  EXPECT_EQ(sum.pauses.front().end, down) << "the span must close at failure";
+  for (const PauseSpan& p : sum.pauses) {
+    EXPECT_TRUE(p.end <= down || p.begin >= up)
+        << "pause span [" << p.begin << ", " << p.end << "] spans the outage";
+  }
+  int outage_samples = 0;
+  int paused_in_outage = 0;
+  for (const QueueSample& qs : sum.samples) {
+    if (qs.t <= down || qs.t >= up) continue;
+    ++outage_samples;
+    paused_in_outage += qs.paused_links;
+  }
+  EXPECT_GT(outage_samples, 0);
+  EXPECT_EQ(paused_in_outage, 0) << "samples counted the dead link as paused";
+}
+
+// Herd: K streams share one source host and its 100G up-link, 4 x 1 MiB
+// chunks each, behind a 1 MiB buffer. The host buffer fills, every pump
+// blocks, and each segment the up-link drains wakes all K waiters at once.
+struct HerdResult {
+  std::uint64_t delivery_hash = 0;  ///< over (time, stream, chunk)
+  SimTime drained = 0;
+  std::uint64_t events = 0;
+  std::uint64_t segments = 0;
+};
+
+HerdResult run_herd(int k) {
+  ChainFixture f;
+  EventQueue q;
+  SimConfig cfg;
+  cfg.congestion_control = false;
+  cfg.switch_buffer_bytes = 1 * kMiB;
+  Network net(f.topo, cfg, q);
+  HerdResult r;
+  r.delivery_hash = 14695981039346656037ULL;  // FNV-1a offset basis
+  auto mix = [&](std::uint64_t v) {
+    r.delivery_hash = (r.delivery_hash ^ v) * 1099511628211ULL;
+  };
+  int deliveries = 0;
+  net.set_delivery_handler([&](const DeliveryEvent& ev) {
+    mix(static_cast<std::uint64_t>(q.now()));
+    mix(static_cast<std::uint64_t>(ev.stream));
+    mix(static_cast<std::uint64_t>(ev.chunk));
+    ++deliveries;
+  });
+  for (int i = 0; i < k; ++i) {
+    const StreamId s = net.open_stream(f.spec());
+    for (int c = 0; c < 4; ++c) net.send_chunk(s, c, 1 * kMiB);
+  }
+  q.run();
+  EXPECT_EQ(deliveries, 4 * k);
+  r.drained = q.now();
+  r.events = q.processed();
+  r.segments = net.segments_serialized();
+  return r;
+}
+
+TEST(Network, BackloggedSourceWakesWithoutAnEventPerWaiter) {
+  // Regression: every drained segment scheduled one Pump per blocked
+  // injector, and all but the first blocked again at once, so the herd ran
+  // ~13 events per serialized segment. One batched wake keeps it O(1) per
+  // segment, and the deliveries (pinned below) stay exactly as they were.
+  const HerdResult herd = run_herd(64);
+  EXPECT_EQ(herd.segments, 8'192u);
+  EXPECT_EQ(herd.delivery_hash, 0x83acea2b86c6fca1ULL);
+  EXPECT_EQ(herd.drained, 21'480'771);
+  EXPECT_LE(herd.events, 3 * herd.segments);
+
+  // A lone stream never blocks: one Pump per segment plus a FinishTx and an
+  // Arrive per hop.
+  EXPECT_EQ(run_herd(1).events, 320u);
 }
 
 TEST(Network, CancelUnsentChunks) {
