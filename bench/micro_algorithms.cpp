@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible. The last five isolate
+// the actual costs so the scaling is visible. The last six isolate
 // simulator components: the event scheduler in steady state, a plan-cache
 // hit, opening + closing one stream on each data-plane engine, the flow
-// engine's max-min solve against component size, and the packet engine
-// draining a source that many streams are backed up behind.
+// engine's max-min solve against component size, the packet engine
+// draining a source that many streams are backed up behind, and one
+// segment hop of the packet engine (FinishTx -> Arrive -> enqueue).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -358,6 +359,50 @@ void BM_SourceBacklog(benchmark::State& state) {
   state.SetLabel(std::to_string(k) + " streams");
 }
 BENCHMARK(BM_SourceBacklog)->Arg(1)->Arg(16)->Arg(64);
+
+void BM_PacketHop(benchmark::State& state) {
+  // One stream walks a chain of H equal 100G links (host, H-1 switches,
+  // host) without congestion control, so no queue builds: every segment
+  // hop is one FinishTx, one Arrive and the enqueue onto the next link,
+  // plus the source's one Pump per segment shared by H hops. One iteration
+  // opens a stream on a standing Network, sends 16 MiB (256 segments) end
+  // to end and closes it.
+  const int hops = static_cast<int>(state.range(0));
+  Topology topo;
+  std::vector<NodeId> chain{topo.add_node(Node{NodeKind::Host, 0, 0})};
+  for (int i = 1; i < hops; ++i) {
+    chain.push_back(topo.add_node(Node{NodeKind::Tor, 0, i}));
+  }
+  chain.push_back(topo.add_node(Node{NodeKind::Host, 0, 1}));
+  StreamSpec spec;
+  spec.source = chain.front();
+  for (int i = 0; i < hops; ++i) {
+    const auto at = static_cast<std::size_t>(i);
+    spec.forward[chain[at]] = {
+        topo.add_duplex_link(chain[at], chain[at + 1], 100_gbps, 100)};
+  }
+  spec.receivers = {chain.back()};
+  SimConfig config;
+  config.congestion_control = false;
+  EventQueue queue;
+  Network net(topo, config, queue);
+
+  for (auto _ : state) {
+    const StreamId s = net.open_stream(spec);
+    net.send_chunk(s, 0, 16 * kMiB);
+    queue.run();
+    net.close_stream(s);
+    benchmark::DoNotOptimize(net.segments_serialized());
+  }
+  const auto segment_hops = static_cast<double>(net.segments_serialized());
+  state.counters["events_per_hop"] =
+      static_cast<double>(queue.processed()) / segment_hops;
+  // Seconds per segment hop (kInvert of a rate): "60n" = 60 ns.
+  state.counters["time_per_hop"] = benchmark::Counter(
+      segment_hops, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(std::to_string(hops) + "-link chain");
+}
+BENCHMARK(BM_PacketHop)->Arg(2)->Arg(8);
 
 }  // namespace
 }  // namespace peel

@@ -10,6 +10,9 @@
 #   - Release build of csv_gate_test, scenario_cli, the paper benches and
 #     micro_algorithms into build-release/
 #   - csv_gate_test: recomputed rows of the committed CSVs, byte for byte
+#   - cnp_dynamics in full mode (under 1 s): its CSV must equal the committed
+#     cnp_dynamics.csv, and the sender-guard row must still print the 2744
+#     CNPs and 13 reactions EXPERIMENTS.md quotes
 #   - every paper bench in quick mode, once plain and once under
 #     PEEL_BYTE_AUDIT=1 (an audit failure exits non-zero), in two temp
 #     dirs; CSVs and stdout must be byte-identical
@@ -42,6 +45,15 @@ cmake --build build-release -j "${JOBS}" --target csv_gate_test scenario_cli \
 
 echo "== determinism gate (csv_gate_test) =="
 ./build-release/tests/csv_gate_test
+
+echo "== cnp_dynamics, full mode: committed CSV and the quoted guard row =="
+mkdir "${OUT}/cnp"
+(cd "${OUT}/cnp" &&
+   env -u PEEL_BENCH_QUICK "${BENCH}/cnp_dynamics" > cnp_dynamics.stdout)
+cmp "${OUT}/cnp/cnp_dynamics.csv" cnp_dynamics.csv
+grep -Eq '^sender guard 50us .* 2744 +13 *$' "${OUT}/cnp/cnp_dynamics.stdout" ||
+  { echo "cnp_dynamics: sender-guard row no longer reads 2744 CNPs, 13 reactions"
+    cat "${OUT}/cnp/cnp_dynamics.stdout"; exit 1; }
 
 echo "== paper benches, quick mode: plain vs PEEL_BYTE_AUDIT=1 =="
 mkdir "${OUT}/plain" "${OUT}/audit"

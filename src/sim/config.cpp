@@ -47,6 +47,24 @@ void SimConfig::validate() const {
   if (cnp_delay < 0 || receiver_cnp_interval < 0 || sender_guard_interval < 0) {
     reject("CNP delays/intervals must be non-negative");
   }
+  // DCQCN: a non-positive timer would spin Dcqcn::advance forever, and a
+  // zero rate floor would let pump divide by a zero rate.
+  if (dcqcn.alpha_timer <= 0 || dcqcn.increase_timer <= 0) {
+    reject("dcqcn.alpha_timer and dcqcn.increase_timer must be positive (got " +
+           std::to_string(dcqcn.alpha_timer) + ", " +
+           std::to_string(dcqcn.increase_timer) + ")");
+  }
+  if (!(dcqcn.g >= 0.0 && dcqcn.g <= 1.0)) {
+    reject("dcqcn.g must be in [0, 1] (got " + std::to_string(dcqcn.g) + ")");
+  }
+  if (!(dcqcn.min_rate_fraction > 0.0 && dcqcn.min_rate_fraction <= 1.0)) {
+    reject("dcqcn.min_rate_fraction must be in (0, 1] (got " +
+           std::to_string(dcqcn.min_rate_fraction) + ")");
+  }
+  if (!(dcqcn.additive_increase_fraction >= 0.0)) {
+    reject("dcqcn.additive_increase_fraction must be non-negative (got " +
+           std::to_string(dcqcn.additive_increase_fraction) + ")");
+  }
   if (reduce_combine_latency < 0) {
     reject("reduce_combine_latency must be non-negative (got " +
            std::to_string(reduce_combine_latency) + ")");

@@ -123,7 +123,9 @@ struct SimConfig {
   /// Throws std::invalid_argument on configurations the data plane cannot
   /// execute meaningfully: non-positive segment or buffer sizes, an inverted
   /// ECN band (kmax < kmin; kmax == kmin is a legal step-ECN config),
-  /// negative PFC hysteresis, or out-of-range fractions. Called by the
+  /// negative PFC hysteresis, out-of-range fractions, or DCQCN parameters
+  /// the rate controller cannot run (a timer <= 0, g outside [0, 1], a rate
+  /// floor outside (0, 1], a negative additive increase). Called by the
   /// Network constructor, so a bad config fails loudly at setup instead of
   /// misbehaving mid-run.
   void validate() const;

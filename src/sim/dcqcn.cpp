@@ -57,6 +57,15 @@ bool Dcqcn::on_cnp(SimTime now) {
   return true;
 }
 
+bool Dcqcn::admit_cnp(SimTime arrival) {
+  if (mode_ == CnpMode::SenderGuard && arrival - last_admitted_ < guard_) {
+    ++cnps_seen_;
+    return false;
+  }
+  last_admitted_ = arrival;
+  return true;
+}
+
 double Dcqcn::rate(SimTime now) {
   advance(now);
   return rc_;

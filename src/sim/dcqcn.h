@@ -9,6 +9,14 @@
 // Multicast twist (§4 of the paper): one ECN mark fans out into many CNPs.
 // CnpMode selects whether CNPs are limited at each receiver (classic DCQCN),
 // coalesced by a sender-side guard timer (PEEL), or not at all (ablation).
+//
+// Under the guard timer most CNPs are swallowed, and a swallowed on_cnp
+// changes only cnps_seen and the lazily advanced clock: advance() lands in
+// the same state whether it runs once or in pieces, because its credits
+// are integers and it applies the same sequence of multiplies. Whether the
+// guard swallows a CNP depends only on its arrival time and the last
+// reaction's, so admit_cnp can decide it when the CNP is posted, and the
+// single-queue engine never schedules the CNPs it turns away.
 #pragma once
 
 #include "src/sim/config.h"
@@ -24,6 +32,15 @@ class Dcqcn {
   /// Handles a CNP arriving at the sender; returns true if it caused a rate
   /// reaction (false when the guard timer swallowed it).
   bool on_cnp(SimTime now);
+
+  /// Decides, when a CNP is posted, whether it will react once it reaches
+  /// the sender at `arrival`. True: deliver it to on_cnp at `arrival`.
+  /// False: the guard timer will swallow it; it is counted in cnps_seen now
+  /// and must not be delivered. Exact when every CNP of this controller
+  /// comes through here in non-decreasing arrival order: rate(),
+  /// reactions() and on_cnp's results are then bit-identical to delivering
+  /// all of them. Every CNP is admitted outside SenderGuard.
+  bool admit_cnp(SimTime arrival);
 
   /// Current sending rate in bytes/ns after lazily applying elapsed recovery.
   [[nodiscard]] double rate(SimTime now);
@@ -48,6 +65,7 @@ class Dcqcn {
   SimTime alpha_credit_ = 0;    // time accumulated toward the next alpha decay
   SimTime increase_credit_ = 0; // time accumulated toward the next recovery step
   SimTime last_reaction_ = kMinReaction;
+  SimTime last_admitted_ = kMinReaction;  ///< admit_cnp's predicted reaction
   std::uint64_t reactions_ = 0;
   std::uint64_t cnps_seen_ = 0;
 

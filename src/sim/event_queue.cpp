@@ -123,13 +123,18 @@ bool EventQueue::step() {
     const ClosureEntry& c = acts_.front();
     take_pod = p.t != c.t ? p.t < c.t : p.seq < c.seq;
   } else if (!have_pod && acts_.empty()) {
-    return false;
+    // Only a skipped slot can be left: its turn just moves the clock.
+    if (!skipped_) return false;
+    skipped_ = false;
+    now_ = skip_t_;
+    return true;
   }
   if (take_pod) {
     std::pop_heap(cur_.begin(), cur_.end(), PodLater{});
     const PodEntry entry = cur_.back();
     cur_.pop_back();
     --pod_count_;
+    pass_skipped(entry.t, entry.seq);
     now_ = entry.t;
     ++processed_;
     if (sink_ == nullptr) {
@@ -140,6 +145,7 @@ bool EventQueue::step() {
     std::pop_heap(acts_.begin(), acts_.end(), ClosureLater{});
     ClosureEntry entry = std::move(acts_.back());
     acts_.pop_back();
+    pass_skipped(entry.t, entry.seq);
     now_ = entry.t;
     ++processed_;
     entry.fn();
@@ -155,12 +161,18 @@ void EventQueue::run() {
 void EventQueue::run_until(SimTime t) {
   SimTime next = 0;
   while (peek_next(next) && next <= t) step();
+  if (skipped_ && skip_t_ <= t) skipped_ = false;
   if (now_ < t) now_ = t;
 }
 
 void EventQueue::run_window(SimTime end) {
   SimTime next = 0;
   while (peek_next(next) && next < end) step();
+  // A slot still pending here fires after every event this window ran.
+  if (skipped_ && skip_t_ < end) {
+    skipped_ = false;
+    now_ = skip_t_;
+  }
 }
 
 }  // namespace peel

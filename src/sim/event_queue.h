@@ -113,6 +113,27 @@ class EventQueue {
 
   void after(SimTime delay, const SimEvent& ev) { at(now_ + delay, ev); }
 
+  /// Takes the slot of an event at absolute time `t` that the caller has
+  /// proved would do nothing when it fired (the Network: a CNP its sender's
+  /// guard timer will swallow). Nothing is stored and nothing runs, and
+  /// processed() never counts the slot, but it draws a sequence number and,
+  /// until an event ordered after it (t, seq) runs, keeps empty() false and
+  /// pending() > 0; when nothing else is left, one step() moves the clock
+  /// to `t`. So the drain clock and every empty() / pending() > 0 reading
+  /// are exactly what scheduling the event would have given. One slot is
+  /// enough: those readings depend only on the last skipped event to fire,
+  /// so the queue keeps whichever of the old and new slot fires later.
+  /// (pending() counts it once, however many skips it stands for.)
+  void skip(SimTime t) {
+    check_not_past(t);
+    const std::uint64_t seq = next_seq_++;
+    if (!skipped_ || t >= skip_t_) {
+      skipped_ = true;
+      skip_t_ = t;
+      skip_seq_ = seq;
+    }
+  }
+
   /// Binds the dispatcher for SimEvents (the Network binds itself on
   /// construction). Pass nullptr to unbind.
   void bind_sink(SimEventSink* sink) noexcept { sink_ = sink; }
@@ -120,14 +141,15 @@ class EventQueue {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept {
-    return pod_count_ == 0 && acts_.empty();
+    return pod_count_ == 0 && acts_.empty() && !skipped_;
   }
   [[nodiscard]] std::size_t pending() const noexcept {
-    return pod_count_ + acts_.size();
+    return pod_count_ + acts_.size() + (skipped_ ? 1 : 0);
   }
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
-  /// Runs the earliest event; returns false if the queue was empty.
+  /// Runs the earliest event (when only a skipped slot is left, moves the
+  /// clock to it instead); returns false if the queue was empty.
   bool step();
 
   /// Runs events until the queue drains.
@@ -136,9 +158,14 @@ class EventQueue {
   /// Runs events with timestamps <= `t`, then advances the clock to `t`.
   void run_until(SimTime t);
 
-  /// Earliest pending timestamp across every tier; false when empty. (The
-  /// sharded engine's window loop takes the min over all domain queues.)
-  [[nodiscard]] bool next_event_time(SimTime& t) { return peek_next(t); }
+  /// Earliest pending timestamp across every tier, the skipped slot
+  /// included; false when empty. (The sharded engine's window loop takes
+  /// the min over all domain queues.)
+  [[nodiscard]] bool next_event_time(SimTime& t) {
+    const bool any = peek_next(t);
+    if (skipped_ && (!any || skip_t_ < t)) t = skip_t_;
+    return any || skipped_;
+  }
 
   /// Runs events with timestamps strictly BEFORE `end` (a conservative PDES
   /// window), leaving the clock at the last processed event. Unlike
@@ -197,8 +224,16 @@ class EventQueue {
   /// Re-centers the ladder on the overflow span. Precondition: cur_ and all
   /// rungs empty, overflow_ non-empty.
   void rebase();
-  /// Earliest pending (t, seq); false when empty. May heapify a rung.
+  /// Earliest pending timestamp of a real event; false when there is
+  /// none. May heapify a rung.
   bool peek_next(SimTime& t);
+  /// Drops the skipped slot when the event about to run, keyed (t, seq),
+  /// is ordered after it: the slot's turn has passed.
+  void pass_skipped(SimTime t, std::uint64_t seq) noexcept {
+    if (skipped_ && (skip_t_ != t ? skip_t_ < t : skip_seq_ < seq)) {
+      skipped_ = false;
+    }
+  }
 
   // POD tiers. Invariants while pod_count_ > 0:
   //   cur_ entries    : t < window_end_
@@ -221,6 +256,11 @@ class EventQueue {
 
   /// Control-plane closures: rare, so a plain binary heap is fine.
   std::vector<ClosureEntry> acts_;
+
+  /// The skipped slot (see skip()): pending while skipped_ is set.
+  bool skipped_ = false;
+  SimTime skip_t_ = 0;
+  std::uint64_t skip_seq_ = 0;
 
   SimEventSink* sink_ = nullptr;
   SimTime now_ = 0;

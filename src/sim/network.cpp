@@ -732,10 +732,18 @@ void Network::maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver) {
   // an ECN mark at the root fans out into a CNP per contributor — the
   // many-to-one twin of the multicast CNP implosion the guard timer
   // (CnpMode::SenderGuard) coalesces at each injector.
+  const SimTime arrival = now + config_.cnp_delay;
   for (std::size_t i = 0; i < st.injectors.size(); ++i) {
-    post_event(now + config_.cnp_delay,
-               SimEvent{SimEventKind::CnpRate, false, s,
-                        static_cast<std::int32_t>(i)});
+    // Single queue: CNPs reach an injector in posting order, so its
+    // controller can tell now which ones the guard will swallow; those only
+    // take their slot in the queue. (A sharded CNP's arrival order is known
+    // only after the mailbox merge, so with a hook every CNP is posted.)
+    if (xhook_ == nullptr && !st.injectors[i].cc.admit_cnp(arrival)) {
+      queue_->skip(arrival);
+      continue;
+    }
+    post_event(arrival, SimEvent{SimEventKind::CnpRate, false, s,
+                                 static_cast<std::int32_t>(i)});
   }
 }
 

@@ -41,6 +41,16 @@
 // count. The resume walk over a node's in-links runs only while one of them
 // is PFC-paused: every pause flip goes through set_pfc_paused, which keeps a
 // per-node count.
+//
+// CNPs: every CNP reaches its injector cnp_delay after the marked arrival
+// that sent it, so on a single queue an injector's CNPs arrive in posting
+// order, and maybe_cnp asks the injector's Dcqcn (admit_cnp) whether the
+// sender guard will swallow each one. A swallowed CNP is counted in
+// cnps_seen when posted and only takes its slot in the queue
+// (EventQueue::skip), which keeps the drain clock, empty() and
+// pending() > 0 as if it were scheduled; only the event count falls. With a
+// CrossDomainHook bound every CNP is posted: a sharded CNP may cross
+// domains, and its arrival order is known only after the mailbox merge.
 #pragma once
 
 #include <algorithm>

@@ -223,23 +223,23 @@ const Golden kGolden[] = {
     {"bcast_ring", 0x969b3d436e08acb8ULL},
     {"bcast_tree", 0x80e912af1f5e397dULL},
     {"bcast_optimal", 0x18b53fc1d63d5d68ULL},
-    {"bcast_optimal_striped", 0x51610f3c930ac622ULL},
-    {"bcast_orca", 0x5697a51a4b1dd196ULL},
-    {"bcast_peel", 0x3d180003ced3c5a2ULL},
-    {"bcast_peel_striped", 0x2f74f037c8373dc1ULL},
-    {"bcast_progcores", 0x3e37386132580a9aULL},
-    {"bcast_progcores_migrating", 0xe2ecdd5138eda74aULL},
+    {"bcast_optimal_striped", 0xe445e65c135d37edULL},
+    {"bcast_orca", 0xbdf0cca16ebfaaccULL},
+    {"bcast_peel", 0x9ece18cfa604d0c6ULL},
+    {"bcast_peel_striped", 0xdc85fbe28cb7be52ULL},
+    {"bcast_progcores", 0x319091518c239b7eULL},
+    {"bcast_progcores_migrating", 0x301cd98c7da2c9e6ULL},
     {"allgather_ring", 0x6e1e585a19dfe37cULL},
-    {"allgather_optimal", 0x5b39294c77f47fc1ULL},
-    {"allgather_orca", 0x3cb8d08ad8d2b679ULL},
-    {"allgather_peel", 0x73176dd65a58cd8eULL},
-    {"allgather_progcores", 0x73176dd65a58cd8eULL},
+    {"allgather_optimal", 0x589bd8772007f23aULL},
+    {"allgather_orca", 0xbfe5f339c27251f3ULL},
+    {"allgather_peel", 0xc7527313e022671eULL},
+    {"allgather_progcores", 0xc7527313e022671eULL},
     {"allreduce_ring", 0xa9cfdea6e946abc4ULL},
     {"allreduce_tree", 0x7a843fa9037d3250ULL},
-    {"allreduce_optimal", 0x429c06d8742832daULL},
-    {"allreduce_peel", 0x07eb75bc2b7d661eULL},
-    {"allreduce_progcores", 0x07eb75bc2b7d661eULL},
-    {"allreduce_innet", 0xa7ae24883709a647ULL},
+    {"allreduce_optimal", 0xc4c32570c86effa9ULL},
+    {"allreduce_peel", 0x67dc1e6e1f4d8689ULL},
+    {"allreduce_progcores", 0x67dc1e6e1f4d8689ULL},
+    {"allreduce_innet", 0xee73be31027cef79ULL},
     {"sharded_bcast_tree", 0x1cf9f778e7190565ULL},
     {"sharded_bcast_peel", 0x613893ac7ed3e500ULL},
     {"sharded_allgather_orca", 0x399a7a310497534eULL},
@@ -251,21 +251,21 @@ const Golden kGolden[] = {
     {"flow_allgather_peel", 0x8b5d8530027448e3ULL},
     {"flow_allreduce_tree", 0xc064a0d701de4b87ULL},
     {"flow_allreduce_innet", 0xf26dc7e39ae66296ULL},
-    {"flap_bcast_ring", 0x4c980d51c870707fULL},
-    {"flap_bcast_tree", 0x7526febacea1b07eULL},
-    {"flap_bcast_peel", 0x984db78810dfb287ULL},
-    {"flap_bcast_orca", 0x985db8f791b783d7ULL},
-    {"flap_allgather_ring", 0x34e6b54686f13aaeULL},
-    {"flap_allgather_peel", 0xe88666972bca4965ULL},
-    {"flap_allreduce_ring", 0x2aec344f0891b4aeULL},
+    {"flap_bcast_ring", 0x854223e783d19284ULL},
+    {"flap_bcast_tree", 0x0d9551c204bb7b3cULL},
+    {"flap_bcast_peel", 0x7b3ee650279a41c0ULL},
+    {"flap_bcast_orca", 0xdc2cb8875a3b9af5ULL},
+    {"flap_allgather_ring", 0x52b881a589026857ULL},
+    {"flap_allgather_peel", 0x1e9970ac184cf444ULL},
+    {"flap_allreduce_ring", 0x8359554373aa2408ULL},
     {"flap_allreduce_ring_unicast", 0x53598fd1e70a2f29ULL},
-    {"flap_allgather_peel_unicast", 0xa7fac16e49bcaca8ULL},
-    {"flap_allreduce_tree", 0x358e9a72c573f8ccULL},
-    {"flap_allreduce_peel", 0xa194cbd79dac511bULL},
-    {"flap_allreduce_innet", 0xf1c9724af7728f81ULL},
+    {"flap_allgather_peel_unicast", 0xd82782efc2e6d284ULL},
+    {"flap_allreduce_tree", 0x27cf9e977e8904beULL},
+    {"flap_allreduce_peel", 0x06e8a5db576184aaULL},
+    {"flap_allreduce_innet", 0xcd1e7449fed19860ULL},
     {"flap_sharded_allreduce_innet", 0x3e7d6b399b83569cULL},
     {"flap_flow_allgather_ring", 0xe0603137fce5abd7ULL},
-    {"deadline_bcast_peel", 0x07e6c9b80578211eULL},
+    {"deadline_bcast_peel", 0x950166e1d1427cb2ULL},
     {"deadline_sharded_allgather_ring", 0xc4ed50c7ab92f1a8ULL},
     {"deadline_watchdog_allreduce_ring", 0x9e171edb40ea73c6ULL},
 };

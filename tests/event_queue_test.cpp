@@ -368,5 +368,131 @@ TEST(EventQueueWindow, NextEventTimePeeksMinAcrossTiers) {
   EXPECT_FALSE(q.next_event_time(t));
 }
 
+// --- skip(): the slot of an event proved to do nothing ----------------------
+
+// The skipped slot is the last thing to fire: run() leaves the clock on it,
+// and it keeps the queue non-empty until then, without counting as an event.
+TEST(EventQueueSkip, DrainClockLandsOnTheSkippedSlot) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  q.at(100, labeled(1));
+  q.skip(5'000);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 2u);
+
+  q.run();
+  EXPECT_EQ(sink.fired, (std::vector<std::int32_t>{1}));
+  EXPECT_EQ(q.now(), 5'000);
+  EXPECT_EQ(q.processed(), 1u) << "a skipped slot is not an event";
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+// empty() and pending() read the slot exactly as they would read the event:
+// pending before its turn, gone after it, and skipping alone never runs a
+// handler.
+TEST(EventQueueSkip, EmptyBeforeAndAfterTheSlot) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  q.skip(40);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 1u);
+  SimTime t = -1;
+  EXPECT_TRUE(q.next_event_time(t));
+  EXPECT_EQ(t, 40);
+
+  EXPECT_TRUE(q.step());  // the slot's turn: moves the clock, runs nothing
+  EXPECT_EQ(q.now(), 40);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(sink.fired.empty());
+  EXPECT_EQ(q.processed(), 0u);
+  EXPECT_FALSE(q.step());
+  EXPECT_FALSE(q.next_event_time(t));
+}
+
+// run_until and run_window consume the slot only inside their horizon.
+TEST(EventQueueSkip, RunUntilAndRunWindowBelowAndAboveTheSlot) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  q.at(10, labeled(1));
+  q.skip(1'000);
+  q.run_until(999);
+  EXPECT_EQ(sink.fired, (std::vector<std::int32_t>{1}));
+  EXPECT_EQ(q.now(), 999);
+  EXPECT_FALSE(q.empty()) << "the slot is still ahead of the horizon";
+  EXPECT_EQ(q.pending(), 1u);
+
+  q.run_until(1'000);
+  EXPECT_EQ(q.now(), 1'000);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.processed(), 1u);
+
+  // run_window stops short of its end and leaves the clock on the last
+  // thing that fired, which may be the slot.
+  q.at(1'100, labeled(2));
+  q.skip(1'200);
+  q.run_window(1'200);
+  EXPECT_EQ(q.now(), 1'100);
+  EXPECT_FALSE(q.empty());
+  q.run_window(1'201);
+  EXPECT_EQ(q.now(), 1'200);
+  EXPECT_TRUE(q.empty());
+}
+
+// At one instant the slot keeps its sequence number's place: a real event
+// scheduled before it fires first and still sees it pending; one scheduled
+// after it fires once the slot is gone.
+TEST(EventQueueSkip, TieOrderAgainstARealEventAtTheSameInstant) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+  std::vector<std::size_t> pending_seen;
+  sink.react = [&](const SimEvent&) { pending_seen.push_back(q.pending()); };
+
+  q.at(500, labeled(1));  // seq 0: before the slot
+  q.skip(500);            // seq 1
+  q.at(500, labeled(2));  // seq 2: after the slot
+  q.run();
+  EXPECT_EQ(sink.fired, (std::vector<std::int32_t>{1, 2}));
+  // Event 1 still sees the slot and event 2 pending; event 2 sees nothing.
+  EXPECT_EQ(pending_seen, (std::vector<std::size_t>{2, 0}));
+  EXPECT_EQ(q.now(), 500);
+  EXPECT_EQ(q.processed(), 2u);
+
+  // A closure ties the same way: the slot scheduled first goes first.
+  EventQueue c;
+  std::vector<bool> empty_seen;
+  c.skip(70);
+  c.at(70, [&] { empty_seen.push_back(c.empty()); });
+  c.run();
+  EXPECT_EQ(empty_seen, (std::vector<bool>{true}));
+}
+
+// Only the later of two slots matters to the drain clock and to empty(), so
+// one slot stands for both; the earlier one never holds the queue open.
+TEST(EventQueueSkip, OneSlotKeepsTheLaterSkip) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  q.skip(300);
+  q.skip(200);  // earlier than the slot held: the later one stays
+  q.skip(300);  // same instant, later sequence number: replaces it
+  EXPECT_EQ(q.pending(), 1u);
+  q.at(250, labeled(1));
+  q.run_until(260);
+  EXPECT_FALSE(q.empty());
+  q.run();
+  EXPECT_EQ(q.now(), 300);
+  EXPECT_EQ(q.processed(), 1u);
+  EXPECT_THROW(q.skip(299), std::logic_error);  // the past, as for at()
+}
+
 }  // namespace
 }  // namespace peel

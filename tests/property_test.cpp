@@ -3,6 +3,7 @@
 // exactness, plan partitioning, and simulator byte conservation.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <numeric>
 #include <set>
 
@@ -300,6 +301,73 @@ TEST_P(DcqcnProperty, RateStaysInBoundsAndRecovers) {
   // A long quiet period always brings the rate back to (near) line rate.
   const double recovered = cc.rate(now + 3000 * p.increase_timer);
   EXPECT_NEAR(recovered, line, line * 0.05);
+}
+
+// The single-queue engine posts every CNP through admit_cnp and schedules
+// only the admitted ones. That is exact only if a controller that never sees
+// the swallowed CNPs is indistinguishable from one that sees them all: same
+// rate() bits at every query, same reactions, and admit_cnp keeping exactly
+// the CNPs on which on_cnp returns true. Random posting sequences (bursts at
+// one instant included, as when many receivers signal at once), a fixed CNP
+// delay, rate queries in between, and guard intervals from 0 to 4x alpha's
+// timer.
+TEST_P(DcqcnProperty, GuardPredictionMatchesDeliveringEveryCnp) {
+  const auto [g, stages, additive] = GetParam();
+  DcqcnParams p;
+  p.g = g;
+  p.fast_recovery_stages = stages;
+  p.additive_increase_fraction = additive;
+  const double line = 12.5;
+  const SimTime delay = 5 * kMicrosecond;
+
+  for (const CnpMode mode : {CnpMode::SenderGuard, CnpMode::ReceiverTimer,
+                             CnpMode::Unthrottled}) {
+    for (const SimTime guard : {SimTime{0}, 1 * kMicrosecond,
+                                50 * kMicrosecond, 4 * p.alpha_timer}) {
+      Dcqcn every(p, line, mode, guard);  // on_cnp for every CNP
+      Dcqcn twin(p, line, mode, guard);   // on_cnp only for admitted ones
+      Rng rng(7 + static_cast<std::uint64_t>(guard));
+      std::deque<std::pair<SimTime, bool>> in_flight;  // arrival, admitted
+      std::uint64_t kept = 0;
+      const auto deliver_until = [&](SimTime horizon) {
+        while (!in_flight.empty() && in_flight.front().first <= horizon) {
+          const auto [arrival, admitted] = in_flight.front();
+          in_flight.pop_front();
+          ASSERT_EQ(every.on_cnp(arrival), admitted) << "at " << arrival;
+          if (admitted) {
+            ASSERT_TRUE(twin.on_cnp(arrival));
+          }
+          ASSERT_EQ(every.rate(arrival), twin.rate(arrival));
+        }
+      };
+
+      SimTime now = 0;
+      for (int i = 0; i < 3000; ++i) {
+        if (rng.next_below(4) != 0) {
+          now += static_cast<SimTime>(rng.next_below(30'000));
+        }
+        deliver_until(now);
+        if (rng.next_below(3) != 0) {
+          const bool admitted = twin.admit_cnp(now + delay);
+          kept += admitted ? 1 : 0;
+          in_flight.emplace_back(now + delay, admitted);
+        }
+        if (rng.next_below(2) == 0) {
+          ASSERT_EQ(every.rate(now), twin.rate(now));
+        }
+      }
+      deliver_until(now + delay);
+
+      EXPECT_EQ(twin.reactions(), every.reactions());
+      EXPECT_EQ(twin.reactions(), kept);
+      EXPECT_EQ(twin.cnps_seen(), every.cnps_seen());
+      if (mode == CnpMode::SenderGuard && guard >= 50 * kMicrosecond) {
+        EXPECT_LT(kept, every.cnps_seen()) << "the guard swallowed nothing";
+      } else if (mode != CnpMode::SenderGuard) {
+        EXPECT_EQ(kept, every.cnps_seen());
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Params, DcqcnProperty,

@@ -575,16 +575,85 @@ TEST(Network, ReceiverTimerSuppressesCnps) {
   EXPECT_LT(timered, unthrottled);
 }
 
+/// One 8 MiB multicast through BottleneckFixture with every queued segment
+/// marked: what the run delivered, when it drained, and what it cost.
+struct CnpRun {
+  std::uint64_t delivery_hash = 0;
+  SimTime drained = 0;
+  std::uint64_t events = 0;
+  std::uint64_t reactions = 0;
+  std::uint64_t cnps_seen = 0;
+};
+
+CnpRun run_marked(CnpMode mode) {
+  BottleneckFixture f;
+  EventQueue q;
+  SimConfig cfg;
+  cfg.ecn_kmin = 0;
+  cfg.ecn_kmax = 1;
+  Network net(f.topo, cfg, q);
+  CnpRun r;
+  r.delivery_hash = 14695981039346656037ULL;  // FNV-1a offset basis
+  net.set_delivery_handler([&](const DeliveryEvent& ev) {
+    for (const std::uint64_t v : {static_cast<std::uint64_t>(q.now()),
+                                  static_cast<std::uint64_t>(ev.chunk)}) {
+      r.delivery_hash = (r.delivery_hash ^ v) * 1099511628211ULL;
+    }
+  });
+  const StreamId s = net.open_stream(f.spec(mode));
+  for (int c = 0; c < 8; ++c) net.send_chunk(s, c, 1 * kMiB);
+  q.run();
+  r.drained = q.now();
+  r.events = q.processed();
+  r.reactions = net.stream_cc(s).reactions();
+  r.cnps_seen = net.stream_cc(s).cnps_seen();
+  return r;
+}
+
+TEST(Network, GuardSwallowedCnpsAreNotScheduled) {
+  // Under the sender guard, a CNP that arrives within the guard interval of
+  // the last reaction changes nothing, so the single-queue engine decides
+  // that when the CNP is posted and never schedules it. Deliveries, the
+  // drain clock and the controller's counters are pinned to what the run
+  // gave when every CNP was scheduled; only the event count falls.
+  const CnpRun guard = run_marked(CnpMode::SenderGuard);
+  EXPECT_EQ(guard.delivery_hash, 0xd4f48fd994cc5c88ULL);
+  EXPECT_EQ(guard.drained, 1'747'607);
+  EXPECT_EQ(guard.reactions, 6u);
+  EXPECT_EQ(guard.cnps_seen, 51u);
+  EXPECT_LT(guard.events, 691u);  // every CNP scheduled: 691 events
+
+  // The other modes react to every CNP, so every one is still scheduled.
+  EXPECT_EQ(run_marked(CnpMode::ReceiverTimer).events, 646u);
+  EXPECT_EQ(run_marked(CnpMode::Unthrottled).events, 658u);
+}
+
 TEST(Network, ConstructorRejectsInvalidConfig) {
   // A bad config must fail loudly at setup, not misbehave mid-run.
   ChainFixture f;
   EventQueue q;
-  SimConfig cfg;
-  cfg.ecn_kmax = cfg.ecn_kmin - 1;  // inverted ECN band
-  EXPECT_THROW(Network(f.topo, cfg, q), std::invalid_argument);
-  SimConfig cfg2;
-  cfg2.segment_bytes = 0;
-  EXPECT_THROW(Network(f.topo, cfg2, q), std::invalid_argument);
+  const auto rejects = [&](auto&& mutate) {
+    SimConfig cfg;
+    mutate(cfg);
+    EXPECT_THROW(Network(f.topo, cfg, q), std::invalid_argument);
+  };
+  rejects([](SimConfig& c) { c.ecn_kmax = c.ecn_kmin - 1; });  // inverted band
+  rejects([](SimConfig& c) { c.segment_bytes = 0; });
+  // DCQCN: a timer <= 0 would spin the lazy recovery loop forever on the
+  // first rate() call, and a zero rate floor would make pump divide by zero.
+  rejects([](SimConfig& c) { c.dcqcn.alpha_timer = 0; });
+  rejects([](SimConfig& c) { c.dcqcn.increase_timer = -1; });
+  rejects([](SimConfig& c) { c.dcqcn.g = -0.1; });
+  rejects([](SimConfig& c) { c.dcqcn.g = 1.5; });
+  rejects([](SimConfig& c) { c.dcqcn.min_rate_fraction = 0.0; });
+  rejects([](SimConfig& c) { c.dcqcn.min_rate_fraction = 1.5; });
+  rejects([](SimConfig& c) { c.dcqcn.additive_increase_fraction = -0.001; });
+  // The edges of each legal range still build.
+  SimConfig edges;
+  edges.dcqcn.g = 1.0;
+  edges.dcqcn.min_rate_fraction = 1.0;
+  edges.dcqcn.additive_increase_fraction = 0.0;
+  EXPECT_NO_THROW(Network(f.topo, edges, q));
 }
 
 TEST(Network, StepEcnMarksEverySegmentAtThreshold) {
