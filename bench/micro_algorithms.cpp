@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible. The last six isolate
+// the actual costs so the scaling is visible. The last seven isolate
 // simulator components: the event scheduler in steady state, a plan-cache
 // hit, opening + closing one stream on each data-plane engine, the flow
 // engine's max-min solve against component size, the packet engine
-// draining a source that many streams are backed up behind, and one
-// segment hop of the packet engine (FinishTx -> Arrive -> enqueue).
+// draining a source that many streams are backed up behind, one segment
+// hop of the packet engine (FinishTx -> Arrive -> enqueue), and the sharded
+// engine's windows and mailbox drain on a congested cross-pod broadcast.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -403,6 +404,55 @@ void BM_PacketHop(benchmark::State& state) {
   state.SetLabel(std::to_string(hops) + "-link chain");
 }
 BENCHMARK(BM_PacketHop)->Arg(2)->Arg(8);
+
+void BM_ShardedWindows(benchmark::State& state) {
+  // The sharded engine's window loop, mailbox drain and merge-time CNP
+  // admission: one PEEL Broadcast from a host in pod 0 to every other host
+  // of a k=8 fat-tree (9 domains), sent as two stripes over the same tree
+  // so the source's up-link congests, with every queued segment marked. Each
+  // mark comes back as a CNP from every receiver, mostly from other pods,
+  // and the sender guard swallows nearly all of them. Arg = worker threads.
+  // One iteration builds the engine (untimed) and runs the broadcast to
+  // drain.
+  const int workers = static_cast<int>(state.range(0));
+  const FatTree ft = build_fat_tree(FatTreeConfig{8, -1, 0});
+  const std::vector<NodeId>& hosts = ft.endpoints();
+  const std::vector<NodeId> dests(hosts.begin() + 1, hosts.end());
+  const std::vector<PeelStream> parts = peel_static_trees(
+      Fabric::of(ft), build_peel_plan(ft, hosts.front(), dests), 0);
+  StreamSpec spec = spec_from_tree(ft.topo, parts.front().tree,
+                                   parts.front().receivers);
+  spec.cnp_mode = CnpMode::SenderGuard;
+  SimConfig config;
+  config.ecn_kmin = 0;
+  config.ecn_kmax = 1;
+
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto net = std::make_unique<ShardedNetwork>(ft.topo, config, workers);
+    for (int stripe = 0; stripe < 2; ++stripe) {
+      const StreamId s = net->open_stream(spec);
+      for (int c = 0; c < 4; ++c) net->send_chunk(s, c, 256 * kKiB);
+    }
+    state.ResumeTiming();
+    net->run();
+    events += net->events_processed();
+    windows += net->windows_inline() + net->windows_parallel();
+    state.PauseTiming();
+    net.reset();  // joins the workers outside the timed region
+    state.ResumeTiming();
+  }
+  const auto ev = static_cast<double>(events);
+  state.counters["events_per_window"] = ev / static_cast<double>(windows);
+  // Seconds per event (kInvert of a rate): "150n" = 150 ns.
+  state.counters["time_per_event"] = benchmark::Counter(
+      ev, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(std::to_string(workers) + " worker(s), " +
+                 std::to_string(parts.front().receivers.size()) + " receivers");
+}
+BENCHMARK(BM_ShardedWindows)->Arg(1)->Arg(3)->UseRealTime();
 
 }  // namespace
 }  // namespace peel

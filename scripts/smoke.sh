@@ -17,6 +17,10 @@
 #     PEEL_BYTE_AUDIT=1 (an audit failure exits non-zero), in two temp
 #     dirs; CSVs and stdout must be byte-identical
 #   - shard invariance: the same run at 1 and 4 pod-sharded workers, diffed
+#   - a congested 1024-GPU broadcast, audited, at 1 and 3 sharded workers:
+#     diffed, and its PFC pauses (2071) and mean CCT (513.039 us) must hold,
+#     since the guard-swallowed CNPs it drops at the mailbox merge may move
+#     only the event count
 #   - flow vs packet: fabric/core byte totals must match exactly (CCT may
 #     differ within the tolerances flow_fidelity_test asserts)
 #   - in-network AllReduce, audited, and the same run at 1 and 4 sharded
@@ -68,6 +72,17 @@ echo "== shard invariance (scenario_cli --shards=1 vs --shards=4) =="
 "${CLI}" peel broadcast 64 8 30 10 --audit --watchdog --shards=1 > "${OUT}/shards1.txt"
 "${CLI}" peel broadcast 64 8 30 10 --audit --watchdog --shards=4 > "${OUT}/shards4.txt"
 diff "${OUT}/shards1.txt" "${OUT}/shards4.txt"
+
+echo "== merge-time CNP admission (1024-GPU broadcast, --shards=1 vs 3) =="
+for s in 1 3; do
+  "${CLI}" peel broadcast 1024 4 30 16 --audit --shards="${s}" \
+    > "${OUT}/cnp_shards${s}.txt"
+done
+diff "${OUT}/cnp_shards1.txt" "${OUT}/cnp_shards3.txt"
+grep -q 'PFC pauses 2071,' "${OUT}/cnp_shards1.txt" &&
+  grep -q '^  mean CCT    513.039 us$' "${OUT}/cnp_shards1.txt" ||
+  { echo "sharded broadcast: PFC pauses or mean CCT moved"
+    cat "${OUT}/cnp_shards1.txt"; exit 1; }
 
 echo "== flow vs packet byte totals (scenario_cli --fidelity, audited) =="
 "${CLI}" peel broadcast 64 8 30 10 --audit --watchdog --fidelity=flow | tee "${OUT}/flow.txt"

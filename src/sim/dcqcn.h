@@ -15,8 +15,9 @@
 // the same state whether it runs once or in pieces, because its credits
 // are integers and it applies the same sequence of multiplies. Whether the
 // guard swallows a CNP depends only on its arrival time and the last
-// reaction's, so admit_cnp can decide it when the CNP is posted, and the
-// single-queue engine never schedules the CNPs it turns away.
+// reaction's, so admit_cnp can decide it before the CNP arrives, and the
+// packet engines never schedule the CNPs it turns away (the single queue
+// asks when a CNP is posted, the sharded engine at the mailbox merge).
 #pragma once
 
 #include "src/sim/config.h"

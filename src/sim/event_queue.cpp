@@ -14,6 +14,58 @@ void EventQueue::check_not_past(SimTime t) const {
   }
 }
 
+void EventQueue::settle_reservation() {
+  if (reserved_ == 0) {
+    throw std::logic_error(
+        "EventQueue: settling a sequence number never reserved");
+  }
+  --reserved_;
+}
+
+void EventQueue::check_skip(SimTime t, std::uint64_t seq) const {
+  check_not_past(t);
+  if (skips_.empty()) return;
+  const SlotKey& last = skips_.back();
+  if (t != last.t ? t < last.t : seq < last.seq) {
+    throw std::logic_error("EventQueue: skipped slot (t=" + std::to_string(t) +
+                           " ns) ordered before the last one (t=" +
+                           std::to_string(last.t) + " ns)");
+  }
+}
+
+void EventQueue::skip(SimTime t) {
+  check_skip(t, next_seq_);
+  skips_.push_back(SlotKey{t, next_seq_++});
+}
+
+void EventQueue::skip(SimTime t, std::uint64_t seq) {
+  check_skip(t, seq);
+  settle_reservation();
+  skips_.push_back(SlotKey{t, seq});
+}
+
+SimTime EventQueue::pop_skip() {
+  const SimTime t = skips_[skip_head_].t;
+  ++skip_head_;
+  if (skip_head_ == skips_.size()) {
+    skips_.clear();
+    skip_head_ = 0;
+  } else if (skip_head_ > 1024) {
+    skips_.erase(skips_.begin(),
+                 skips_.begin() + static_cast<std::ptrdiff_t>(skip_head_));
+    skip_head_ = 0;
+  }
+  return t;
+}
+
+void EventQueue::drop_skips_before(SimTime t, std::uint64_t seq) {
+  while (skip_head_ != skips_.size()) {
+    const SlotKey& slot = skips_[skip_head_];
+    if (slot.t != t ? slot.t > t : slot.seq > seq) return;
+    pop_skip();
+  }
+}
+
 void EventQueue::at(SimTime t, Action fn) {
   check_not_past(t);
   acts_.push_back(ClosureEntry{t, next_seq_++, std::move(fn)});
@@ -123,10 +175,10 @@ bool EventQueue::step() {
     const ClosureEntry& c = acts_.front();
     take_pod = p.t != c.t ? p.t < c.t : p.seq < c.seq;
   } else if (!have_pod && acts_.empty()) {
-    // Only a skipped slot can be left: its turn just moves the clock.
-    if (!skipped_) return false;
-    skipped_ = false;
-    now_ = skip_t_;
+    // Only skipped slots can be left: the earliest one's turn just moves
+    // the clock.
+    if (skip_head_ == skips_.size()) return false;
+    now_ = pop_skip();
     return true;
   }
   if (take_pod) {
@@ -161,17 +213,16 @@ void EventQueue::run() {
 void EventQueue::run_until(SimTime t) {
   SimTime next = 0;
   while (peek_next(next) && next <= t) step();
-  if (skipped_ && skip_t_ <= t) skipped_ = false;
+  while (skip_head_ != skips_.size() && skips_[skip_head_].t <= t) pop_skip();
   if (now_ < t) now_ = t;
 }
 
 void EventQueue::run_window(SimTime end) {
   SimTime next = 0;
   while (peek_next(next) && next < end) step();
-  // A slot still pending here fires after every event this window ran.
-  if (skipped_ && skip_t_ < end) {
-    skipped_ = false;
-    now_ = skip_t_;
+  // A slot still pending here is ordered after every event this window ran.
+  while (skip_head_ != skips_.size() && skips_[skip_head_].t < end) {
+    now_ = pop_skip();
   }
 }
 

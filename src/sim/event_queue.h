@@ -101,38 +101,46 @@ class EventQueue {
   /// be bound (bind_sink) before the event fires.
   void at(SimTime t, const SimEvent& ev) {
     check_not_past(t);
-    const PodEntry entry{t, next_seq_++, ev};
-    ++pod_count_;
-    if (pod_count_ > 1 && t < window_end_) {
-      cur_.push_back(entry);
-      std::push_heap(cur_.begin(), cur_.end(), PodLater{});
-    } else {
-      insert_slow(entry);
-    }
+    push(PodEntry{t, next_seq_++, ev});
   }
 
   void after(SimTime delay, const SimEvent& ev) { at(now_ + delay, ev); }
 
+  /// Draws the sequence number the next at() would draw, for an event whose
+  /// fate is decided later (the sharded engine holds a CNP until the
+  /// mailbox merge). Until at(t, seq, ev) or skip(t, seq) settles it, the
+  /// reservation keeps empty() false and counts in pending(), exactly as
+  /// the event scheduled now would have.
+  std::uint64_t reserve_seq() noexcept {
+    ++reserved_;
+    return next_seq_++;
+  }
+
+  /// Schedules `ev` at (t, seq), settling the reservation `seq` drawn by
+  /// reserve_seq(): it fires where an at(t, ev) made at reservation time
+  /// would have fired.
+  void at(SimTime t, std::uint64_t seq, const SimEvent& ev) {
+    check_not_past(t);
+    settle_reservation();
+    push(PodEntry{t, seq, ev});
+  }
+
   /// Takes the slot of an event at absolute time `t` that the caller has
   /// proved would do nothing when it fired (the Network: a CNP its sender's
   /// guard timer will swallow). Nothing is stored and nothing runs, and
-  /// processed() never counts the slot, but it draws a sequence number and,
-  /// until an event ordered after it (t, seq) runs, keeps empty() false and
-  /// pending() > 0; when nothing else is left, one step() moves the clock
-  /// to `t`. So the drain clock and every empty() / pending() > 0 reading
-  /// are exactly what scheduling the event would have given. One slot is
-  /// enough: those readings depend only on the last skipped event to fire,
-  /// so the queue keeps whichever of the old and new slot fires later.
-  /// (pending() counts it once, however many skips it stands for.)
-  void skip(SimTime t) {
-    check_not_past(t);
-    const std::uint64_t seq = next_seq_++;
-    if (!skipped_ || t >= skip_t_) {
-      skipped_ = true;
-      skip_t_ = t;
-      skip_seq_ = seq;
-    }
-  }
+  /// processed() never counts the slot, but it draws a sequence number and
+  /// stays pending until an event ordered after its (t, seq) key runs: it
+  /// keeps empty() false, counts in pending(), is what next_event_time()
+  /// reports when it is earliest, and when nothing else is left, one step()
+  /// moves the clock to `t`. So the drain clock, every empty() /
+  /// pending() > 0 reading and every window the sharded engine opens are
+  /// exactly what scheduling the event would have given.
+  void skip(SimTime t);
+
+  /// skip() for the reservation `seq` drawn by reserve_seq(). Slots are
+  /// kept in a FIFO, so keys must come in non-decreasing (t, seq) order;
+  /// an earlier key than the last pending slot's throws std::logic_error.
+  void skip(SimTime t, std::uint64_t seq);
 
   /// Binds the dispatcher for SimEvents (the Network binds itself on
   /// construction). Pass nullptr to unbind.
@@ -141,34 +149,43 @@ class EventQueue {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept {
-    return pod_count_ == 0 && acts_.empty() && !skipped_;
+    return pod_count_ == 0 && acts_.empty() && skip_head_ == skips_.size() &&
+           reserved_ == 0;
   }
+  /// Scheduled events, skipped slots and open reservations, each counted
+  /// once.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return pod_count_ + acts_.size() + (skipped_ ? 1 : 0);
+    return pod_count_ + acts_.size() + (skips_.size() - skip_head_) +
+           reserved_;
   }
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
-  /// Runs the earliest event (when only a skipped slot is left, moves the
-  /// clock to it instead); returns false if the queue was empty.
+  /// Runs the earliest event (when only skipped slots are left, moves the
+  /// clock to the earliest and drops it instead); returns false if nothing
+  /// but open reservations is left.
   bool step();
 
   /// Runs events until the queue drains.
   void run();
 
-  /// Runs events with timestamps <= `t`, then advances the clock to `t`.
+  /// Runs events with timestamps <= `t` (dropping slots up to `t`), then
+  /// advances the clock to `t`.
   void run_until(SimTime t);
 
-  /// Earliest pending timestamp across every tier, the skipped slot
-  /// included; false when empty. (The sharded engine's window loop takes
-  /// the min over all domain queues.)
+  /// Earliest pending timestamp across every tier, skipped slots included;
+  /// false when nothing is scheduled. (The sharded engine's window loop
+  /// takes the min over all domain queues.)
   [[nodiscard]] bool next_event_time(SimTime& t) {
     const bool any = peek_next(t);
-    if (skipped_ && (!any || skip_t_ < t)) t = skip_t_;
-    return any || skipped_;
+    if (skip_head_ == skips_.size()) return any;
+    const SimTime slot = skips_[skip_head_].t;
+    if (!any || slot < t) t = slot;
+    return true;
   }
 
   /// Runs events with timestamps strictly BEFORE `end` (a conservative PDES
-  /// window), leaving the clock at the last processed event. Unlike
+  /// window), then drops the slots before `end`, leaving the clock at the
+  /// last processed event or dropped slot, whichever is ordered later. Unlike
   /// run_until, the clock is NOT advanced to the horizon — events may still
   /// arrive inside [now, end) from another domain's mailbox drain.
   void run_window(SimTime end);
@@ -216,6 +233,22 @@ class EventQueue {
   static constexpr int kDefaultShift = 6;
 
   void check_not_past(SimTime t) const;
+  /// skip()'s preconditions: `t` not in the past, and (t, seq) not ordered
+  /// before the last pending slot.
+  void check_skip(SimTime t, std::uint64_t seq) const;
+  /// Ends one reservation (at(t, seq, ev) / skip(t, seq)); throws
+  /// std::logic_error when none is open.
+  void settle_reservation();
+  /// Files a POD entry into its tier.
+  void push(const PodEntry& entry) {
+    ++pod_count_;
+    if (pod_count_ > 1 && entry.t < window_end_) {
+      cur_.push_back(entry);
+      std::push_heap(cur_.begin(), cur_.end(), PodLater{});
+    } else {
+      insert_slow(entry);
+    }
+  }
   /// Cold insert paths: first pod (ladder reset), rung push, or overflow.
   void insert_slow(const PodEntry& entry);
   /// Refills cur_ from the next non-empty rung (rebasing from overflow when
@@ -227,13 +260,15 @@ class EventQueue {
   /// Earliest pending timestamp of a real event; false when there is
   /// none. May heapify a rung.
   bool peek_next(SimTime& t);
-  /// Drops the skipped slot when the event about to run, keyed (t, seq),
-  /// is ordered after it: the slot's turn has passed.
-  void pass_skipped(SimTime t, std::uint64_t seq) noexcept {
-    if (skipped_ && (skip_t_ != t ? skip_t_ < t : skip_seq_ < seq)) {
-      skipped_ = false;
-    }
+  /// Drops the skipped slots ordered before the event about to run, keyed
+  /// (t, seq): their turn has passed.
+  void pass_skipped(SimTime t, std::uint64_t seq) {
+    if (skip_head_ != skips_.size()) drop_skips_before(t, seq);
   }
+  void drop_skips_before(SimTime t, std::uint64_t seq);
+  /// Pops the front slot; compacts the consumed prefix the way a link's
+  /// egress FIFO is compacted.
+  SimTime pop_skip();
 
   // POD tiers. Invariants while pod_count_ > 0:
   //   cur_ entries    : t < window_end_
@@ -257,10 +292,15 @@ class EventQueue {
   /// Control-plane closures: rare, so a plain binary heap is fine.
   std::vector<ClosureEntry> acts_;
 
-  /// The skipped slot (see skip()): pending while skipped_ is set.
-  bool skipped_ = false;
-  SimTime skip_t_ = 0;
-  std::uint64_t skip_seq_ = 0;
+  /// Skipped slots (see skip()), a FIFO in (t, seq) order via skip_head_.
+  struct SlotKey {
+    SimTime t;
+    std::uint64_t seq;
+  };
+  std::vector<SlotKey> skips_;
+  std::size_t skip_head_ = 0;
+  /// Sequence numbers drawn by reserve_seq() and not yet settled.
+  std::size_t reserved_ = 0;
 
   SimEventSink* sink_ = nullptr;
   SimTime now_ = 0;

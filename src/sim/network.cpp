@@ -222,22 +222,28 @@ StreamId Network::open_stream_stub() {
 void Network::note_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
   if (st.closed) return;
-  if (chunk_index < 0) {
-    throw std::invalid_argument("chunk index must be non-negative");
-  }
   const auto ci = static_cast<std::size_t>(chunk_index);
   if (st.chunk_want.size() <= ci) st.chunk_want.resize(ci + 1, 0);
-  if (bytes > 0 && st.chunk_want[ci] > 0) {
-    throw std::logic_error("chunk index already sent on this stream");
-  }
   st.chunk_want[ci] = bytes;
   if (telem_) telem_->on_chunk_target(stream, chunk_index, bytes);
 }
 
-void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
-  auto& st = streams_[static_cast<std::size_t>(stream)];
+void Network::check_send(StreamId stream, int chunk_index, Bytes bytes) const {
+  const auto& st = streams_[static_cast<std::size_t>(stream)];
   if (st.closed) throw std::logic_error("send_chunk on closed stream");
   if (bytes <= 0) throw std::invalid_argument("chunk bytes must be positive");
+  if (chunk_index < 0) {
+    throw std::invalid_argument("chunk index must be non-negative");
+  }
+  const auto ci = static_cast<std::size_t>(chunk_index);
+  if (ci < st.chunk_want.size() && st.chunk_want[ci] > 0) {
+    throw std::logic_error("chunk index already sent on this stream");
+  }
+}
+
+void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
+  check_send(stream, chunk_index, bytes);
+  auto& st = streams_[static_cast<std::size_t>(stream)];
   note_chunk(stream, chunk_index, bytes);
   // Every (engine-local) injector queues the chunk: a multicast's source
   // sends it once; each reduce contributor injects its own copy, and the
@@ -734,17 +740,23 @@ void Network::maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver) {
   // (CnpMode::SenderGuard) coalesces at each injector.
   const SimTime arrival = now + config_.cnp_delay;
   for (std::size_t i = 0; i < st.injectors.size(); ++i) {
-    // Single queue: CNPs reach an injector in posting order, so its
-    // controller can tell now which ones the guard will swallow; those only
-    // take their slot in the queue. (A sharded CNP's arrival order is known
-    // only after the mailbox merge, so with a hook every CNP is posted.)
-    if (xhook_ == nullptr && !st.injectors[i].cc.admit_cnp(arrival)) {
-      queue_->skip(arrival);
-      continue;
-    }
-    post_event(arrival, SimEvent{SimEventKind::CnpRate, false, s,
-                                 static_cast<std::int32_t>(i)});
+    const SimEvent ev{SimEventKind::CnpRate, false, s,
+                      static_cast<std::int32_t>(i)};
+    // The sharded engine holds the CNP and admits it at the mailbox merge,
+    // the first point that knows its arrival order at the injector.
+    if (xhook_ != nullptr && xhook_->post(arrival, ev)) continue;
+    admit_cnp(arrival, queue_->reserve_seq(), ev);
   }
+}
+
+void Network::admit_cnp(SimTime t, std::uint64_t seq, const SimEvent& ev) {
+  auto& st = streams_[static_cast<std::size_t>(ev.a)];
+  if (!st.closed &&
+      !st.injectors[static_cast<std::size_t>(ev.b)].cc.admit_cnp(t)) {
+    queue_->skip(t, seq);
+    return;
+  }
+  queue_->at(t, seq, ev);
 }
 
 }  // namespace peel

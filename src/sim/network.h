@@ -49,8 +49,9 @@
 // cnps_seen when posted and only takes its slot in the queue
 // (EventQueue::skip), which keeps the drain clock, empty() and
 // pending() > 0 as if it were scheduled; only the event count falls. With a
-// CrossDomainHook bound every CNP is posted: a sharded CNP may cross
-// domains, and its arrival order is known only after the mailbox merge.
+// CrossDomainHook bound the hook may hold a CNP instead: the sharded engine
+// learns a CNP's arrival order at its injector only at the mailbox merge,
+// and applies the same rule there (Network::admit_cnp).
 #pragma once
 
 #include <algorithm>
@@ -72,7 +73,8 @@ namespace peel {
 
 /// Shard-mode routing hook (src/sim/sharded.h): claims events whose handler
 /// lives in another execution domain. `post` returns true when it captured
-/// the event for cross-domain delivery at absolute time `t`; false means the
+/// the event for cross-domain delivery at absolute time `t` (or, for a
+/// CnpRate, held it for admission at the mailbox merge); false means the
 /// event is domain-local and the Network schedules it on its own queue. A
 /// Network with no hook bound behaves exactly as before — the hook sites are
 /// behavior-neutral for the single-queue engine.
@@ -114,11 +116,18 @@ class Network final : public SimEventSink, public DataPlane {
   /// a repeat of a chunk with a positive target throws std::logic_error.
   void send_chunk(StreamId stream, int chunk_index, Bytes bytes) override;
 
+  /// Throws what send_chunk(stream, chunk_index, bytes) would throw, and
+  /// changes nothing: std::logic_error on a closed stream or a chunk that
+  /// already has a target, std::invalid_argument on a non-positive size or
+  /// a negative index. The sharded engine checks a send once, on one
+  /// replica, before it touches any.
+  void check_send(StreamId stream, int chunk_index, Bytes bytes) const;
+
   /// Records the chunk's target size so arrivals in this domain can
   /// complete deliveries, without scheduling any injection; send_chunk
   /// calls it first, and the sharded engine mirrors send_chunk with it on
-  /// non-injecting replicas. `bytes` 0 un-records a chunk (cancel); a
-  /// positive size on a chunk that already has one throws std::logic_error.
+  /// non-injecting replicas. `bytes` 0 un-records a chunk (cancel).
+  /// Precondition: check_send passed for a positive `bytes`.
   void note_chunk(StreamId stream, int chunk_index, Bytes bytes);
 
   /// Removes chunks whose injection has not begun; returns their indices
@@ -150,6 +159,13 @@ class Network final : public SimEventSink, public DataPlane {
   void set_cross_domain_hook(CrossDomainHook* hook) noexcept {
     xhook_ = hook;
   }
+
+  /// Schedules CnpRate `ev` at (t, seq), a reservation drawn when it was
+  /// posted (solo) or merged from a mailbox (sharded), if its injector's
+  /// guard timer will react to it (Dcqcn::admit_cnp); otherwise the CNP
+  /// only takes its slot (EventQueue::skip). Exact only when every CNP of
+  /// an injector comes through here in firing order.
+  void admit_cnp(SimTime t, std::uint64_t seq, const SimEvent& ev);
 
   /// Dispatches a packed data-plane event (EventQueue calls this; not for
   /// external use).

@@ -69,7 +69,7 @@ ShardedNetwork::ShardedNetwork(const Topology& topo, const SimConfig& config,
   if (workers_ > 1) {
     threads_.reserve(static_cast<std::size_t>(workers_));
     for (int w = 0; w < workers_; ++w) {
-      threads_.emplace_back([this, w] { worker_main(w); });
+      threads_.emplace_back([this] { worker_main(); });
     }
   }
 }
@@ -100,14 +100,24 @@ bool ShardedNetwork::route(int from, SimTime t, const SimEvent& ev) {
     default:
       return false;  // pump/finish/sample never leave their domain
   }
-  // Domain-local: Arrive/CnpRate go back onto the local queue (return
-  // false); a PFC frame to ourselves is swallowed — the decision site's
-  // state flip already IS the real serializer state.
-  if (target == from) return ev.kind == SimEventKind::PfcPause ||
-                             ev.kind == SimEventKind::PfcResume;
-  domains_[static_cast<std::size_t>(from)]
-      ->outbox[static_cast<std::size_t>(target)]
-      .push_back(Mail{t, ev});
+  Domain& mine = *domains_[static_cast<std::size_t>(from)];
+  if (target == from) {
+    // A local CNP draws its sequence number now, where scheduling it would
+    // have, and waits for the merge-time admission with the remote ones
+    // (drain_windows). With no cross-domain link there are no remote CNPs,
+    // and no window horizon keeps it from firing inside this window: it is
+    // admitted at once, as on the single queue (return false).
+    if (ev.kind == SimEventKind::CnpRate && xdelay_ > 0) {
+      mine.cnps.push_back(HeldCnp{t, mine.queue.reserve_seq(), ev});
+      return true;
+    }
+    // Arrive goes back onto the local queue (return false); a PFC frame to
+    // ourselves is swallowed — the decision site's state flip already IS
+    // the real serializer state.
+    return ev.kind == SimEventKind::PfcPause ||
+           ev.kind == SimEventKind::PfcResume;
+  }
+  mine.outbox[static_cast<std::size_t>(target)].push_back(Mail{t, ev});
   return true;
 }
 
@@ -121,9 +131,31 @@ void ShardedNetwork::drain_windows() {
     for (int src = 0; src < domain_total_; ++src) {
       auto& box =
           domains_[static_cast<std::size_t>(src)]->outbox[static_cast<std::size_t>(dst)];
-      for (const Mail& m : box) target.queue.at(m.t, m.ev);
+      for (const Mail& m : box) {
+        if (m.ev.kind == SimEventKind::CnpRate) {
+          target.cnps.push_back(HeldCnp{m.t, target.queue.reserve_seq(), m.ev});
+        } else {
+          target.queue.at(m.t, m.ev);
+        }
+      }
       delivered = delivered || !box.empty();
       box.clear();
+    }
+    // Merge-time CNP admission. Every CNP posted in a window arrives at or
+    // after its horizon (cnp_delay >= lookahead), so none of this batch has
+    // fired yet, and each batch arrives after the previous one; sorted by
+    // (t, seq), the batch is the order the CNPs fire in. Each injector's
+    // controller thus sees its CNPs in firing order, the condition under
+    // which Dcqcn::admit_cnp is exact.
+    if (!target.cnps.empty()) {
+      std::sort(target.cnps.begin(), target.cnps.end(),
+                [](const HeldCnp& a, const HeldCnp& b) {
+                  return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+                });
+      for (const HeldCnp& c : target.cnps) {
+        target.net->admit_cnp(c.t, c.seq, c.ev);
+      }
+      target.cnps.clear();
     }
     // Fresh cross-domain work restarts a lapsed telemetry sampler, the same
     // way send_chunk does on the source domain.
@@ -148,12 +180,16 @@ void ShardedNetwork::drain_windows() {
 
 void ShardedNetwork::run_domains(SimTime horizon) {
   if (workers_ <= 1) {
-    for (auto& dom : domains_) dom->queue.run_window(horizon);
+    for (int d : busy_) {
+      domains_[static_cast<std::size_t>(d)]->queue.run_window(horizon);
+    }
     return;
   }
   horizon_ = horizon;
+  next_busy_.store(0, std::memory_order_relaxed);
   ++windows_issued_;
   go_.fetch_add(1, std::memory_order_release);
+  run_claimed();  // the coordinator claims busy domains too
   const std::uint64_t want =
       windows_issued_ * static_cast<std::uint64_t>(workers_);
   int spins = 0;
@@ -167,7 +203,21 @@ void ShardedNetwork::run_domains(SimTime horizon) {
   }
 }
 
-void ShardedNetwork::worker_main(int wid) {
+void ShardedNetwork::run_claimed() {
+  const SimTime h = horizon_;  // ordered by the go_ release/acquire pair
+  for (;;) {
+    const std::size_t i = next_busy_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= busy_.size()) return;
+    Domain& dom = *domains_[static_cast<std::size_t>(busy_[i])];
+    try {
+      dom.queue.run_window(h);
+    } catch (...) {
+      dom.error = std::current_exception();
+    }
+  }
+}
+
+void ShardedNetwork::worker_main() {
   std::uint64_t seen = 0;
   int spins = 0;
   for (;;) {
@@ -176,15 +226,7 @@ void ShardedNetwork::worker_main(int wid) {
       relax(spins);
     }
     ++seen;
-    const SimTime h = horizon_;  // ordered by the go_ release/acquire pair
-    for (int d = wid; d < domain_total_; d += workers_) {
-      Domain& dom = *domains_[static_cast<std::size_t>(d)];
-      try {
-        dom.queue.run_window(h);
-      } catch (...) {
-        dom.error = std::current_exception();
-      }
-    }
+    run_claimed();
     done_.fetch_add(1, std::memory_order_release);
   }
 }
@@ -228,24 +270,26 @@ void ShardedNetwork::advance(bool bounded, SimTime deadline) {
     horizon = std::min(horizon, tc);
     if (bounded) horizon = std::min(horizon, deadline + 1);
 
-    // Adaptive window execution: a dense control plane clamps `horizon` to
-    // the next control event, shrinking windows until most carry events in
-    // one domain only. Waking the pool for such a window pays a barrier
-    // round-trip for zero parallelism, so run a lone busy domain inline.
-    // Byte-identical by construction: every skipped domain's next event is
-    // >= horizon, so its run_window(horizon) would process nothing (and
-    // run_window never advances a clock past the events it runs).
-    EventQueue* busy = nullptr;
-    int busy_count = 0;
-    for (auto& dom : domains_) {
-      if (SimTime t = 0; dom->queue.next_event_time(t) && t < horizon) {
-        busy = &dom->queue;
-        if (++busy_count > 1) break;
+    // Only busy domains (an event or slot before the horizon) run: every
+    // other domain's next event is >= horizon, so its run_window(horizon)
+    // would process nothing (and run_window never advances a clock past
+    // what it runs). Adaptive window execution: a dense control plane
+    // clamps `horizon` to the next control event, shrinking windows until
+    // most carry events in one domain only. Waking the pool for such a
+    // window pays a barrier round-trip for zero parallelism, so a lone busy
+    // domain runs inline.
+    busy_.clear();
+    for (int d = 0; d < domain_total_; ++d) {
+      if (SimTime t = 0;
+          domains_[static_cast<std::size_t>(d)]->queue.next_event_time(t) &&
+          t < horizon) {
+        busy_.push_back(d);
       }
     }
-    if (busy_count == 1) {
+    if (busy_.size() == 1) {
       ++windows_inline_;
-      busy->run_window(horizon);
+      domains_[static_cast<std::size_t>(busy_.front())]->queue.run_window(
+          horizon);
     } else {
       ++windows_parallel_;
       run_domains(horizon);
@@ -322,6 +366,11 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
 
 void ShardedNetwork::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   const StreamInfo& info = streams_[static_cast<std::size_t>(stream)];
+  // Checked once, before any replica is touched: replicas mirror one
+  // chunk table, so the source domain's verdict is every replica's, and a
+  // rejected send leaves every domain unchanged.
+  domains_[static_cast<std::size_t>(info.src_domain)]->net->check_send(
+      stream, chunk_index, bytes);
   // Pacing state lives with the injecting endpoints: the source domain for a
   // multicast, every contributor-owning domain for a reduce stream. The
   // remaining footprint domains only mirror the chunk's target size so

@@ -34,9 +34,22 @@
 // conservative lookahead L. The engine repeatedly: finds the global minimum
 // pending timestamp W; if a control-plane closure is due at W it runs it
 // sequentially (with every domain clock advanced to W); otherwise it runs
-// every domain in parallel up to the horizon min(W + L, next control event),
-// barriers, then drains the per-domain-pair mailboxes into the destination
-// queues and replays collected delivery callbacks on the control queue.
+// every busy domain up to the horizon min(W + L, next control event) —
+// the workers and the coordinator claim busy domains from one atomic
+// ticket — barriers, then drains the per-domain-pair mailboxes into the
+// destination queues and replays collected delivery callbacks on the
+// control queue.
+//
+// CNPs are admitted at the merge. A CNP the sender's guard timer will
+// swallow changes nothing when it fires (src/sim/dcqcn.h), so like the solo
+// engine this one only takes its slot in the queue (EventQueue::skip). A
+// CNP's arrival order at its injector is known only once the mailboxes are
+// merged, so every CNP, local or remote, is held with the sequence number
+// its queue would have given it — reserved when a local one is posted, in
+// drain order for a remote one — and drain_windows sorts each
+// destination's CNPs by (t, seq) and admits them in that order. This is
+// exact because cnp_delay >= L: a CNP posted in a window arrives after its
+// horizon, and each window's CNPs arrive after the previous window's.
 //
 // ## Determinism
 //
@@ -132,6 +145,14 @@ class ShardedNetwork final : public DataPlane {
     return windows_parallel_;
   }
 
+  /// Rate controller of stream `s`'s first injector, read from the replica
+  /// that paces it (Network::stream_cc).
+  [[nodiscard]] const Dcqcn& stream_cc(StreamId s) const {
+    const StreamInfo& info = streams_[static_cast<std::size_t>(s)];
+    return domains_[static_cast<std::size_t>(info.injector_domain.front())]
+        ->net->stream_cc(s);
+  }
+
   // --- merged counters (sums / maxima over the domain replicas) -----------
   [[nodiscard]] std::uint64_t segments_serialized() const;
   [[nodiscard]] std::uint64_t segments_marked() const;
@@ -175,6 +196,15 @@ class ShardedNetwork final : public DataPlane {
     SimEvent ev;
   };
 
+  /// A CnpRate awaiting merge-time admission, with the sequence number its
+  /// destination queue reserved for it (at post time for a local CNP, at
+  /// the mailbox merge for a remote one).
+  struct HeldCnp {
+    SimTime t;
+    std::uint64_t seq;
+    SimEvent ev;
+  };
+
   struct Domain {
     EventQueue queue;
     std::unique_ptr<Network> net;  // after queue: destroyed first (unbinds)
@@ -182,6 +212,10 @@ class ShardedNetwork final : public DataPlane {
     /// outbox[dst]: cross-domain events generated here this window. Written
     /// only by the thread executing this domain; drained at the barrier.
     std::vector<std::vector<Mail>> outbox;
+    /// CNPs bound for this domain's injectors this window: local ones are
+    /// added by this domain's thread as they are posted, remote ones by
+    /// drain_windows, which then admits them all.
+    std::vector<HeldCnp> cnps;
     /// Deliveries fired inside this domain this window, in firing order.
     std::vector<std::pair<SimTime, DeliveryEvent>> deliveries;
     /// A throw inside run_window, surfaced after the barrier.
@@ -200,16 +234,22 @@ class ShardedNetwork final : public DataPlane {
   };
 
   /// Routes a hook-posted event: false = local to `from` (schedule there),
-  /// true = captured into from's outbox for another domain.
+  /// true = captured into from's outbox for another domain, or (a local
+  /// CNP) held in from's CNP list for merge-time admission.
   bool route(int from, SimTime t, const SimEvent& ev);
   /// Window loop shared by run() / run_until().
   void advance(bool bounded, SimTime deadline);
-  /// Runs every domain up to `horizon`, via the worker pool or inline.
+  /// Runs every busy domain up to `horizon`: the workers and the
+  /// coordinator claim them from one ticket (inline with one worker).
   void run_domains(SimTime horizon);
-  /// Moves outbox mail into destination queues (dst-major, src-minor, FIFO)
-  /// and replays collected deliveries on the control queue at t + lookahead.
+  /// Claims busy domains off the ticket and runs each to horizon_ until
+  /// none is left; a throw is parked in the domain's `error`.
+  void run_claimed();
+  /// Moves outbox mail into destination queues (dst-major, src-minor, FIFO),
+  /// admits each destination's CNPs in firing order, and replays collected
+  /// deliveries on the control queue at t + lookahead.
   void drain_windows();
-  void worker_main(int wid);
+  void worker_main();
 
   const Topology* topo_;
   ShardPlan plan_;
@@ -224,9 +264,15 @@ class ShardedNetwork final : public DataPlane {
 
   // Worker pool: generation-counted start barrier + cumulative completion
   // counter. Workers spin (with yield back-off) because windows are short —
-  // a condvar round-trip per window would dominate small fabrics.
+  // a condvar round-trip per window would dominate small fabrics. A window's
+  // work list is busy_, claimed entry by entry from next_busy_ by every
+  // worker and the coordinator: a domain's window touches only its own
+  // queue, outbox row, CNP list and delivery list, so who runs it cannot
+  // change a result.
   int workers_ = 1;
   std::vector<std::thread> threads_;
+  std::vector<int> busy_;  ///< domains with work before this window's horizon
+  std::atomic<std::size_t> next_busy_{0};
   std::atomic<std::uint64_t> go_{0};
   std::atomic<std::uint64_t> done_{0};
   std::atomic<bool> stop_{false};

@@ -191,6 +191,22 @@ struct ContractSpecs {
   [[nodiscard]] LinkId link(NodeId a, NodeId b) const {
     return topo.find_link(a, b);
   }
+  /// g16 (pod 1) -> h4 -> ToR -> agg -> core -> agg -> t0 -> h0 -> g0: a
+  /// unicast whose source sits in a later pod, hence a later shard domain,
+  /// than its receiver.
+  [[nodiscard]] StreamSpec from_later_pod() const {
+    const std::vector<NodeId> path = {
+        ft.gpus[16], ft.hosts[4],    ft.tor_at(1, 0), ft.agg_at(1, 0),
+        ft.core_at(0, 0), ft.agg_at(0, 0), t0,        h0,
+        g0};
+    StreamSpec s;
+    s.source = path.front();
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      s.forward[path[i]] = {link(path[i], path[i + 1])};
+    }
+    s.receivers = {g0};
+    return s;
+  }
   /// g0 -> h0 -> {g1, t0}; t0 -> h1 -> {g4, g5}.
   [[nodiscard]] StreamSpec multicast() const {
     StreamSpec s;
@@ -360,6 +376,27 @@ TEST(StreamContract, ChunkIndexIsSentAtMostOncePerStream) {
     dp.send_chunk(s, 1, 64 * kKiB);
     run();
     EXPECT_EQ(delivered, 6u);
+    EXPECT_EQ(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
+  });
+}
+
+TEST(StreamContract, RejectedSendLeavesEveryReplicaUnchanged) {
+  // The sharded engine mirrors each send onto the receiver's replica. With
+  // the receiver in an earlier domain than the source, a send the source
+  // rejects must still leave that replica's chunk table alone, or chunk 0
+  // is never delivered and no diagnostic says so.
+  const ContractSpecs c;
+  for_each_engine([&](DataPlane& dp, const std::function<void()>& run) {
+    std::size_t delivered = 0;
+    dp.set_delivery_handler([&](const DeliveryEvent&) { ++delivered; });
+    const StreamId s = dp.open_stream(c.from_later_pod());
+    dp.send_chunk(s, 0, 64 * kKiB);
+    EXPECT_THROW(dp.send_chunk(s, 0, 64 * kKiB), std::logic_error);
+    EXPECT_THROW(dp.send_chunk(s, -1, 64 * kKiB), std::invalid_argument);
+    EXPECT_THROW(dp.send_chunk(s, 1, -1), std::invalid_argument);
+    EXPECT_THROW(dp.send_chunk(s, 0, 0), std::invalid_argument);
+    run();
+    EXPECT_EQ(delivered, 1u);
     EXPECT_EQ(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
   });
 }

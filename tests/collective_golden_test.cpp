@@ -241,11 +241,11 @@ const Golden kGolden[] = {
     {"allreduce_progcores", 0x67dc1e6e1f4d8689ULL},
     {"allreduce_innet", 0xee73be31027cef79ULL},
     {"sharded_bcast_tree", 0x1cf9f778e7190565ULL},
-    {"sharded_bcast_peel", 0x613893ac7ed3e500ULL},
-    {"sharded_allgather_orca", 0x399a7a310497534eULL},
+    {"sharded_bcast_peel", 0x7da65d53d086e06aULL},
+    {"sharded_allgather_orca", 0xcc2e22002b2c6675ULL},
     {"sharded_allreduce_ring", 0xb5125ea9e08b22a0ULL},
-    {"sharded_allreduce_peel", 0xdd87c5d1e207ac3eULL},
-    {"sharded_allreduce_innet", 0xc7b6a247b84211c8ULL},
+    {"sharded_allreduce_peel", 0x371dec436bd70e9aULL},
+    {"sharded_allreduce_innet", 0xfa9e27654f191faaULL},
     {"flow_bcast_ring", 0xad42df56ed0dee7eULL},
     {"flow_bcast_progcores_migrating", 0xed53267c7cccd5c2ULL},
     {"flow_allgather_peel", 0x8b5d8530027448e3ULL},
@@ -263,7 +263,7 @@ const Golden kGolden[] = {
     {"flap_allreduce_tree", 0x27cf9e977e8904beULL},
     {"flap_allreduce_peel", 0x06e8a5db576184aaULL},
     {"flap_allreduce_innet", 0xcd1e7449fed19860ULL},
-    {"flap_sharded_allreduce_innet", 0x3e7d6b399b83569cULL},
+    {"flap_sharded_allreduce_innet", 0x5f66ae975673a6b1ULL},
     {"flap_flow_allgather_ring", 0xe0603137fce5abd7ULL},
     {"deadline_bcast_peel", 0x950166e1d1427cb2ULL},
     {"deadline_sharded_allgather_ring", 0xc4ed50c7ab92f1a8ULL},

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -474,24 +476,242 @@ TEST(EventQueueSkip, TieOrderAgainstARealEventAtTheSameInstant) {
   EXPECT_EQ(empty_seen, (std::vector<bool>{true}));
 }
 
-// Only the later of two slots matters to the drain clock and to empty(), so
-// one slot stands for both; the earlier one never holds the queue open.
-TEST(EventQueueSkip, OneSlotKeepsTheLaterSkip) {
+// Every slot is kept and counted: slots at one instant and at several stay
+// pending one by one until their turns pass.
+TEST(EventQueueSkip, PendingCountsEverySlot) {
   EventQueue q;
   RecordingSink sink;
   q.bind_sink(&sink);
 
-  q.skip(300);
-  q.skip(200);  // earlier than the slot held: the later one stays
-  q.skip(300);  // same instant, later sequence number: replaces it
-  EXPECT_EQ(q.pending(), 1u);
-  q.at(250, labeled(1));
-  q.run_until(260);
-  EXPECT_FALSE(q.empty());
+  q.skip(100);
+  q.skip(200);
+  q.skip(200);
+  q.at(150, labeled(1));
+  EXPECT_EQ(q.pending(), 4u);
+  q.run_until(100);
+  EXPECT_EQ(q.pending(), 3u);
+  q.run_until(150);
+  EXPECT_EQ(sink.fired, (std::vector<std::int32_t>{1}));
+  EXPECT_EQ(q.pending(), 2u);
   q.run();
-  EXPECT_EQ(q.now(), 300);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.now(), 200);
   EXPECT_EQ(q.processed(), 1u);
-  EXPECT_THROW(q.skip(299), std::logic_error);  // the past, as for at()
+}
+
+// next_event_time reports the earliest slot while one is ahead of every
+// event, so a sharded window opens where the skipped event would have.
+TEST(EventQueueSkip, NextEventTimeReportsTheEarliestSlot) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  q.at(500, labeled(1));
+  q.skip(100);
+  q.skip(300);
+  SimTime t = -1;
+  ASSERT_TRUE(q.next_event_time(t));
+  EXPECT_EQ(t, 100);
+  q.run_until(100);
+  ASSERT_TRUE(q.next_event_time(t));
+  EXPECT_EQ(t, 300);
+  q.run_until(300);
+  ASSERT_TRUE(q.next_event_time(t));
+  EXPECT_EQ(t, 500) << "the event is earliest once the slots are gone";
+}
+
+// run_window consumes only the slots before its end, and leaves the clock on
+// the last one it consumed when that is ordered after every event it ran.
+TEST(EventQueueSkip, RunWindowStopsAtEndWithTheClockOnTheLastConsumedSlot) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  q.at(10, labeled(1));
+  q.skip(20);
+  q.skip(30);
+  q.skip(50);
+  q.at(60, labeled(2));
+  q.run_window(50);
+  EXPECT_EQ(sink.fired, (std::vector<std::int32_t>{1}));
+  EXPECT_EQ(q.now(), 30);
+  EXPECT_EQ(q.pending(), 2u);
+  SimTime t = -1;
+  ASSERT_TRUE(q.next_event_time(t));
+  EXPECT_EQ(t, 50);
+}
+
+// Slots form a FIFO, so they must be taken in (t, seq) order; one ordered
+// before the last pending slot throws, as does one in the past.
+TEST(EventQueueSkip, OutOfOrderSkipThrows) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  const std::uint64_t early = q.reserve_seq();
+  q.skip(300);
+  EXPECT_THROW(q.skip(200), std::logic_error);
+  EXPECT_THROW(q.skip(300, early), std::logic_error)
+      << "same instant, earlier sequence number";
+  q.skip(300);  // same instant, later sequence number
+  q.skip(400, early);
+  EXPECT_EQ(q.pending(), 3u);
+  q.run();
+  EXPECT_EQ(q.now(), 400);
+  EXPECT_THROW(q.skip(399), std::logic_error);  // the past, as for at()
+  EXPECT_THROW(q.skip(500, 12345), std::logic_error)
+      << "no reservation is open";
+}
+
+// A reserved sequence number fires where an at() made at reservation time
+// would have: before a later at() at the same instant. Until it is settled
+// the reservation keeps the queue non-empty.
+TEST(EventQueueSkip, ReservedAtFiresBeforeALaterAtAtTheSameInstant) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  const std::uint64_t seq = q.reserve_seq();
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.step()) << "a reservation alone has nothing to run";
+  q.at(100, labeled(2));
+  q.at(100, seq, labeled(1));
+  EXPECT_EQ(q.pending(), 2u);
+  q.run();
+  EXPECT_EQ(sink.fired, (std::vector<std::int32_t>{1, 2}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.at(200, seq, labeled(3)), std::logic_error)
+      << "the reservation was already settled";
+}
+
+// Property: random interleavings of at / skip / reservations / run_window /
+// run_until / run read exactly like a reference queue that schedules every
+// skip as an event that does nothing: the same real events fire in the same
+// order, and every clock, empty(), pending() and next_event_time() reading
+// matches, inside handlers too.
+TEST(EventQueueSkip, MatchesAQueueThatSchedulesEverySkipAsANoOp) {
+  constexpr std::int32_t kNoOp = -1;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EventQueue q;
+    EventQueue ref;
+    RecordingSink sq;
+    RecordingSink sref;
+    q.bind_sink(&sq);
+    ref.bind_sink(&sref);
+    std::vector<std::size_t> seen_q;
+    std::vector<std::size_t> seen_ref;
+    // A real event may schedule a follow-up, a function of its label and
+    // the clock, so both queues do the same from inside their handlers.
+    const auto react = [](EventQueue& queue, std::vector<std::size_t>& seen) {
+      return [&queue, &seen](const SimEvent& ev) {
+        seen.push_back(queue.pending());
+        if (ev.a >= 0 && ev.a % 3 == 0) {
+          queue.at(queue.now() + ev.a % 7 * 13, labeled(ev.a + 100'000));
+        }
+      };
+    };
+    sq.react = react(q, seen_q);
+    sref.react = react(ref, seen_ref);
+
+    std::uint64_t lcg = seed * 0x9e3779b97f4a7c15ULL;
+    const auto draw = [&lcg](std::uint64_t n) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      return static_cast<SimTime>((lcg >> 33) % n);
+    };
+    std::int32_t label = 0;
+    SimTime last_skip = -1;
+    struct Held {
+      std::uint64_t q;
+      std::uint64_t ref;
+    };
+    std::vector<Held> held;
+    const auto next_skip_time = [&] {
+      last_skip = std::max(last_skip + 1, q.now()) + draw(200);
+      return last_skip;
+    };
+    const auto settle = [&](const Held& h) {
+      if (draw(2) == 0) {
+        const SimTime t = q.now() + draw(400);
+        q.at(t, h.q, labeled(label));
+        ref.at(t, h.ref, labeled(label));
+        ++label;
+      } else {
+        const SimTime t = next_skip_time();
+        q.skip(t, h.q);
+        ref.at(t, h.ref, labeled(kNoOp));
+      }
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      switch (draw(8)) {
+        case 0:
+        case 1: {
+          const SimTime t = q.now() + draw(400);
+          q.at(t, labeled(label));
+          ref.at(t, labeled(label));
+          ++label;
+          break;
+        }
+        case 2: {
+          const SimTime t = next_skip_time();
+          q.skip(t);
+          ref.at(t, labeled(kNoOp));
+          break;
+        }
+        case 3:
+          held.push_back(Held{q.reserve_seq(), ref.reserve_seq()});
+          break;
+        case 4:
+          if (!held.empty()) {
+            settle(held.front());
+            held.erase(held.begin());
+          }
+          break;
+        case 5: {
+          const SimTime end = q.now() + draw(300);
+          q.run_window(end);
+          ref.run_window(end);
+          break;
+        }
+        case 6: {
+          const SimTime t = q.now() + draw(300);
+          q.run_until(t);
+          ref.run_until(t);
+          break;
+        }
+        default:
+          if (draw(8) == 0) {
+            q.run();
+            ref.run();
+          }
+          break;
+      }
+      ASSERT_EQ(q.now(), ref.now()) << "op " << op;
+      ASSERT_EQ(q.empty(), ref.empty()) << "op " << op;
+      ASSERT_EQ(q.pending(), ref.pending()) << "op " << op;
+      SimTime tq = -1;
+      SimTime tref = -1;
+      ASSERT_EQ(q.next_event_time(tq), ref.next_event_time(tref));
+      ASSERT_EQ(tq, tref) << "op " << op;
+    }
+    for (const Held& h : held) settle(h);
+    q.run();
+    ref.run();
+    EXPECT_EQ(q.now(), ref.now());
+    EXPECT_TRUE(q.empty());
+    std::vector<std::int32_t> real = sref.fired;
+    real.erase(std::remove(real.begin(), real.end(), kNoOp), real.end());
+    EXPECT_EQ(sq.fired, real);
+    std::vector<std::size_t> real_seen;
+    for (std::size_t i = 0; i < sref.fired.size(); ++i) {
+      if (sref.fired[i] != kNoOp) real_seen.push_back(seen_ref[i]);
+    }
+    EXPECT_EQ(seen_q, real_seen);
+    EXPECT_EQ(q.processed() + (sref.fired.size() - real.size()),
+              ref.processed());
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // acceptance scale from the issue.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -344,6 +345,128 @@ TEST(ShardInvariance, SingleDomainWindowsRunInline) {
       << "single-domain windows should bypass the pool barrier";
   EXPECT_EQ(net.windows_parallel(), 0u)
       << "no window held events in more than one domain";
+}
+
+/// What a congested cross-pod multicast run gives on the sharded engine.
+struct CnpCrossing {
+  /// Deliveries, drain clock and data-plane counters.
+  std::uint64_t signature = 0;
+  std::uint64_t events = 0;
+  std::uint64_t windows_inline = 0;
+  std::uint64_t windows_parallel = 0;
+  std::vector<std::uint64_t> reactions;  ///< per stream
+  std::vector<std::uint64_t> cnps_seen;  ///< per stream
+};
+
+/// Two multicasts from pod 0 (GPU 0 of hosts 0 and 1, under ToR t0) share
+/// t0's up-link, with every queued segment marked, toward the GPUs of host
+/// 2 (pod 0, under the other ToR), host 4 and its GPUs (pod 1) and the GPUs
+/// of host 8 (pod 2). So every mark sends CNPs back to the source from its
+/// own domain and from two others. Wires of 5 us make the lookahead, hence
+/// each merge batch, 5 us wide, so a batch holds local and cross-domain
+/// CNPs of both sources whose arrival order differs from the order they
+/// were posted and mailed in.
+CnpCrossing run_cnp_crossing(CnpMode mode, int shards) {
+  FatTreeConfig cfg{4, 2, 4};
+  cfg.link_propagation = 5 * kMicrosecond;
+  const FatTree ft = build_fat_tree(cfg);
+  const Topology& topo = ft.topo;
+  SimConfig sim;
+  sim.ecn_kmin = 0;
+  sim.ecn_kmax = 1;
+  ShardedNetwork net(topo, sim, shards);
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis
+  const auto mix = [&hash](std::uint64_t v) {
+    hash = (hash ^ v) * 1099511628211ULL;
+  };
+  net.set_delivery_handler([&](const DeliveryEvent& ev) {
+    mix(static_cast<std::uint64_t>(net.control().now()));
+    mix(static_cast<std::uint64_t>(ev.stream));
+    mix(static_cast<std::uint64_t>(ev.receiver));
+    mix(static_cast<std::uint64_t>(ev.chunk));
+  });
+  const auto host = [&](int h) {
+    return ft.hosts[static_cast<std::size_t>(h)];
+  };
+  /// GPU `i` of host `h` (hosts carry four GPUs each, in locality order).
+  const auto gpu = [&](int h, int i) {
+    return ft.gpus[static_cast<std::size_t>(4 * h + i)];
+  };
+  const auto spec_from = [&](int source_host) {
+    StreamSpec s;
+    s.source = gpu(source_host, 0);
+    s.cnp_mode = mode;
+    const auto edge = [&](NodeId a, NodeId b) {
+      s.forward[a].push_back(topo.find_link(a, b));
+    };
+    const auto down = [&](NodeId agg, int tor, int h) {
+      const NodeId t = ft.tor_at(tor / 2, tor % 2);
+      edge(agg, t);
+      edge(t, host(h));
+      for (int i = 0; i < 4; ++i) {
+        edge(host(h), gpu(h, i));
+        s.receivers.push_back(gpu(h, i));
+      }
+    };
+    const NodeId t0 = ft.tor_at(0, 0);
+    const NodeId agg0 = ft.agg_at(0, 0);
+    const NodeId core = ft.core_at(0, 0);
+    edge(s.source, host(source_host));
+    edge(host(source_host), t0);
+    edge(t0, agg0);
+    down(agg0, 1, 2);
+    edge(agg0, core);
+    for (const int pod : {1, 2}) {
+      const NodeId agg = ft.agg_at(pod, 0);
+      edge(core, agg);
+      down(agg, 2 * pod, 4 * pod);
+    }
+    s.receivers.push_back(host(4));
+    return s;
+  };
+  const StreamId a = net.open_stream(spec_from(0));
+  const StreamId b = net.open_stream(spec_from(1));
+  for (int c = 0; c < 4; ++c) {
+    net.send_chunk(a, c, 1 * kMiB);
+    net.send_chunk(b, c, 1 * kMiB);
+  }
+  net.run();
+  mix(static_cast<std::uint64_t>(net.now()));
+  mix(net.segments_serialized());
+  mix(net.segments_marked());
+  mix(net.pfc_pauses());
+  CnpCrossing r;
+  r.signature = hash;
+  r.events = net.events_processed();
+  r.windows_inline = net.windows_inline();
+  r.windows_parallel = net.windows_parallel();
+  for (const StreamId s : {a, b}) {
+    r.reactions.push_back(net.stream_cc(s).reactions());
+    r.cnps_seen.push_back(net.stream_cc(s).cnps_seen());
+  }
+  return r;
+}
+
+// Guard-swallowed CNPs are admitted at the mailbox merge, where the sender's
+// domain first knows the order its local and cross-domain CNPs arrive in.
+// Dropping them must move nothing but the event count: deliveries, drain
+// clock, reactions, CNPs seen and the window counters are pinned to what the
+// run gave when every CNP was scheduled, at 1 and at 3 workers. The modes
+// that react to every CNP keep every CNP event.
+TEST(ShardInvariance, GuardSwallowedCrossDomainCnpsMoveOnlyTheEventCount) {
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const CnpCrossing guard = run_cnp_crossing(CnpMode::SenderGuard, shards);
+    EXPECT_EQ(guard.signature, 0x2cc2833e05bde5d8ULL);
+    EXPECT_EQ(guard.reactions, (std::vector<std::uint64_t>{11, 8}));
+    EXPECT_EQ(guard.cnps_seen, (std::vector<std::uint64_t>{364, 312}));
+    EXPECT_EQ(guard.windows_inline, 28u);
+    EXPECT_EQ(guard.windows_parallel, 445u);
+    EXPECT_LT(guard.events, 7052u);  // every CNP scheduled
+
+    EXPECT_EQ(run_cnp_crossing(CnpMode::ReceiverTimer, shards).events, 6480u);
+    EXPECT_EQ(run_cnp_crossing(CnpMode::Unthrottled, shards).events, 6766u);
+  }
 }
 
 // Same config, same shard count, run twice: the parallel engine must be
