@@ -174,6 +174,41 @@ void BM_SchedulerSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerSteadyState)->Arg(1 << 10)->Arg(1 << 15)->Arg(1 << 18);
 
+/// Synchronous bursts: every fired event reschedules itself kStep ns ahead,
+/// so the whole population moves from instant to instant together — the
+/// regime of a wide broadcast, where hundreds of links finish serializing
+/// at the same time. Each instant's events sit in one rung, and the
+/// reschedules land inside the open window.
+struct BurstSink final : SimEventSink {
+  static constexpr SimTime kStep = 5;
+  EventQueue* queue = nullptr;
+
+  void on_sim_event(const SimEvent& ev) override { queue->after(kStep, ev); }
+};
+
+void BM_SchedulerBurst(benchmark::State& state) {
+  const auto burst = static_cast<std::int32_t>(state.range(0));
+  EventQueue queue;
+  BurstSink sink;
+  sink.queue = &queue;
+  queue.bind_sink(&sink);
+  SimEvent ev;
+  ev.kind = SimEventKind::Pump;
+  for (std::int32_t i = 0; i < burst; ++i) {
+    ev.a = i;
+    queue.at(0, ev);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(queue.step());
+  }
+  // Seconds per event (kInvert of a rate): "20n" = 20 ns.
+  state.counters["time_per_event"] =
+      benchmark::Counter(static_cast<double>(state.iterations()),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SchedulerBurst)->Arg(64)->Arg(4096);
+
 void BM_PlanCacheHit(benchmark::State& state) {
   // One k=16, 64-GPU PeelPlan key, served from the cache after one miss.
   const FatTree ft = build_fat_tree(FatTreeConfig{16, 8, 8});

@@ -18,26 +18,28 @@
 //                           PFC pauses, and CNP events
 //     --telemetry-csv=FILE  write replica 0's per-link counters as CSV
 //     --samples-csv=FILE    write replica 0's queue-depth time series as CSV
-//     --sample-us=N         telemetry sampling interval in µs (default 50
-//                           when --samples-csv is given)
+//     --sample-us=N         telemetry sampling interval in µs, N >= 1
+//                           (default 50 when --samples-csv is given)
 //     --audit               byte-conservation audit (same as PEEL_BYTE_AUDIT=1)
 //     --watchdog            fail loudly with per-flow diagnostics if any
 //                           collective is unfinished at drain/deadline
 //     --deadline=S          stop the simulation at S simulated seconds
+//                           (0, the default, runs to drain)
 //     --fault-schedule=FILE replay timed link/switch down/up events from FILE
 //                           (`down|up <time_us> link|switch <id>` per line;
 //                           see docs/faults.md) with automatic recovery
 //     --flap-mtbf=US        random link flapping: mean up-time (µs) before a
 //                           failure; requires --flap-mttr
 //     --flap-mttr=US        mean down-time (µs) before repair
-//     --flap-links=N        how many random links flap (default 1)
-//     --flap-horizon=US     no new failures start past this time (default:
-//                           the deadline if set, else 50000 µs)
+//     --flap-links=N        how many random links flap, N >= 1 (default 1)
+//     --flap-horizon=US     no new failures start past this time (0, the
+//                           default: the deadline if set, else 50000 µs)
 //     --detect-us=US        fault detection delay before each recovery pass
 //                           (default 100 µs)
 //     --no-recover          inject faults but never run recovery passes
-//     --stripes=N           stripe chunks across N near-optimal trees per
-//                           collective (Optimal and symmetric PEEL; default 1)
+//     --stripes=N           stripe chunks across N >= 1 near-optimal trees
+//                           per collective (Optimal and symmetric PEEL;
+//                           default 1)
 //     --no-plan-cache       disable the control-plane TreePlanCache (A/B)
 //     --shards=N            pod-sharded parallel engine with N worker threads
 //                           (results are byte-identical for any N >= 1;
@@ -169,12 +171,12 @@ Bytes parse_mib(const char* text) {
 constexpr long kMaxSampleUs = std::numeric_limits<long>::max() / kMicrosecond;
 
 /// A time value small enough to convert to simulated nanoseconds (SimTime)
-/// without overflowing: |µs| <= 1e15, |s| <= 1e9.
-double parse_us(const char* text, const char* what) {
-  return parse_number<double>(text, what, -1e15, 1e15);
+/// without overflowing: µs in [lo, 1e15], s in [0, 1e9].
+double parse_us(const char* text, const char* what, double lo = -1e15) {
+  return parse_number<double>(text, what, lo, 1e15);
 }
 double parse_seconds(const char* text, const char* what) {
-  return parse_number<double>(text, what, -1e9, 1e9);
+  return parse_number<double>(text, what, 0.0, 1e9);
 }
 
 bool flag_value(const char* arg, const char* name, const char** value) {
@@ -201,8 +203,8 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
     } else if (flag_value(arg, "--samples-csv", &value)) {
       flags.samples_csv = value;
     } else if (flag_value(arg, "--sample-us", &value)) {
-      flags.sample_us = parse_number<long>(
-          value, "--sample-us", -kMaxSampleUs, kMaxSampleUs);
+      flags.sample_us =
+          parse_number<long>(value, "--sample-us", 1, kMaxSampleUs);
     } else if (!std::strcmp(arg, "--audit")) {
       flags.audit = true;
     } else if (!std::strcmp(arg, "--watchdog")) {
@@ -216,15 +218,15 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
     } else if (flag_value(arg, "--flap-mttr", &value)) {
       flags.flap_mttr_us = parse_us(value, "--flap-mttr");
     } else if (flag_value(arg, "--flap-links", &value)) {
-      flags.flap_links = parse_number<int>(value, "--flap-links");
+      flags.flap_links = parse_number<int>(value, "--flap-links", 1);
     } else if (flag_value(arg, "--flap-horizon", &value)) {
-      flags.flap_horizon_us = parse_us(value, "--flap-horizon");
+      flags.flap_horizon_us = parse_us(value, "--flap-horizon", 0.0);
     } else if (flag_value(arg, "--detect-us", &value)) {
       flags.detect_us = parse_us(value, "--detect-us");
     } else if (!std::strcmp(arg, "--no-recover")) {
       flags.no_recover = true;
     } else if (flag_value(arg, "--stripes", &value)) {
-      flags.stripes = parse_number<int>(value, "--stripes");
+      flags.stripes = parse_number<int>(value, "--stripes", 1);
     } else if (!std::strcmp(arg, "--no-plan-cache")) {
       flags.no_plan_cache = true;
     } else if (flag_value(arg, "--shards", &value)) {

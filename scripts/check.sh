@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build the plain and sanitized (ASan+UBSan) configurations
-# and run the full test suite under each.
+# and run the full test suite under each. The sanitized build is strict
+# (PEEL_SANITIZE in CMakeLists.txt): undefined behaviour and libstdc++
+# container-precondition failures abort the test that hits them.
 #
 # Usage: scripts/check.sh [jobs]
 #

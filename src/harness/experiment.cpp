@@ -1,6 +1,7 @@
 #include "src/harness/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -62,6 +63,14 @@ Bytes bytes_on_links(const DataPlane& net, const Topology& topo, bool fabric,
 
 ScenarioResult run_scenario(const Fabric& shared_fabric,
                             const ScenarioConfig& config) {
+  // A negative delay would schedule each recovery pass into the past, which
+  // the event queue only catches at the first fault, deep inside the run.
+  const double detect_s = config.faults.detection_delay_seconds;
+  if (!std::isfinite(detect_s) || detect_s < 0.0) {
+    throw std::invalid_argument(
+        "run_scenario: faults.detection_delay_seconds must be a finite "
+        "number >= 0, got " + std::to_string(detect_s));
+  }
   // Dynamic faults mutate the Topology; run against a private deep copy so
   // the caller's (possibly sweep-shared) fabric stays pristine.
   std::optional<FatTree> fat_tree_copy;

@@ -81,7 +81,7 @@ void EventQueue::insert_slow(const PodEntry& entry) {
     bucket_lo_ = (entry.t >> shift_) + 1;
     bucket_hi_ = bucket_lo_ + kBuckets;
     window_end_ = static_cast<SimTime>(bucket_lo_) << shift_;
-    cur_.push_back(entry);  // heap of one
+    cur_.push_back(entry);  // a sorted window of one
     return;
   }
   const std::int64_t bn = entry.t >> shift_;
@@ -114,9 +114,10 @@ void EventQueue::advance() {
       if (!bucket.empty()) {
         rung_count_ -= bucket.size();
         // Swap rather than move: cur_'s spent capacity is recycled as the
-        // (now empty) bucket's storage.
+        // (now empty) bucket's storage. Sorted latest first, the window is
+        // popped off its back.
         cur_.swap(bucket);
-        std::make_heap(cur_.begin(), cur_.end(), PodLater{});
+        std::sort(cur_.begin(), cur_.end(), PodLater{});
         return;
       }
     }
@@ -152,12 +153,11 @@ void EventQueue::rebase() {
 }
 
 bool EventQueue::peek_next(SimTime& t) {
-  const bool have_pod = pod_count_ != 0;
-  if (have_pod && cur_.empty()) advance();
-  if (have_pod && !acts_.empty()) {
-    t = std::min(cur_.front().t, acts_.front().t);
-  } else if (have_pod) {
-    t = cur_.front().t;
+  const PodEntry* pod = pod_front();
+  if (pod != nullptr && !acts_.empty()) {
+    t = std::min(pod->t, acts_.front().t);
+  } else if (pod != nullptr) {
+    t = pod->t;
   } else if (!acts_.empty()) {
     t = acts_.front().t;
   } else {
@@ -167,14 +167,12 @@ bool EventQueue::peek_next(SimTime& t) {
 }
 
 bool EventQueue::step() {
-  const bool have_pod = pod_count_ != 0;
-  if (have_pod && cur_.empty()) advance();
-  bool take_pod = have_pod;
-  if (have_pod && !acts_.empty()) {
-    const PodEntry& p = cur_.front();
+  const PodEntry* pod = pod_front();
+  bool take_pod = pod != nullptr;
+  if (pod != nullptr && !acts_.empty()) {
     const ClosureEntry& c = acts_.front();
-    take_pod = p.t != c.t ? p.t < c.t : p.seq < c.seq;
-  } else if (!have_pod && acts_.empty()) {
+    take_pod = pod->t != c.t ? pod->t < c.t : pod->seq < c.seq;
+  } else if (pod == nullptr && acts_.empty()) {
     // Only skipped slots can be left: the earliest one's turn just moves
     // the clock.
     if (skip_head_ == skips_.size()) return false;
@@ -182,9 +180,13 @@ bool EventQueue::step() {
     return true;
   }
   if (take_pod) {
-    std::pop_heap(cur_.begin(), cur_.end(), PodLater{});
-    const PodEntry entry = cur_.back();
-    cur_.pop_back();
+    const PodEntry entry = *pod;
+    if (!cur_.empty() && pod == &cur_.back()) {
+      cur_.pop_back();
+    } else {
+      std::pop_heap(late_.begin(), late_.end(), PodLater{});
+      late_.pop_back();
+    }
     --pod_count_;
     pass_skipped(entry.t, entry.seq);
     now_ = entry.t;

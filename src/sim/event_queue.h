@@ -16,16 +16,21 @@
 //     finish_tx / arrive events; scheduling them as PODs performs no heap
 //     allocation and no std::function indirection on the hot path.
 //
-// POD storage is a two-tier ladder (calendar) queue instead of one global
-// binary heap:
+// POD storage is a ladder (calendar) queue instead of one global binary
+// heap:
 //
-//   - `cur_` is a min-heap over the active window [now, window_end). Only
-//     events this close to the clock pay O(log n) sift costs, and n is the
-//     window occupancy, not the total pending count.
+//   - `cur_` is the active window [now, window_end): the rung the clock
+//     reached, sorted once by (t, seq), latest first, when advance() opens
+//     it. step() pops the earliest entry off its back() in O(1).
+//   - `late_` is a min-heap for entries filed into the open window after it
+//     was sorted: after(0) pumps and delays shorter than the rest of the
+//     bucket. It holds only those, so an insert costs O(log late), not the
+//     O(n) shift that keeping a dense rung sorted would cost. The next
+//     event is the earlier of cur_.back() and late_.front().
 //   - `rungs_` is a ring of kBuckets fixed-width buckets covering
 //     [window_end, window_end + kBuckets << shift). Scheduling into a bucket
-//     is an O(1) push_back; a bucket is heapified only when the clock
-//     reaches it (advance()).
+//     is an O(1) push_back; a bucket is sorted only when the clock reaches
+//     it and both window tiers are empty (advance()).
 //   - `overflow_` holds everything past the ladder, unsorted. When the
 //     ladder drains, rebase() re-centers it on the overflow span, widening
 //     the bucket stride (shift_) until the span fits — correctness never
@@ -63,6 +68,8 @@ enum class SimEventKind : std::uint8_t {
   ReduceEmit, ///< combiner `b` of reduce stream `a` forwards `d` combined
               ///< bytes of chunk `c` upstream (scheduled combine_latency
               ///< after the last expected child byte arrived; marked flag)
+  Deliver,    ///< receiver `b` got all of chunk `c` of stream `a`: replayed
+              ///< on the sharded engine's control queue, never a Network's
 };
 
 /// Packed arguments of one hot data-plane event. Field meaning is
@@ -198,8 +205,8 @@ class EventQueue {
   }
 
  private:
-  /// Hot-tier entry: 48 bytes, trivially copyable — a heap sift is a plain
-  /// memcpy-class move, unlike the retired Entry that dragged a dead
+  /// Hot-tier entry: 48 bytes, trivially copyable — a sort or heap move is
+  /// a plain memcpy-class move, unlike the retired Entry that dragged a dead
   /// std::function through every swap.
   struct PodEntry {
     SimTime t;
@@ -228,7 +235,7 @@ class EventQueue {
   /// Default bucket stride: 2^6 ns = 64 ns per bucket, ~33 µs ladder span.
   /// Tuned on a k=16 Peel Broadcast cell: segment serialization and
   /// propagation delays (0.1–5 µs) land in rungs as O(1) push_backs instead
-  /// of active-heap sifts; slower timers (telemetry sampler, throttled
+  /// of late_ heap sifts; slower timers (telemetry sampler, throttled
   /// pacing) overflow and are folded back in by the periodic rebase.
   static constexpr int kDefaultShift = 6;
 
@@ -243,22 +250,35 @@ class EventQueue {
   void push(const PodEntry& entry) {
     ++pod_count_;
     if (pod_count_ > 1 && entry.t < window_end_) {
-      cur_.push_back(entry);
-      std::push_heap(cur_.begin(), cur_.end(), PodLater{});
+      late_.push_back(entry);
+      std::push_heap(late_.begin(), late_.end(), PodLater{});
     } else {
       insert_slow(entry);
     }
   }
+  /// The earliest POD entry, the back of cur_ or the top of late_, after
+  /// opening the next rung when both are spent; nullptr when no POD entry
+  /// is pending.
+  const PodEntry* pod_front() {
+    if (pod_count_ == 0) return nullptr;
+    if (cur_.empty() && late_.empty()) advance();
+    if (late_.empty()) return &cur_.back();
+    if (cur_.empty() || PodLater{}(cur_.back(), late_.front())) {
+      return &late_.front();
+    }
+    return &cur_.back();
+  }
   /// Cold insert paths: first pod (ladder reset), rung push, or overflow.
   void insert_slow(const PodEntry& entry);
   /// Refills cur_ from the next non-empty rung (rebasing from overflow when
-  /// the ladder is empty). Precondition: cur_ empty, pod_count_ > 0.
+  /// the ladder is empty) and sorts it. Precondition: cur_ and late_ empty,
+  /// pod_count_ > 0.
   void advance();
-  /// Re-centers the ladder on the overflow span. Precondition: cur_ and all
-  /// rungs empty, overflow_ non-empty.
+  /// Re-centers the ladder on the overflow span. Precondition: cur_, late_
+  /// and all rungs empty, overflow_ non-empty.
   void rebase();
   /// Earliest pending timestamp of a real event; false when there is
-  /// none. May heapify a rung.
+  /// none. May open (sort) a rung.
   bool peek_next(SimTime& t);
   /// Drops the skipped slots ordered before the event about to run, keyed
   /// (t, seq): their turn has passed.
@@ -271,15 +291,16 @@ class EventQueue {
   SimTime pop_skip();
 
   // POD tiers. Invariants while pod_count_ > 0:
-  //   cur_ entries    : t < window_end_
+  //   cur_, late_     : t < window_end_
   //   rung entries    : window_end_ <= t < bucket_hi_ << shift_
   //                     in rung (t >> shift_) & kBucketMask
   //   overflow entries: t >= bucket_hi_ << shift_
-  // so cur_.front() (after advance()) is the global POD minimum. bucket_hi_
-  // is pinned between rebases: the ladder frontier must NOT slide forward as
-  // bucket_lo_ advances, or a fresh rung insert could land past an entry
-  // already parked in overflow and fire before it.
-  std::vector<PodEntry> cur_;
+  // so pod_front() is the global POD minimum.
+  // bucket_hi_ is pinned between rebases: the ladder frontier must NOT
+  // slide forward as bucket_lo_ advances, or a fresh rung insert could land
+  // past an entry already parked in overflow and fire before it.
+  std::vector<PodEntry> cur_;   ///< sorted by (t, seq), latest first
+  std::vector<PodEntry> late_;  ///< min-heap (PodLater)
   std::array<std::vector<PodEntry>, kBuckets> rungs_;
   std::vector<PodEntry> overflow_;
   std::size_t pod_count_ = 0;
@@ -287,7 +308,7 @@ class EventQueue {
   int shift_ = kDefaultShift;
   std::int64_t bucket_lo_ = 0;   ///< first rung's absolute bucket number
   std::int64_t bucket_hi_ = 0;   ///< ladder frontier (absolute bucket number)
-  SimTime window_end_ = 0;       ///< cur_ covers [now, window_end_)
+  SimTime window_end_ = 0;       ///< cur_, late_ cover [now, window_end_)
 
   /// Control-plane closures: rare, so a plain binary heap is fine.
   std::vector<ClosureEntry> acts_;

@@ -85,6 +85,10 @@ void Network::on_sim_event(const SimEvent& ev) {
       }
       return;
     }
+    case SimEventKind::Deliver:
+      throw std::logic_error(
+          "Network: a Deliver event belongs on the sharded engine's control "
+          "queue");
     case SimEventKind::None:
       break;
   }

@@ -25,9 +25,23 @@ bool ShardedNetwork::DomainHook::post(SimTime t, const SimEvent& ev) {
   return owner->route(domain, t, ev);
 }
 
+void ShardedNetwork::DeliverySink::on_sim_event(const SimEvent& ev) {
+  if (ev.kind != SimEventKind::Deliver) {
+    throw std::logic_error("sharded engine: control queue fired a non-Deliver "
+                           "SimEvent");
+  }
+  if (owner->on_delivery_) {
+    owner->on_delivery_(DeliveryEvent{
+        ev.a, owner->streams_[static_cast<std::size_t>(ev.a)].tag, ev.b,
+        ev.c});
+  }
+}
+
 ShardedNetwork::ShardedNetwork(const Topology& topo, const SimConfig& config,
                                int threads)
     : topo_(&topo), plan_(build_shard_plan(topo)), config_(config) {
+  delivery_sink_.owner = this;
+  control_.bind_sink(&delivery_sink_);
   domain_total_ = plan_.domains;
   if (plan_.cross_links > 0) {
     if (plan_.lookahead <= 0) {
@@ -60,7 +74,12 @@ ShardedNetwork::ShardedNetwork(const Topology& topo, const SimConfig& config,
     dom->outbox.resize(static_cast<std::size_t>(domain_total_));
     dom->net->set_delivery_handler([this, d](const DeliveryEvent& ev) {
       Domain& mine = *domains_[static_cast<std::size_t>(d)];
-      mine.deliveries.emplace_back(mine.queue.now(), ev);
+      SimEvent deliver;
+      deliver.kind = SimEventKind::Deliver;
+      deliver.a = ev.stream;
+      deliver.b = ev.receiver;
+      deliver.c = ev.chunk;
+      mine.deliveries.push_back(Mail{mine.queue.now(), deliver});
     });
     domains_.push_back(std::move(dom));
   }
@@ -163,13 +182,14 @@ void ShardedNetwork::drain_windows() {
   }
   // Delivery callbacks replay sequentially on the control queue, one
   // lookahead later (the notification's wire delay), in (t, domain,
-  // collection order) — deterministic at any thread count.
+  // collection order) — deterministic at any thread count. Each is a packed
+  // Deliver event, not a boxed closure: closures and PODs draw from one
+  // sequence counter and fire in one (t, seq) order, so every delivery
+  // keeps the place a closure scheduled here would have had.
   for (int d = 0; d < domain_total_; ++d) {
     Domain& dom = *domains_[static_cast<std::size_t>(d)];
-    for (const auto& [t, ev] : dom.deliveries) {
-      if (on_delivery_) {
-        control_.at(t + xdelay_, [this, ev = ev] { on_delivery_(ev); });
-      }
+    if (on_delivery_) {
+      for (const Mail& m : dom.deliveries) control_.at(m.t + xdelay_, m.ev);
     }
     dom.deliveries.clear();
   }
@@ -329,6 +349,7 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
 
   StreamInfo info;
   info.src_domain = plan_.domain_of_node(tree->source);
+  info.tag = tree->tag;
   for (const StreamTree::Injector& inj : tree->injectors) {
     info.injector_domain.push_back(plan_.domain_of_node(inj.node));
   }

@@ -37,8 +37,9 @@
 // every busy domain up to the horizon min(W + L, next control event) —
 // the workers and the coordinator claim busy domains from one atomic
 // ticket — barriers, then drains the per-domain-pair mailboxes into the
-// destination queues and replays collected delivery callbacks on the
-// control queue.
+// destination queues and schedules each collected delivery on the control
+// queue as a packed Deliver event, which the engine's own sink hands to the
+// delivery handler when it fires.
 //
 // CNPs are admitted at the merge. A CNP the sender's guard timer will
 // swallow changes nothing when it fires (src/sim/dcqcn.h), so like the solo
@@ -191,6 +192,14 @@ class ShardedNetwork final : public DataPlane {
     bool post(SimTime t, const SimEvent& ev) override;
   };
 
+  /// The control queue's sink: hands a replayed Deliver event to the
+  /// delivery handler (control-plane closures run through the queue's
+  /// closure tier as usual).
+  struct DeliverySink final : public SimEventSink {
+    ShardedNetwork* owner = nullptr;
+    void on_sim_event(const SimEvent& ev) override;
+  };
+
   struct Mail {
     SimTime t;
     SimEvent ev;
@@ -216,14 +225,17 @@ class ShardedNetwork final : public DataPlane {
     /// added by this domain's thread as they are posted, remote ones by
     /// drain_windows, which then admits them all.
     std::vector<HeldCnp> cnps;
-    /// Deliveries fired inside this domain this window, in firing order.
-    std::vector<std::pair<SimTime, DeliveryEvent>> deliveries;
+    /// Deliveries fired inside this domain this window, in firing order,
+    /// as Deliver events stamped with their firing time.
+    std::vector<Mail> deliveries;
     /// A throw inside run_window, surfaced after the barrier.
     std::exception_ptr error;
   };
 
   struct StreamInfo {
     int src_domain = -1;
+    /// The spec's tag, for the DeliveryEvents the control sink rebuilds.
+    std::uint64_t tag = 0;
     /// Domains holding real (non-stub) replicas, ascending.
     std::vector<int> footprint;
     /// Injector index -> owning domain (CnpRate events carry the injector
@@ -246,7 +258,7 @@ class ShardedNetwork final : public DataPlane {
   /// none is left; a throw is parked in the domain's `error`.
   void run_claimed();
   /// Moves outbox mail into destination queues (dst-major, src-minor, FIFO),
-  /// admits each destination's CNPs in firing order, and replays collected
+  /// admits each destination's CNPs in firing order, and schedules collected
   /// deliveries on the control queue at t + lookahead.
   void drain_windows();
   void worker_main();
@@ -259,6 +271,7 @@ class ShardedNetwork final : public DataPlane {
 
   std::vector<std::unique_ptr<Domain>> domains_;
   EventQueue control_;
+  DeliverySink delivery_sink_;
   std::function<void(const DeliveryEvent&)> on_delivery_;
   std::vector<StreamInfo> streams_;
 

@@ -8,12 +8,15 @@
 // The harness entry points share one engine selector; the EngineSelection
 // cases pin its one rejected combination (flow fidelity with shards > 0) at
 // each entry point, so none of them can silently fall back to another engine.
+// ScenarioInput pins run_scenario's up-front rejection of a config the run
+// could only fail on later.
 //
 // The StreamContract cases pin DataPlane::open_stream's one contract on the
 // solo, sharded and flow engines: what it rejects, that a rejection leaves
 // the engine unchanged, and what it accepts for the audit to report.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <stdexcept>
@@ -149,6 +152,34 @@ TEST(EngineSelection, RunScenarioRejectsFlowWithShards) {
   config.shards = 2;
   EXPECT_THROW((void)run_scenario(Fabric::of(small_fat_tree()), config),
                std::invalid_argument);
+}
+
+// A negative or NaN detection delay is rejected up front, naming the field,
+// not at the first fault inside the event queue ("scheduling into the
+// past") or as an arbitrary converted time.
+TEST(ScenarioInput, RunScenarioRejectsANegativeOrNaNDetectionDelay) {
+  const Fabric fabric = Fabric::of(small_fat_tree());
+  ScenarioConfig config;
+  config.group_size = 4;
+  config.message_bytes = 64 * kKiB;
+  config.collectives = 1;
+  config.faults.flap.mtbf_seconds = 200e-6;
+  config.faults.flap.mttr_seconds = 50e-6;
+  config.faults.flap.links = 4;
+  config.faults.flap.horizon_seconds = 1e-3;
+  for (const double bad : {-5e-6, std::nan("")}) {
+    config.faults.detection_delay_seconds = bad;
+    try {
+      (void)run_scenario(fabric, config);
+      ADD_FAILURE() << "accepted detection delay " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("detection_delay_seconds"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  config.faults.detection_delay_seconds = 0.0;  // react at once: valid
+  EXPECT_EQ(run_scenario(fabric, config).unfinished, 0u);
 }
 
 TEST(EngineSelection, RunSingleBroadcastRejectsFlowWithShards) {

@@ -8,17 +8,26 @@ if(NOT CLI OR NOT BENCH OR NOT EXAMPLE)
 endif()
 
 set(failures "")
-function(expect_exit_2 label)
+# Runs the command, which must exit 2 with a message on stderr matching
+# `pattern`: naming the flag or field at fault, so that a crash deep inside
+# the run does not pass for a clean rejection.
+function(expect_exit_2_naming label pattern)
   execute_process(COMMAND ${ARGN}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   string(STRIP "${err}" err)
-  if(NOT rc STREQUAL "2" OR err STREQUAL "")
+  if(NOT rc STREQUAL "2" OR NOT err MATCHES "${pattern}")
     set(failures "${failures}\n  ${label}: exit '${rc}', stderr '${err}'"
         PARENT_SCOPE)
   else()
     message(STATUS "${label}: exit 2: ${err}")
   endif()
 endfunction()
+
+# Exit 2 with any message. A macro, so the function's PARENT_SCOPE update
+# lands in this file's scope.
+macro(expect_exit_2 label)
+  expect_exit_2_naming("${label}" "." ${ARGN})
+endmacro()
 
 expect_exit_2("malformed positional"
               ${CLI} peel broadcast abc 8 30 5)
@@ -36,6 +45,27 @@ expect_exit_2("bench with malformed PEEL_BENCH_SAMPLES"
               PEEL_BENCH_SAMPLES=banana ${BENCH})
 expect_exit_2("example with malformed argument"
               ${EXAMPLE} 16x)
+
+# Out-of-range flag values must not run as if the flag were absent or off.
+expect_exit_2_naming("--stripes=0" "--stripes"
+                     ${CLI} peel broadcast 16 1 30 2 --stripes=0)
+expect_exit_2_naming("--stripes=-2" "--stripes"
+                     ${CLI} peel broadcast 16 1 30 2 --stripes=-2)
+expect_exit_2_naming("--deadline=-1" "--deadline"
+                     ${CLI} peel broadcast 16 1 30 2 --deadline=-1)
+expect_exit_2_naming("--sample-us=-3" "--sample-us"
+                     ${CLI} peel broadcast 16 1 30 2 --sample-us=-3)
+expect_exit_2_naming("--flap-links=-3" "--flap-links"
+                     ${CLI} peel broadcast 16 1 30 2 --flap-mtbf=200
+                     --flap-mttr=50 --flap-links=-3)
+expect_exit_2_naming("--flap-horizon=-100" "--flap-horizon"
+                     ${CLI} peel broadcast 16 1 30 2 --flap-mtbf=200
+                     --flap-mttr=50 --flap-horizon=-100)
+# A negative detection delay is rejected up front, naming the field, not at
+# the first fault with the event queue's "scheduling into the past".
+expect_exit_2_naming("--detect-us=-5" "detection_delay_seconds"
+                     ${CLI} peel broadcast 64 1 30 5 --detect-us=-5
+                     --flap-mtbf=200 --flap-mttr=50 --flap-links=4)
 
 if(NOT failures STREQUAL "")
   message(FATAL_ERROR "a binary did not exit 2 on bad input:${failures}")

@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -160,6 +163,200 @@ TEST(EventQueueLadder, StressMatchesSortedReferenceModel) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(sink.fired[i], ref[i].label)
         << "divergence from the (t, seq) reference order at index " << i;
+  }
+}
+
+// --- Open-window ordering -------------------------------------------------
+//
+// Two runs make the same calls: one on an EventQueue, one on a
+// plain (t, seq)-ordered map that is the reference. Each firing logs its
+// label and clock, and each run_until / run_window logs the clock it leaves.
+
+/// The EventQueue side: PODs dispatch through the sink, closures call the
+/// same fire hook.
+struct QueueUnderTest final : SimEventSink {
+  EventQueue q;
+  std::function<void(std::int32_t)> fire;
+
+  QueueUnderTest() { q.bind_sink(this); }
+  QueueUnderTest(const QueueUnderTest&) = delete;  // bound by address
+  QueueUnderTest& operator=(const QueueUnderTest&) = delete;
+  void on_sim_event(const SimEvent& ev) override { fire(ev.a); }
+
+  [[nodiscard]] SimTime now() const { return q.now(); }
+  void pod(SimTime t, std::int32_t label) { q.at(t, labeled(label)); }
+  void closure(SimTime t, std::int32_t label) {
+    q.at(t, [this, label] { fire(label); });
+  }
+  std::uint64_t reserve() { return q.reserve_seq(); }
+  void settle(SimTime t, std::uint64_t seq, std::int32_t label) {
+    q.at(t, seq, labeled(label));
+  }
+  void skip(SimTime t) { q.skip(t); }
+  void run_until(SimTime t) { q.run_until(t); }
+  void run_window(SimTime end) { q.run_window(end); }
+  void run() { q.run(); }
+};
+
+/// The reference: one map keyed by (t, seq); a skipped slot is an entry
+/// that moves the clock and fires nothing.
+struct ReferenceQueue {
+  static constexpr std::int32_t kSlot = -1;
+  std::map<std::pair<SimTime, std::uint64_t>, std::int32_t> items;
+  SimTime clock = 0;
+  std::uint64_t seq = 0;
+  std::function<void(std::int32_t)> fire;
+
+  [[nodiscard]] SimTime now() const { return clock; }
+  void pod(SimTime t, std::int32_t label) { items[{t, seq++}] = label; }
+  void closure(SimTime t, std::int32_t label) { pod(t, label); }
+  std::uint64_t reserve() { return seq++; }
+  void settle(SimTime t, std::uint64_t s, std::int32_t label) {
+    items[{t, s}] = label;
+  }
+  void skip(SimTime t) { items[{t, seq++}] = kSlot; }
+  /// Takes the earliest entry while it is ordered before (strict) or at
+  /// (!strict) `bound`.
+  void drain(SimTime bound, bool strict) {
+    while (!items.empty()) {
+      const auto it = items.begin();
+      const SimTime t = it->first.first;
+      if (strict ? t >= bound : t > bound) return;
+      const std::int32_t label = it->second;
+      items.erase(it);
+      clock = t;
+      if (label != kSlot) fire(label);
+    }
+  }
+  void run_until(SimTime t) {
+    drain(t, false);
+    clock = std::max(clock, t);
+  }
+  void run_window(SimTime end) { drain(end, true); }
+  void run() { drain(std::numeric_limits<SimTime>::max(), false); }
+};
+
+struct Logged {
+  std::int32_t label;  ///< fired label, or -1 for a clock reading
+  SimTime clock;
+  bool operator==(const Logged&) const = default;
+};
+
+/// Synchronous bursts through the open window: hundreds of events at one
+/// instant (far past std::sort's 16-entry insertion cutoff) or spread over a
+/// few ns inside one 64 ns rung, mixed with closures, reserved sequence
+/// numbers settled later and skipped slots at the same instants. Handlers
+/// reschedule with after(0)-style and sub-rung delays, so entries keep
+/// landing in the window while it drains, and run_until / run_window stop
+/// inside the bursts.
+template <typename Q>
+std::vector<Logged> drive_bursts(std::uint64_t seed) {
+  Q q;
+  std::vector<Logged> log;
+  std::uint64_t lcg = seed * 0x9e3779b97f4a7c15ULL + 1;
+  const auto draw = [&lcg](std::uint64_t n) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<SimTime>((lcg >> 33) % n);
+  };
+  std::int32_t label = 0;
+  int spawns = 6000;
+  SimTime last_skip = 0;
+  struct Held {
+    std::uint64_t seq;
+    SimTime t;
+  };
+  std::vector<Held> held;
+
+  q.fire = [&](std::int32_t fired) {
+    log.push_back(Logged{fired, q.now()});
+    if (spawns <= 0) return;
+    --spawns;
+    switch (draw(8)) {
+      case 0:
+      case 1:
+        q.pod(q.now(), label++);  // after(0): same instant, behind the burst
+        break;
+      case 2:
+      case 3:
+        q.pod(q.now() + 1 + draw(63), label++);  // inside the open window
+        break;
+      case 4:
+        q.closure(q.now() + draw(64), label++);
+        break;
+      case 5:
+        q.pod(q.now() + 64 + draw(4000), label++);  // a later rung
+        break;
+      default:
+        break;  // no follow-up
+    }
+  };
+
+  for (int round = 0; round < 24; ++round) {
+    // Settle the reservations drawn last round, some at this round's burst.
+    const SimTime burst_at = q.now() + draw(4) * draw(200);
+    for (const Held& h : held) {
+      q.settle(std::max(h.t, q.now()), h.seq, label++);
+    }
+    held.clear();
+    const int n = 100 + static_cast<int>(draw(500));
+    const SimTime spread = draw(2) == 0 ? 0 : 1 + draw(40);
+    for (int i = 0; i < n; ++i) {
+      const SimTime t = burst_at + (spread == 0 ? 0 : draw(spread));
+      switch (draw(16)) {
+        case 0:
+        case 1:
+          q.closure(t, label++);
+          break;
+        case 2:
+          held.push_back(Held{q.reserve(), t});
+          break;
+        case 3:
+          if (t >= last_skip) {
+            q.skip(t);
+            last_skip = t;
+            break;
+          }
+          [[fallthrough]];
+        default:
+          q.pod(t, label++);
+          break;
+      }
+    }
+    // Stop inside the burst, then finish it or run on.
+    const SimTime stop = burst_at + draw(spread + 2);
+    if (draw(2) == 0) {
+      q.run_window(stop);
+    } else {
+      q.run_until(stop);
+    }
+    log.push_back(Logged{-1, q.now()});
+    const SimTime next = q.now() + draw(300);
+    if (draw(2) == 0) {
+      q.run_until(next);
+    } else {
+      q.run_window(next);
+    }
+    log.push_back(Logged{-1, q.now()});
+  }
+  for (const Held& h : held) q.settle(std::max(h.t, q.now()), h.seq, label++);
+  q.run();
+  log.push_back(Logged{-1, q.now()});
+  return log;
+}
+
+TEST(EventQueueWindow, SynchronousBurstsMatchTheReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<Logged> got = drive_bursts<QueueUnderTest>(seed);
+    const std::vector<Logged> want = drive_bursts<ReferenceQueue>(seed);
+    ASSERT_GT(want.size(), 5000u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i])
+          << "entry " << i << ": label " << got[i].label << " at "
+          << got[i].clock << ", reference label " << want[i].label << " at "
+          << want[i].clock;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/sim/dcqcn.h"
@@ -705,6 +706,17 @@ TEST(Network, RejectsNegativeChunkIndex) {
   Network net(f.topo, SimConfig{}, q);
   const StreamId s = net.open_stream(f.spec());
   EXPECT_THROW(net.send_chunk(s, -1, 64), std::invalid_argument);
+}
+
+// Deliver events are the sharded engine's control-queue replay; a Network
+// queue never schedules one, so firing one there is a wiring bug.
+TEST(Network, RejectsADeliverEvent) {
+  ChainFixture f;
+  EventQueue q;
+  Network net(f.topo, SimConfig{}, q);
+  SimEvent ev;
+  ev.kind = SimEventKind::Deliver;
+  EXPECT_THROW(net.on_sim_event(ev), std::logic_error);
 }
 
 TEST(Network, ChunksDeliverInOrder) {
