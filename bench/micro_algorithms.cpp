@@ -1,12 +1,13 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible. The last seven isolate
-// simulator components: the event scheduler in steady state, a plan-cache
-// hit, opening + closing one stream on each data-plane engine, the flow
-// engine's max-min solve against component size, the packet engine
+// the actual costs so the scaling is visible. The last nine isolate
+// simulator components: the event scheduler in steady state and in bursts,
+// a plan-cache hit, opening + closing one stream on each data-plane engine,
+// the flow engine's max-min solve against component size, the packet engine
 // draining a source that many streams are backed up behind, one segment
-// hop of the packet engine (FinishTx -> Arrive -> enqueue), and the sharded
-// engine's windows and mailbox drain on a congested cross-pod broadcast.
+// hop of the packet engine (FinishTx -> Arrive -> enqueue), a rate
+// controller catching up on a long quiet spell, and the sharded engine's
+// windows and mailbox drain on a congested cross-pod broadcast.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "src/prefix/plan.h"
 #include "src/prefix/prefix.h"
 #include "src/routing/router.h"
+#include "src/sim/dcqcn.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/flow_network.h"
 #include "src/sim/network.h"
@@ -439,6 +441,35 @@ void BM_PacketHop(benchmark::State& state) {
   state.SetLabel(std::to_string(hops) + "-link chain");
 }
 BENCHMARK(BM_PacketHop)->Arg(2)->Arg(8);
+
+void BM_DcqcnCatchUp(benchmark::State& state) {
+  // The first rate() query of a DCQCN controller whose clock last moved N
+  // alpha_timer periods ago, as when a stream opens long after t = 0 (a
+  // controller's clock starts at 0). One iteration times two such queries,
+  // each on a copy of a standing controller: a fresh one, and one queried
+  // one period after a reaction at 1 s. Default DcqcnParams, 100G line
+  // rate, sender guard timer.
+  const SimTime periods = state.range(0);
+  const DcqcnParams params;
+  const Dcqcn fresh(params, 12.5, CnpMode::SenderGuard, 50 * kMicrosecond);
+  Dcqcn reacted = fresh;
+  reacted.on_cnp(kSecond);
+  benchmark::DoNotOptimize(reacted.rate(kSecond + params.alpha_timer));
+  const SimTime fresh_query = periods * params.alpha_timer;
+  const SimTime reacted_query = kSecond + (1 + periods) * params.alpha_timer;
+
+  for (auto _ : state) {
+    Dcqcn a = fresh;
+    Dcqcn b = reacted;
+    benchmark::DoNotOptimize(a.rate(fresh_query));
+    benchmark::DoNotOptimize(b.rate(reacted_query));
+  }
+  // Seconds per query (kInvert of a rate): "20u" = 20 us.
+  state.counters["time_per_query"] = benchmark::Counter(
+      2.0 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DcqcnCatchUp)->Arg(1)->Arg(1000)->Arg(10000);
 
 void BM_ShardedWindows(benchmark::State& state) {
   // The sharded engine's window loop, mailbox drain and merge-time CNP

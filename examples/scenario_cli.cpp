@@ -28,9 +28,9 @@
 //     --fault-schedule=FILE replay timed link/switch down/up events from FILE
 //                           (`down|up <time_us> link|switch <id>` per line;
 //                           see docs/faults.md) with automatic recovery
-//     --flap-mtbf=US        random link flapping: mean up-time (µs) before a
-//                           failure; requires --flap-mttr
-//     --flap-mttr=US        mean down-time (µs) before repair
+//     --flap-mtbf=US        random link flapping: mean up-time (µs, >= 0.001)
+//                           before a failure; requires --flap-mttr
+//     --flap-mttr=US        mean down-time (µs, >= 0.001) before repair
 //     --flap-links=N        how many random links flap, N >= 1 (default 1)
 //     --flap-horizon=US     no new failures start past this time (0, the
 //                           default: the deadline if set, else 50000 µs)
@@ -62,8 +62,8 @@
 //                           1000 us)
 //     --hold-us=US          group-state hold after the last iteration's
 //                           submission, open loop (default 0)
-//     --rate=J              job arrival rate, jobs/second (default: derived
-//                           from load% via job_rate_for_load)
+//     --rate=J              job arrival rate, jobs/second, >= 0.001 (default:
+//                           derived from load% via job_rate_for_load)
 //     --churn=N             membership-change events per job (default 0)
 //     --churn-frac=F        fraction of members replaced per event (0.25)
 //     --capacity=N          multicast table entries per switch (512; 0 =
@@ -175,6 +175,11 @@ constexpr long kMaxSampleUs = std::numeric_limits<long>::max() / kMicrosecond;
 double parse_us(const char* text, const char* what, double lo = -1e15) {
   return parse_number<double>(text, what, lo, 1e15);
 }
+/// Lower bounds of values that must be positive: a mean flap time of at
+/// least one simulated nanosecond, and an arrival rate whose mean gap (at
+/// most 1000 s) keeps every arrival time inside SimTime.
+constexpr double kMinPositiveUs = 1e-3;
+constexpr double kMinRate = 1e-3;
 double parse_seconds(const char* text, const char* what) {
   return parse_number<double>(text, what, 0.0, 1e9);
 }
@@ -214,9 +219,9 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
     } else if (flag_value(arg, "--fault-schedule", &value)) {
       flags.fault_schedule = value;
     } else if (flag_value(arg, "--flap-mtbf", &value)) {
-      flags.flap_mtbf_us = parse_us(value, "--flap-mtbf");
+      flags.flap_mtbf_us = parse_us(value, "--flap-mtbf", kMinPositiveUs);
     } else if (flag_value(arg, "--flap-mttr", &value)) {
-      flags.flap_mttr_us = parse_us(value, "--flap-mttr");
+      flags.flap_mttr_us = parse_us(value, "--flap-mttr", kMinPositiveUs);
     } else if (flag_value(arg, "--flap-links", &value)) {
       flags.flap_links = parse_number<int>(value, "--flap-links", 1);
     } else if (flag_value(arg, "--flap-horizon", &value)) {
@@ -242,7 +247,7 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
     } else if (flag_value(arg, "--hold-us", &value)) {
       flags.hold_us = parse_us(value, "--hold-us");
     } else if (flag_value(arg, "--rate", &value)) {
-      flags.rate = parse_number<double>(value, "--rate");
+      flags.rate = parse_number<double>(value, "--rate", kMinRate);
     } else if (flag_value(arg, "--churn", &value)) {
       flags.churn = parse_number<int>(value, "--churn");
     } else if (flag_value(arg, "--churn-frac", &value)) {
@@ -432,8 +437,7 @@ int cli_main(int argc, char** argv) {
   }
   if (flags.flap_mtbf_us > 0.0 || flags.flap_mttr_us > 0.0) {
     if (flags.flap_mtbf_us <= 0.0 || flags.flap_mttr_us <= 0.0) {
-      std::fprintf(stderr,
-                   "--flap-mtbf and --flap-mttr must both be positive\n");
+      std::fprintf(stderr, "--flap-mtbf and --flap-mttr must be given together\n");
       return 1;
     }
     sc.faults.flap.mtbf_seconds = flags.flap_mtbf_us * 1e-6;

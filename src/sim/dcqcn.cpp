@@ -19,22 +19,40 @@ void Dcqcn::advance(SimTime now) {
   const SimTime elapsed = now - clock_;
   clock_ = now;
 
-  // Alpha decays once per alpha_timer without a reaction.
+  // Alpha decays once per alpha_timer without a reaction. A reaction would
+  // compute (1 - g) * alpha + g, i.e. decayed + g. Once that is exactly g,
+  // or a decay leaves alpha unchanged (g = 0), further decays cannot change
+  // what a reaction computes: skip them.
   alpha_credit_ += elapsed;
   while (alpha_credit_ >= p_.alpha_timer) {
+    const double decayed = alpha_ * (1.0 - p_.g);
+    if (decayed + p_.g == p_.g || decayed == alpha_) {
+      alpha_credit_ %= p_.alpha_timer;
+      break;
+    }
     alpha_credit_ -= p_.alpha_timer;
-    alpha_ *= (1.0 - p_.g);
+    alpha_ = decayed;
   }
 
   // Rate recovery: fast recovery halves the gap to Rt; afterwards Rt itself
-  // climbs additively (hyper/active increase collapsed into one stage).
+  // climbs additively (hyper/active increase collapsed into one stage). Past
+  // fast recovery every period applies the same map to (Rc, Rt), so once a
+  // period leaves both unchanged, so do all the rest.
   increase_credit_ += elapsed;
   while (increase_credit_ >= p_.increase_timer) {
-    increase_credit_ -= p_.increase_timer;
     if (stage_ >= p_.fast_recovery_stages) {
-      rt_ = std::min(rt_ + p_.additive_increase_fraction * line_rate_, line_rate_);
+      const double rt = std::min(rt_ + p_.additive_increase_fraction * line_rate_, line_rate_);
+      const double rc = std::min((rc_ + rt) / 2.0, line_rate_);
+      if (rt == rt_ && rc == rc_) {
+        increase_credit_ %= p_.increase_timer;
+        break;
+      }
+      rt_ = rt;
+      rc_ = rc;
+    } else {
+      rc_ = std::min((rc_ + rt_) / 2.0, line_rate_);
     }
-    rc_ = std::min((rc_ + rt_) / 2.0, line_rate_);
+    increase_credit_ -= p_.increase_timer;
     ++stage_;
   }
 }

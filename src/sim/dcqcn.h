@@ -6,6 +6,22 @@
 // additively increases (active increase).  All timer evolution is applied
 // lazily at query time — the simulator never schedules per-flow timer events.
 //
+// The clock starts at 0, not when the stream opens, so a controller's first
+// query catches up every period since then. advance() stops walking periods
+// once the rest cannot change anything observable, bit-identically to
+// walking them all:
+//  - Alpha is read only by a reaction, (1 - g) * alpha + g, which is
+//    monotone in alpha, and decay only lowers alpha. Once the reaction would
+//    map alpha to exactly g, it maps every later alpha to g too; once a
+//    decay leaves alpha unchanged (g = 0), so does every later one. The
+//    remaining decays are skipped: from alpha = 1 with g = 1/16 that is
+//    after ~610 periods, long before alpha would sink into subnormals.
+//  - Past fast recovery (stage >= F) every period applies the same map to
+//    (Rc, Rt), and the stage is only ever compared with F. Once one period
+//    leaves (Rc, Rt) unchanged, so do all later ones, so a settled or fresh
+//    controller (Rc = Rt = line rate) walks at most F periods.
+// A skip leaves each credit at credit % timer, as the full walk would.
+//
 // Multicast twist (§4 of the paper): one ECN mark fans out into many CNPs.
 // CnpMode selects whether CNPs are limited at each receiver (classic DCQCN),
 // coalesced by a sender-side guard timer (PEEL), or not at all (ablation).
@@ -13,11 +29,12 @@
 // Under the guard timer most CNPs are swallowed, and a swallowed on_cnp
 // changes only cnps_seen and the lazily advanced clock: advance() lands in
 // the same state whether it runs once or in pieces, because its credits
-// are integers and it applies the same sequence of multiplies. Whether the
-// guard swallows a CNP depends only on its arrival time and the last
-// reaction's, so admit_cnp can decide it before the CNP arrives, and the
-// packet engines never schedule the CNPs it turns away (the single queue
-// asks when a CNP is posted, the sharded engine at the mailbox merge).
+// are integers, it applies the same sequence of multiplies, and its stopping
+// tests read only that state. Whether the guard swallows a CNP depends only
+// on its arrival time and the last reaction's, so admit_cnp can decide it
+// before the CNP arrives, and the packet engines never schedule the CNPs it
+// turns away (the single queue asks when a CNP is posted, the sharded engine
+// at the mailbox merge).
 #pragma once
 
 #include "src/sim/config.h"

@@ -2,8 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace peel {
+namespace {
+
+/// Longest time span an arrival option may give: 1e9 s still converts to
+/// SimTime nanoseconds without overflow.
+constexpr double kMaxSeconds = 1e9;
+
+}  // namespace
 
 const char* to_string(PlacementPolicy policy) noexcept {
   switch (policy) {
@@ -43,6 +52,17 @@ std::vector<JobSpec> generate_arrivals(const ArrivalOptions& options,
   }
   if (options.iterations < 1) {
     throw std::invalid_argument("generate_arrivals: iterations must be >= 1");
+  }
+  for (const auto& [name, seconds] :
+       {std::pair{"iteration_gap_seconds", options.iteration_gap_seconds},
+        std::pair{"hold_seconds", options.hold_seconds}}) {
+    // A negative time would schedule a job's next step into the past; NaN
+    // and infinity have no simulated-time value.
+    if (!(seconds >= 0.0 && seconds <= kMaxSeconds)) {
+      throw std::invalid_argument(std::string("generate_arrivals: ") + name +
+                                  " must be in [0, 1e9] (got " +
+                                  std::to_string(seconds) + ")");
+    }
   }
 
   std::vector<SimTime> arrivals;

@@ -52,12 +52,12 @@ struct ArrivalOptions {
   /// Gap between a job's consecutive iteration submissions, seconds (the
   /// compute phase between collectives). In the default open-loop mode the
   /// gap is a fixed think time; in closed-loop mode it is measured from the
-  /// previous iteration's completion.
+  /// previous iteration's completion. In [0, 1e9].
   double iteration_gap_seconds = 1e-3;
   /// Extra time a job's group state stays installed after its last
   /// iteration *submission* in open-loop mode (models the tail of the final
   /// collective plus controller teardown lag). Closed-loop mode removes
-  /// state when the final iteration finishes and ignores this.
+  /// state when the final iteration finishes and ignores this. In [0, 1e9].
   double hold_seconds = 0.0;
 
   /// Placement-policy mix: P(Fragmented), P(BuddyAligned); the remainder is
@@ -86,7 +86,8 @@ struct JobSpec {
 /// rng.exponential; policy and group-size draws come from the same stream, so
 /// the whole schedule is reproducible from one fork. Throws
 /// std::invalid_argument on a non-positive rate (without a trace), empty
-/// group_sizes, or shares outside [0, 1].
+/// group_sizes, shares outside [0, 1], or an iteration gap or hold time that
+/// is negative, NaN or past 1e9 s (naming the field).
 [[nodiscard]] std::vector<JobSpec> generate_arrivals(
     const ArrivalOptions& options, Rng& rng);
 

@@ -66,6 +66,24 @@ expect_exit_2_naming("--flap-horizon=-100" "--flap-horizon"
 expect_exit_2_naming("--detect-us=-5" "detection_delay_seconds"
                      ${CLI} peel broadcast 64 1 30 5 --detect-us=-5
                      --flap-mtbf=200 --flap-mttr=50 --flap-links=4)
+# Negative workload times are rejected up front, naming the field, not deep
+# in the run with the event queue's "scheduling into the past".
+expect_exit_2_naming("--gap-us=-500" "iteration_gap_seconds"
+                     ${CLI} peel broadcast 16 1 30 5 --workload --gap-us=-500
+                     --iters=3)
+expect_exit_2_naming("--hold-us=-500" "hold_seconds"
+                     ${CLI} peel broadcast 16 1 30 5 --workload --hold-us=-500
+                     --iters=3)
+# An explicit --rate must be positive, not silently "derive it from load%";
+# a flap time must be positive, as an out-of-range value (exit 2).
+expect_exit_2_naming("--rate=-3" "--rate"
+                     ${CLI} peel broadcast 16 1 30 5 --workload --rate=-3)
+expect_exit_2_naming("--flap-mtbf=-5" "--flap-mtbf"
+                     ${CLI} peel broadcast 16 1 30 2 --flap-mtbf=-5
+                     --flap-mttr=50)
+expect_exit_2_naming("--flap-mttr=0" "--flap-mttr"
+                     ${CLI} peel broadcast 16 1 30 2 --flap-mtbf=200
+                     --flap-mttr=0)
 
 if(NOT failures STREQUAL "")
   message(FATAL_ERROR "a binary did not exit 2 on bad input:${failures}")

@@ -3,6 +3,7 @@
 // exactness, plan partitioning, and simulator byte conservation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <deque>
 #include <numeric>
 #include <set>
@@ -366,6 +367,178 @@ TEST_P(DcqcnProperty, GuardPredictionMatchesDeliveringEveryCnp) {
       } else if (mode != CnpMode::SenderGuard) {
         EXPECT_EQ(kept, every.cnps_seen());
       }
+    }
+  }
+}
+
+// The rate controller as it was before advance() learned to stop early: it
+// walks every alpha and recovery period, one loop iteration each. Kept
+// literally as the reference the catch-up shortcuts must match bit for bit.
+class PeriodByPeriodDcqcn {
+ public:
+  PeriodByPeriodDcqcn(const DcqcnParams& params, double line_rate, CnpMode mode,
+                      SimTime guard)
+      : p_(params), line_rate_(line_rate), mode_(mode), guard_(guard),
+        rc_(line_rate), rt_(line_rate) {}
+
+  bool on_cnp(SimTime now) {
+    ++cnps_seen_;
+    advance(now);
+    if (mode_ == CnpMode::SenderGuard && now - last_reaction_ < guard_) {
+      return false;
+    }
+    last_reaction_ = now;
+    ++reactions_;
+    alpha_ = (1.0 - p_.g) * alpha_ + p_.g;
+    rt_ = rc_;
+    rc_ = std::max(rc_ * (1.0 - alpha_ / 2.0), p_.min_rate_fraction * line_rate_);
+    stage_ = 0;
+    increase_credit_ = 0;
+    alpha_credit_ = 0;
+    return true;
+  }
+
+  bool admit_cnp(SimTime arrival) {
+    if (mode_ == CnpMode::SenderGuard && arrival - last_admitted_ < guard_) {
+      ++cnps_seen_;
+      return false;
+    }
+    last_admitted_ = arrival;
+    return true;
+  }
+
+  double rate(SimTime now) {
+    advance(now);
+    return rc_;
+  }
+
+  [[nodiscard]] std::uint64_t reactions() const { return reactions_; }
+  [[nodiscard]] std::uint64_t cnps_seen() const { return cnps_seen_; }
+
+ private:
+  void advance(SimTime now) {
+    if (now <= clock_) return;
+    const SimTime elapsed = now - clock_;
+    clock_ = now;
+    alpha_credit_ += elapsed;
+    while (alpha_credit_ >= p_.alpha_timer) {
+      alpha_credit_ -= p_.alpha_timer;
+      alpha_ *= (1.0 - p_.g);
+    }
+    increase_credit_ += elapsed;
+    while (increase_credit_ >= p_.increase_timer) {
+      increase_credit_ -= p_.increase_timer;
+      if (stage_ >= p_.fast_recovery_stages) {
+        rt_ = std::min(rt_ + p_.additive_increase_fraction * line_rate_, line_rate_);
+      }
+      rc_ = std::min((rc_ + rt_) / 2.0, line_rate_);
+      ++stage_;
+    }
+  }
+
+  static constexpr SimTime kMinReaction = -(1LL << 62);
+  DcqcnParams p_;
+  double line_rate_;
+  CnpMode mode_;
+  SimTime guard_;
+  double rc_;
+  double rt_;
+  double alpha_ = 1.0;
+  int stage_ = 0;
+  SimTime clock_ = 0;
+  SimTime alpha_credit_ = 0;
+  SimTime increase_credit_ = 0;
+  SimTime last_reaction_ = kMinReaction;
+  SimTime last_admitted_ = kMinReaction;
+  std::uint64_t reactions_ = 0;
+  std::uint64_t cnps_seen_ = 0;
+};
+
+// advance() skips the periods that can no longer change anything observable
+// (alpha settled at what a reaction maps to g, recovery at a fixed point past
+// fast recovery). Random interleavings of rate, on_cnp (single and in bursts
+// at one instant, which drive the rate to its floor) and admit_cnp with a
+// delayed on_cnp, in every CnpMode, with gaps from 0 to 20,000 periods (past
+// alpha's underflow into subnormals), must give the same bits as walking
+// every period. Each sweep point also runs with g = 0, g = 1, no additive
+// increase, no fast recovery, and a recovery timer apart from alpha's.
+TEST_P(DcqcnProperty, CatchUpMatchesWalkingEveryPeriod) {
+  const auto [g, stages, additive] = GetParam();
+  DcqcnParams base;
+  base.g = g;
+  base.fast_recovery_stages = stages;
+  base.additive_increase_fraction = additive;
+  std::vector<DcqcnParams> variants(6, base);
+  variants[1].g = 0.0;
+  variants[2].g = 1.0;
+  variants[3].additive_increase_fraction = 0.0;
+  variants[4].fast_recovery_stages = 0;
+  variants[5].increase_timer = 13 * kMicrosecond;
+  const double line = 12.5;
+  const SimTime delay = 5 * kMicrosecond;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  std::uint64_t seed = 1;
+  for (const DcqcnParams& p : variants) {
+    for (const CnpMode mode : {CnpMode::SenderGuard, CnpMode::ReceiverTimer,
+                               CnpMode::Unthrottled}) {
+      Dcqcn cc(p, line, mode, 50 * kMicrosecond);
+      PeriodByPeriodDcqcn ref(p, line, mode, 50 * kMicrosecond);
+      Rng rng(seed++);
+      std::deque<SimTime> in_flight;  // arrivals of admitted CNPs
+      const auto deliver_until = [&](SimTime horizon) {
+        while (!in_flight.empty() && in_flight.front() <= horizon) {
+          const SimTime arrival = in_flight.front();
+          in_flight.pop_front();
+          ASSERT_EQ(cc.on_cnp(arrival), ref.on_cnp(arrival)) << "at " << arrival;
+        }
+      };
+
+      SimTime now = 0;
+      for (int i = 0; i < 400; ++i) {
+        const std::uint64_t r = rng.next_below(100);
+        const auto periods = [&](std::uint64_t n) {
+          return static_cast<SimTime>(rng.next_below(n * p.alpha_timer));
+        };
+        if (r < 25) {
+          // same instant
+        } else if (r < 55) {
+          now += periods(1);
+        } else if (r < 80) {
+          now += periods(20);
+        } else if (r < 95) {
+          now += periods(1000);
+        } else {
+          now += periods(20'000);
+        }
+        deliver_until(now);
+        if (HasFatalFailure()) return;
+        switch (rng.next_below(4)) {
+          case 0: {
+            const int burst = 1 + static_cast<int>(rng.next_below(3) == 0
+                                                       ? rng.next_below(12) : 0);
+            for (int k = 0; k < burst; ++k) {
+              ASSERT_EQ(cc.on_cnp(now), ref.on_cnp(now)) << "at " << now;
+            }
+            break;
+          }
+          case 1: {
+            const bool admitted = cc.admit_cnp(now + delay);
+            ASSERT_EQ(admitted, ref.admit_cnp(now + delay)) << "at " << now;
+            if (admitted) in_flight.push_back(now + delay);
+            break;
+          }
+          default:
+            break;
+        }
+        ASSERT_EQ(bits(cc.rate(now)), bits(ref.rate(now)))
+            << "g=" << p.g << " F=" << p.fast_recovery_stages
+            << " ai=" << p.additive_increase_fraction << " at " << now;
+      }
+      deliver_until(now + delay);
+      if (HasFatalFailure()) return;
+      EXPECT_EQ(cc.reactions(), ref.reactions());
+      EXPECT_EQ(cc.cnps_seen(), ref.cnps_seen());
     }
   }
 }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
 
 #include "src/workload/arrivals.h"
 #include "src/workload/churn.h"
@@ -248,6 +250,31 @@ TEST(Arrivals, RejectsBadOptions) {
   opts.fragmented_share = 0.8;
   opts.buddy_share = 0.4;  // shares sum past 1
   EXPECT_THROW(generate_arrivals(opts, rng), std::invalid_argument);
+}
+
+// A negative gap or hold would schedule a job's next step into the past deep
+// inside run_workload; it is rejected here, naming the field.
+TEST(Arrivals, RejectsANegativeOrNaNGapOrHold) {
+  Rng rng(1);
+  ArrivalOptions opts;
+  opts.rate_per_second = 100.0;
+  const auto message = [&] {
+    try {
+      (void)generate_arrivals(opts, rng);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  for (const double bad : {-5e-4, std::nan(""), HUGE_VAL}) {
+    opts.iteration_gap_seconds = bad;
+    EXPECT_NE(message().find("iteration_gap_seconds"), std::string::npos);
+    opts.iteration_gap_seconds = 0.0;
+    opts.hold_seconds = bad;
+    EXPECT_NE(message().find("hold_seconds"), std::string::npos);
+    opts.hold_seconds = 0.0;
+  }
+  EXPECT_EQ(message(), "no throw");
 }
 
 TEST(Churn, ReplacesMembersWithoutDuplicatesOrTheSource) {
