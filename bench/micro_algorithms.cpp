@@ -234,10 +234,10 @@ void BM_OpenStream(benchmark::State& state) {
   // open_stream + close_stream for one 64-GPU group spread over a k-ary
   // fat-tree: arg 1 = 0 opens one PEEL multicast packet class, 1 the InNet
   // fused reduce stream; arg 2 picks the engine: 0 the solo packet Network,
-  // 1 the sharded engine with one worker, 2 the flow engine. The packet
-  // engines build node-count-sized tables (fwd_offset, recv_index) per open
-  // replica, so their cost tracks the fabric, not the group; the sharded
-  // engine opens a replica in every domain the stream touches.
+  // 1 the sharded engine with one worker, 2 the flow engine. Every engine
+  // builds only tree-sized state per open replica, so the cost tracks the
+  // group, not the fabric; the sharded engine opens a replica in every
+  // domain the stream touches.
   const int k = static_cast<int>(state.range(0));
   const bool reduce = state.range(1) != 0;
   const int engine = static_cast<int>(state.range(2));
@@ -252,7 +252,7 @@ void BM_OpenStream(benchmark::State& state) {
       Fabric::of(ft), build_peel_plan(ft, members.front(), dests), 0);
   const StreamSpec spec =
       reduce ? innet_fused_spec(ft.topo, parts, members.front(), members)
-             : spec_from_tree(ft.topo, parts.front().tree,
+             : spec_from_tree(parts.front().tree,
                               parts.front().receivers);
 
   EventQueue queue;
@@ -313,16 +313,14 @@ void BM_FlowSolve(benchmark::State& state) {
     const std::vector<NodeId> dests(members.begin() + 1, members.begin() + 16);
     const std::vector<PeelStream> parts = peel_static_trees(
         fabric, build_peel_plan(ft, members.front(), dests), 0);
-    StreamSpec spec = spec_from_tree(ft.topo, parts.front().tree,
+    StreamSpec spec = spec_from_tree(parts.front().tree,
                                      parts.front().receivers);
     bool joins = specs.empty();
-    for (const auto& [node, links] : spec.forward) {
-      for (LinkId l : links) joins = joins || used[static_cast<std::size_t>(l)];
+    for (LinkId l : spec.links) {
+      joins = joins || used[static_cast<std::size_t>(l)];
     }
     if (!joins) continue;
-    for (const auto& [node, links] : spec.forward) {
-      for (LinkId l : links) used[static_cast<std::size_t>(l)] = 1;
-    }
+    for (LinkId l : spec.links) used[static_cast<std::size_t>(l)] = 1;
     specs.push_back(std::move(spec));
   }
 
@@ -368,8 +366,7 @@ void BM_SourceBacklog(benchmark::State& state) {
   const LinkId down = topo.add_duplex_link(tor, dst, 100_gbps, 100);
   StreamSpec spec;
   spec.source = src;
-  spec.forward[src] = {up};
-  spec.forward[tor] = {down};
+  spec.links = {up, down};
   spec.receivers = {dst};
   SimConfig config;
   config.congestion_control = false;
@@ -416,8 +413,8 @@ void BM_PacketHop(benchmark::State& state) {
   spec.source = chain.front();
   for (int i = 0; i < hops; ++i) {
     const auto at = static_cast<std::size_t>(i);
-    spec.forward[chain[at]] = {
-        topo.add_duplex_link(chain[at], chain[at + 1], 100_gbps, 100)};
+    spec.links.push_back(
+        topo.add_duplex_link(chain[at], chain[at + 1], 100_gbps, 100));
   }
   spec.receivers = {chain.back()};
   SimConfig config;
@@ -486,7 +483,7 @@ void BM_ShardedWindows(benchmark::State& state) {
   const std::vector<NodeId> dests(hosts.begin() + 1, hosts.end());
   const std::vector<PeelStream> parts = peel_static_trees(
       Fabric::of(ft), build_peel_plan(ft, hosts.front(), dests), 0);
-  StreamSpec spec = spec_from_tree(ft.topo, parts.front().tree,
+  StreamSpec spec = spec_from_tree(parts.front().tree,
                                    parts.front().receivers);
   spec.cnp_mode = CnpMode::SenderGuard;
   SimConfig config;

@@ -391,7 +391,7 @@ struct CollectiveRunner::Multicast final : Transfer {
       for (const PeelStream& part : *parts) {
         covered += part.receivers.size();
         if (part.receivers.empty()) continue;  // purely redundant packet class
-        add_stream(c, spec_from_tree(c.fabric().topo(), part.tree, part.receivers), t);
+        add_stream(c, spec_from_tree(part.tree, part.receivers), t);
       }
       if (covered != dests.size()) {
         throw std::logic_error("multicast streams do not partition the group");
@@ -403,7 +403,7 @@ struct CollectiveRunner::Multicast final : Transfer {
     const Topology& topo = c.fabric().topo();
     const OrcaProgram program =
         orca_program(c.fabric(), c.runner->router_, source, dests, selector);
-    add_stream(c, spec_from_tree(topo, program.trunk, program.trunk_receivers), 0);
+    add_stream(c, spec_from_tree(program.trunk, program.trunk_receivers), 0);
     for (NodeId e : program.trunk_receivers) {
       host_of[e] = topo.kind(e) == NodeKind::Gpu ? topo.host_of(e) : e;
     }
@@ -413,7 +413,7 @@ struct CollectiveRunner::Multicast final : Transfer {
       const NodeId peer = relay.route.nodes.back();
       spec.receivers.clear();
       for (NodeId e : relay.endpoints) {
-        if (e != peer) spec.forward[peer].push_back(topo.find_link(peer, e));
+        if (e != peer) spec.links.push_back(topo.find_link(peer, e));
         spec.receivers.push_back(e);
       }
       spec.cnp_mode = CnpMode::ReceiverTimer;
@@ -422,7 +422,7 @@ struct CollectiveRunner::Multicast final : Transfer {
   }
 
   /// InNet: the PEEL prefix parts fused into ONE stream (innet_fused_spec)
-  /// whose forward map is the merged member-serving tree rerooted at the
+  /// whose links are the merged member-serving tree rerooted at the
   /// pivot. Members pace contributions up its exact mirror, switches
   /// combine in SRAM, and the combined bytes come back down as the prefix
   /// multicast. `live` (or a plan that no longer fits — a mid-outage
@@ -491,7 +491,7 @@ struct CollectiveRunner::Multicast final : Transfer {
       if (!moves(k)) continue;
       if (exact < 0) {
         StreamSpec spec = spec_from_tree(
-            c.fabric().topo(), optimal_tree(c.fabric(), source, dests, selector), dests);
+            optimal_tree(c.fabric(), source, dests, selector), dests);
         spec.cnp_mode = c.runner->options_.multicast_cnp_mode;
         exact = c.open(std::move(spec));
       }

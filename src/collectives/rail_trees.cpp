@@ -259,7 +259,7 @@ RailBroadcastResult simulate_rail_broadcast(const RailFabric& rf,
   for (const auto& s : streams) {
     if (s.receivers.empty()) continue;
     expected += s.receivers.size() * chunk_sizes.size();
-    StreamSpec spec = spec_from_tree(rf.topo, s.tree, s.receivers);
+    StreamSpec spec = spec_from_tree(s.tree, s.receivers);
     spec.cnp_mode = CnpMode::SenderGuard;
     const StreamId id = net.open_stream(std::move(spec));
     for (std::size_t c = 0; c < chunk_sizes.size(); ++c) {

@@ -426,7 +426,7 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
       } catch (const std::exception&) {
       }
       if (tree) {
-        StreamSpec spec = spec_from_tree(fabric_.topo(), *tree, receivers);
+        StreamSpec spec = spec_from_tree(*tree, receivers);
         spec.cnp_mode = options_.multicast_cnp_mode;
         const StreamId s = col.open(std::move(spec));
         col.recovery_streams.insert(s);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/prefix/cover.h"
@@ -35,13 +36,11 @@ std::vector<std::pair<NodeId, std::vector<NodeId>>> members_by_host(
   return {hosts.begin(), hosts.end()};
 }
 
-StreamSpec spec_from_tree(const Topology& topo, const MulticastTree& tree,
+StreamSpec spec_from_tree(const MulticastTree& tree,
                           std::span<const NodeId> receivers) {
   StreamSpec spec;
   spec.source = tree.source();
-  for (LinkId l : tree.links()) {
-    spec.forward[topo.link(l).src].push_back(l);
-  }
+  spec.links = tree.links();
   if (receivers.empty()) {
     spec.receivers = tree.destinations();
   } else {
@@ -54,9 +53,7 @@ StreamSpec spec_from_route(const Route& route) {
   if (route.links.empty()) throw std::invalid_argument("empty route");
   StreamSpec spec;
   spec.source = route.nodes.front();
-  for (std::size_t i = 0; i < route.links.size(); ++i) {
-    spec.forward[route.nodes[i]].push_back(route.links[i]);
-  }
+  spec.links = route.links;
   spec.receivers = {route.nodes.back()};
   return spec;
 }
@@ -93,7 +90,6 @@ StreamSpec innet_fused_spec(const Topology& topo,
   }
   std::unordered_map<NodeId, std::vector<LinkId>> out;
   for (const auto& [dst, l] : in_link) out[topo.link(l).src].push_back(l);
-  for (auto& [n, links] : out) std::sort(links.begin(), links.end());
   // Reroot at the pivot: walk up from the source while the tree is a pure
   // chain; the first fan-out node is where the parts' trunks diverge toward
   // the replication tier.  The trunk links below it flip direction so the
@@ -121,9 +117,7 @@ StreamSpec innet_fused_spec(const Topology& topo,
     auto& links = it->second;
     links.erase(std::find(links.begin(), links.end(), l));
     if (links.empty()) out.erase(it);
-    auto& up = out[lk.dst];
-    up.push_back(topo.reverse_of(l));
-    std::sort(up.begin(), up.end());
+    out[lk.dst].push_back(topo.reverse_of(l));
   }
   for (NodeId m : members) {
     if (out.contains(m)) {
@@ -134,7 +128,11 @@ StreamSpec innet_fused_spec(const Topology& topo,
   }
   StreamSpec spec;
   spec.source = pivot;
-  spec.forward = std::move(out);
+  for (const auto& [n, links] : out) {
+    spec.links.insert(spec.links.end(), links.begin(), links.end());
+  }
+  // Sorted, so each node replicates onto its out-links in id order.
+  std::sort(spec.links.begin(), spec.links.end());
   spec.receivers.assign(members.begin(), members.end());
   spec.contributors.assign(members.begin(), members.end());
   return spec;

@@ -1,6 +1,6 @@
 // Tree/program construction for each broadcast scheme.
 //
-// Every scheme ultimately becomes one or more StreamSpecs (forwarding maps +
+// Every scheme ultimately becomes one or more StreamSpecs (link lists +
 // member receivers).  This header builds them:
 //   * optimal_tree          — bandwidth-optimal in-network multicast (§2.1)
 //   * peel_static_trees     — one tree per PEEL prefix packet (§3.2); the
@@ -23,9 +23,9 @@
 
 namespace peel {
 
-/// Converts a multicast tree into a forwarding map + receiver list.
-/// `receivers` defaults to the tree's destinations.
-[[nodiscard]] StreamSpec spec_from_tree(const Topology& topo, const MulticastTree& tree,
+/// Converts a multicast tree into a StreamSpec: the tree's links and a
+/// receiver list, which defaults to the tree's destinations.
+[[nodiscard]] StreamSpec spec_from_tree(const MulticastTree& tree,
                                         std::span<const NodeId> receivers = {});
 
 /// Converts a unicast route into a linear StreamSpec whose only receiver is
@@ -55,7 +55,7 @@ struct PeelStream {
 /// parts' member-serving links (over-covered branches pruned) merge into a
 /// single tree rooted at `source`, which is then rerooted at the pivot — the
 /// first fan-out node above the source, where the parts' trunks diverge
-/// toward the replication tier. The spec's forward map is that rerooted tree
+/// toward the replication tier. The spec's links are that rerooted tree
 /// (the prefix multicast down to every member, source included via the
 /// reversed trunk); the data plane runs contributions up the exact mirror of
 /// the same links, combining at every interior switch, and the pivot's fully

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/units.h"
@@ -24,8 +23,9 @@ using StreamId = std::int32_t;
 /// A transfer program: where data enters, how nodes forward it, who consumes.
 struct StreamSpec {
   NodeId source = kInvalidNode;
-  /// node -> out-links to replicate onto (oriented away from the source).
-  std::unordered_map<NodeId, std::vector<LinkId>> forward;
+  /// Links to replicate onto, oriented away from the source: each link's
+  /// source node copies segments onto its out-links in list order.
+  std::vector<LinkId> links;
   /// Endpoints whose deliveries count (over-covered hosts are *not* listed:
   /// they receive bytes but discard silently).
   std::vector<NodeId> receivers;
@@ -33,9 +33,10 @@ struct StreamSpec {
   /// Collective id (or any caller cookie) echoed in delivery events.
   std::uint64_t tag = 0;
   /// Non-empty turns the stream into an in-network *reduction*: every listed
-  /// endpoint injects its own copy of each chunk, `forward` is oriented
-  /// toward `source` (the reduction root — the stream's only receiver), and
-  /// each interior node combines child segments before forwarding upstream.
+  /// endpoint injects its own copy of each chunk, `links` form a down-tree
+  /// rooted at `source` (the reduction root) whose mirror the contributions
+  /// climb, and each interior node combines child segments before
+  /// forwarding upstream.
   std::vector<NodeId> contributors;
 };
 
@@ -73,11 +74,12 @@ class DataPlane {
 
   /// Every engine validates `spec` in compile_stream (src/sim/stream_tree.h)
   /// and throws std::invalid_argument, consuming no StreamId, on an
-  /// out-of-range node or link id, an out-link listed under a node it does
-  /// not leave, a source with no out-link, a cycle reachable from the
-  /// source, or a reduce stream that is not a tree rooted at `source` with
-  /// leaf contributors. Unreached receivers and multicast nodes entered
-  /// twice are legal; the byte audit reports them.
+  /// out-of-range node or link id, a source with no out-link, a cycle
+  /// reachable from the source, or a reduce stream that is not a tree
+  /// rooted at `source` with leaf contributors. Unreached receivers and
+  /// multicast nodes entered twice are legal; the byte audit reports them.
+  /// An open costs O(tree): no engine sizes per-stream state by the
+  /// fabric's node count.
   virtual StreamId open_stream(StreamSpec spec) = 0;
 
   /// Queues `bytes` of chunk `chunk_index` for paced injection at the source.

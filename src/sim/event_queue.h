@@ -58,8 +58,8 @@ enum class SimEventKind : std::uint8_t {
               ///< `b`; with `flag` set, pump the next `b` injectors a
               ///< backpressure release woke instead (one event per release)
   FinishTx,   ///< link `a` finished serializing its head segment (epoch)
-  Arrive,     ///< segment (stream b, chunk c, bytes d, ingress e, marked
-              ///< flag) reaches the far end of link `a` (epoch)
+  Arrive,     ///< segment (stream b, chunk c, bytes d, marked flag) reaches
+              ///< link `a`'s far end, stream b's tree node e (epoch)
   CnpRate,    ///< congestion notification reaches stream `a`'s sender
   SampleTick, ///< telemetry time-series sampler
   PfcPause,   ///< cross-domain PFC pause frame reaches link `a`'s sender

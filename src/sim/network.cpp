@@ -51,7 +51,8 @@ void Network::on_sim_event(const SimEvent& ev) {
       finish_tx(ev.a, ev.epoch);
       return;
     case SimEventKind::Arrive:
-      arrive(ev.a, Segment{ev.b, ev.c, ev.d, ev.e, ev.flag}, ev.epoch);
+      arrive(ev.a, Segment{ev.b, ev.c, ev.d, kInvalidLink, ev.e, ev.flag},
+             ev.epoch);
       return;
     case SimEventKind::CnpRate: {
       auto& st = streams_[static_cast<std::size_t>(ev.a)];
@@ -166,52 +167,38 @@ StreamId Network::open_replica(
     throw std::invalid_argument("injector_local mask must match injectors");
   }
   const auto id = static_cast<StreamId>(streams_.size());
-  const std::size_t node_count = topo_->node_count();
   StreamState st;
   st.tag = t.tag;
   for (std::size_t i = 0; i < t.injectors.size(); ++i) {
     const StreamTree::Injector& ti = t.injectors[i];
     Injector inj;
-    inj.node = ti.node;
-    inj.up_link = ti.up_link;
     inj.cc = Dcqcn(config_.dcqcn, topo_->link(ti.pace_link).rate.bytes_per_ns(),
                    t.cnp_mode, config_.sender_guard_interval);
     inj.local = injector_local.empty() || injector_local[i] != 0;
     st.injectors.push_back(std::move(inj));
   }
 
-  // Index the tree's out-links by node: fwd_offset[n] is where node n's
-  // slice starts. The tree lists slices in node order, so the offsets are a
-  // prefix sum of out-degrees. arrive() then replicates with two array
-  // reads and no hashing.
-  st.fwd_offset.assign(node_count + 1, 0);
-  for (const StreamTree::Node& tn : t.nodes) {
-    st.fwd_offset[static_cast<std::size_t>(tn.node) + 1] =
-        tn.out_end - tn.out_begin;
-  }
-  for (std::size_t n = 0; n < node_count; ++n) {
-    st.fwd_offset[n + 1] += st.fwd_offset[n];
-  }
-
-  st.recv_index.assign(node_count, -1);
-  for (std::size_t i = 0; i < receivers.size(); ++i) {
-    st.recv_index[static_cast<std::size_t>(receivers[i])] =
-        static_cast<std::int32_t>(i);
+  // `receivers` is a subsequence of t.receivers: one merged walk finds each
+  // one's tree index. A receiver off the tree keeps its progress row (the
+  // diagnostic reports it) but gets no slot, as no segment arrives there.
+  st.recv_slot.assign(t.nodes.size(), -1);
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < receivers.size(); ++i, ++j) {
+    while (j < t.receivers.size() && t.receivers[j] != receivers[i]) ++j;
+    if (j == t.receivers.size()) {
+      throw std::invalid_argument(
+          "replica receivers must be a subsequence of tree->receivers");
+    }
+    if (t.receiver_at[j] >= 0) {
+      st.recv_slot[static_cast<std::size_t>(t.receiver_at[j])] =
+          static_cast<std::int32_t>(i);
+    }
   }
   st.progress.resize(receivers.size());
   st.last_cnp.assign(receivers.size(), kMinCnp);
-
-  if (t.reduce()) {
-    st.combiner_of_node.assign(node_count, -1);
-    for (std::size_t i = 0; i < t.combiners.size(); ++i) {
-      st.combiner_of_node[static_cast<std::size_t>(t.combiners[i].node)] =
-          static_cast<std::int32_t>(i);
-    }
-    st.combiners.resize(t.combiners.size());
-  }
+  st.combiners.resize(t.combiners.size());
 
   if (telem_) telem_->on_stream_open(id, t, receivers);
-  st.fwd_links = t.out_links;
   st.tree = std::move(tree);
   streams_.push_back(std::move(st));
   return id;
@@ -297,16 +284,13 @@ void Network::close_stream(StreamId stream) {
   }
   st.closed = true;
   // Release, don't just clear: fault-heavy runs open one recovery stream per
-  // (collective, origin) per pass, and clear() retains each dead stream's
-  // node-count-sized tables (fwd_offset, recv_index) forever — hundreds of
-  // MiB of dead capacity across a flapping horizon.
+  // (collective, origin) per pass, and clear() would retain each dead
+  // stream's tables forever.
   // NB: `v = {}` is initializer-list assignment and keeps capacity, exactly
   // like clear(); swapping with a default-constructed temporary frees it.
   auto release = [](auto& c) { std::decay_t<decltype(c)>{}.swap(c); };
   st.tree.reset();
-  st.fwd_links = {};
-  release(st.fwd_offset);
-  release(st.recv_index);
+  release(st.recv_slot);
   release(st.progress);
   release(st.last_cnp);
   release(st.chunk_want);
@@ -317,7 +301,6 @@ void Network::close_stream(StreamId stream) {
   }
   if (!st.injectors.empty()) release(st.injectors.front().pending);
   release(st.combiners);
-  release(st.combiner_of_node);
   // Whatever this stream still held in combiner SRAM is discarded with it.
   reduce_held_ -= st.reduce_held;
   st.reduce_held = 0;
@@ -373,16 +356,18 @@ void Network::pump(StreamId stream, std::int32_t injector) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
   if (st.closed) return;
   Injector& inj = st.injectors[static_cast<std::size_t>(injector)];
+  const StreamTree::Injector& ti =
+      st.tree->injectors[static_cast<std::size_t>(injector)];
   inj.pump_scheduled = false;
 
   while (inj.pending_head < inj.pending.size()) {
     const SimTime now = queue_->now();
     // Backpressure: a paused injector (its node's buffers full, e.g. under
     // PFC from downstream) stops injecting; release_buffer re-arms the pump.
-    if (nodes_[static_cast<std::size_t>(inj.node)].buffered >
+    if (nodes_[static_cast<std::size_t>(ti.node)].buffered >
         pause_threshold_) {
       inj.pump_blocked = true;
-      blocked_pumps_[static_cast<std::size_t>(inj.node)].push_back(
+      blocked_pumps_[static_cast<std::size_t>(ti.node)].push_back(
           BlockedPump{stream, injector});
       return;
     }
@@ -397,17 +382,14 @@ void Network::pump(StreamId stream, std::int32_t injector) {
     auto& pc = inj.pending[inj.pending_head];
     const Bytes seg_bytes =
         std::min<Bytes>(config_.segment_bytes, pc.bytes - pc.injected);
-    const Segment seg{stream, pc.chunk, static_cast<std::int32_t>(seg_bytes),
-                      kInvalidLink, false};
-    if (telem_) telem_->on_contribute(stream, inj.node, pc.chunk, seg_bytes);
-    if (inj.up_link != kInvalidLink) {
-      enqueue_segment(inj.up_link, seg);
+    Segment seg{stream, pc.chunk, static_cast<std::int32_t>(seg_bytes),
+                kInvalidLink, -1, false};
+    if (telem_) telem_->on_contribute(stream, ti.node, pc.chunk, seg_bytes);
+    if (ti.up_link != kInvalidLink) {
+      seg.at = st.tree->nodes[static_cast<std::size_t>(ti.at)].up;
+      enqueue_segment(ti.up_link, seg);
     } else {
-      const auto src = static_cast<std::size_t>(inj.node);
-      for (std::int32_t i = st.fwd_offset[src]; i < st.fwd_offset[src + 1];
-           ++i) {
-        enqueue_segment(st.fwd_links[static_cast<std::size_t>(i)], seg);
-      }
+      replicate(*st.tree, ti.at, seg);
     }
     pc.injected += seg_bytes;
     if (pc.injected == pc.bytes) {
@@ -420,6 +402,14 @@ void Network::pump(StreamId stream, std::int32_t injector) {
     const double tx_ns = static_cast<double>(seg_bytes) / rate;
     inj.pace_next =
         std::max(inj.pace_next, now) + static_cast<SimTime>(std::ceil(tx_ns));
+  }
+}
+
+void Network::replicate(const StreamTree& t, std::int32_t at, Segment seg) {
+  const StreamTree::Node& tn = t.nodes[static_cast<std::size_t>(at)];
+  for (std::int32_t i = tn.out_begin; i < tn.out_end; ++i) {
+    seg.at = t.out_dst[static_cast<std::size_t>(i)];
+    enqueue_segment(t.out_links[static_cast<std::size_t>(i)], seg);
   }
 }
 
@@ -519,7 +509,7 @@ void Network::finish_tx(LinkId l, std::uint32_t fail_epoch) {
 
   post_event(queue_->now() + lk.propagation,
              SimEvent{SimEventKind::Arrive, seg.marked, l, seg.stream,
-                      seg.chunk, seg.bytes, seg.ingress, fail_epoch});
+                      seg.chunk, seg.bytes, seg.at, fail_epoch});
   try_start(l);
 }
 
@@ -607,9 +597,10 @@ void Network::arrive(LinkId l, Segment seg, std::uint32_t fail_epoch) {
     if (telem_) telem_->on_wire_drop(seg.stream, seg.bytes);
     return;
   }
-  const NodeId n = topo_->link(l).dst;
   auto& st = streams_[static_cast<std::size_t>(seg.stream)];
   if (st.closed) return;
+  const StreamTree& t = *st.tree;
+  const StreamTree::Node& tn = t.nodes[static_cast<std::size_t>(seg.at)];
 
   // In-network reduction: an arrival at an interior node over one of its
   // mirrored child links is an upstream contribution — absorb into combiner
@@ -618,29 +609,22 @@ void Network::arrive(LinkId l, Segment seg, std::uint32_t fail_epoch) {
   // the same node over its down in-link (never a child: the mirror has no
   // 2-cycles) is the multicast passing through and falls through to the
   // ordinary replicate path.
-  if (!st.combiner_of_node.empty()) {
-    const std::int32_t ci = st.combiner_of_node[static_cast<std::size_t>(n)];
-    if (ci >= 0) {
-      const auto& kids =
-          st.tree->combiners[static_cast<std::size_t>(ci)].child_links;
-      const auto slot = static_cast<std::size_t>(
-          std::lower_bound(kids.begin(), kids.end(), l) - kids.begin());
-      if (slot < kids.size() && kids[slot] == l) {
-        reduce_absorb(seg.stream, ci, slot, seg);
-        return;
-      }
+  if (tn.combiner >= 0) {
+    const auto& kids =
+        t.combiners[static_cast<std::size_t>(tn.combiner)].child_links;
+    const auto slot = static_cast<std::size_t>(
+        std::lower_bound(kids.begin(), kids.end(), l) - kids.begin());
+    if (slot < kids.size() && kids[slot] == l) {
+      reduce_absorb(seg.stream, tn.combiner, slot, seg);
+      return;
     }
   }
 
   seg.ingress = l;  // buffer occupancy downstream is charged to this port
-  const auto ni = static_cast<std::size_t>(n);
-  const std::int32_t out_begin = st.fwd_offset[ni];
-  const std::int32_t out_end = st.fwd_offset[ni + 1];
-  for (std::int32_t i = out_begin; i < out_end; ++i) {
-    enqueue_segment(st.fwd_links[static_cast<std::size_t>(i)], seg);
-  }
+  replicate(t, seg.at, seg);
 
-  const std::int32_t ri = st.recv_index[ni];
+  const NodeId n = tn.node;
+  const std::int32_t ri = st.recv_slot[static_cast<std::size_t>(seg.at)];
   if (ri >= 0) {
     auto& prog = st.progress[static_cast<std::size_t>(ri)];
     const auto ci = static_cast<std::size_t>(seg.chunk);
@@ -712,20 +696,16 @@ void Network::reduce_emit(StreamId s, std::int32_t combiner,
   // deliberately outside per-ingress PFC accounting — pausing the fast
   // children of a slow combiner is exactly the fan-in deadlock the SRAM
   // model exists to avoid.
-  const Segment seg{s, chunk, static_cast<std::int32_t>(bytes), kInvalidLink,
-                    marked};
+  Segment seg{s, chunk, static_cast<std::int32_t>(bytes), kInvalidLink, -1,
+              marked};
   if (cb.up_link != kInvalidLink) {
+    seg.at = st.tree->nodes[static_cast<std::size_t>(cb.at)].up;
     enqueue_segment(cb.up_link, seg);
     return;
   }
   // Pivot: the fully combined bytes turn around and launch the forward
   // multicast down to every member.
-  const auto ni = static_cast<std::size_t>(cb.node);
-  const std::int32_t out_begin = st.fwd_offset[ni];
-  const std::int32_t out_end = st.fwd_offset[ni + 1];
-  for (std::int32_t i = out_begin; i < out_end; ++i) {
-    enqueue_segment(st.fwd_links[static_cast<std::size_t>(i)], seg);
-  }
+  replicate(*st.tree, cb.at, seg);
 }
 
 void Network::maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver) {

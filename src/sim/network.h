@@ -3,8 +3,8 @@
 // The Network turns a Topology into a running fabric: every link is a FIFO
 // serializer with an egress queue, every switch has a shared-buffer occupancy
 // driving ECN marking and PFC pause/resume, and every transfer is a Stream —
-// a source plus a forwarding map (a multicast tree; unicast is the
-// degenerate linear tree).  Switches replicate segments onto all of a
+// a source plus a list of links to replicate onto (a multicast tree; unicast
+// is the degenerate linear tree).  Switches replicate segments onto all of a
 // stream's out-links, which is exactly the replication PEEL's prefix rules,
 // Orca's controller rules, or classic IP multicast entries would perform.
 //
@@ -20,10 +20,11 @@
 // serves both, and Pump/CnpRate events name the injector in SimEvent::b.
 //
 // Hot-path layout: open_stream compiles the spec once (compile_stream,
-// src/sim/stream_tree.h) and indexes the tree's out-links as a CSR table
-// (per-node offsets into the tree's flat out-link array) and the receiver
-// set as a dense node->index map, so the per-segment work in arrive() is
-// array indexing with no hashing. Steady-state events (pump, finish_tx,
+// src/sim/stream_tree.h), and per-stream tables are indexed by tree index
+// (position in StreamTree::nodes), not node id, so an open costs O(tree). A
+// segment carries the tree index of the node its link enters (SimEvent::e of
+// its Arrive), so arrive() finds that node's out-links, combiner and
+// receiver slot by array indexing. Steady-state events (pump, finish_tx,
 // arrive, CNP delivery, telemetry ticks) are scheduled as packed SimEvents
 // dispatched back through SimEventSink instead of heap-allocated
 // std::function closures; the Network binds itself as the queue's sink on
@@ -98,7 +99,8 @@ class Network final : public SimEventSink, public DataPlane {
   StreamId open_stream(StreamSpec spec) override;
 
   /// Shard-mode replica open of a stream ShardedNetwork already compiled:
-  /// `receivers` is the subset of tree->receivers this replica tracks, and
+  /// `receivers` is the subset of tree->receivers this replica tracks, in
+  /// tree order (std::invalid_argument otherwise), and
   /// `injector_local` is parallel to tree->injectors — 1 = this replica
   /// paces that injector, 0 = a peer domain does; empty = all local.
   StreamId open_replica(std::shared_ptr<const StreamTree> tree,
@@ -218,9 +220,8 @@ class Network final : public SimEventSink, public DataPlane {
   /// pair). Closed streams report false — their tables are released.
   [[nodiscard]] bool stream_uses_link(StreamId s, LinkId l) const override {
     const StreamState& st = streams_[static_cast<std::size_t>(s)];
-    if (st.closed) return false;
-    return std::find(st.fwd_links.begin(), st.fwd_links.end(), l) !=
-           st.fwd_links.end();
+    if (st.closed || st.tree == nullptr) return false;  // closed, or a stub
+    return std::ranges::find(st.tree->out_links, l) != st.tree->out_links.end();
   }
   /// Progress snapshot for stuck-flow reports (works without telemetry).
   [[nodiscard]] StreamDiagnostic stream_diagnostic(StreamId s) const override;
@@ -231,6 +232,7 @@ class Network final : public SimEventSink, public DataPlane {
     std::int32_t chunk;
     std::int32_t bytes;
     LinkId ingress;  // link that delivered it to the current node (or invalid)
+    std::int32_t at;  // tree index of the node the queued-on link enters
     bool marked;
   };
 
@@ -268,19 +270,15 @@ class Network final : public SimEventSink, public DataPlane {
     Bytes injected = 0;
   };
 
-  /// One paced sender: a multicast's source, or one contributor of an
-  /// in-network reduce stream.
+  /// Pacing state of one paced sender, parallel to StreamTree::injectors
+  /// (where it injects: a multicast's source, or one contributor of an
+  /// in-network reduce stream).
   struct Injector {
-    NodeId node = kInvalidNode;
-    /// kInvalidLink: enqueue onto `node`'s fan-out slice of the forwarding
-    /// table (a multicast source). Otherwise the mirror of the tree's in-link
-    /// to `node`, up which a reduce contribution climbs.
-    LinkId up_link = kInvalidLink;
     Dcqcn cc;
     std::vector<PendingChunk> pending;  // FIFO via pending_head
     std::size_t pending_head = 0;
     bool pump_scheduled = false;
-    bool pump_blocked = false;  // waiting for `node`'s buffer to drain
+    bool pump_blocked = false;  // waiting for its node's buffer to drain
     bool local = true;  ///< sharded engine: false = a peer domain paces this
     SimTime pace_next = 0;
   };
@@ -306,19 +304,14 @@ class Network final : public SimEventSink, public DataPlane {
     std::vector<Injector> injectors;
 
     // In-network reduction (non-empty combiners <=> a reduce tree): one
-    // combiner per aggregation node and a dense node -> combiner index for
-    // the arrive() fast path.
+    // combiner per aggregation node, found through StreamTree::Node::combiner.
     std::vector<ReduceCombiner> combiners;
-    std::vector<std::int32_t> combiner_of_node;
     Bytes reduce_held = 0;  ///< this stream's share of the SRAM gauge
 
-    // Forwarding table (CSR over node ids): node n replicates onto
-    // fwd_links[fwd_offset[n] .. fwd_offset[n+1]), in spec order.
-    std::vector<std::int32_t> fwd_offset;
-    std::span<const LinkId> fwd_links;  ///< tree->out_links
-
-    // Dense receiver-side state, keyed by compact receiver index.
-    std::vector<std::int32_t> recv_index;  ///< node -> compact index, or -1
+    // Receiver-side state, keyed by compact receiver index (position in the
+    // replica's receiver list). Forwarding reads tree->out_links directly.
+    /// Tree index -> compact receiver index, or -1 (the size of the tree).
+    std::vector<std::int32_t> recv_slot;
     /// chunk -> bytes the collective queued for it; 0 = no such chunk
     /// (send_chunk enforces positive sizes, so 0 is unambiguous).
     std::vector<Bytes> chunk_want;
@@ -354,6 +347,9 @@ class Network final : public SimEventSink, public DataPlane {
   /// (single-queue engine: the local state flip already IS the real state).
   void post_pfc(SimEventKind kind, LinkId ingress);
   void enqueue_segment(LinkId l, Segment seg);
+  /// Enqueues a copy of `seg` on every out-link of tree node `at`, in spec
+  /// order, each naming the tree node its link enters.
+  void replicate(const StreamTree& t, std::int32_t at, Segment seg);
   void try_start(LinkId l);
   void finish_tx(LinkId l, std::uint32_t fail_epoch);
   void arrive(LinkId l, Segment seg, std::uint32_t fail_epoch);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_set>
-#include <utility>
 
 namespace peel {
 
@@ -55,121 +53,135 @@ std::shared_ptr<const StreamTree> compile_stream(const Topology& topo,
   check_node(spec.source);
   for (NodeId n : spec.receivers) check_node(n);
   for (NodeId n : spec.contributors) check_node(n);
-  std::size_t link_total = 0;
-  for (const auto& [node, outs] : spec.forward) {
-    check_node(node);
-    for (LinkId l : outs) {
-      if (l < 0 || static_cast<std::size_t>(l) >= topo.link_count()) {
-        reject("stream spec names an unknown link");
-      }
-      if (topo.link(l).src != node) {
-        reject("stream spec lists an out-link under a node it does not leave");
-      }
-    }
-    link_total += outs.size();
-  }
-  std::vector<NodeId> ids{spec.source};
-  ids.reserve(1 + spec.forward.size() + link_total);
-  for (const auto& [node, outs] : spec.forward) {
-    ids.push_back(node);
-    for (LinkId l : outs) ids.push_back(topo.link(l).dst);
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
   auto tree = std::make_shared<StreamTree>();
   StreamTree& t = *tree;
   t.source = spec.source;
   t.cnp_mode = spec.cnp_mode;
   t.tag = spec.tag;
-  t.out_links.reserve(link_total);
-  // Node order fixes the out_links layout and the combiner order, so neither
-  // depends on the forward map's iteration order.
-  t.nodes.resize(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    StreamTree::Node& tn = t.nodes[i];
-    tn.node = ids[i];
-    tn.out_begin = static_cast<std::int32_t>(t.out_links.size());
-    if (const auto it = spec.forward.find(tn.node); it != spec.forward.end()) {
-      const std::vector<LinkId>& outs = it->second;
-      t.out_links.insert(t.out_links.end(), outs.begin(), outs.end());
-    }
-    tn.out_end = static_cast<std::int32_t>(t.out_links.size());
-  }
-  const auto index_of = [&](NodeId n) {
-    return static_cast<std::size_t>(t.find(n) - t.nodes.data());
+  // One sort of (node, kind, position) keys indexes the spec with no search
+  // and no table sized by the fabric. Endpoint 2i is link i's source, 2i + 1
+  // its destination, 2 * links.size() the stream's source. The walk makes
+  // each distinct endpoint node a tree node and lays out the links grouped
+  // stably on their source. A receiver sorts after its node's endpoints and
+  // its own earlier listings.
+  const std::size_t link_count = spec.links.size();
+  const std::size_t endpoints = 2 * link_count + 1;
+  const auto key = [](NodeId n, std::uint64_t receiver, std::size_t pos) {
+    return static_cast<std::uint64_t>(n) << 33 | receiver << 32 | pos;
   };
-  const std::size_t root = index_of(spec.source);
-  if (t.out_of(t.nodes[root]).empty()) reject("stream source has no out-links");
+  std::vector<std::uint64_t> keys;
+  keys.reserve(endpoints + spec.receivers.size());
+  for (std::size_t i = 0; i < link_count; ++i) {
+    const LinkId l = spec.links[i];
+    if (l < 0 || static_cast<std::size_t>(l) >= topo.link_count()) {
+      reject("stream spec names an unknown link");
+    }
+    keys.push_back(key(topo.link(l).src, 0, 2 * i));
+    keys.push_back(key(topo.link(l).dst, 0, 2 * i + 1));
+  }
+  keys.push_back(key(spec.source, 0, 2 * link_count));
+  for (std::size_t i = 0; i < spec.receivers.size(); ++i) {
+    keys.push_back(key(spec.receivers[i], 1, i));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::int32_t> at(endpoints);  // endpoint -> tree index
+  // Per receiver listing: its tree index, -1 off the tree, -2 a repeat.
+  std::vector<std::int32_t> receiver_at(spec.receivers.size(), -2);
+  NodeId last_receiver = kInvalidNode;
+  t.out_links.reserve(link_count);
+  t.out_dst.reserve(link_count);
+  for (const std::uint64_t k : keys) {
+    const auto n = static_cast<NodeId>(k >> 33);
+    const auto pos = static_cast<std::size_t>(k & 0xffffffffu);
+    const bool on_tree = !t.nodes.empty() && t.nodes.back().node == n;
+    if ((k >> 32 & 1) == 0) {
+      if (!on_tree) {
+        const auto o = static_cast<std::int32_t>(t.out_links.size());
+        t.nodes.push_back({.node = n, .out_begin = o, .out_end = o});
+      }
+      at[pos] = static_cast<std::int32_t>(t.nodes.size() - 1);
+      if (pos % 2 == 0 && pos < 2 * link_count) {  // link pos / 2 leaves n
+        t.out_links.push_back(spec.links[pos / 2]);
+        // Its destination endpoint, made a tree index after the walk.
+        t.out_dst.push_back(static_cast<std::int32_t>(pos + 1));
+        ++t.nodes.back().out_end;
+      }
+    } else if (n != last_receiver) {
+      last_receiver = n;
+      receiver_at[pos] =
+          on_tree ? static_cast<std::int32_t>(t.nodes.size() - 1) : -1;
+    }
+  }
+  for (std::int32_t& d : t.out_dst) d = at[static_cast<std::size_t>(d)];
+  for (std::size_t i = 0; i < spec.receivers.size(); ++i) {
+    if (receiver_at[i] == -2) continue;
+    t.receivers.push_back(spec.receivers[i]);
+    t.receiver_at.push_back(receiver_at[i]);
+  }
+  const auto node_at = [&](std::int32_t i) -> StreamTree::Node& {
+    return t.nodes[static_cast<std::size_t>(i)];
+  };
+  const std::int32_t root = at[2 * link_count];
+  if (t.out_of(node_at(root)).empty()) reject("stream source has no out-links");
 
   // Breadth-first from the source: the first link to enter a node becomes
   // its parent.
-  std::vector<std::size_t> frontier{root};
-  std::size_t reached_links = 0;
-  bool enters_source = false;
+  std::vector<std::int32_t> frontier{root};
   for (std::size_t i = 0; i < frontier.size(); ++i) {
-    for (LinkId l : t.out_of(t.nodes[frontier[i]])) {
-      ++reached_links;
-      const std::size_t child = index_of(topo.link(l).dst);
-      enters_source |= child == root;
-      if (t.nodes[child].parent != kInvalidLink || child == root) continue;
-      t.nodes[child].parent = l;
-      t.nodes[child].up = static_cast<std::int32_t>(frontier[i]);
+    const StreamTree::Node& from = node_at(frontier[i]);
+    for (std::int32_t o = from.out_begin; o < from.out_end; ++o) {
+      const std::int32_t child = t.out_dst[static_cast<std::size_t>(o)];
+      StreamTree::Node& cn = node_at(child);
+      if (cn.parent != kInvalidLink || child == root) continue;
+      cn.parent = t.out_links[static_cast<std::size_t>(o)];
+      cn.up = frontier[i];
       frontier.push_back(child);
     }
   }
-  // One link into every reached node but the source, and none into it, is
-  // a tree: one path everywhere. Anything else gets a topological pass over
-  // the reached part, which both rejects a cycle (a segment would lap it
-  // forever) and counts each node's paths.
-  if (!enters_source && reached_links + 1 == frontier.size()) {
-    for (std::size_t i : frontier) t.nodes[i].paths = 1;
-  } else {
-    std::vector<std::int32_t> fan_in(t.nodes.size(), 0);
-    for (std::size_t i : frontier) {
-      for (LinkId l : t.out_of(t.nodes[i])) {
-        ++fan_in[index_of(topo.link(l).dst)];
-      }
-    }
-    std::vector<std::size_t> order;
-    if (fan_in[root] == 0) order.push_back(root);
-    t.nodes[root].paths = 1;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const std::int64_t paths = t.nodes[order[i]].paths;
-      for (LinkId l : t.out_of(t.nodes[order[i]])) {
-        const std::size_t child = index_of(topo.link(l).dst);
-        StreamTree::Node& cn = t.nodes[child];
-        cn.paths = static_cast<std::int32_t>(
-            std::min<std::int64_t>(cn.paths + paths, INT32_MAX));
-        if (--fan_in[child] == 0) order.push_back(child);
-      }
-    }
-    if (order.size() != frontier.size()) {
-      reject("stream forward map has a cycle reachable from the source");
+  // A topological pass over the reached part rejects a cycle (a segment
+  // would lap it forever) and counts each node's paths.
+  const auto children = [&](std::int32_t i) {
+    const StreamTree::Node& n = node_at(i);
+    return std::span<const std::int32_t>(t.out_dst)
+        .subspan(static_cast<std::size_t>(n.out_begin),
+                 static_cast<std::size_t>(n.out_end - n.out_begin));
+  };
+  std::vector<std::int32_t> fan_in(t.nodes.size(), 0);
+  for (std::int32_t i : frontier) {
+    for (std::int32_t c : children(i)) ++fan_in[static_cast<std::size_t>(c)];
+  }
+  std::vector<std::int32_t> order;
+  if (fan_in[static_cast<std::size_t>(root)] == 0) order.push_back(root);
+  node_at(root).paths = 1;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::int64_t paths = node_at(order[i]).paths;
+    for (std::int32_t c : children(order[i])) {
+      StreamTree::Node& cn = node_at(c);
+      cn.paths = static_cast<std::int32_t>(
+          std::min<std::int64_t>(cn.paths + paths, INT32_MAX));
+      if (--fan_in[static_cast<std::size_t>(c)] == 0) order.push_back(c);
     }
   }
-
-  std::unordered_set<NodeId> listed(spec.receivers.size());
-  t.receivers.reserve(spec.receivers.size());
-  for (NodeId r : spec.receivers) {
-    if (listed.insert(r).second) t.receivers.push_back(r);
+  if (order.size() != frontier.size()) {
+    reject("stream links have a cycle reachable from the source");
   }
 
   if (spec.contributors.empty()) {
     // Every node the walk visits is the source or an out-link's dst.
     const auto fan_out = [&](NodeId n) { return t.out_of(*t.find(n)); };
-    t.injectors.push_back(
-        {spec.source, kInvalidLink, pacing_link(topo, spec.source, fan_out)});
+    t.injectors.push_back({spec.source, kInvalidLink,
+                           pacing_link(topo, spec.source, fan_out), root});
     return tree;
   }
 
-  // A reduce stream's forward map is a down-tree rooted at the pivot
+  // A reduce stream's links are a down-tree rooted at the pivot
   // (spec.source); contributions climb its exact mirror. The walk above
   // reaching every node, over exactly one link per non-root node, is what
   // makes it such a tree.
   if (frontier.size() != t.nodes.size() ||
       t.out_links.size() + 1 != t.nodes.size()) {
-    reject("reduce stream forward map is not a tree rooted at spec.source");
+    reject("reduce stream links are not a tree rooted at spec.source");
   }
   LinkId mirror = kInvalidLink;
   const auto climb = [&](NodeId n) {
@@ -184,12 +196,15 @@ std::shared_ptr<const StreamTree> compile_stream(const Topology& topo,
       reject("reduce contributor is not a leaf of the down-tree");
     }
     t.injectors.push_back(
-        {c, topo.reverse_of(tn->parent), pacing_link(topo, c, climb)});
+        {c, topo.reverse_of(tn->parent), pacing_link(topo, c, climb),
+         static_cast<std::int32_t>(tn - t.nodes.data())});
   }
-  for (const StreamTree::Node& tn : t.nodes) {
+  for (StreamTree::Node& tn : t.nodes) {
     if (t.out_of(tn).empty()) continue;
+    tn.combiner = static_cast<std::int32_t>(t.combiners.size());
     StreamTree::Combiner& cb = t.combiners.emplace_back();
     cb.node = tn.node;
+    cb.at = static_cast<std::int32_t>(&tn - t.nodes.data());
     if (tn.parent != kInvalidLink) cb.up_link = topo.reverse_of(tn.parent);
     cb.child_links.reserve(t.out_of(tn).size());
     for (LinkId l : t.out_of(tn)) cb.child_links.push_back(topo.reverse_of(l));

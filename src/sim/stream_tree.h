@@ -1,10 +1,11 @@
 // One compiled StreamSpec. compile_stream is the only code in src/sim that
-// reads a spec's forward map, receivers or contributors: it validates the
-// spec against DataPlane::open_stream's contract (src/sim/data_plane.h) and
+// reads a spec's links, receivers or contributors: it validates the spec
+// against DataPlane::open_stream's contract (src/sim/data_plane.h) and
 // returns the immutable tree the solo, sharded and flow engines all build
 // their per-stream state from. The sharded engine compiles once and hands
 // the same tree to every domain replica. A tree is O(tree) in size: nothing
-// in it is indexed by node id.
+// in it is indexed by node id, and engines index their per-stream state by
+// position in `nodes` (the "tree index"), never by node id.
 #pragma once
 
 #include <algorithm>
@@ -20,8 +21,8 @@
 namespace peel {
 
 struct StreamTree {
-  /// A node the forward map touches: the source, every node with an entry,
-  /// and every node an out-link enters.
+  /// A node the spec touches: the source and both endpoints of every
+  /// listed link.
   struct Node {
     NodeId node = kInvalidNode;
     /// The link through which a breadth-first walk from the source first
@@ -33,12 +34,13 @@ struct StreamTree {
     std::int32_t up = -1;
     /// Distinct paths from the source into this node, a link listed twice
     /// counting twice: 1 at the source and everywhere on a tree, 0 where
-    /// unreached, more where the forward map enters a node again (legal,
-    /// and the byte audit reports it). Saturates at INT32_MAX.
+    /// unreached, more where the links enter a node again (legal, and the
+    /// byte audit reports it). Saturates at INT32_MAX.
     std::int32_t paths = 0;
     /// out_links[out_begin, out_end): this node's out-links, in spec order.
     std::int32_t out_begin = 0;
     std::int32_t out_end = 0;
+    std::int32_t combiner = -1;  ///< index in `combiners`, or -1 (none)
   };
 
   /// One paced sender: a multicast's source, or one reduce contributor.
@@ -49,12 +51,14 @@ struct StreamTree {
     LinkId up_link = kInvalidLink;
     /// The link whose rate paces this injector: the NIC, not NVLink.
     LinkId pace_link = kInvalidLink;
+    std::int32_t at = -1;  ///< index of `node` in `nodes`
   };
 
   /// An aggregation point of a reduce stream: an interior tree node, whose
   /// fan-in is link for link the mirror of its fan-out.
   struct Combiner {
     NodeId node = kInvalidNode;
+    std::int32_t at = -1;  ///< index of `node` in `nodes`
     /// Mirror of the parent link; kInvalidLink at the pivot (the source),
     /// where the combined bytes turn into the down multicast.
     LinkId up_link = kInvalidLink;
@@ -66,7 +70,10 @@ struct StreamTree {
   std::uint64_t tag = 0;
   std::vector<Node> nodes;        ///< sorted by node id
   std::vector<LinkId> out_links;  ///< every node's out-links, in node order
+  std::vector<std::int32_t> out_dst;  ///< tree index each out-link enters
   std::vector<NodeId> receivers;  ///< duplicates removed, first listing wins
+  /// Parallel to receivers: each one's index in `nodes`, or -1 off the tree.
+  std::vector<std::int32_t> receiver_at;
   /// One at the source for a multicast; one per contributor, in spec order,
   /// for a reduce stream.
   std::vector<Injector> injectors;
@@ -74,7 +81,7 @@ struct StreamTree {
   std::vector<Combiner> combiners;
 
   [[nodiscard]] bool reduce() const noexcept { return !combiners.empty(); }
-  /// The tree node for `n`, or nullptr if the forward map never touches it.
+  /// The tree node for `n`, or nullptr if the spec never touches it.
   [[nodiscard]] const Node* find(NodeId n) const noexcept {
     const auto it = std::ranges::lower_bound(nodes, n, {}, &Node::node);
     return it != nodes.end() && it->node == n ? &*it : nullptr;

@@ -1,6 +1,7 @@
 #include "src/workload/arrivals.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -46,8 +47,17 @@ std::vector<JobSpec> generate_arrivals(const ArrivalOptions& options,
   if (options.group_sizes.empty()) {
     throw std::invalid_argument("generate_arrivals: empty group_sizes");
   }
-  if (options.fragmented_share < 0.0 || options.buddy_share < 0.0 ||
-      options.fragmented_share + options.buddy_share > 1.0) {
+  for (const auto& [name, share] :
+       {std::pair{"fragmented_share", options.fragmented_share},
+        std::pair{"buddy_share", options.buddy_share}}) {
+    // NaN fails every comparison, so it would silently bin-pack every job.
+    if (!(share >= 0.0 && share <= 1.0)) {
+      throw std::invalid_argument(std::string("generate_arrivals: ") + name +
+                                  " must be in [0, 1] (got " +
+                                  std::to_string(share) + ")");
+    }
+  }
+  if (options.fragmented_share + options.buddy_share > 1.0) {
     throw std::invalid_argument("generate_arrivals: bad policy shares");
   }
   if (options.iterations < 1) {
@@ -69,16 +79,24 @@ std::vector<JobSpec> generate_arrivals(const ArrivalOptions& options,
   if (!options.trace_seconds.empty()) {
     arrivals.reserve(options.trace_seconds.size());
     for (double s : options.trace_seconds) {
-      if (s < 0.0) {
-        throw std::invalid_argument("generate_arrivals: negative trace time");
+      // NaN or a time past 1e9 s has no SimTime value (the cast would place
+      // the job at INT64_MIN and sort it first).
+      if (!(s >= 0.0 && s <= kMaxSeconds)) {
+        throw std::invalid_argument(
+            "generate_arrivals: trace_seconds entries must be in [0, 1e9] "
+            "(got " + std::to_string(s) + ")");
       }
       arrivals.push_back(seconds_to_sim(s));
     }
     std::sort(arrivals.begin(), arrivals.end());
   } else {
-    if (options.rate_per_second <= 0.0) {
+    // The mean gap 1 / rate must be a time in (0, 1e9] s; a NaN or
+    // infinite rate has no gap to draw from.
+    const double rate = options.rate_per_second;
+    if (!(rate >= 1.0 / kMaxSeconds && std::isfinite(rate))) {
       throw std::invalid_argument(
-          "generate_arrivals: rate_per_second must be > 0 without a trace");
+          "generate_arrivals: rate_per_second must be finite and >= 1e-9 "
+          "without a trace (got " + std::to_string(rate) + ")");
     }
     if (options.jobs < 1) {
       throw std::invalid_argument("generate_arrivals: jobs must be >= 1");

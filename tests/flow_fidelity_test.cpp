@@ -221,15 +221,13 @@ TEST(FlowFidelity, UtilIntegralMatchesAuditedBytes) {
 
   StreamSpec a;  // full path h0 -> h1
   a.source = h0;
-  a.forward[h0] = {l0};
-  a.forward[t0] = {l1};
-  a.forward[t1] = {l2};
+  a.links = {l0, l1, l2};
   a.receivers = {h1};
   const StreamId sa = net.open_stream(std::move(a));
 
   StreamSpec b;  // contends with `a` on the middle hop only
   b.source = t0;
-  b.forward[t0] = {l1};
+  b.links = {l1};
   b.receivers = {t1};
   const StreamId sb = net.open_stream(std::move(b));
 
@@ -406,7 +404,7 @@ class AnalyticMaxMin : public ::testing::Test {
     StreamSpec spec;
     spec.source = path.front();
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      spec.forward[path[i]] = {ft_.topo.find_link(path[i], path[i + 1])};
+      spec.links.push_back(ft_.topo.find_link(path[i], path[i + 1]));
     }
     spec.receivers = {path.back()};
     const StreamId s = net_->open_stream(std::move(spec));

@@ -268,31 +268,29 @@ TEST(PrefixFuzz, InNetFusedSpecMirrorsForwardCover) {
     EXPECT_EQ(contributors.size(), members.size()) << "duplicate contributor";
     for (NodeId m : members) EXPECT_TRUE(contributors.contains(m));
 
-    // Forward map is a tree rooted at the pivot; members are leaves.
+    // The links are a tree rooted at the pivot; members are leaves.
     std::unordered_map<NodeId, NodeId> parent;
+    std::unordered_map<NodeId, std::vector<LinkId>> fan_out;
     std::unordered_set<LinkId> used;
-    for (const auto& [n, links] : spec.forward) {
-      EXPECT_FALSE(links.empty()) << "empty fan-out slice at node " << n;
-      for (LinkId l : links) {
-        const Link& lk = topo.link(l);
-        EXPECT_EQ(lk.src, n) << "fan-out link not rooted at its node";
-        EXPECT_TRUE(used.insert(l).second)
-            << "forward link " << l << " used twice";
-        EXPECT_TRUE(parent.try_emplace(lk.dst, n).second)
-            << "node " << lk.dst << " has two parents";
-        // Duplex: the mirrored up-link exists and is the exact reverse, so
-        // the contribution path is link-for-link the forward path flipped.
-        const LinkId rev = topo.reverse_of(l);
-        ASSERT_NE(rev, kInvalidLink) << "forward link without a mirror";
-        EXPECT_EQ(topo.link(rev).src, lk.dst);
-        EXPECT_EQ(topo.link(rev).dst, lk.src);
-      }
+    for (LinkId l : spec.links) {
+      const Link& lk = topo.link(l);
+      fan_out[lk.src].push_back(l);
+      EXPECT_TRUE(used.insert(l).second)
+          << "forward link " << l << " used twice";
+      EXPECT_TRUE(parent.try_emplace(lk.dst, lk.src).second)
+          << "node " << lk.dst << " has two parents";
+      // Duplex: the mirrored up-link exists and is the exact reverse, so
+      // the contribution path is link-for-link the forward path flipped.
+      const LinkId rev = topo.reverse_of(l);
+      ASSERT_NE(rev, kInvalidLink) << "forward link without a mirror";
+      EXPECT_EQ(topo.link(rev).src, lk.dst);
+      EXPECT_EQ(topo.link(rev).dst, lk.src);
     }
     EXPECT_FALSE(parent.contains(spec.source)) << "pivot has a parent";
-    EXPECT_TRUE(spec.forward.contains(spec.source))
+    EXPECT_TRUE(fan_out.contains(spec.source))
         << "pivot is not an interior node";
     for (NodeId m : members) {
-      EXPECT_FALSE(spec.forward.contains(m)) << "member is an interior node";
+      EXPECT_FALSE(fan_out.contains(m)) << "member is an interior node";
       // Every member hangs off the tree: walk up to the pivot in a bounded
       // number of hops (tree height is at most GPU->host->ToR->agg->core and
       // back down).
@@ -312,7 +310,7 @@ TEST(PrefixFuzz, InNetFusedSpecMirrorsForwardCover) {
     // exactly the reverses of its forward fan-out set, so the rule-table
     // occupancy of the mirrored (reduce) plan equals the forward plan's at
     // every switch.
-    for (const auto& [n, links] : spec.forward) {
+    for (const auto& [n, links] : fan_out) {
       std::vector<LinkId> fan_in;
       fan_in.reserve(links.size());
       for (LinkId l : links) fan_in.push_back(topo.reverse_of(l));

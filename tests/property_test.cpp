@@ -5,7 +5,9 @@
 
 #include <bit>
 #include <deque>
+#include <functional>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "src/harness/experiment.h"
@@ -18,6 +20,7 @@
 #include "src/routing/router.h"
 #include "src/sim/dcqcn.h"
 #include "src/sim/flow_network.h"
+#include "src/sim/stream_tree.h"
 #include "src/steiner/symmetric.h"
 #include "src/topology/failures.h"
 
@@ -667,17 +670,13 @@ TEST_P(FlowUtilizationProperty, RateIntegralMatchesAuditedBytes) {
 
   StreamSpec a;  // h0 -> h2, contends with `b` on every shared hop
   a.source = h0;
-  a.forward[h0] = {l0};
-  a.forward[t0] = {mid};
-  a.forward[t1] = {l2};
+  a.links = {l0, mid, l2};
   a.receivers = {h2};
   const StreamId sa = net.open_stream(std::move(a));
 
   StreamSpec b;  // h1 -> h2 through the same middle hop
   b.source = h1;
-  b.forward[h1] = {l1};
-  b.forward[t0] = {mid};
-  b.forward[t1] = {l2};
+  b.links = {l1, mid, l2};
   b.receivers = {h2};
   const StreamId sb = net.open_stream(std::move(b));
 
@@ -740,6 +739,303 @@ TEST_P(FlowUtilizationProperty, FlowBytesMatchPacketAuditExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowUtilizationProperty,
                          ::testing::Range<std::uint64_t>(500, 515));
+
+// --- A link-list StreamSpec compiles like a slow reference -------------------
+
+/// DataPlane::open_stream's pacing rule, walked the obvious way: from
+/// `start`, take the first slowest link of each hop, and stop at the first
+/// hop that fans out or leaves NVLink (at most four hops).
+LinkId reference_pacing(const Topology& topo, NodeId start,
+                        const std::function<std::vector<LinkId>(NodeId)>& hop) {
+  LinkId first = kInvalidLink;
+  for (int depth = 0; depth < 4; ++depth) {
+    const std::vector<LinkId> links = hop(start);
+    if (links.empty()) break;
+    const LinkId slowest = *std::ranges::min_element(
+        links, {}, [&](LinkId l) { return topo.link(l).rate.bytes_per_ns(); });
+    if (first == kInvalidLink) first = slowest;
+    const bool all_nvlink = std::ranges::all_of(
+        links, [&](LinkId l) { return topo.link(l).kind == LinkKind::NvLink; });
+    if (!all_nvlink || links.size() > 1) return slowest;
+    start = topo.link(links.front()).dst;
+  }
+  return first;
+}
+
+/// What compile_stream must return for `spec`, or nullopt where it must
+/// throw: out_links are the links stable-sorted by source node, parents
+/// come from a breadth-first walk, and paths from enumerating every path
+/// out of the source one by one.
+std::optional<StreamTree> reference_compile(const Topology& topo,
+                                            const StreamSpec& spec) {
+  const auto valid = [&](NodeId n) {
+    return n >= 0 && static_cast<std::size_t>(n) < topo.node_count();
+  };
+  if (!valid(spec.source) || !std::ranges::all_of(spec.receivers, valid) ||
+      !std::ranges::all_of(spec.contributors, valid) ||
+      !std::ranges::all_of(spec.links, [&](LinkId l) {
+        return l >= 0 && static_cast<std::size_t>(l) < topo.link_count();
+      })) {
+    return std::nullopt;
+  }
+  StreamTree t;
+  t.source = spec.source;
+  t.cnp_mode = spec.cnp_mode;
+  t.tag = spec.tag;
+  std::set<NodeId> ids{spec.source};
+  for (LinkId l : spec.links) {
+    ids.insert(topo.link(l).src);
+    ids.insert(topo.link(l).dst);
+  }
+  const std::vector<NodeId> id_list(ids.begin(), ids.end());
+  const auto index = [&](NodeId n) {
+    return static_cast<std::int32_t>(std::ranges::lower_bound(id_list, n) -
+                                     id_list.begin());
+  };
+  const auto src_of = [&](LinkId l) { return topo.link(l).src; };
+  t.out_links = spec.links;
+  std::ranges::stable_sort(t.out_links, {}, src_of);
+  for (LinkId l : t.out_links) t.out_dst.push_back(index(topo.link(l).dst));
+  for (NodeId n : id_list) {
+    StreamTree::Node& tn = t.nodes.emplace_back();
+    tn.node = n;
+    const auto range = std::ranges::equal_range(t.out_links, n, {}, src_of);
+    tn.out_begin = static_cast<std::int32_t>(range.begin() - t.out_links.begin());
+    tn.out_end = static_cast<std::int32_t>(range.end() - t.out_links.begin());
+  }
+  const auto at = [&](std::int32_t i) -> StreamTree::Node& {
+    return t.nodes[static_cast<std::size_t>(i)];
+  };
+  const std::int32_t root = index(spec.source);
+  if (at(root).out_begin == at(root).out_end) return std::nullopt;
+
+  std::vector<char> seen(t.nodes.size(), 0);
+  seen[static_cast<std::size_t>(root)] = 1;
+  std::deque<std::int32_t> queue{root};
+  while (!queue.empty()) {
+    const std::int32_t i = queue.front();
+    queue.pop_front();
+    for (std::int32_t o = at(i).out_begin; o < at(i).out_end; ++o) {
+      const std::int32_t c = t.out_dst[static_cast<std::size_t>(o)];
+      if (seen[static_cast<std::size_t>(c)] != 0) continue;
+      seen[static_cast<std::size_t>(c)] = 1;
+      at(c).parent = t.out_links[static_cast<std::size_t>(o)];
+      at(c).up = i;
+      queue.push_back(c);
+    }
+  }
+  std::vector<char> on_path(t.nodes.size(), 0);
+  bool cycle = false;
+  const std::function<void(std::int32_t)> walk = [&](std::int32_t i) {
+    ++at(i).paths;
+    on_path[static_cast<std::size_t>(i)] = 1;
+    for (std::int32_t o = at(i).out_begin; o < at(i).out_end; ++o) {
+      const std::int32_t c = t.out_dst[static_cast<std::size_t>(o)];
+      if (on_path[static_cast<std::size_t>(c)] != 0) {
+        cycle = true;
+      } else {
+        walk(c);
+      }
+    }
+    on_path[static_cast<std::size_t>(i)] = 0;
+  };
+  walk(root);
+  if (cycle) return std::nullopt;
+
+  for (NodeId r : spec.receivers) {
+    if (std::ranges::find(t.receivers, r) == t.receivers.end()) {
+      t.receivers.push_back(r);
+      t.receiver_at.push_back(ids.contains(r) ? index(r) : -1);
+    }
+  }
+  const auto fan_out = [&](NodeId n) {
+    const StreamTree::Node& tn = at(index(n));
+    return std::vector<LinkId>(t.out_links.begin() + tn.out_begin,
+                               t.out_links.begin() + tn.out_end);
+  };
+  if (spec.contributors.empty()) {
+    t.injectors.push_back({spec.source, kInvalidLink,
+                           reference_pacing(topo, spec.source, fan_out), root});
+    return t;
+  }
+  if (std::ranges::count(seen, 0) != 0 ||
+      spec.links.size() + 1 != t.nodes.size()) {
+    return std::nullopt;  // not a tree rooted at the source
+  }
+  const auto climb = [&](NodeId n) {
+    const LinkId parent = at(index(n)).parent;
+    return parent == kInvalidLink
+               ? std::vector<LinkId>{}
+               : std::vector<LinkId>{topo.reverse_of(parent)};
+  };
+  for (NodeId c : spec.contributors) {
+    if (!ids.contains(c) || !fan_out(c).empty()) return std::nullopt;
+    t.injectors.push_back({c, topo.reverse_of(at(index(c)).parent),
+                           reference_pacing(topo, c, climb), index(c)});
+  }
+  for (std::int32_t i = 0; i < static_cast<std::int32_t>(t.nodes.size()); ++i) {
+    const std::vector<LinkId> outs = fan_out(at(i).node);
+    if (outs.empty()) continue;
+    at(i).combiner = static_cast<std::int32_t>(t.combiners.size());
+    StreamTree::Combiner& cb = t.combiners.emplace_back();
+    cb.node = at(i).node;
+    cb.at = i;
+    if (at(i).parent != kInvalidLink) {
+      cb.up_link = topo.reverse_of(at(i).parent);
+    }
+    for (LinkId l : outs) cb.child_links.push_back(topo.reverse_of(l));
+    std::ranges::sort(cb.child_links);
+  }
+  return t;
+}
+
+void expect_same_tree(const StreamTree& got, const StreamTree& want) {
+  EXPECT_EQ(got.source, want.source);
+  EXPECT_EQ(got.cnp_mode, want.cnp_mode);
+  EXPECT_EQ(got.tag, want.tag);
+  ASSERT_EQ(got.nodes.size(), want.nodes.size());
+  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
+    const StreamTree::Node& g = got.nodes[i];
+    const StreamTree::Node& w = want.nodes[i];
+    SCOPED_TRACE("tree node " + std::to_string(i));
+    EXPECT_EQ(g.node, w.node);
+    EXPECT_EQ(g.parent, w.parent);
+    EXPECT_EQ(g.up, w.up);
+    EXPECT_EQ(g.paths, w.paths);
+    EXPECT_EQ(g.out_begin, w.out_begin);
+    EXPECT_EQ(g.out_end, w.out_end);
+    EXPECT_EQ(g.combiner, w.combiner);
+  }
+  EXPECT_EQ(got.out_links, want.out_links);
+  EXPECT_EQ(got.out_dst, want.out_dst);
+  EXPECT_EQ(got.receivers, want.receivers);
+  EXPECT_EQ(got.receiver_at, want.receiver_at);
+  ASSERT_EQ(got.injectors.size(), want.injectors.size());
+  for (std::size_t i = 0; i < want.injectors.size(); ++i) {
+    SCOPED_TRACE("injector " + std::to_string(i));
+    EXPECT_EQ(got.injectors[i].node, want.injectors[i].node);
+    EXPECT_EQ(got.injectors[i].up_link, want.injectors[i].up_link);
+    EXPECT_EQ(got.injectors[i].pace_link, want.injectors[i].pace_link);
+    EXPECT_EQ(got.injectors[i].at, want.injectors[i].at);
+  }
+  ASSERT_EQ(got.combiners.size(), want.combiners.size());
+  for (std::size_t i = 0; i < want.combiners.size(); ++i) {
+    SCOPED_TRACE("combiner " + std::to_string(i));
+    EXPECT_EQ(got.combiners[i].node, want.combiners[i].node);
+    EXPECT_EQ(got.combiners[i].at, want.combiners[i].at);
+    EXPECT_EQ(got.combiners[i].up_link, want.combiners[i].up_link);
+    EXPECT_EQ(got.combiners[i].child_links, want.combiners[i].child_links);
+  }
+}
+
+/// A random spec on `topo`: a random tree grown from a random source, then
+/// zero to two edits (a node entered twice, a cycle through or away from
+/// the source, a repeated, stray or dropped link), listed in shuffled
+/// order. Half are reduce streams whose contributors are leaves, sometimes
+/// plus an interior or outside node; receivers may repeat or be unreached.
+StreamSpec random_link_list(const Topology& topo, Rng& rng) {
+  const auto pick = [&](const auto& v) {
+    return v[static_cast<std::size_t>(rng.next_below(v.size()))];
+  };
+  const auto random_node = [&] {
+    return static_cast<NodeId>(rng.next_below(topo.node_count()));
+  };
+  StreamSpec spec;
+  spec.source = random_node();
+  spec.tag = rng.next_below(1000);
+  spec.cnp_mode =
+      rng.next_below(2) == 0 ? CnpMode::ReceiverTimer : CnpMode::SenderGuard;
+  std::vector<NodeId> tree{spec.source};
+  const std::size_t size = 1 + rng.next_below(12);
+  for (int tries = 0; spec.links.size() < size && tries < 64; ++tries) {
+    const LinkId l = pick(topo.out_links(pick(tree)));
+    if (std::ranges::find(tree, topo.link(l).dst) != tree.end()) continue;
+    spec.links.push_back(l);
+    tree.push_back(topo.link(l).dst);
+  }
+  const bool reduce = rng.next_below(2) == 0;
+  for (auto edits = rng.next_below(reduce ? 2 : 3); edits > 0; --edits) {
+    switch (rng.next_below(6)) {
+      case 0:  // into a node already entered, or back up: a cycle
+        spec.links.push_back(pick(topo.out_links(pick(tree))));
+        break;
+      case 1:  // the mirror of a listed link: a 2-cycle
+        spec.links.push_back(topo.reverse_of(pick(spec.links)));
+        break;
+      case 2:  // into the source
+        spec.links.push_back(pick(topo.in_links(spec.source)));
+        break;
+      case 3:  // listed twice
+        spec.links.push_back(pick(spec.links));
+        break;
+      case 4:  // anywhere, usually unreached from the source
+        spec.links.push_back(
+            static_cast<LinkId>(rng.next_below(topo.link_count())));
+        break;
+      default:  // dropped: strands a subtree, or silences the source
+        spec.links.erase(spec.links.begin() +
+                         static_cast<std::ptrdiff_t>(
+                             rng.next_below(spec.links.size())));
+        break;
+    }
+    if (spec.links.empty()) break;
+  }
+  rng.shuffle(spec.links);
+  for (auto n = rng.next_below(5); n > 0; --n) {
+    spec.receivers.push_back(pick(tree));
+  }
+  if (rng.next_below(4) == 0) spec.receivers.push_back(random_node());
+  if (reduce) {
+    for (NodeId n : tree) {
+      const bool leaf = std::ranges::none_of(
+          spec.links, [&](LinkId l) { return topo.link(l).src == n; });
+      if (leaf && rng.next_below(3) != 0) spec.contributors.push_back(n);
+    }
+    if (spec.contributors.empty() || rng.next_below(5) == 0) {
+      spec.contributors.push_back(rng.next_below(2) == 0 ? pick(tree)
+                                                         : random_node());
+    }
+  }
+  if (rng.next_below(40) == 0) {
+    spec.links.push_back(static_cast<LinkId>(topo.link_count()));
+  }
+  return spec;
+}
+
+class StreamTreeProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StreamTreeProperty, LinkListCompilesLikeTheReference) {
+  const FatTree ft = build_fat_tree(FatTreeConfig{4, 2, 2});
+  Rng rng(GetParam() + 9'000);
+  int accepted_multicast = 0, accepted_reduce = 0, rejected = 0, repeats = 0;
+  for (int c = 0; c < 400; ++c) {
+    const StreamSpec spec = random_link_list(ft.topo, rng);
+    SCOPED_TRACE("case " + std::to_string(c));
+    const std::optional<StreamTree> want = reference_compile(ft.topo, spec);
+    std::shared_ptr<const StreamTree> got;
+    try {
+      got = compile_stream(ft.topo, spec);
+    } catch (const std::invalid_argument&) {
+    }
+    ASSERT_EQ(got != nullptr, want.has_value());
+    if (!want) {
+      ++rejected;
+      continue;
+    }
+    expect_same_tree(*got, *want);
+    ++(want->reduce() ? accepted_reduce : accepted_multicast);
+    repeats += std::ranges::any_of(
+        want->nodes, [](const StreamTree::Node& n) { return n.paths > 1; });
+  }
+  // Every kind of input shows up in each seed's sample.
+  EXPECT_GT(accepted_multicast, 40);
+  EXPECT_GT(accepted_reduce, 20);
+  EXPECT_GT(rejected, 40);
+  EXPECT_GT(repeats, 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StreamTreeProperty,
+                         ::testing::Range<std::uint64_t>(0, 8));
 
 }  // namespace
 }  // namespace peel

@@ -331,8 +331,7 @@ TEST(ShardInvariance, SingleDomainWindowsRunInline) {
 
   StreamSpec spec;
   spec.source = a;
-  spec.forward[a] = {link_between(a, tor)};
-  spec.forward[tor] = {link_between(tor, b)};
+  spec.links = {link_between(a, tor), link_between(tor, b)};
   spec.receivers = {b};
   const StreamId id = net.open_stream(std::move(spec));
   net.send_chunk(id, 0, 256 * kKiB);
@@ -397,7 +396,7 @@ CnpCrossing run_cnp_crossing(CnpMode mode, int shards) {
     s.source = gpu(source_host, 0);
     s.cnp_mode = mode;
     const auto edge = [&](NodeId a, NodeId b) {
-      s.forward[a].push_back(topo.find_link(a, b));
+      s.links.push_back(topo.find_link(a, b));
     };
     const auto down = [&](NodeId agg, int tor, int h) {
       const NodeId t = ft.tor_at(tor / 2, tor % 2);

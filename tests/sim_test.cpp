@@ -191,8 +191,7 @@ struct ChainFixture {
   StreamSpec spec() const {
     StreamSpec s;
     s.source = a;
-    s.forward[a] = {l0};
-    s.forward[sw] = {l1};
+    s.links = {l0, l1};
     s.receivers = {b};
     return s;
   }
@@ -260,8 +259,8 @@ TEST(Network, MulticastReplicatesOncePerLink) {
 
   StreamSpec spec;
   spec.source = src;
-  spec.forward[src] = {up};
-  spec.forward[sw] = down;
+  spec.links = {up};
+  spec.links.insert(spec.links.end(), down.begin(), down.end());
   spec.receivers = sinks;
   const StreamId s = net.open_stream(spec);
   net.send_chunk(s, 0, 128 * kKiB);
@@ -283,7 +282,7 @@ TEST(Network, NonReceiverGetsBytesButNoDelivery) {
   net.set_delivery_handler(
       [&](const DeliveryEvent& ev) { delivered_to.push_back(ev.receiver); });
   StreamSpec spec = f.spec();
-  spec.forward[f.sw].push_back(lx);  // over-covered copy
+  spec.links.push_back(lx);  // over-covered copy
   const StreamId s = net.open_stream(spec);
   net.send_chunk(s, 0, 64 * kKiB);
   q.run();
@@ -311,8 +310,7 @@ TEST(Network, IncastBuildsQueueAndMarks) {
   auto make = [&](NodeId src, LinkId up) {
     StreamSpec spec;
     spec.source = src;
-    spec.forward[src] = {up};
-    spec.forward[sw] = {d};
+    spec.links = {up, d};
     spec.receivers = {sink};
     return net.open_stream(spec);
   };
@@ -346,8 +344,7 @@ TEST(Network, PfcPausesAndStaysLossless) {
   net.set_delivery_handler([&](const DeliveryEvent&) { ++deliveries; });
   StreamSpec spec;
   spec.source = src;
-  spec.forward[src] = {fast};
-  spec.forward[sw] = {topo.find_link(sw, sink)};
+  spec.links = {fast, topo.find_link(sw, sink)};
   spec.receivers = {sink};
   const StreamId s = net.open_stream(spec);
   for (int c = 0; c < 4; ++c) net.send_chunk(s, c, 2 * kMiB);
@@ -381,8 +378,7 @@ TEST(Network, LinkFailureClosesPfcPauseSpan) {
   Network net(topo, cfg, q);
   StreamSpec spec;
   spec.source = src;
-  spec.forward[src] = {fast};
-  spec.forward[sw] = {topo.find_link(sw, sink)};
+  spec.links = {fast, topo.find_link(sw, sink)};
   spec.receivers = {sink};
   const StreamId s = net.open_stream(spec);
   for (int c = 0; c < 4; ++c) net.send_chunk(s, c, 2 * kMiB);
@@ -532,8 +528,7 @@ struct BottleneckFixture {
   StreamSpec spec(CnpMode mode) const {
     StreamSpec s;
     s.source = a;
-    s.forward[a] = {l0};
-    s.forward[sw] = {l1};
+    s.links = {l0, l1};
     s.receivers = {b};
     s.cnp_mode = mode;
     return s;
@@ -753,8 +748,7 @@ TEST(Network, QueuePeakTelemetry) {
     auto make = [&](NodeId src, LinkId up) {
       StreamSpec spec;
       spec.source = src;
-      spec.forward[src] = {up};
-      spec.forward[sw] = {d};
+      spec.links = {up, d};
       spec.receivers = {sink};
       return net.open_stream(spec);
     };

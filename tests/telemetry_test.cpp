@@ -41,8 +41,7 @@ struct ChainFixture {
   StreamSpec spec() const {
     StreamSpec s;
     s.source = a;
-    s.forward[a] = {l0};
-    s.forward[sw] = {l1};
+    s.links = {l0, l1};
     s.receivers = {b};
     return s;
   }
@@ -69,8 +68,8 @@ struct StarFixture {
   StreamSpec spec() const {
     StreamSpec s;
     s.source = src;
-    s.forward[src] = {up};
-    s.forward[sw] = down;
+    s.links = {up};
+    s.links.insert(s.links.end(), down.begin(), down.end());
     s.receivers = sinks;
     return s;
   }
@@ -213,8 +212,7 @@ TEST(Telemetry, AuditCatchesOverDelivery) {
   Network net(topo, telemetry_config(), q);
   StreamSpec spec;
   spec.source = src;
-  spec.forward[src] = {up};
-  spec.forward[sw] = {d1, d2};  // duplicate replication — the bug
+  spec.links = {up, d1, d2};  // duplicate replication — the bug
   spec.receivers = {sink};
   const StreamId s = net.open_stream(spec);
   net.send_chunk(s, 0, 64 * kKiB);
@@ -243,9 +241,7 @@ TEST(Telemetry, EveryEngineCatchesDuplicateReplication) {
   const LinkId onward = topo.add_duplex_link(sink, next, 100_gbps, 100);
   StreamSpec spec;
   spec.source = src;
-  spec.forward[src] = {up};
-  spec.forward[sw] = {d1, d2};
-  spec.forward[sink] = {onward};
+  spec.links = {up, d1, d2, onward};
   spec.receivers = {sink};
 
   // `run` drains the engine and returns its (merged) telemetry.
@@ -302,7 +298,8 @@ TEST(Telemetry, AuditFlagsUnderDeliveryOnLossFreeStream) {
   EventQueue q;
   Network net(f.topo, telemetry_config(), q);
   StreamSpec spec = f.spec();
-  spec.forward.erase(f.sw);  // the hole
+  std::erase_if(spec.links,  // the hole
+                [&](LinkId l) { return f.topo.link(l).src == f.sw; });
   const StreamId s = net.open_stream(spec);
   net.send_chunk(s, 0, 64 * kKiB);
   q.run();

@@ -277,6 +277,43 @@ TEST(Arrivals, RejectsANegativeOrNaNGapOrHold) {
   EXPECT_EQ(message(), "no throw");
 }
 
+// A non-finite or out-of-range trace time, rate or policy share has no
+// meaning; each is rejected naming its field instead of placing a job at
+// INT64_MIN ns, drawing a NaN gap, or bin-packing every job.
+TEST(Arrivals, RejectsNonFiniteTraceRateAndShares) {
+  Rng rng(1);
+  const auto message = [&](const ArrivalOptions& opts) {
+    try {
+      (void)generate_arrivals(opts, rng);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  for (const double bad : {std::nan(""), HUGE_VAL, 2e9}) {
+    ArrivalOptions opts;
+    opts.trace_seconds = {1e-3, bad};
+    EXPECT_NE(message(opts).find("trace_seconds"), std::string::npos) << bad;
+  }
+  for (const double bad : {std::nan(""), HUGE_VAL, 1e-12}) {
+    ArrivalOptions opts;
+    opts.rate_per_second = bad;
+    EXPECT_NE(message(opts).find("rate_per_second"), std::string::npos) << bad;
+  }
+  for (const double bad : {std::nan(""), -HUGE_VAL}) {
+    ArrivalOptions opts;
+    opts.rate_per_second = 100.0;
+    opts.fragmented_share = bad;
+    EXPECT_NE(message(opts).find("fragmented_share"), std::string::npos) << bad;
+    opts.fragmented_share = 0.0;
+    opts.buddy_share = bad;
+    EXPECT_NE(message(opts).find("buddy_share"), std::string::npos) << bad;
+  }
+  ArrivalOptions ok;
+  ok.trace_seconds = {0.0, 1e9};
+  EXPECT_EQ(message(ok), "no throw");
+}
+
 TEST(Churn, ReplacesMembersWithoutDuplicatesOrTheSource) {
   const FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 8});
   const Fabric fabric = Fabric::of(ft);
