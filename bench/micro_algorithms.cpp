@@ -1,21 +1,24 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible. The last nine isolate
+// the actual costs so the scaling is visible. The last ten isolate
 // simulator components: the event scheduler in steady state and in bursts,
 // a plan-cache hit, opening + closing one stream on each data-plane engine,
 // the flow engine's max-min solve against component size, the packet engine
 // draining a source that many streams are backed up behind, one segment
 // hop of the packet engine (FinishTx -> Arrive -> enqueue), a rate
-// controller catching up on a long quiet spell, and the sharded engine's
-// windows and mailbox drain on a congested cross-pod broadcast.
+// controller catching up on a long quiet spell, the sharded engine's
+// windows and mailbox drain on a congested cross-pod broadcast, and the
+// collective runner's delivery handler.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/collectives/plan_cache.h"
+#include "src/collectives/runner.h"
 #include "src/collectives/trees.h"
 #include "src/common/rng.h"
 #include "src/prefix/cover.h"
@@ -516,6 +519,78 @@ void BM_ShardedWindows(benchmark::State& state) {
                  std::to_string(parts.front().receivers.size()) + " receivers");
 }
 BENCHMARK(BM_ShardedWindows)->Arg(1)->Arg(3)->UseRealTime();
+
+/// DataPlane that records each opened stream's receivers and does nothing
+/// else: the runner's side of a collective, with no fabric under it.
+struct ReceiverLog final : DataPlane {
+  std::function<void(const DeliveryEvent&)> deliver;
+  std::vector<std::vector<NodeId>> receivers;  ///< by StreamId
+
+  void set_delivery_handler(
+      std::function<void(const DeliveryEvent&)> handler) override {
+    deliver = std::move(handler);
+  }
+  StreamId open_stream(StreamSpec spec) override {
+    receivers.push_back(std::move(spec.receivers));
+    return static_cast<StreamId>(receivers.size() - 1);
+  }
+  void send_chunk(StreamId, int, Bytes) override {}
+  std::vector<int> cancel_unsent_chunks(StreamId) override { return {}; }
+  void close_stream(StreamId) override {}
+  void on_duplex_failed(LinkId) override {}
+  void on_duplex_restored(LinkId) override {}
+  [[nodiscard]] bool stream_uses_link(StreamId, LinkId) const override {
+    return false;
+  }
+  [[nodiscard]] StreamDiagnostic stream_diagnostic(StreamId s) const override {
+    return StreamDiagnostic{s};
+  }
+  [[nodiscard]] Bytes link_bytes(LinkId) const override { return 0; }
+};
+
+void BM_CollectiveDelivery(benchmark::State& state) {
+  // CollectiveRunner's delivery handler: one iteration submits a PEEL
+  // Broadcast from the first of N GPUs spread over a k=16 fat-tree to the
+  // rest (8 chunks, the paper's pipelining), then replays every (receiver,
+  // chunk) delivery of its streams, chunk by chunk, through the handler the
+  // runner installed, until the collective completes. The submit (plan-cache
+  // hit, tree build, ledger build) is timed too, so the per-delivery figure
+  // carries its share.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const FatTree ft = build_fat_tree(FatTreeConfig{16, -1, 8});
+  const std::vector<NodeId>& gpus = ft.endpoints();
+  std::vector<NodeId> dests;
+  for (std::size_t i = 1; i < n; ++i) dests.push_back(gpus[i * (gpus.size() / n)]);
+  const RunnerOptions options;
+  EventQueue queue;
+  ReceiverLog plane;
+  CollectiveRunner runner(Fabric::of(ft), plane, queue, Rng(1), options);
+
+  std::uint64_t id = 0;
+  std::uint64_t deliveries = 0;
+  for (auto _ : state) {
+    const std::size_t first = plane.receivers.size();
+    runner.submit(Scheme::Peel,
+                  BroadcastRequest{++id, gpus.front(), dests, 64 * kMiB});
+    const std::size_t last = plane.receivers.size();
+    for (int c = 0; c < options.chunks; ++c) {
+      for (std::size_t s = first; s < last; ++s) {
+        for (const NodeId r : plane.receivers[s]) {
+          plane.deliver(DeliveryEvent{static_cast<StreamId>(s), id, r, c});
+          ++deliveries;
+        }
+      }
+    }
+  }
+  if (!runner.records().back().finished) state.SkipWithError("unfinished");
+  // Seconds per delivery (kInvert of a rate): "50n" = 50 ns.
+  state.counters["time_per_delivery"] = benchmark::Counter(
+      static_cast<double>(deliveries),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(std::to_string(n) + " GPUs, " +
+                 std::to_string(deliveries / state.iterations()) + " deliveries");
+}
+BENCHMARK(BM_CollectiveDelivery)->Arg(64)->Arg(2048);
 
 }  // namespace
 }  // namespace peel

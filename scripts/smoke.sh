@@ -14,10 +14,11 @@
 #     cnp_dynamics.csv, and the sender-guard row must still print the 2744
 #     CNPs and 13 reactions EXPERIMENTS.md quotes
 #   - fig6_cct_vs_scale and allreduce_comparison (the figures the DCQCN
-#     catch-up carries most), plus fig5_cct_vs_msgsize and
-#     allgather_comparison (the other heavy benches that open many streams),
-#     in full mode under PEEL_BYTE_AUDIT=1: each CSV must equal the committed
-#     one
+#     catch-up carries most), fig5_cct_vs_msgsize and allgather_comparison
+#     (the other heavy benches that open many streams), fig7_failure_sweep
+#     (recovery passes), fig4_orca_setup (Orca relays and the PEEL+ProgCores
+#     migration) and ablation_striping (striped streams), in full mode under
+#     PEEL_BYTE_AUDIT=1: each CSV must equal the committed one
 #   - every paper bench in quick mode, once plain and once under
 #     PEEL_BYTE_AUDIT=1 (an audit failure exits non-zero), in two temp
 #     dirs; CSVs and stdout must be byte-identical
@@ -64,10 +65,11 @@ grep -Eq '^sender guard 50us .* 2744 +13 *$' "${OUT}/cnp/cnp_dynamics.stdout" ||
   { echo "cnp_dynamics: sender-guard row no longer reads 2744 CNPs, 13 reactions"
     cat "${OUT}/cnp/cnp_dynamics.stdout"; exit 1; }
 
-echo "== fig5, fig6, AllGather and AllReduce, full mode, audited: committed CSVs =="
+echo "== full mode, audited: committed CSVs =="
 mkdir "${OUT}/full"
 for b in fig5_cct_vs_msgsize fig6_cct_vs_scale allgather_comparison \
-         allreduce_comparison; do
+         allreduce_comparison fig7_failure_sweep fig4_orca_setup \
+         ablation_striping; do
   (cd "${OUT}/full" &&
      env -u PEEL_BENCH_QUICK -u PEEL_BENCH_SAMPLES PEEL_BYTE_AUDIT=1 \
        "${BENCH}/${b}" > "${b}.stdout")

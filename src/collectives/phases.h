@@ -20,6 +20,14 @@
 // ledger, hands chunks from phase to phase, and derives the deliveries a
 // collective owes (and so its recovery) from its transfers.
 //
+// A delivery resolves by index: the runner's route table (indexed by
+// StreamId) names its collective, Overlay edge and recovery flag, and the
+// collective's ledger, built once from expected_deliveries(), holds the owed
+// receivers of each wire chunk as a sorted row with one bit each, plus a
+// count that completes the collective when it reaches the number owed. A set
+// bit means a duplicate copy, ignored; a delivery the collective does not
+// owe is a transfer or engine bug and throws std::logic_error.
+//
 // Each transfer owns a contiguous range of wire chunk ids, so a delivery
 // finds its transfer by chunk id, and phases that share streams (the two
 // halves of a ring AllReduce) never collide in the delivery ledger.
@@ -43,6 +51,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -63,8 +72,9 @@ struct CollectiveRunner::Transfer {
   std::vector<StreamId> streams;
 
   virtual ~Transfer() = default;
-  /// Wire chunk ids owned: [first, first + span()).
+  /// Wire chunk ids owned: [first, end()).
   [[nodiscard]] virtual int span() const { return chunk_count(); }
+  [[nodiscard]] int end() const { return first + span(); }
   [[nodiscard]] int chunk_count() const { return static_cast<int>(sizes.size()); }
 
   virtual void open(Collective& c) = 0;
@@ -73,7 +83,10 @@ struct CollectiveRunner::Transfer {
   virtual void launch(Collective& c) = 0;
   /// `rank` now holds local chunk `chunk`: send it on.
   virtual void inject(Collective& c, int chunk, std::size_t rank) = 0;
-  virtual void on_receipt(Collective& /*c*/, const DeliveryEvent& /*ev*/) {}
+  /// A first copy of a delivery arrived on a non-recovery stream carrying
+  /// Overlay edge `edge` (-1 for Multicast streams).
+  virtual void on_receipt(Collective& /*c*/, const DeliveryEvent& /*ev*/,
+                          int /*edge*/) {}
   /// Appends every delivery local chunk `chunk` owes, with the endpoint that
   /// holds its bytes.
   virtual void expect(int chunk, std::vector<ExpectedDelivery>& out) const = 0;
@@ -98,28 +111,62 @@ struct CollectiveRunner::Collective {
   /// setup — scheduled even when 0, which orders it after same-instant
   /// events).
   SimTime launch_delay = -1;
+  std::size_t record = 0;         ///< index of its CollectiveRecord
   std::vector<StreamId> streams;  ///< every stream opened, recovery included
-  std::unordered_set<std::uint64_t> delivered;
-  /// Streams opened by recovery passes; their deliveries bypass the
-  /// forwarding rules (the recovery path covers successors itself).
-  std::unordered_set<StreamId> recovery_streams;
   /// Recovery streams from the latest pass, superseded (closed) by the next
   /// one so repeated passes under flapping never stack duplicate senders.
   std::vector<StreamId> open_recovery;
-  std::size_t expected = 0;
+  /// A down delta hit one of its open streams and no recovery pass has
+  /// covered every missing delivery since (see recover_all).
+  bool damaged = false;
+  // The delivery ledger (see the file comment): the receivers owed wire
+  // chunk w are owed[row[w] .. row[w + 1]), sorted.
+  std::vector<std::uint32_t> row;
+  std::vector<NodeId> owed;
+  std::vector<bool> have;     ///< parallel to owed
+  std::size_t delivered = 0;  ///< set bits of `have`
 
   Collective(CollectiveRunner* r, std::uint64_t id_, std::uint64_t job_)
       : runner(r), id(id_), job(job_) {}
 
-  /// Ledger key of one (receiver, chunk) delivery.
-  static std::uint64_t key(NodeId receiver, int chunk) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(receiver)) << 24) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(chunk));
+  /// Called once, after every transfer is added: buckets the owed
+  /// deliveries by chunk, then sorts each row. Submit rejects repeated
+  /// members, so no receiver appears twice in a row.
+  void build_ledger() {
+    const std::vector<ExpectedDelivery> all = expected_deliveries();
+    row.assign(static_cast<std::size_t>(transfers.back()->end()) + 1, 0);
+    for (const ExpectedDelivery& d : all) ++row[static_cast<std::size_t>(d.chunk) + 1];
+    std::partial_sum(row.begin(), row.end(), row.begin());
+    std::vector<std::uint32_t> next(row.begin(), row.end() - 1);
+    owed.resize(all.size());
+    for (const ExpectedDelivery& d : all) {
+      owed[next[static_cast<std::size_t>(d.chunk)]++] = d.receiver;
+    }
+    for (std::size_t w = 0; w + 1 < row.size(); ++w) {
+      std::sort(owed.begin() + row[w], owed.begin() + row[w + 1]);
+    }
+    have.assign(owed.size(), false);
+  }
+
+  /// Ledger slot of (receiver, chunk); throws if the collective does not
+  /// owe it.
+  [[nodiscard]] std::size_t slot(NodeId receiver, int chunk) const {
+    const auto w = static_cast<std::size_t>(chunk);
+    if (w < row.size() - 1) {
+      const auto end = owed.begin() + row[w + 1];
+      const auto it = std::lower_bound(owed.begin() + row[w], end, receiver);
+      if (it != end && *it == receiver) {
+        return static_cast<std::size_t>(it - owed.begin());
+      }
+    }
+    throw std::logic_error("delivery of chunk " + std::to_string(chunk) +
+                           " to node " + std::to_string(receiver) +
+                           " is not owed by collective " + std::to_string(id));
   }
 
   Transfer& add(int phase, std::unique_ptr<Transfer> t) {
     t->phase = phase;
-    t->first = transfers.empty() ? 0 : transfers.back()->first + transfers.back()->span();
+    t->first = transfers.empty() ? 0 : transfers.back()->end();
     transfers.push_back(std::move(t));
     return *transfers.back();
   }
@@ -140,9 +187,15 @@ struct CollectiveRunner::Collective {
   [[nodiscard]] const Fabric& fabric() const { return runner->fabric_; }
   [[nodiscard]] DataPlane& net() const { return *runner->net_; }
 
-  StreamId open(StreamSpec spec) {
+  /// Opens a stream for this collective and files its route.
+  StreamId open(StreamSpec spec, int edge = -1, bool recovery = false) {
     spec.tag = id;
     const StreamId s = net().open_stream(std::move(spec));
+    std::vector<StreamRoute>& routes = runner->routes_;
+    if (routes.size() <= static_cast<std::size_t>(s)) {
+      routes.resize(static_cast<std::size_t>(s) + 1);
+    }
+    routes[static_cast<std::size_t>(s)] = {this, edge, recovery};
     streams.push_back(s);
     return s;
   }
@@ -169,25 +222,27 @@ struct CollectiveRunner::Collective {
     }
   }
 
-  /// Returns true when the collective just completed.
-  bool handle(const DeliveryEvent& ev) {
-    if (!delivered.insert(key(ev.receiver, ev.chunk)).second) {
-      return false;  // duplicate (e.g. redundant copy) — ignore
-    }
-    if (!recovery_streams.contains(ev.stream)) {
+  /// Returns true when the collective just completed. Deliveries on a
+  /// recovery stream bypass the forwarding rules: the recovery pass covers
+  /// successors itself.
+  bool handle(const DeliveryEvent& ev, const StreamRoute& route) {
+    const std::size_t i = slot(ev.receiver, ev.chunk);
+    if (have[i]) return false;  // duplicate (e.g. redundant copy) — ignore
+    have[i] = true;
+    ++delivered;
+    if (!route.recovery) {
       const auto owner = std::upper_bound(
           transfers.begin(), transfers.end(), ev.chunk,
           [](int chunk, const auto& t) { return chunk < t->first; });
-      (*std::prev(owner))->on_receipt(*this, ev);
+      (*std::prev(owner))->on_receipt(*this, ev, route.edge);
     }
-    return delivered.size() == expected;
+    return delivered == owed.size();
   }
 
   /// Chunk-major across transfers, so each (origin, receiver) pair's
   /// deliveries come out in the order recovery re-sends them.
   [[nodiscard]] std::vector<ExpectedDelivery> expected_deliveries() const {
     std::vector<ExpectedDelivery> out;
-    out.reserve(expected);
     int chunks = 0;
     for (const auto& t : transfers) chunks = std::max(chunks, t->chunk_count());
     for (int c = 0; c < chunks; ++c) {
@@ -226,7 +281,6 @@ struct CollectiveRunner::Overlay final : Transfer {
   std::vector<std::vector<std::size_t>> out;  ///< edges by sending rank
   std::vector<int> in_degree;
   std::vector<std::vector<int>> waiting;  ///< reduction: [rank][chunk] in-edges owed
-  std::unordered_map<StreamId, std::size_t> edge_of_stream;
 
   Overlay(const char* name_, std::uint64_t salt_, Shape shape,
           std::vector<NodeId> ranks_, std::vector<Bytes> sizes_,
@@ -279,9 +333,8 @@ struct CollectiveRunner::Overlay final : Transfer {
   }
 
   void open(Collective& c) override {
-    if (reuse != nullptr) {
+    if (reuse != nullptr) {  // same edges, so the routes' edge ids hold
       streams = reuse->streams;
-      edge_of_stream = reuse->edge_of_stream;
       return;
     }
     for (std::size_t e = 0; e < edges.size(); ++e) {
@@ -293,8 +346,7 @@ struct CollectiveRunner::Overlay final : Transfer {
       }
       StreamSpec spec = spec_from_route(route);
       spec.cnp_mode = CnpMode::ReceiverTimer;
-      streams.push_back(c.open(std::move(spec)));
-      edge_of_stream[streams.back()] = e;
+      streams.push_back(c.open(std::move(spec), static_cast<int>(e)));
     }
   }
 
@@ -319,8 +371,8 @@ struct CollectiveRunner::Overlay final : Transfer {
     if (!sent) c.handoff(*this, chunk, rank);
   }
 
-  void on_receipt(Collective& c, const DeliveryEvent& ev) override {
-    const std::size_t rank = edges[edge_of_stream.at(ev.stream)].to;
+  void on_receipt(Collective& c, const DeliveryEvent& ev, int edge) override {
+    const std::size_t rank = edges[static_cast<std::size_t>(edge)].to;
     const int chunk =
         (ev.chunk - first) / (reduces() ? static_cast<int>(ranks.size()) : 1);
     if (reduces() && --waiting[rank][static_cast<std::size_t>(chunk)] > 0) return;
@@ -499,12 +551,16 @@ struct CollectiveRunner::Multicast final : Transfer {
     }
   }
 
-  void on_receipt(Collective& c, const DeliveryEvent& ev) override {
+  void on_receipt(Collective& c, const DeliveryEvent& ev, int /*edge*/) override {
+    if (scheme != Scheme::Orca) return;
     const auto host = host_of.find(ev.receiver);
     if (host == host_of.end()) return;  // not a trunk receiver
     const auto relays = relays_of.find(host->second);
     if (relays == relays_of.end()) return;
-    if (!relayed.insert(Collective::key(host->second, ev.chunk)).second) return;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(host->second)) << 32) |
+        static_cast<std::uint32_t>(ev.chunk);
+    if (!relayed.insert(key).second) return;
     for (StreamId s : relays->second) {
       c.send(s, ev.chunk, sizes[static_cast<std::size_t>(ev.chunk - first)]);
     }
@@ -524,8 +580,9 @@ struct CollectiveRunner::Multicast final : Transfer {
     // generic pass cannot re-send switch-combined bytes, and a partially
     // combined piece cannot be patched per receiver — the whole reduction
     // re-runs over a fresh tree on live links. If some member is
-    // unreachable right now nothing is rescheduled, which keeps the damage
-    // mark set so a later pass (after repair) retries.
+    // unreachable right now nothing is rescheduled and nothing is left to
+    // the generic pass, which keeps the damage mark set so a later pass
+    // (after repair) retries.
     if (scheme != Scheme::InNet || missing.empty()) return 0;
     std::vector<int> redo;
     for (const ExpectedDelivery& d : missing) redo.push_back(d.chunk);
@@ -535,6 +592,7 @@ struct CollectiveRunner::Multicast final : Transfer {
     try {
       spec = fused_spec(c, true);
     } catch (const std::exception&) {
+      missing.clear();
       return 0;
     }
     spec.cnp_mode = c.runner->options_.multicast_cnp_mode;

@@ -67,6 +67,17 @@ CollectiveRunner::CollectiveRunner(Fabric fabric, DataPlane& net,
 
 CollectiveRunner::~CollectiveRunner() { net_->set_delivery_handler({}); }
 
+std::vector<NodeId> CollectiveRunner::admit(std::uint64_t id,
+                                            std::vector<NodeId> members,
+                                            const char* what) const {
+  if (collectives_.contains(id)) throw std::invalid_argument("duplicate collective id");
+  std::sort(members.begin(), members.end());
+  if (std::adjacent_find(members.begin(), members.end()) != members.end()) {
+    throw std::invalid_argument("endpoint listed more than once in " + std::string(what));
+  }
+  return members;
+}
+
 SimTime CollectiveRunner::draw_setup_delay(bool pays) {
   if (!pays || !options_.controller_delay_enabled) return 0;
   return static_cast<SimTime>(rng_.normal_truncated(
@@ -78,9 +89,12 @@ void CollectiveRunner::submit(Scheme scheme, BroadcastRequest request) {
   if (request.destinations.empty() || request.message_bytes <= 0) {
     throw std::invalid_argument("broadcast needs destinations and a payload");
   }
-  if (collectives_.contains(request.id)) {
-    throw std::invalid_argument("duplicate collective id");
+  if (std::find(request.destinations.begin(), request.destinations.end(),
+                request.source) != request.destinations.end()) {
+    throw std::invalid_argument("broadcast source is listed among its destinations");
   }
+  const std::vector<NodeId> sorted =
+      admit(request.id, request.destinations, "broadcast destinations");
   if (scheme == Scheme::InNet) {
     throw std::invalid_argument(
         "broadcast does not support InNet (no reduction phase to offload); "
@@ -95,9 +109,7 @@ void CollectiveRunner::submit(Scheme scheme, BroadcastRequest request) {
   if (scheme == Scheme::Ring || scheme == Scheme::BinaryTree) {
     // Locality order: the source, then the members sorted.
     std::vector<NodeId> order{request.source};
-    order.insert(order.end(), request.destinations.begin(),
-                 request.destinations.end());
-    std::sort(order.begin() + 1, order.end());
+    order.insert(order.end(), sorted.begin(), sorted.end());
     const bool ring = scheme == Scheme::Ring;
     std::vector<int> origin(chunks.size(), 0);
     col->add(0, std::make_unique<Overlay>(
@@ -130,6 +142,11 @@ void CollectiveRunner::submit_allgather(Scheme scheme, AllGatherRequest request)
   if (request.members.size() < 2 || request.total_bytes <= 0) {
     throw std::invalid_argument("allgather needs >= 2 members and a payload");
   }
+  const std::vector<NodeId> members = admit(request.id, request.members, "allgather members");
+  const std::size_t n = members.size();
+  if (request.total_bytes < static_cast<Bytes>(n)) {
+    throw std::invalid_argument("allgather shards need at least one byte each");
+  }
   if (scheme == Scheme::BinaryTree) {
     throw std::invalid_argument("AllGather does not support BinaryTree");
   }
@@ -138,17 +155,8 @@ void CollectiveRunner::submit_allgather(Scheme scheme, AllGatherRequest request)
         "AllGather does not support InNet (nothing to reduce; every shard is "
         "already a plain multicast)");
   }
-  if (collectives_.contains(request.id)) {
-    throw std::invalid_argument("duplicate collective id");
-  }
-  std::vector<NodeId> members = request.members;
-  std::sort(members.begin(), members.end());
-  const std::size_t n = members.size();
   const SimTime setup = draw_setup_delay(scheme == Scheme::Orca);
   // One chunk per member shard; every member receives the n-1 other shards.
-  if (request.total_bytes < static_cast<Bytes>(n)) {
-    throw std::invalid_argument("allgather shards need at least one byte each");
-  }
   std::vector<Bytes> shards = split_chunks(request.total_bytes, static_cast<int>(n));
   auto col = std::make_unique<Collective>(this, request.id, request.job);
 
@@ -182,16 +190,12 @@ void CollectiveRunner::submit_allreduce(Scheme scheme, AllReduceRequest request)
   if (request.members.size() < 2 || request.buffer_bytes <= 0) {
     throw std::invalid_argument("allreduce needs >= 2 members and a payload");
   }
+  const std::vector<NodeId> members = admit(request.id, request.members, "allreduce members");
   if (scheme == Scheme::Orca) {
     throw std::invalid_argument(
         "AllReduce does not support Orca (its host-relay model has no "
         "reduction phase); use Optimal with controller_delay instead");
   }
-  if (collectives_.contains(request.id)) {
-    throw std::invalid_argument("duplicate collective id");
-  }
-  std::vector<NodeId> members = request.members;
-  std::sort(members.begin(), members.end());
   const std::size_t n = members.size();
   auto col = std::make_unique<Collective>(this, request.id, request.job);
 
@@ -346,10 +350,10 @@ void CollectiveRunner::on_topology_delta(const TopologyDelta& delta) {
   for (const LinkId pair : delta.down_pairs) {
     const LinkId rev = fabric_.topo().reverse_of(pair);
     for (const auto& [id, col] : collectives_) {
-      if (damaged_.contains(id)) continue;
+      if (col->damaged) continue;
       for (const StreamId s : col->streams) {
         if (net_->stream_uses_link(s, pair) || net_->stream_uses_link(s, rev)) {
-          damaged_.insert(id);
+          col->damaged = true;
           break;
         }
       }
@@ -382,9 +386,7 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
 
   std::vector<ExpectedDelivery> missing;
   for (const ExpectedDelivery& d : col.expected_deliveries()) {
-    if (!col.delivered.contains(Collective::key(d.receiver, d.chunk))) {
-      missing.push_back(d);
-    }
+    if (!col.have[col.slot(d.receiver, d.chunk)]) missing.push_back(d);
   }
 
   // Supersede the previous pass: whatever it still had in flight is
@@ -395,7 +397,7 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
   col.open_recovery.clear();
 
   if (missing.empty()) {
-    damaged_.erase(id);
+    col.damaged = false;
     return 0;
   }
 
@@ -428,8 +430,7 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
       if (tree) {
         StreamSpec spec = spec_from_tree(*tree, receivers);
         spec.cnp_mode = options_.multicast_cnp_mode;
-        const StreamId s = col.open(std::move(spec));
-        col.recovery_streams.insert(s);
+        const StreamId s = col.open(std::move(spec), -1, /*recovery=*/true);
         col.open_recovery.push_back(s);
         std::map<int, Bytes> chunks;
         for (const auto& [receiver, owed] : by_receiver) {
@@ -447,8 +448,7 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
       if (route.links.empty()) continue;  // unreachable: a later pass retries
       StreamSpec spec = spec_from_route(route);
       spec.cnp_mode = CnpMode::ReceiverTimer;
-      const StreamId s = col.open(std::move(spec));
-      col.recovery_streams.insert(s);
+      const StreamId s = col.open(std::move(spec), -1, /*recovery=*/true);
       col.open_recovery.push_back(s);
       for (const ExpectedDelivery* d : chunks) {
         net_->send_chunk(s, d->chunk, d->bytes);
@@ -459,15 +459,14 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
   // Full coverage clears the damage mark; a partial pass (some receiver
   // unreachable over live links) keeps it, so the next recover_all — e.g.
   // after a link-up delta — retries the remainder.
-  if (rescheduled == total) damaged_.erase(id);
+  if (rescheduled == total) col.damaged = false;
   return rescheduled;
 }
 
 std::size_t CollectiveRunner::recover_all() {
   std::vector<std::uint64_t> ids;
-  ids.reserve(damaged_.size());
-  for (const std::uint64_t id : damaged_) {
-    if (collectives_.contains(id)) ids.push_back(id);
+  for (const auto& [id, col] : collectives_) {
+    if (col->damaged) ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
   std::size_t rescheduled = 0;
@@ -479,7 +478,7 @@ void CollectiveRunner::register_collective(std::unique_ptr<Collective> collectiv
                                            Scheme scheme, SimTime setup_delay,
                                            Bytes message_bytes,
                                            std::size_t group_size) {
-  collective->expected = collective->expected_deliveries().size();
+  collective->build_ledger();
   CollectiveRecord record;
   record.id = collective->id;
   record.job = collective->job;
@@ -488,7 +487,7 @@ void CollectiveRunner::register_collective(std::unique_ptr<Collective> collectiv
   record.setup_delay = setup_delay;
   record.message_bytes = message_bytes;
   record.group_size = group_size;
-  record_index_[record.id] = records_.size();
+  collective->record = records_.size();
   records_.push_back(record);
 
   auto [it, inserted] = collectives_.emplace(record.id, std::move(collective));
@@ -496,19 +495,24 @@ void CollectiveRunner::register_collective(std::unique_ptr<Collective> collectiv
 }
 
 void CollectiveRunner::handle_delivery(const DeliveryEvent& ev) {
-  const auto it = collectives_.find(ev.tag);
-  if (it == collectives_.end()) return;  // stray delivery after completion
-  if (it->second->handle(ev)) finish_collective(ev.tag);
+  const auto s = static_cast<std::size_t>(ev.stream);
+  if (s >= routes_.size() || routes_[s].owner == nullptr) {
+    return;  // stray delivery after completion
+  }
+  const StreamRoute route = routes_[s];
+  if (route.owner->handle(ev, route)) finish_collective(*route.owner);
 }
 
-void CollectiveRunner::finish_collective(std::uint64_t id) {
-  const auto it = collectives_.find(id);
-  auto& record = records_[record_index_.at(id)];
+void CollectiveRunner::finish_collective(Collective& col) {
+  auto& record = records_[col.record];
   record.finished = true;
   record.finish_time = queue_->now();
-  for (StreamId s : it->second->streams) net_->close_stream(s);
-  collectives_.erase(it);
-  damaged_.erase(id);
+  for (StreamId s : col.streams) {
+    net_->close_stream(s);
+    routes_[static_cast<std::size_t>(s)] = {};
+  }
+  const std::uint64_t id = col.id;
+  collectives_.erase(id);  // destroys `col`
   // The handler may submit follow-up collectives, which re-enter
   // register_collective and can reallocate records_ — hand it a copy.
   if (finish_handler_) {
@@ -521,25 +525,21 @@ std::vector<StuckFlowInfo> CollectiveRunner::stuck_flows() const {
   std::vector<StuckFlowInfo> out;
   out.reserve(collectives_.size());
   for (const auto& [id, col] : collectives_) {
-    const CollectiveRecord& record = records_[record_index_.at(id)];
+    const CollectiveRecord& record = records_[col->record];
     StuckFlowInfo info;
     info.id = id;
     info.scheme = record.scheme;
     info.submit_time = record.submit_time;
-    info.delivered = col->delivered.size();
-    info.expected = col->expected;
-    std::vector<ExpectedDelivery> owed;
+    info.delivered = col->delivered;
+    info.expected = col->owed.size();
     for (const auto& t : col->transfers) {
-      owed.clear();
-      for (int c = 0; c < t->chunk_count(); ++c) t->expect(c, owed);
-      if (info.phases.size() <= static_cast<std::size_t>(t->phase)) {
-        info.phases.resize(static_cast<std::size_t>(t->phase) + 1);
-      }
-      PhaseProgress& phase = info.phases[static_cast<std::size_t>(t->phase)];
-      phase.expected += owed.size();
-      for (const ExpectedDelivery& d : owed) {
-        phase.delivered += col->delivered.contains(Collective::key(d.receiver, d.chunk));
-      }
+      // A transfer's deliveries are the ledger rows of its wire chunks.
+      const auto p = static_cast<std::size_t>(t->phase);
+      if (info.phases.size() <= p) info.phases.resize(p + 1);
+      const auto begin = col->have.begin() + col->row[static_cast<std::size_t>(t->first)];
+      const auto end = col->have.begin() + col->row[static_cast<std::size_t>(t->end())];
+      info.phases[p].expected += static_cast<std::size_t>(end - begin);
+      info.phases[p].delivered += static_cast<std::size_t>(std::count(begin, end, true));
     }
     info.streams.reserve(col->streams.size());
     for (StreamId s : col->streams) {

@@ -24,7 +24,6 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/collectives/fabric.h"
@@ -210,7 +209,10 @@ class CollectiveRunner : public TopologyObserver {
   CollectiveRunner& operator=(const CollectiveRunner&) = delete;
 
   /// Starts a broadcast at the current simulation time. Request ids must be
-  /// unique across the run.
+  /// unique across the run. Every submit throws std::invalid_argument, before
+  /// anything is scheduled, on a member listed twice (and submit on a source
+  /// listed among its destinations): each (receiver, chunk) delivery is owed
+  /// exactly once.
   void submit(Scheme scheme, BroadcastRequest request);
 
   /// Starts an AllGather. Ring uses the classic rotating-ring algorithm;
@@ -299,6 +301,17 @@ class CollectiveRunner : public TopologyObserver {
   struct Overlay;
   struct Multicast;
 
+  /// Where one runner-opened stream's deliveries go: routes_[StreamId].
+  struct StreamRoute {
+    Collective* owner = nullptr;  ///< null: not open for a live collective
+    int edge = -1;                ///< the Overlay edge it carries, or -1
+    bool recovery = false;        ///< opened by a recovery pass
+  };
+
+  /// Checks every submit makes first: a fresh id, and no endpoint listed
+  /// twice. Returns `members` sorted.
+  [[nodiscard]] std::vector<NodeId> admit(std::uint64_t id, std::vector<NodeId> members,
+                                          const char* what) const;
   /// Controller flow-setup delay drawn for schemes that pay it (0 when
   /// RunnerOptions::controller_delay_enabled is off or `pays` is false).
   SimTime draw_setup_delay(bool pays);
@@ -307,7 +320,7 @@ class CollectiveRunner : public TopologyObserver {
                            std::size_t group_size);
 
   void handle_delivery(const DeliveryEvent& ev);
-  void finish_collective(std::uint64_t id);
+  void finish_collective(Collective& col);
 
   // Memoized control-plane builders (TreePlanCache-backed; direct calls when
   // RunnerOptions::plan_cache is off). Each returns a shared, immutable
@@ -342,12 +355,10 @@ class CollectiveRunner : public TopologyObserver {
   TreePlanCache plan_cache_;
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Collective>> collectives_;
-  std::unordered_map<std::uint64_t, std::size_t> record_index_;
   std::vector<CollectiveRecord> records_;
-  /// Collectives a down delta has hit (an open stream of theirs forwarded
-  /// over a failed pair) and no recovery pass has fully covered yet.
-  /// Maintained by on_topology_delta, consumed by recover_all.
-  std::unordered_set<std::uint64_t> damaged_;
+  /// Indexed by StreamId (DataPlane hands them out densely from 0): filled
+  /// by Collective::open, cleared when the owning collective finishes.
+  std::vector<StreamRoute> routes_;
   DeltaApplyStats delta_stats_;
   std::function<void(const CollectiveRecord&)> finish_handler_;
 };

@@ -79,7 +79,9 @@ class DataPlane {
   /// rooted at `source` with leaf contributors. Unreached receivers and
   /// multicast nodes entered twice are legal; the byte audit reports them.
   /// An open costs O(tree): no engine sizes per-stream state by the
-  /// fabric's node count.
+  /// fabric's node count. Every engine hands out StreamIds 0, 1, 2, ... in
+  /// open order, so callers may index dense tables by them
+  /// (CollectiveRunner's stream-route table does).
   virtual StreamId open_stream(StreamSpec spec) = 0;
 
   /// Queues `bytes` of chunk `chunk_index` for paced injection at the source.

@@ -13,7 +13,12 @@
 //
 // The StreamContract cases pin DataPlane::open_stream's one contract on the
 // solo, sharded and flow engines: what it rejects, that a rejection leaves
-// the engine unchanged, and what it accepts for the audit to report.
+// the engine unchanged, that ids count up from 0, and what it accepts for
+// the audit to report.
+//
+// The CollectiveInput cases pin CollectiveRunner's side of the delivery
+// contract: every submit rejects a member listed twice before anything
+// runs, and a delivery no collective owes is an error, not a count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/collectives/runner.h"
 #include "src/harness/workload.h"
 #include "src/routing/topology_events.h"
 #include "src/sim/flow_network.h"
@@ -352,6 +358,7 @@ TEST(StreamContract, MalformedSpecsThrowAndLeaveTheEngineUnchanged) {
       std::size_t delivered = 0;
       dp.set_delivery_handler([&](const DeliveryEvent&) { ++delivered; });
       const StreamId first = dp.open_stream(c.multicast());
+      EXPECT_EQ(first, 0);  // ids are 0, 1, 2, ... in open order
       EXPECT_THROW((void)dp.open_stream(bad.spec()), std::invalid_argument);
       // The rejection consumed no StreamId, and the engine still delivers.
       const StreamId next = dp.open_stream(c.reduce());
@@ -425,6 +432,120 @@ TEST(StreamContract, RejectedSendLeavesEveryReplicaUnchanged) {
     EXPECT_EQ(delivered, 1u);
     EXPECT_EQ(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
   });
+}
+
+TEST(CollectiveInput, RepeatedMembersAreRejectedAtSubmit) {
+  // Each (receiver, chunk) delivery is owed once. A member listed twice
+  // would otherwise leave a collective silently unfinished or throw from
+  // inside the event loop, depending on the scheme.
+  const FatTree& ft = small_fat_tree();
+  const std::vector<NodeId>& g = ft.endpoints();
+  const auto expect_rejected = [](const std::function<void()>& submit,
+                                  const std::string& problem) {
+    try {
+      submit();
+      ADD_FAILURE() << "accepted input with " << problem;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(problem), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const Scheme scheme :
+       {Scheme::Ring, Scheme::BinaryTree, Scheme::Optimal, Scheme::Orca,
+        Scheme::Peel, Scheme::PeelProgCores, Scheme::InNet}) {
+    SCOPED_TRACE(to_string(scheme));
+    EventQueue queue;
+    Network net(ft.topo, SimConfig{}, queue);
+    CollectiveRunner runner(Fabric::of(ft), net, queue, Rng(1), RunnerOptions{});
+    expect_rejected(
+        [&] {
+          runner.submit(scheme, BroadcastRequest{1, g[0], {g[1], g[9], g[1]},
+                                                 64 * kKiB});
+        },
+        "more than once");
+    expect_rejected(
+        [&] {
+          runner.submit(scheme,
+                        BroadcastRequest{2, g[0], {g[1], g[0]}, 64 * kKiB});
+        },
+        "source");
+    expect_rejected(
+        [&] {
+          runner.submit_allgather(
+              scheme, AllGatherRequest{3, {g[0], g[9], g[0]}, 64 * kKiB});
+        },
+        "more than once");
+    expect_rejected(
+        [&] {
+          runner.submit_allreduce(
+              scheme, AllReduceRequest{4, {g[9], g[0], g[9]}, 64 * kKiB});
+        },
+        "more than once");
+    queue.run();
+    EXPECT_TRUE(runner.records().empty());
+    EXPECT_EQ(runner.active_count(), 0u);
+  }
+}
+
+/// Pass-through DataPlane that, before the first real delivery, hands the
+/// runner a copy re-addressed to `stranger`.
+struct StrangerDeliveryPlane final : DataPlane {
+  DataPlane& inner;
+  NodeId stranger;
+  bool injected = false;
+
+  StrangerDeliveryPlane(DataPlane& net, NodeId who) : inner(net), stranger(who) {}
+
+  void set_delivery_handler(
+      std::function<void(const DeliveryEvent&)> handler) override {
+    if (!handler) return inner.set_delivery_handler({});
+    inner.set_delivery_handler([this, handler](const DeliveryEvent& ev) {
+      if (!injected) {
+        injected = true;
+        DeliveryEvent bogus = ev;
+        bogus.receiver = stranger;
+        handler(bogus);
+      }
+      handler(ev);
+    });
+  }
+  StreamId open_stream(StreamSpec spec) override {
+    return inner.open_stream(std::move(spec));
+  }
+  void send_chunk(StreamId s, int chunk, Bytes bytes) override {
+    inner.send_chunk(s, chunk, bytes);
+  }
+  std::vector<int> cancel_unsent_chunks(StreamId s) override {
+    return inner.cancel_unsent_chunks(s);
+  }
+  void close_stream(StreamId s) override { inner.close_stream(s); }
+  void on_duplex_failed(LinkId l) override { inner.on_duplex_failed(l); }
+  void on_duplex_restored(LinkId l) override { inner.on_duplex_restored(l); }
+  [[nodiscard]] bool stream_uses_link(StreamId s, LinkId l) const override {
+    return inner.stream_uses_link(s, l);
+  }
+  [[nodiscard]] StreamDiagnostic stream_diagnostic(StreamId s) const override {
+    return inner.stream_diagnostic(s);
+  }
+  [[nodiscard]] Bytes link_bytes(LinkId l) const override {
+    return inner.link_bytes(l);
+  }
+};
+
+TEST(CollectiveInput, ADeliveryTheCollectiveDoesNotOweThrows) {
+  // A delivery on a runner-opened stream to an endpoint outside the group:
+  // counting it would let the collective finish a delivery early.
+  const FatTree& ft = small_fat_tree();
+  const std::vector<NodeId>& g = ft.endpoints();
+  EventQueue queue;
+  Network net(ft.topo, SimConfig{}, queue);
+  StrangerDeliveryPlane plane(net, g[12]);
+  CollectiveRunner runner(Fabric::of(ft), plane, queue, Rng(1), RunnerOptions{});
+  runner.submit(Scheme::Peel,
+                BroadcastRequest{1, g[0], {g[1], g[5], g[9]}, 64 * kKiB});
+  EXPECT_THROW(queue.run(), std::logic_error);
+  EXPECT_TRUE(plane.injected);
+  EXPECT_FALSE(runner.records().front().finished);
 }
 
 }  // namespace

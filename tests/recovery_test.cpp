@@ -228,5 +228,55 @@ TEST_F(RecoveryFixture, RingRecoversWithoutForwardingConfusion) {
   EXPECT_TRUE(runner.records().front().finished);
 }
 
+TEST_F(RecoveryFixture, InNetRecoveryWaitsOutAnUnreachableMember) {
+  // An in-network AllReduce with a member cut off has no live tree to re-run
+  // its reduction over, and the root never held the combined pieces, so
+  // nothing can be re-sent per receiver either: the pass reschedules nothing
+  // and opens nothing. Once the link is back, the next pass re-runs the
+  // whole fused reduction and the collective finishes.
+  EventQueue queue;
+  SimConfig sim;
+  sim.telemetry.enabled = true;
+  Network net(ls.topo, sim, queue);
+  CollectiveRunner runner(fabric, net, queue, Rng(6), RunnerOptions{});
+  AllReduceRequest req;
+  req.id = 1;
+  for (std::size_t i = 0; i < 32; i += 3) req.members.push_back(ls.gpus[i]);
+  req.buffer_bytes = 8 * kMiB;
+  const NodeId host = ls.topo.host_of(req.members.back());
+  const LinkId nic = ls.topo.find_link(host, ls.topo.tor_of(host));
+  runner.submit_allreduce(Scheme::InNet, req);
+
+  queue.at(20 * kMicrosecond, [&] {
+    ls.topo.fail_duplex(nic);
+    net.on_duplex_failed(nic);
+  });
+  std::size_t while_cut = 1;
+  std::size_t streams_while_cut = 0;
+  queue.at(120 * kMicrosecond, [&] {
+    runner.on_topology_delta(TopologyDelta::link_down(nic));
+    while_cut = runner.recover_collective(1);
+    streams_while_cut = runner.stuck_flows().front().streams.size();
+  });
+  std::size_t after_repair = 0;
+  queue.at(2 * kMillisecond, [&] {
+    ls.topo.restore_duplex(nic);
+    net.on_duplex_restored(nic);
+    runner.on_topology_delta(TopologyDelta::link_up(nic));
+    after_repair = runner.recover_collective(1);
+  });
+  queue.run();
+
+  EXPECT_EQ(while_cut, 0u);
+  EXPECT_EQ(streams_while_cut, 1u);  // the original fused stream alone
+  EXPECT_EQ(after_repair, req.members.size() * 8);  // every piece, to everyone
+  EXPECT_TRUE(runner.records().front().finished);
+  ASSERT_NE(net.telemetry(), nullptr);
+  EXPECT_TRUE(net.telemetry()->over_delivery_violations().empty());
+  for (const std::string& v : net.telemetry()->conservation_violations()) {
+    ADD_FAILURE() << v;
+  }
+}
+
 }  // namespace
 }  // namespace peel
