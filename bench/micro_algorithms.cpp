@@ -9,6 +9,11 @@
 // controller catching up on a long quiet spell, the sharded engine's
 // windows and mailbox drain on a congested cross-pod broadcast, and the
 // collective runner's delivery handler.
+//
+// Every row also carries `calibration_s`: perfbench's host-speed kernel
+// (perfbench/calibrate.h), timed on one thread right after the row. The
+// shared hosts these run on drift by tens of percent within minutes, so
+// compare two rows only after scaling each by its calibration_s.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "perfbench/calibrate.h"
 #include "src/collectives/plan_cache.h"
 #include "src/collectives/runner.h"
 #include "src/collectives/trees.h"
@@ -222,9 +228,8 @@ void BM_PlanCacheHit(benchmark::State& state) {
   const std::vector<NodeId> dests(gpus.begin() + 1, gpus.begin() + 64);
   TreePlanCache cache;
   auto lookup = [&] {
-    return cache.get_or_build<PeelPlan>(
-        PlanKind::PeelPlan, source, dests, PeelCoverOptions{},
-        [&] { return build_peel_plan(ft, source, dests); });
+    return cache.get_or_build(PlanKind::PeelPlan, source, dests, PeelCoverOptions{},
+                              [&] { return build_peel_plan(ft, source, dests); });
   };
   (void)lookup();  // the one miss
   for (auto _ : state) {
@@ -592,7 +597,36 @@ void BM_CollectiveDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectiveDelivery)->Arg(64)->Arg(2048);
 
+/// Forwards every row to the default display reporter with the host-speed
+/// calibration, measured once per row, added as the `calibration_s` counter.
+class CalibratedReporter : public benchmark::BenchmarkReporter {
+ public:
+  explicit CalibratedReporter(benchmark::BenchmarkReporter* display)
+      : display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    const benchmark::Counter calibration(perfbench::calibration_seconds(1));
+    std::vector<Run> rows = runs;
+    for (Run& row : rows) row.counters["calibration_s"] = calibration;
+    display_->ReportRuns(rows);
+  }
+  void Finalize() override { display_->Finalize(); }
+
+ private:
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
+};
+
 }  // namespace
 }  // namespace peel
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  peel::CalibratedReporter reporter(benchmark::CreateDefaultDisplayReporter());
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  return 0;
+}

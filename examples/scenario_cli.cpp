@@ -40,7 +40,6 @@
 //     --stripes=N           stripe chunks across N >= 1 near-optimal trees
 //                           per collective (Optimal and symmetric PEEL;
 //                           default 1)
-//     --no-plan-cache       disable the control-plane TreePlanCache (A/B)
 //     --shards=N            pod-sharded parallel engine with N worker threads
 //                           (results are byte-identical for any N >= 1;
 //                           0 = classic single-queue engine)
@@ -142,7 +141,6 @@ struct Flags {
   double detect_us = 100.0;
   int flap_links = 1;
   int stripes = 1;
-  bool no_plan_cache = false;
   int shards = 0;
   Fidelity fidelity = Fidelity::Packet;
   // --- workload mode ---
@@ -232,8 +230,6 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
       flags.no_recover = true;
     } else if (flag_value(arg, "--stripes", &value)) {
       flags.stripes = parse_number<int>(value, "--stripes", 1);
-    } else if (!std::strcmp(arg, "--no-plan-cache")) {
-      flags.no_plan_cache = true;
     } else if (flag_value(arg, "--shards", &value)) {
       flags.shards = parse_number<int>(value, "--shards");
     } else if (flag_value(arg, "--fidelity", &value)) {
@@ -306,7 +302,6 @@ int run_workload_mode(const Flags& flags,
   wc.watchdog = flags.watchdog;
   wc.deadline_seconds = flags.deadline_seconds;
   if (flags.stripes > 1) wc.runner.stripe_trees = flags.stripes;
-  wc.runner.plan_cache = !flags.no_plan_cache;
 
   const FatTree ft = build_fat_tree(FatTreeConfig{8, 4, 8});
   const Fabric fabric = Fabric::of(ft);
@@ -453,7 +448,6 @@ int cli_main(int argc, char** argv) {
   sc.faults.detection_delay_seconds = flags.detect_us * 1e-6;
   sc.faults.auto_recover = !flags.no_recover;
   if (flags.stripes > 1) sc.runner.stripe_trees = flags.stripes;
-  sc.runner.plan_cache = !flags.no_plan_cache;
   sc.shards = flags.shards;
   sc.fidelity = flags.fidelity;
 
@@ -501,6 +495,7 @@ int cli_main(int argc, char** argv) {
     plan.misses += c.result.plan_cache.misses;
     plan.insertions += c.result.plan_cache.insertions;
     plan.invalidations += c.result.plan_cache.invalidations;
+    plan.repairs += c.result.plan_cache.repairs;
     delta_applies += c.result.delta_applies;
     delta_total_us += c.result.delta_apply_total_us;
     delta_max_us = std::max(delta_max_us, c.result.delta_apply_max_us);

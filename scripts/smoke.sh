@@ -17,8 +17,10 @@
 #     catch-up carries most), fig5_cct_vs_msgsize and allgather_comparison
 #     (the other heavy benches that open many streams), fig7_failure_sweep
 #     (recovery passes), fig4_orca_setup (Orca relays and the PEEL+ProgCores
-#     migration) and ablation_striping (striped streams), in full mode under
-#     PEEL_BYTE_AUDIT=1: each CSV must equal the committed one
+#     migration), ablation_striping (striped streams), ablation_cover_modes
+#     (the cover policy, a plan-cache key field) and deployment_ladder (every
+#     multicast scheme), in full mode under PEEL_BYTE_AUDIT=1: each CSV must
+#     equal the committed one
 #   - every paper bench in quick mode, once plain and once under
 #     PEEL_BYTE_AUDIT=1 (an audit failure exits non-zero), in two temp
 #     dirs; CSVs and stdout must be byte-identical
@@ -31,6 +33,9 @@
 #     differ within the tolerances flow_fidelity_test asserts)
 #   - in-network AllReduce, audited, and the same run at 1 and 4 sharded
 #     workers, diffed
+#   - in-network AllReduce under link flapping, audited: the plan cache's
+#     in-place repairs must be non-zero and equal the delta-apply line's
+#     repaired plans
 #   - multi-tenant workload run, audited
 #   - multi-tenant workload at flow fidelity (the max-min solver), audited,
 #     run twice and diffed
@@ -69,7 +74,7 @@ echo "== full mode, audited: committed CSVs =="
 mkdir "${OUT}/full"
 for b in fig5_cct_vs_msgsize fig6_cct_vs_scale allgather_comparison \
          allreduce_comparison fig7_failure_sweep fig4_orca_setup \
-         ablation_striping; do
+         ablation_striping ablation_cover_modes deployment_ladder; do
   (cd "${OUT}/full" &&
      env -u PEEL_BENCH_QUICK -u PEEL_BENCH_SAMPLES PEEL_BYTE_AUDIT=1 \
        "${BENCH}/${b}" > "${b}.stdout")
@@ -112,6 +117,18 @@ echo "== in-network AllReduce (scenario_cli innet, audited; --shards=1 vs --shar
 "${CLI}" innet allreduce 16 8 30 5 --audit --watchdog --shards=1 > "${OUT}/innet1.txt"
 "${CLI}" innet allreduce 16 8 30 5 --audit --watchdog --shards=4 > "${OUT}/innet4.txt"
 diff "${OUT}/innet1.txt" "${OUT}/innet4.txt"
+
+echo "== flapping in-network AllReduce: plan-cache repairs match delta apply =="
+"${CLI}" innet allreduce 256 1 30 100 --flap-mtbf=500 --flap-mttr=300 \
+  --flap-links=64 --flap-horizon=15000 --audit --watchdog | tee "${OUT}/innet_flap.txt"
+cache_repairs=$(sed -n 's/^  plan cache .*, \([0-9]*\) in-place repair(s)$/\1/p' \
+  "${OUT}/innet_flap.txt")
+delta_repairs=$(sed -n 's/^  delta apply .*, \([0-9]*\) plan(s) repaired, .*$/\1/p' \
+  "${OUT}/innet_flap.txt")
+[[ -n "${cache_repairs}" && "${cache_repairs}" == "${delta_repairs}" &&
+   "${cache_repairs}" -gt 0 ]] ||
+  { echo "plan cache reports '${cache_repairs}' repairs, delta apply '${delta_repairs}'"
+    exit 1; }
 
 echo "== multi-tenant workload (scenario_cli --workload, audited) =="
 "${CLI}" --workload optimal broadcast 16 1 30 40 --churn=1 --capacity=8 --audit --watchdog

@@ -497,10 +497,8 @@ struct CollectiveRunner::Multicast final : Transfer {
       } catch (const std::exception&) {
       }
     }
-    const std::shared_ptr<const MulticastTree> tree =
-        c.runner->recovery_tree_for(source, dests);
-    const PeelStream whole{*tree, dests};
-    return innet_fused_spec(topo, std::span{&whole, 1}, source, members);
+    return innet_fused_spec(topo, *c.runner->recovery_tree_for(source, dests),
+                            source, members);
   }
 
   void launch(Collective& c) override {

@@ -5,21 +5,23 @@
 // every stripe of a collective derives the same PeelPlan, every repeated
 // placement window re-peels the same Steiner trees, and every recovery pass
 // re-plans origin groups. This cache sits in front of the deterministic
-// builders (build_peel_plan, peel_asymmetric_trees, layer_peel_tree) and
-// returns the previously computed artifact when every input matches.
+// builders (build_peel_plan, peel_static_trees, peel_asymmetric_trees,
+// layer_peel_tree) and returns the previously computed artifact when every
+// input matches. It stores two artifact types: a PeelPlan, and a part list
+// (std::vector<PeelStream>: one forward-orientation tree per packet class,
+// with the member endpoints it serves). A recovery tree is a one-part list.
 //
 // Validity contract under topology churn: the cache must never serve a plan
-// that traverses a currently failed link. Each entry learns its artifact's
-// edge set (duplex-pair representatives) at insert time and is indexed under
-// every edge it traverses; apply_delta() consumes a TopologyDelta
+// that traverses a currently failed link. A part list is indexed under every
+// duplex pair its trees traverse; apply_delta() consumes a TopologyDelta
 // (src/routing/topology_events.h) and touches only the entries whose trees
-// traverse a pair the delta reports down — repairing them in place through
-// the caller's hook (incremental re-peel, src/steiner/tree_repair.h) or
-// evicting them. Entries with an empty edge set (failure-oblivious builders
-// like build_peel_plan) are immune to deltas by construction. Up transitions
-// evict nothing: a tree over live links stays valid when more links come
-// back, and because eviction already happened at the Down, a repair can
-// never resurrect a plan that traversed the failed link.
+// traverse a pair the delta reports down — repairing each part in place
+// (incremental re-peel, src/steiner/tree_repair.h) or, when some part cannot
+// be repaired, evicting the entry. PeelPlans never read the failure set and
+// carry no edges, so no delta touches them. Up transitions evict nothing: a
+// tree over live links stays valid when more links come back, and because
+// eviction already happened at the Down, a repair can never resurrect a plan
+// that traversed the failed link.
 //
 // The key still contains EVERY input the builder reads — kind, source, the
 // full destination vector (exact equality, not just a hash), and the cover
@@ -32,13 +34,14 @@
 // scenario_cli; bench/micro_algorithms times a hit (BM_PlanCacheHit).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
+#include "src/collectives/trees.h"
 #include "src/prefix/plan.h"
 #include "src/routing/topology_events.h"
 #include "src/topology/topology.h"
@@ -59,7 +62,7 @@ struct PlanCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;    ///< misses whose artifact was stored
   std::uint64_t invalidations = 0; ///< entries evicted by topology deltas
-  std::uint64_t repairs = 0;       ///< entries patched in place by the hook
+  std::uint64_t repairs = 0;       ///< entries patched in place by apply_delta
 
   [[nodiscard]] double hit_rate() const noexcept {
     const std::uint64_t total = hits + misses;
@@ -68,114 +71,52 @@ struct PlanCacheStats {
   }
 };
 
-/// Outcome of the caller's repair hook for one delta-affected entry: a
-/// replacement artifact plus its new edge set, or a null value to evict.
-struct PlanRepair {
-  std::shared_ptr<const void> value;
-  std::vector<LinkId> edges;
-};
-
 class TreePlanCache {
  public:
   /// `capacity` bounds the entry count; reaching it flushes the cache (the
   /// artifacts are cheap to rebuild, so eviction policy is not worth state).
   explicit TreePlanCache(std::size_t capacity = 4096) : capacity_(capacity) {}
 
-  /// Attempts to repair (or evicts) every cached plan whose edge set
-  /// traverses a pair the delta reports down. `repair` receives the entry's
-  /// key fields and type-erased artifact and returns the replacement (null
-  /// value = evict); an empty hook evicts every affected entry. Pairs the
+  /// Repairs every cached part list whose trees traverse a pair the delta
+  /// reports down: repair_tree on each part against `topo`'s current failure
+  /// set, re-indexed under the repaired edges; an entry with a part that
+  /// cannot be repaired (some receiver unreachable) is evicted. Pairs the
   /// delta reports up touch nothing — see the validity contract above.
-  using RepairFn = std::function<PlanRepair(
-      PlanKind kind, NodeId source, const std::vector<NodeId>& dests,
-      const std::shared_ptr<const void>& value)>;
-  void apply_delta(const TopologyDelta& delta, const RepairFn& repair = {}) {
-    if (delta.down_pairs.empty()) return;
-    // Collect the affected keys first: repairing an entry re-indexes it,
-    // which must not race the bucket iteration. A plan whose tree traverses
-    // several pairs the delta reports down appears in several buckets; the
-    // per-delta pass stamp dedups it so each plan is repaired (and the hook
-    // invoked) exactly once per delta, regardless of how many of its edges
-    // went down together.
-    const std::uint64_t pass = ++apply_pass_;
-    std::vector<const Key*> affected;
-    for (LinkId pair : delta.down_pairs) {
-      const auto bucket = by_edge_.find(pair);
-      if (bucket == by_edge_.end()) continue;
-      for (const Key* k : bucket->second) {
-        Entry& e = entries_.find(*k)->second;
-        if (e.last_pass == pass) continue;
-        e.last_pass = pass;
-        affected.push_back(k);
-      }
-    }
-    for (const Key* kp : affected) {
-      const auto it = entries_.find(*kp);
-      Entry& entry = it->second;
-      unindex(&it->first, entry.edges);
-      PlanRepair fixed;
-      if (repair) fixed = repair(kp->kind, kp->source, kp->dests, entry.value);
-      if (fixed.value != nullptr) {
-        entry.value = std::move(fixed.value);
-        entry.edges = normalize_edges(std::move(fixed.edges));
-        index(&it->first, entry.edges);
-        ++stats_.repairs;
-      } else {
-        entries_.erase(it);
-        ++stats_.invalidations;
-      }
-    }
-  }
+  void apply_delta(const TopologyDelta& delta, const Topology& topo);
 
   /// Looks up the artifact for (kind, source, dests, cover), invoking
-  /// `build` on a miss and `edges_of(artifact)` to learn the duplex pairs
-  /// the artifact traverses (its delta-invalidation footprint). `build` must
-  /// be a pure function of those inputs and the current fabric state. T must
-  /// match `kind` at every call site — the kind IS the type tag.
-  template <typename T, typename Build, typename EdgesOf>
-  std::shared_ptr<const T> get_or_build(PlanKind kind, NodeId source,
-                                        const std::vector<NodeId>& dests,
-                                        const PeelCoverOptions& cover,
-                                        Build&& build, EdgesOf&& edges_of) {
+  /// `build` on a miss. `build` returns a PeelPlan or a
+  /// std::vector<PeelStream>, and must be a pure function of those inputs
+  /// and the current fabric state; a part list is indexed under the duplex
+  /// pairs its trees traverse. A build that throws caches nothing.
+  template <typename Build>
+  auto get_or_build(PlanKind kind, NodeId source, const std::vector<NodeId>& dests,
+                    const PeelCoverOptions& cover, Build&& build)
+      -> std::shared_ptr<const std::invoke_result_t<Build&>> {
+    using T = std::invoke_result_t<Build&>;
+    static_assert(std::is_same_v<T, PeelPlan> || std::is_same_v<T, Parts>,
+                  "the cache stores PeelPlans and part lists");
     Key key{kind, source, cover.max_tor_prefixes_per_pod, cover.max_pod_blocks,
             dests};
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++stats_.hits;
-      return std::static_pointer_cast<const T>(it->second.value);
+      return std::get<std::shared_ptr<const T>>(it->second.value);
     }
     ++stats_.misses;
     auto value = std::make_shared<const T>(build());
-    if (entries_.size() >= capacity_) {
-      entries_.clear();
-      by_edge_.clear();
-    }
-    Entry entry;
-    entry.value = value;
-    entry.edges = normalize_edges(edges_of(*value));
-    const auto pos = entries_.emplace(std::move(key), std::move(entry)).first;
-    index(&pos->first, pos->second.edges);
-    ++stats_.insertions;
+    insert(std::move(key), value);
     return value;
-  }
-
-  /// Overload for failure-oblivious builders (no link in the artifact's
-  /// construction depends on the failure set): the entry carries no edges
-  /// and is therefore immune to topology deltas.
-  template <typename T, typename Build>
-  std::shared_ptr<const T> get_or_build(PlanKind kind, NodeId source,
-                                        const std::vector<NodeId>& dests,
-                                        const PeelCoverOptions& cover,
-                                        Build&& build) {
-    return get_or_build<T>(kind, source, dests, cover,
-                           std::forward<Build>(build),
-                           [](const T&) { return std::vector<LinkId>{}; });
   }
 
   [[nodiscard]] const PlanCacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  using Parts = std::vector<PeelStream>;
+  using Artifact =
+      std::variant<std::shared_ptr<const PeelPlan>, std::shared_ptr<const Parts>>;
+
   struct Key {
     PlanKind kind;
     NodeId source;
@@ -203,30 +144,16 @@ class TreePlanCache {
     }
   };
   struct Entry {
-    std::shared_ptr<const void> value;
+    Artifact value;
     std::vector<LinkId> edges;  ///< sorted, deduped duplex-pair reps
     std::uint64_t last_pass = 0;  ///< apply_delta pass that last touched this
   };
 
-  [[nodiscard]] static std::vector<LinkId> normalize_edges(
-      std::vector<LinkId> edges) {
-    for (LinkId& l : edges) l -= l % 2;
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    return edges;
-  }
-
-  void index(const Key* key, const std::vector<LinkId>& edges) {
-    for (LinkId pair : edges) by_edge_[pair].push_back(key);
-  }
-  void unindex(const Key* key, const std::vector<LinkId>& edges) {
-    for (LinkId pair : edges) {
-      const auto bucket = by_edge_.find(pair);
-      if (bucket == by_edge_.end()) continue;
-      std::erase(bucket->second, key);
-      if (bucket->second.empty()) by_edge_.erase(bucket);
-    }
-  }
+  /// Stores a freshly built artifact (flushing first at capacity) and
+  /// indexes a part list under its edges.
+  void insert(Key key, Artifact value);
+  void index(const Key* key, const std::vector<LinkId>& edges);
+  void unindex(const Key* key, const std::vector<LinkId>& edges);
 
   std::size_t capacity_;
   std::uint64_t apply_pass_ = 0;

@@ -9,7 +9,6 @@
 
 #include "src/collectives/phases.h"
 #include "src/steiner/layer_peel.h"
-#include "src/steiner/tree_repair.h"
 
 namespace peel {
 
@@ -25,32 +24,6 @@ const char* to_string(Scheme s) noexcept {
   }
   return "?";
 }
-
-namespace {
-
-/// Duplex edge pairs of every part tree: the index a cached part set is
-/// surgically repaired or evicted under.
-std::vector<LinkId> part_edges(const std::vector<PeelStream>& parts) {
-  std::vector<LinkId> edges;
-  for (const PeelStream& part : parts) {
-    const std::vector<LinkId> pairs = duplex_edge_pairs(part.tree);
-    edges.insert(edges.end(), pairs.begin(), pairs.end());
-  }
-  return edges;
-}
-
-/// TreePlanCache lookup, or a direct build when memoization is off.
-template <typename T, typename Build, typename EdgesOf>
-std::shared_ptr<const T> memoized(bool enabled, TreePlanCache& cache, PlanKind kind,
-                                  NodeId source, const std::vector<NodeId>& dests,
-                                  const PeelCoverOptions& cover, Build&& build,
-                                  EdgesOf&& edges_of) {
-  if (!enabled) return std::make_shared<const T>(build());
-  return cache.get_or_build<T>(kind, source, dests, cover, std::forward<Build>(build),
-                               std::forward<EdgesOf>(edges_of));
-}
-
-}  // namespace
 
 CollectiveRunner::CollectiveRunner(Fabric fabric, DataPlane& net,
                                    EventQueue& queue, Rng rng,
@@ -253,16 +226,13 @@ std::shared_ptr<const PeelPlan> CollectiveRunner::peel_plan_for(
     NodeId source, const std::vector<NodeId>& dests) {
   // build_peel_plan never reads the failure set (symmetric prefix cover), so
   // the entry carries no edges and survives every topology delta.
-  return memoized<PeelPlan>(
-      options_.plan_cache, plan_cache_, PlanKind::PeelPlan, source, dests,
-      options_.peel_cover,
-      [&] {
-        return fabric_.fat_tree ? build_peel_plan(*fabric_.fat_tree, source, dests,
-                                                  options_.peel_cover)
-                                : build_peel_plan(*fabric_.leaf_spine, source, dests,
-                                                  options_.peel_cover);
-      },
-      [](const PeelPlan&) { return std::vector<LinkId>{}; });
+  return plan_cache_.get_or_build(PlanKind::PeelPlan, source, dests,
+                                  options_.peel_cover, [&] {
+    return fabric_.fat_tree ? build_peel_plan(*fabric_.fat_tree, source, dests,
+                                              options_.peel_cover)
+                            : build_peel_plan(*fabric_.leaf_spine, source, dests,
+                                              options_.peel_cover);
+  });
 }
 
 std::shared_ptr<const std::vector<PeelStream>> CollectiveRunner::reduce_plan_for(
@@ -270,11 +240,10 @@ std::shared_ptr<const std::vector<PeelStream>> CollectiveRunner::reduce_plan_for
   // Selector 0: the reduce plan must be deterministic per (root, group) so
   // repeated collectives share one cached artifact — stripe variety buys
   // nothing here, the mirror is fixed by the forward cover anyway.
-  return memoized<std::vector<PeelStream>>(
-      options_.plan_cache, plan_cache_, PlanKind::ReducePlan, root, dests,
-      options_.peel_cover,
-      [&] { return peel_static_trees(fabric_, *peel_plan_for(root, dests), 0); },
-      part_edges);
+  return plan_cache_.get_or_build(PlanKind::ReducePlan, root, dests,
+                                  options_.peel_cover, [&] {
+    return peel_static_trees(fabric_, *peel_plan_for(root, dests), 0);
+  });
 }
 
 std::shared_ptr<const std::vector<PeelStream>>
@@ -285,57 +254,21 @@ CollectiveRunner::asymmetric_trees_for(NodeId source,
   }
   // Asymmetric trees ignore the cover policy; a fixed cover keeps keys from
   // splitting on an input the builder never reads.
-  return memoized<std::vector<PeelStream>>(
-      options_.plan_cache, plan_cache_, PlanKind::PeelAsymmetric, source, dests,
-      PeelCoverOptions{},
-      [&] { return peel_asymmetric_trees(*fabric_.leaf_spine, source, dests); },
-      part_edges);
+  return plan_cache_.get_or_build(PlanKind::PeelAsymmetric, source, dests,
+                                  PeelCoverOptions{}, [&] {
+    return peel_asymmetric_trees(*fabric_.leaf_spine, source, dests);
+  });
 }
 
-std::shared_ptr<const MulticastTree> CollectiveRunner::recovery_tree_for(
+std::shared_ptr<const std::vector<PeelStream>> CollectiveRunner::recovery_tree_for(
     NodeId origin, const std::vector<NodeId>& receivers) {
-  return memoized<MulticastTree>(
-      options_.plan_cache, plan_cache_, PlanKind::RecoveryTree, origin, receivers,
-      PeelCoverOptions{},
-      [&] { return layer_peel_tree(fabric_.topo(), origin, receivers); },
-      [](const MulticastTree& tree) { return duplex_edge_pairs(tree); });
-}
-
-PlanRepair CollectiveRunner::repair_cached_plan(
-    PlanKind kind, const std::shared_ptr<const void>& value) const {
-  try {
-    switch (kind) {
-      case PlanKind::RecoveryTree: {
-        const auto& tree = *std::static_pointer_cast<const MulticastTree>(value);
-        TreeRepairResult repaired = repair_tree(fabric_.topo(), tree);
-        auto fixed =
-            std::make_shared<const MulticastTree>(std::move(repaired.tree));
-        return PlanRepair{fixed, duplex_edge_pairs(*fixed)};
-      }
-      case PlanKind::PeelAsymmetric:
-      case PlanKind::ReducePlan: {
-        // Both store forward-orientation PeelStream parts (ReducePlan parts
-        // are mirrored only at spec-build time), so one repair serves both.
-        const auto& streams =
-            *std::static_pointer_cast<const std::vector<PeelStream>>(value);
-        auto fixed = std::make_shared<std::vector<PeelStream>>();
-        fixed->reserve(streams.size());
-        for (const PeelStream& s : streams) {
-          fixed->push_back(
-              PeelStream{repair_tree(fabric_.topo(), s.tree).tree, s.receivers});
-        }
-        std::vector<LinkId> edges = part_edges(*fixed);
-        return PlanRepair{std::move(fixed), std::move(edges)};
-      }
-      case PlanKind::PeelPlan:
-        // Edge-free entries are never delta-indexed; nothing to repair.
-        break;
-    }
-  } catch (const std::exception&) {
-    // Some orphaned destination is unreachable right now: evict; a later
-    // lookup (after repair) rebuilds from scratch.
-  }
-  return PlanRepair{};
+  return plan_cache_.get_or_build(PlanKind::RecoveryTree, origin, receivers,
+                                  PeelCoverOptions{}, [&] {
+    std::vector<PeelStream> whole;
+    whole.push_back(
+        PeelStream{layer_peel_tree(fabric_.topo(), origin, receivers), receivers});
+    return whole;
+  });
 }
 
 void CollectiveRunner::on_topology_delta(const TopologyDelta& delta) {
@@ -359,14 +292,7 @@ void CollectiveRunner::on_topology_delta(const TopologyDelta& delta) {
       }
     }
   }
-  if (options_.plan_cache) {
-    plan_cache_.apply_delta(
-        delta, [this](PlanKind kind, NodeId /*source*/,
-                      const std::vector<NodeId>& /*dests*/,
-                      const std::shared_ptr<const void>& value) {
-          return repair_cached_plan(kind, value);
-        });
-  }
+  plan_cache_.apply_delta(delta, fabric_.topo());
   const PlanCacheStats cache_after = plan_cache_.stats();
   const double us = std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - apply_start)
@@ -419,7 +345,7 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
     // tree: one copy of each missing chunk serves the whole group, and
     // receivers that already hold it get a duplicate the ledger ignores.
     // Unreachable receivers (no tree) fall back to per-receiver unicasts.
-    std::shared_ptr<const MulticastTree> tree;
+    std::shared_ptr<const std::vector<PeelStream>> tree;
     if (options_.recovery_trees && by_receiver.size() >= 2) {
       std::vector<NodeId> receivers;
       for (const auto& [receiver, chunks] : by_receiver) receivers.push_back(receiver);
@@ -428,7 +354,7 @@ std::size_t CollectiveRunner::recover_collective(std::uint64_t id) {
       } catch (const std::exception&) {
       }
       if (tree) {
-        StreamSpec spec = spec_from_tree(*tree, receivers);
+        StreamSpec spec = spec_from_tree(tree->front().tree, receivers);
         spec.cnp_mode = options_.multicast_cnp_mode;
         const StreamId s = col.open(std::move(spec), -1, /*recovery=*/true);
         col.open_recovery.push_back(s);

@@ -163,13 +163,6 @@ struct RunnerOptions {
   /// unicasts when some receiver is currently unreachable). false = always
   /// unicast.
   bool recovery_trees = true;
-  /// Memoize control-plane construction (prefix plans, asymmetric trees,
-  /// recovery trees) in a TreePlanCache with link-keyed surgical
-  /// invalidation: topology deltas repair or evict exactly the plans whose
-  /// trees traverse an affected link. Behavior-transparent on a stable
-  /// fabric; under churn the cache guarantees validity (never a plan over a
-  /// failed link), not byte-equality with a from-scratch rebuild.
-  bool plan_cache = true;
 };
 
 /// One (receiver, chunk) delivery a collective still owes, with the endpoint
@@ -230,8 +223,8 @@ class CollectiveRunner : public TopologyObserver {
 
   /// Consumes one topology-change event: flushes the router's distance
   /// fields and surgically repairs/evicts the cached plans whose trees
-  /// traverse a failed pair (TreePlanCache::apply_delta with the
-  /// incremental-repair hook, src/steiner/tree_repair.h). Subscribe the
+  /// traverse a failed pair (TreePlanCache::apply_delta, which re-peels
+  /// them incrementally, src/steiner/tree_repair.h). Subscribe the
   /// runner to the TopologyEventBus the FaultInjector publishes on, or call
   /// this directly (e.g. TopologyDelta::link_down(pair)) after mutating the
   /// Topology by hand.
@@ -269,10 +262,34 @@ class CollectiveRunner : public TopologyObserver {
     return collectives_.size();
   }
   /// Control-plane memoization counters (hits/misses/invalidations); the
-  /// cache itself is private, consulted by the transfer builders.
+  /// cache is filled only through the lookups below.
   [[nodiscard]] const TreePlanCache& plan_cache() const noexcept {
     return plan_cache_;
   }
+
+  // Control-plane lookups the transfers build their streams from: each
+  // builds its artifact on the first request for a key and serves it from
+  // plan_cache() after that. Each returns a shared, immutable artifact —
+  // hold the pointer while reading.
+  [[nodiscard]] std::shared_ptr<const PeelPlan> peel_plan_for(
+      NodeId source, const std::vector<NodeId>& dests);
+  /// §2.3 layer-peeling trees split into prefix packets (leaf–spine only;
+  /// throws std::runtime_error on a fat-tree).
+  [[nodiscard]] std::shared_ptr<const std::vector<PeelStream>>
+  asymmetric_trees_for(NodeId source, const std::vector<NodeId>& dests);
+  /// PEEL prefix parts for (root, dests), fused at spec-build time into the
+  /// single up+down reduce stream (innet_fused_spec mirrors the merged
+  /// member-serving tree). Selector-free, so every
+  /// collective over the same group shares one cached artifact; cached WITH
+  /// its edge set so topology deltas surgically repair the parts.
+  [[nodiscard]] std::shared_ptr<const std::vector<PeelStream>> reduce_plan_for(
+      NodeId root, const std::vector<NodeId>& dests);
+  /// One layer-peel tree from `origin` to `receivers`, as a one-part list
+  /// {tree, receivers}. Throws (propagated from layer_peel_tree) when some
+  /// receiver is unreachable over live links; failures are never cached.
+  [[nodiscard]] std::shared_ptr<const std::vector<PeelStream>> recovery_tree_for(
+      NodeId origin, const std::vector<NodeId>& receivers);
+
   /// Wall-clock cost of every on_topology_delta call so far.
   [[nodiscard]] const DeltaApplyStats& delta_stats() const noexcept {
     return delta_stats_;
@@ -321,30 +338,6 @@ class CollectiveRunner : public TopologyObserver {
 
   void handle_delivery(const DeliveryEvent& ev);
   void finish_collective(Collective& col);
-
-  // Memoized control-plane builders (TreePlanCache-backed; direct calls when
-  // RunnerOptions::plan_cache is off). Each returns a shared, immutable
-  // artifact — hold the pointer while reading.
-  [[nodiscard]] std::shared_ptr<const PeelPlan> peel_plan_for(
-      NodeId source, const std::vector<NodeId>& dests);
-  [[nodiscard]] std::shared_ptr<const std::vector<PeelStream>>
-  asymmetric_trees_for(NodeId source, const std::vector<NodeId>& dests);
-  /// PEEL prefix parts for (root, dests), fused at spec-build time into the
-  /// single up+down reduce stream (innet_fused_spec mirrors the merged
-  /// member-serving tree). Selector-free, so every
-  /// collective over the same group shares one cached artifact; cached WITH
-  /// its edge set so topology deltas surgically repair the parts.
-  [[nodiscard]] std::shared_ptr<const std::vector<PeelStream>> reduce_plan_for(
-      NodeId root, const std::vector<NodeId>& dests);
-  /// Throws (propagated from layer_peel_tree) when some receiver is
-  /// unreachable over live links; failures are never cached.
-  [[nodiscard]] std::shared_ptr<const MulticastTree> recovery_tree_for(
-      NodeId origin, const std::vector<NodeId>& receivers);
-
-  /// TreePlanCache::apply_delta hook: incrementally repairs a delta-affected
-  /// cached artifact (null value = evict).
-  [[nodiscard]] PlanRepair repair_cached_plan(
-      PlanKind kind, const std::shared_ptr<const void>& value) const;
 
   Fabric fabric_;
   DataPlane* net_;

@@ -5,10 +5,10 @@
 // instant, plus the switch whose outage expanded to those pairs (if any).
 // Producers (FaultInjector, tests driving Topology::fail_duplex by hand)
 // publish deltas through a TopologyEventBus; consumers — the Router's
-// distance cache, the TreePlanCache's link-keyed index, the runner's
-// incremental tree repair — subscribe as TopologyObservers and react to the
-// named links only, instead of discarding all derived state on an opaque
-// epoch bump.
+// distance cache, and the runner, which hands each delta to its
+// TreePlanCache's link-keyed index and incremental tree repair — subscribe
+// as TopologyObservers and react to the named links only, instead of
+// discarding all derived state on an opaque epoch bump.
 //
 // Links are identified by their duplex-pair representative (the even id of
 // the pair, as everywhere in src/topology): fail_duplex/restore_duplex act
