@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark): the paper's algorithmic claims are
 // about *polynomial-time* tree construction and O(k) state — these measure
-// the actual costs so the scaling is visible. The last ten isolate
+// the actual costs so the scaling is visible. The last eleven isolate
 // simulator components: the event scheduler in steady state and in bursts,
 // a plan-cache hit, opening + closing one stream on each data-plane engine,
-// the flow engine's max-min solve against component size, the packet engine
-// draining a source that many streams are backed up behind, one segment
-// hop of the packet engine (FinishTx -> Arrive -> enqueue), a rate
+// building an idle packet engine, the flow engine's max-min solve against
+// component size, the packet engine draining a source that many streams
+// are backed up behind, one segment hop of the packet engine
+// (FinishTx -> Arrive -> enqueue), a rate
 // controller catching up on a long quiet spell, the sharded engine's
 // windows and mailbox drain on a congested cross-pod broadcast, and the
 // collective runner's delivery handler.
@@ -290,10 +291,33 @@ void BM_OpenStream(benchmark::State& state) {
                  (reduce ? ", reduce, " : ", multicast, ") +
                  std::to_string(ft.topo.node_count()) + " nodes");
 }
-// A k=32 sharded engine holds 33 full Network replicas, so it stops at k=16.
-BENCHMARK(BM_OpenStream)
-    ->ArgsProduct({{8, 16, 32}, {0, 1}, {0, 2}})
-    ->ArgsProduct({{8, 16}, {0, 1}, {1}});
+BENCHMARK(BM_OpenStream)->ArgsProduct({{8, 16, 32}, {0, 1}, {0, 1, 2}});
+
+void BM_EngineBuild(benchmark::State& state) {
+  // Builds and destroys an idle packet engine over a k-ary fat-tree (8 hosts
+  // per ToR, 8 GPUs per host; the topology is built once, untimed): arg 2 =
+  // 0 the solo Network on its EventQueue, 1 the sharded engine with one
+  // worker, whose k + 1 domains each hold state only for what they own.
+  const int k = static_cast<int>(state.range(0));
+  const bool sharded = state.range(1) != 0;
+  const FatTree ft = build_fat_tree(FatTreeConfig{k, 8, 8});
+  const SimConfig config;
+  for (auto _ : state) {
+    if (sharded) {
+      ShardedNetwork net(ft.topo, config, 1);
+      benchmark::DoNotOptimize(net.empty());
+    } else {
+      EventQueue queue;
+      Network net(ft.topo, config, queue);
+      benchmark::DoNotOptimize(net.pfc_pauses());
+    }
+  }
+  state.SetLabel(std::string(sharded ? "sharded" : "solo") + ", " +
+                 std::to_string(ft.topo.node_count()) + " nodes");
+}
+BENCHMARK(BM_EngineBuild)
+    ->ArgsProduct({{8, 16, 32}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FlowSolve(benchmark::State& state) {
   // One FlowNetwork max-min solve against component size: N PEEL multicast

@@ -29,6 +29,10 @@
 #     diffed, and its PFC pauses (2071) and mean CCT (513.039 us) must hold,
 #     since the guard-swallowed CNPs it drops at the mailbox merge may move
 #     only the event count
+#   - the same congested broadcast with flapping links, audited, at 1 and 3
+#     sharded workers, diffed except for the wall-clock delta-apply line:
+#     cross-domain PFC pause mirrors and fail epochs under congestion and
+#     repair
 #   - flow vs packet: fabric/core byte totals must match exactly (CCT may
 #     differ within the tolerances flow_fidelity_test asserts)
 #   - in-network AllReduce, audited, and the same run at 1 and 4 sharded
@@ -105,6 +109,14 @@ grep -q 'PFC pauses 2071,' "${OUT}/cnp_shards1.txt" &&
   grep -q '^  mean CCT    513.039 us$' "${OUT}/cnp_shards1.txt" ||
   { echo "sharded broadcast: PFC pauses or mean CCT moved"
     cat "${OUT}/cnp_shards1.txt"; exit 1; }
+
+echo "== flapping congested broadcast (1024 GPUs, --shards=1 vs 3) =="
+for s in 1 3; do
+  "${CLI}" peel broadcast 1024 4 30 16 --audit --shards="${s}" \
+    --flap-mtbf=300 --flap-mttr=60 --flap-links=16 --flap-horizon=3000 |
+    grep -v '^  delta apply' > "${OUT}/flap_shards${s}.txt"
+done
+diff "${OUT}/flap_shards1.txt" "${OUT}/flap_shards3.txt"
 
 echo "== flow vs packet byte totals (scenario_cli --fidelity, audited) =="
 "${CLI}" peel broadcast 64 8 30 10 --audit --watchdog --fidelity=flow | tee "${OUT}/flow.txt"

@@ -57,7 +57,8 @@ enum class SimEventKind : std::uint8_t {
   Pump,       ///< inject the next paced segment of stream `a`, injector
               ///< `b`; with `flag` set, pump the next `b` injectors a
               ///< backpressure release woke instead (one event per release)
-  FinishTx,   ///< link `a` finished serializing its head segment (epoch)
+  FinishTx,   ///< link `a` finished serializing its head segment; `b`
+              ///< is its state slot in the domain's Network (epoch)
   Arrive,     ///< segment (stream b, chunk c, bytes d, marked flag) reaches
               ///< link `a`'s far end, stream b's tree node e (epoch)
   CnpRate,    ///< congestion notification reaches stream `a`'s sender

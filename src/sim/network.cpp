@@ -7,26 +7,30 @@
 namespace peel {
 
 Network::Network(const Topology& topo, const SimConfig& config, EventQueue& queue)
+    : Network(topo, config, queue,
+              std::make_shared<const ShardPlan>(single_domain_plan(topo)), 0) {}
+
+Network::Network(const Topology& topo, const SimConfig& config, EventQueue& queue,
+                 std::shared_ptr<const ShardPlan> plan, std::int32_t domain)
     : topo_(&topo),
       config_(config),
       queue_(&queue),
       rng_(config.seed ^ 0x5eedf00dULL),
-      links_(topo.link_count()),
-      nodes_(topo.node_count()),
-      blocked_pumps_(topo.node_count()) {
+      plan_(std::move(plan)),
+      domain_(domain),
+      link_slot_(plan_->link_slot.data()),
+      rx_slot_(plan_->rx_slot.data()),
+      node_slot_(plan_->node_slot.data()),
+      links_(static_cast<std::size_t>(
+          plan_->domain_link_slots[static_cast<std::size_t>(domain)])),
+      nodes_(static_cast<std::size_t>(
+          plan_->domain_nodes[static_cast<std::size_t>(domain)])) {
   config_.validate();
   pause_threshold_ = static_cast<Bytes>(
       static_cast<double>(config_.switch_buffer_bytes) *
       (1.0 - config_.pfc_pause_free_fraction));
   resume_threshold_ =
       std::max<Bytes>(0, pause_threshold_ - config_.pfc_hysteresis);
-  in_slot_of_link_.assign(topo.link_count(), -1);
-  for (std::size_t n = 0; n < topo.node_count(); ++n) {
-    const auto& ins = topo.in_links(static_cast<NodeId>(n));
-    nodes_[n].per_ingress.assign(ins.size(), 0);
-    std::int32_t slot = 0;
-    for (LinkId l : ins) in_slot_of_link_[static_cast<std::size_t>(l)] = slot++;
-  }
   queue_->bind_sink(this);
   if (config_.telemetry.enabled) {
     telem_ = std::make_unique<Telemetry>(config_.telemetry, topo);
@@ -48,7 +52,7 @@ void Network::on_sim_event(const SimEvent& ev) {
       }
       return;
     case SimEventKind::FinishTx:
-      finish_tx(ev.a, ev.epoch);
+      finish_tx(ev.a, links_[static_cast<std::size_t>(ev.b)], ev.epoch);
       return;
     case SimEventKind::Arrive:
       arrive(ev.a, Segment{ev.b, ev.c, ev.d, kInvalidLink, ev.e, ev.flag},
@@ -73,16 +77,18 @@ void Network::on_sim_event(const SimEvent& ev) {
     // the real serializer. The epoch guard drops frames that were in flight
     // when the link failed: the failure already cleared pause state on both
     // sides, and a stale pause must never wedge a repaired link.
+    // A frame only ever crosses domains, so the link's destination, and
+    // with it the node's paused_in count, is another domain's.
     case SimEventKind::PfcPause: {
-      auto& L = links_[static_cast<std::size_t>(ev.a)];
-      if (L.fail_epoch == ev.epoch) set_pfc_paused(ev.a, true);
+      auto& L = out_state(ev.a);
+      if (L.fail_epoch == ev.epoch) L.pfc_paused = true;
       return;
     }
     case SimEventKind::PfcResume: {
-      auto& L = links_[static_cast<std::size_t>(ev.a)];
+      auto& L = out_state(ev.a);
       if (L.fail_epoch == ev.epoch && L.pfc_paused) {
-        set_pfc_paused(ev.a, false);
-        if (L.blocked) try_start(ev.a);
+        L.pfc_paused = false;
+        if (L.blocked) try_start(ev.a, L);
       }
       return;
     }
@@ -101,7 +107,7 @@ void Network::post_pfc(SimEventKind kind, LinkId ingress) {
   SimEvent ev;
   ev.kind = kind;
   ev.a = ingress;
-  ev.epoch = links_[static_cast<std::size_t>(ingress)].fail_epoch;
+  ev.epoch = rx_state(ingress).fail_epoch;
   // The frame travels back to the link's sender: one propagation delay,
   // which is >= the shard lookahead for every cross-domain link.
   xhook_->post(queue_->now() + topo_->link(ingress).propagation, ev);
@@ -308,47 +314,59 @@ void Network::close_stream(StreamId stream) {
 
 void Network::on_duplex_failed(LinkId l) {
   for (LinkId dir : {l, topo_->reverse_of(l)}) {
-    auto& L = links_[static_cast<std::size_t>(dir)];
+    const Link& lk = topo_->link(dir);
+    const bool sends = owns(lk.src);
+    const bool receives = owns(lk.dst);
+    if (!sends && !receives) continue;
+    auto& L = sends ? out_state(dir) : rx_state(dir);
     // Kill in-flight traffic even across a later repair: segments carry the
     // epoch their serialization started under, and arrive() drops stale ones.
+    // Both sides of a crossing link bump their own copy.
     ++L.fail_epoch;
-    // The segment mid-serialization (if any) is lost on the wire; its
-    // arrival event will see the stale epoch and drop it. Everything still
-    // queued behind it is lost here.
-    std::size_t first_dropped = L.head + (L.busy ? 1 : 0);
-    for (std::size_t i = first_dropped; i < L.q.size(); ++i) {
-      const Segment& seg = L.q[i];
-      L.queued -= seg.bytes;
-      release_buffer(topo_->link(dir).src, seg.ingress, seg.bytes);
-      ++lost_segments_;
-      if (telem_) {
-        telem_->on_queue_drop(dir, seg.stream, seg.bytes, L.queued,
-                              queue_->now());
+    if (sends) {
+      // The segment mid-serialization (if any) is lost on the wire; its
+      // arrival event will see the stale epoch and drop it. Everything
+      // still queued behind it is lost here.
+      std::size_t first_dropped = L.head + (L.busy ? 1 : 0);
+      for (std::size_t i = first_dropped; i < L.q.size(); ++i) {
+        const Segment& seg = L.q[i];
+        L.queued -= seg.bytes;
+        release_buffer(lk.src, seg.ingress, seg.bytes);
+        ++lost_segments_;
+        if (telem_) {
+          telem_->on_queue_drop(dir, seg.stream, seg.bytes, L.queued,
+                                queue_->now());
+        }
       }
+      L.q.resize(first_dropped);
+      if (!L.busy) {
+        L.q.clear();
+        L.head = 0;
+      }
+      L.blocked = false;
     }
-    L.q.resize(first_dropped);
-    if (!L.busy) {
-      L.q.clear();
-      L.head = 0;
-    }
-    L.blocked = false;
     // The pause dies with the link: close its telemetry span here, or it
     // would run on through the outage until some later resume. (A sharded
     // domain that only applied the remote pause frame never opened one, so
     // on_unpause is a no-op there.)
     if (L.pfc_paused && telem_) telem_->on_unpause(dir, queue_->now());
-    set_pfc_paused(dir, false);
+    if (receives) {
+      set_rx_paused(dir, false);
+    } else {
+      L.pfc_paused = false;
+    }
   }
 }
 
 void Network::on_duplex_restored(LinkId l) {
   ++duplex_repairs_;
   for (LinkId dir : {l, topo_->reverse_of(l)}) {
-    auto& L = links_[static_cast<std::size_t>(dir)];
+    if (!owns(topo_->link(dir).src)) continue;
     // on_duplex_failed left the queue truncated and PFC state cleared; a
     // still-busy head belongs to the outage and finish_tx will retire it.
     // New segments start flowing the moment something enqueues.
-    if (!L.busy) try_start(dir);
+    auto& L = out_state(dir);
+    if (!L.busy) try_start(dir, L);
   }
 }
 
@@ -364,11 +382,10 @@ void Network::pump(StreamId stream, std::int32_t injector) {
     const SimTime now = queue_->now();
     // Backpressure: a paused injector (its node's buffers full, e.g. under
     // PFC from downstream) stops injecting; release_buffer re-arms the pump.
-    if (nodes_[static_cast<std::size_t>(ti.node)].buffered >
-        pause_threshold_) {
+    NodeState& N = node_state(ti.node);
+    if (N.buffered > pause_threshold_) {
       inj.pump_blocked = true;
-      blocked_pumps_[static_cast<std::size_t>(ti.node)].push_back(
-          BlockedPump{stream, injector});
+      N.blocked.push_back(BlockedPump{stream, injector});
       return;
     }
     if (inj.pace_next > now) {
@@ -419,8 +436,8 @@ void Network::enqueue_segment(LinkId l, Segment seg) {
     if (telem_) telem_->on_ingress_drop(seg.stream, seg.bytes);
     return;
   }
-  auto& L = links_[static_cast<std::size_t>(l)];
-  auto& N = nodes_[static_cast<std::size_t>(topo_->link(l).src)];
+  auto& L = out_state(l);
+  auto& N = node_state(topo_->link(l).src);
 
   // RED/ECN marking against the pre-enqueue egress depth. The kmax > kmin
   // guard keeps the step-ECN configuration (kmax == kmin: mark with pmax
@@ -450,13 +467,12 @@ void Network::enqueue_segment(LinkId l, Segment seg) {
     telem_->on_node_buffer(topo_->link(l).src, N.buffered);
   }
   if (seg.ingress != kInvalidLink) {
-    N.per_ingress[static_cast<std::size_t>(
-        in_slot_of_link_[static_cast<std::size_t>(seg.ingress)])] += seg.bytes;
+    auto& ingress_link = rx_state(seg.ingress);
+    ingress_link.ingress_held += seg.bytes;
     // PFC: when the shared buffer crosses the stop threshold, pause the
     // ingress port that keeps contributing.
-    auto& ingress_link = links_[static_cast<std::size_t>(seg.ingress)];
     if (N.buffered > pause_threshold_ && !ingress_link.pfc_paused) {
-      set_pfc_paused(seg.ingress, true);
+      set_rx_paused(seg.ingress, true);
       ++pfc_pauses_;
       if (telem_) telem_->on_pause(seg.ingress, queue_->now());
       // Sharded engine: if another domain owns the ingress link's
@@ -465,11 +481,10 @@ void Network::enqueue_segment(LinkId l, Segment seg) {
       post_pfc(SimEventKind::PfcPause, seg.ingress);
     }
   }
-  if (!L.busy) try_start(l);
+  if (!L.busy) try_start(l, L);
 }
 
-void Network::try_start(LinkId l) {
-  auto& L = links_[static_cast<std::size_t>(l)];
+void Network::try_start(LinkId l, LinkState& L) {
   if (L.busy || L.head >= L.q.size()) return;
   const Link& lk = topo_->link(l);
   if (L.pfc_paused) {
@@ -483,12 +498,14 @@ void Network::try_start(LinkId l) {
   // Snapshot the fail epoch at serialization start: a failure at any point
   // before arrival (mid-serialization or mid-propagation) must lose the
   // segment, repair or no repair.
-  queue_->at(end, SimEvent{SimEventKind::FinishTx, false, l, 0, 0, 0, 0,
+  // The event also carries the link's slot: FinishTx never leaves this
+  // domain, and its handler then needs no lookup.
+  const auto slot = static_cast<std::int32_t>(&L - links_.data());
+  queue_->at(end, SimEvent{SimEventKind::FinishTx, false, l, slot, 0, 0, 0,
                            L.fail_epoch});
 }
 
-void Network::finish_tx(LinkId l, std::uint32_t fail_epoch) {
-  auto& L = links_[static_cast<std::size_t>(l)];
+void Network::finish_tx(LinkId l, LinkState& L, std::uint32_t fail_epoch) {
   const Link& lk = topo_->link(l);
   const Segment seg = L.q[L.head];
   ++L.head;
@@ -510,33 +527,31 @@ void Network::finish_tx(LinkId l, std::uint32_t fail_epoch) {
   post_event(queue_->now() + lk.propagation,
              SimEvent{SimEventKind::Arrive, seg.marked, l, seg.stream,
                       seg.chunk, seg.bytes, seg.at, fail_epoch});
-  try_start(l);
+  try_start(l, L);
 }
 
-void Network::set_pfc_paused(LinkId l, bool paused) {
-  auto& L = links_[static_cast<std::size_t>(l)];
+void Network::set_rx_paused(LinkId l, bool paused) {
+  auto& L = rx_state(l);
   if (L.pfc_paused == paused) return;
   L.pfc_paused = paused;
-  nodes_[static_cast<std::size_t>(topo_->link(l).dst)].paused_in +=
-      paused ? 1 : -1;
+  node_state(topo_->link(l).dst).paused_in += paused ? 1 : -1;
 }
 
 void Network::unpause(LinkId l) {
-  auto& L = links_[static_cast<std::size_t>(l)];
+  auto& L = rx_state(l);
   if (!L.pfc_paused) return;
-  set_pfc_paused(l, false);
+  set_rx_paused(l, false);
   if (telem_) telem_->on_unpause(l, queue_->now());
-  if (L.blocked) try_start(l);
+  // Only a serializer ever blocks, so a blocked record is this domain's own.
+  if (L.blocked) try_start(l, L);
   post_pfc(SimEventKind::PfcResume, l);
 }
 
 void Network::release_buffer(NodeId n, LinkId ingress, Bytes bytes) {
-  auto& N = nodes_[static_cast<std::size_t>(n)];
+  auto& N = node_state(n);
   N.buffered -= bytes;
   if (ingress != kInvalidLink) {
-    Bytes& held =
-        N.per_ingress[static_cast<std::size_t>(
-            in_slot_of_link_[static_cast<std::size_t>(ingress)])];
+    Bytes& held = rx_state(ingress).ingress_held;
     if (held <= 0) {
       throw std::logic_error("release_buffer: untracked ingress");
     }
@@ -557,7 +572,7 @@ void Network::release_buffer(NodeId n, LinkId ingress, Bytes bytes) {
   // Re-arm injector pumps blocked on this node's buffer: one event pumps
   // them all, in the order they blocked. (This loop only flags and queues,
   // so the list cannot change under it.)
-  auto& waiting = blocked_pumps_[static_cast<std::size_t>(n)];
+  auto& waiting = N.blocked;
   if (waiting.empty()) return;
   const std::size_t first = woken_.size();
   for (const BlockedPump& bp : waiting) {
@@ -589,8 +604,7 @@ void Network::pump_woken(std::int32_t count) {
 }
 
 void Network::arrive(LinkId l, Segment seg, std::uint32_t fail_epoch) {
-  if (topo_->link(l).failed ||
-      links_[static_cast<std::size_t>(l)].fail_epoch != fail_epoch) {
+  if (topo_->link(l).failed || rx_state(l).fail_epoch != fail_epoch) {
     // Either the link is down right now, or it died (and was possibly
     // repaired) after this segment started serializing — lost on the wire.
     ++lost_segments_;

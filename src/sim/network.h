@@ -40,8 +40,18 @@
 // the same instant with consecutive sequence numbers, would fire
 // back-to-back in that same order, so the batch changes only the event
 // count. The resume walk over a node's in-links runs only while one of them
-// is PFC-paused: every pause flip goes through set_pfc_paused, which keeps a
-// per-node count.
+// is PFC-paused: every flip of a node's in-link pause bits goes through
+// set_rx_paused, which keeps a per-node count.
+//
+// State tables: a Network holds state only for the nodes and links its
+// domain owns (src/topology/shard_plan.h), in tables indexed by the plan's
+// dense slots. A link's serializer state sits in its source's domain, its
+// receive side (fail epoch, PFC pause bit, the bytes it holds in its
+// destination's buffer) in its destination's; for a link inside one domain
+// both are one record. Segments and events keep global ids; only the table
+// lookups go through a slot (a FinishTx, which never leaves its domain,
+// also carries its link's slot, so its handler skips the lookup). The solo
+// engine is the one-domain plan, where every slot is its global id.
 //
 // CNPs: every CNP reaches its injector cnp_delay after the marked arrival
 // that sent it, so on a single queue an injector's CNPs arrive in posting
@@ -68,6 +78,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/stream_tree.h"
 #include "src/sim/telemetry.h"
+#include "src/topology/shard_plan.h"
 #include "src/topology/topology.h"
 
 namespace peel {
@@ -87,7 +98,13 @@ class CrossDomainHook {
 
 class Network final : public SimEventSink, public DataPlane {
  public:
+  /// The solo engine: the whole fabric as one domain.
   Network(const Topology& topo, const SimConfig& config, EventQueue& queue);
+  /// Domain `domain` of `plan` (the sharded engine): state only for the
+  /// nodes and links the domain owns, and the receive side of the links
+  /// that enter it from other domains.
+  Network(const Topology& topo, const SimConfig& config, EventQueue& queue,
+          std::shared_ptr<const ShardPlan> plan, std::int32_t domain);
   ~Network() override;
 
   /// Invoked whenever a member receiver finishes a chunk.
@@ -144,7 +161,8 @@ class Network final : public SimEventSink, public DataPlane {
   /// Topology failed first): queued segments on both directions are lost, as
   /// are segments still in flight on the dead wire. Streams routed through
   /// the link silently stop delivering past it — recovery is the collective
-  /// layer's job (CollectiveRunner::recover_collective).
+  /// layer's job (CollectiveRunner::recover_collective). A domain changes
+  /// only the link state it holds; one that owns neither end is untouched.
   void on_duplex_failed(LinkId l) override;
 
   /// Reacts to a mid-run repair of the duplex pair containing `l` (call
@@ -190,8 +208,9 @@ class Network final : public SimEventSink, public DataPlane {
   [[nodiscard]] std::uint64_t segments_serialized() const noexcept {
     return segments_serialized_;
   }
+  /// Bytes serialized onto `l`; its source must be in this domain.
   [[nodiscard]] Bytes link_bytes(LinkId l) const override {
-    return links_[static_cast<std::size_t>(l)].serialized;
+    return out_state(l).serialized;
   }
   [[nodiscard]] std::uint64_t segments_marked() const noexcept { return marked_segments_; }
   /// High-water mark of combiner SRAM held across all reduce streams (bytes
@@ -200,7 +219,7 @@ class Network final : public SimEventSink, public DataPlane {
   [[nodiscard]] std::uint64_t pfc_pauses() const noexcept { return pfc_pauses_; }
   /// High-water mark of one link's egress queue.
   [[nodiscard]] Bytes link_queue_peak(LinkId l) const {
-    return links_[static_cast<std::size_t>(l)].queue_peak;
+    return out_state(l).queue_peak;
   }
   /// Rate controller of stream `s`'s first injector: a multicast's source,
   /// contributor 0 of a reduce stream. Still readable after close_stream.
@@ -236,32 +255,43 @@ class Network final : public SimEventSink, public DataPlane {
     bool marked;
   };
 
+  /// One link's state in this domain, at its slot: the serializer side
+  /// (its source is here), the receive side (its destination is here), or
+  /// both in one record. A crossing link's mirror uses only fail_epoch,
+  /// pfc_paused and ingress_held.
   struct LinkState {
     std::vector<Segment> q;  // FIFO via head index
     std::size_t head = 0;
     Bytes queued = 0;
-    bool busy = false;
-    bool blocked = false;     // wants to serialize but is PFC-paused
-    bool pfc_paused = false;  // downstream asked this link's sender to stop
     Bytes serialized = 0;
     Bytes queue_peak = 0;     // high-water mark of the egress queue
+    /// Bytes in the destination's shared buffer that arrived over this link
+    /// — PFC pauses per ingress port, which is what keeps bidirectional
+    /// traffic through a node from deadlocking.
+    Bytes ingress_held = 0;
     /// Bumped on every failure of this link; a segment snapshots it when its
     /// serialization starts and is dropped on arrival if it no longer
     /// matches — a repair must never resurrect traffic that was on the dead
     /// wire (or queued behind it) during the outage.
     std::uint32_t fail_epoch = 0;
+    bool busy = false;
+    bool blocked = false;     // wants to serialize but is PFC-paused
+    bool pfc_paused = false;  // downstream asked this link's sender to stop
+  };
+
+  /// Injectors whose pacing is blocked on a full buffer.
+  struct BlockedPump {
+    StreamId stream;
+    std::int32_t injector;
   };
 
   struct NodeState {
     Bytes buffered = 0;
-    /// Buffered bytes attributed to the ingress link that delivered them —
-    /// PFC pauses per ingress port, which is what keeps bidirectional
-    /// traffic through a node from deadlocking. Indexed by the link's
-    /// position in this node's in-link list (in_slot_of_link_).
-    std::vector<Bytes> per_ingress;
-    /// In-links of this node whose pfc_paused is set (set_pfc_paused keeps
-    /// it); release_buffer skips its resume walk while it is zero.
+    /// In-links of this node whose receive-side pfc_paused is set
+    /// (set_rx_paused keeps it); release_buffer skips its resume walk while
+    /// it is zero.
     std::int32_t paused_in = 0;
+    std::vector<BlockedPump> blocked;
   };
 
   struct PendingChunk {
@@ -350,16 +380,19 @@ class Network final : public SimEventSink, public DataPlane {
   /// Enqueues a copy of `seg` on every out-link of tree node `at`, in spec
   /// order, each naming the tree node its link enters.
   void replicate(const StreamTree& t, std::int32_t at, Segment seg);
-  void try_start(LinkId l);
-  void finish_tx(LinkId l, std::uint32_t fail_epoch);
+  /// Starts serializing the head of `l`'s queue unless busy or paused; `L`
+  /// is its serializer-side state.
+  void try_start(LinkId l, LinkState& L);
+  void finish_tx(LinkId l, LinkState& L, std::uint32_t fail_epoch);
   void arrive(LinkId l, Segment seg, std::uint32_t fail_epoch);
   /// Buffer released at node `n` for a segment that arrived over `ingress`;
   /// lifts PFC pauses and re-arms blocked injector pumps as thresholds allow.
   void release_buffer(NodeId n, LinkId ingress, Bytes bytes);
   void unpause(LinkId l);
-  /// The one place a link's pfc_paused flips; keeps NodeState::paused_in of
-  /// the link's destination in step. A no-op when the state is unchanged.
-  void set_pfc_paused(LinkId l, bool paused);
+  /// Flips the receive-side pfc_paused of `l` (its destination is in this
+  /// domain) and keeps the destination's NodeState::paused_in in step. A
+  /// no-op when the state is unchanged.
+  void set_rx_paused(LinkId l, bool paused);
   void maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver);
   /// Telemetry time-series sampler: records one sample, then reschedules
   /// itself only while other events remain, so it never keeps an otherwise
@@ -367,23 +400,40 @@ class Network final : public SimEventSink, public DataPlane {
   /// gaps between collective phases don't kill the time series for good.
   void sample_tick();
 
+  /// True iff node `n` belongs to this domain.
+  [[nodiscard]] bool owns(NodeId n) const {
+    return plan_->domain_of_node(n) == domain_;
+  }
+  /// Serializer-side state of `l`, whose source is in this domain.
+  [[nodiscard]] LinkState& out_state(LinkId l) {
+    return links_[static_cast<std::size_t>(link_slot_[l])];
+  }
+  [[nodiscard]] const LinkState& out_state(LinkId l) const {
+    return links_[static_cast<std::size_t>(link_slot_[l])];
+  }
+  /// Receive-side state of `l`, whose destination is in this domain.
+  [[nodiscard]] LinkState& rx_state(LinkId l) {
+    return links_[static_cast<std::size_t>(rx_slot_[l])];
+  }
+  [[nodiscard]] NodeState& node_state(NodeId n) {
+    return nodes_[static_cast<std::size_t>(node_slot_[n])];
+  }
+
   const Topology* topo_;
   SimConfig config_;
   EventQueue* queue_;
   Rng rng_;
 
-  std::vector<LinkState> links_;
-  std::vector<NodeState> nodes_;
+  std::shared_ptr<const ShardPlan> plan_;
+  std::int32_t domain_;
+  /// The plan's slot maps (global id -> slot), read on every lookup.
+  const std::int32_t* link_slot_;
+  const std::int32_t* rx_slot_;
+  const std::int32_t* node_slot_;
+
+  std::vector<LinkState> links_;  ///< by link slot
+  std::vector<NodeState> nodes_;  ///< by node slot
   std::vector<StreamState> streams_;
-  /// link -> its slot within its destination node's in-link list; valid for
-  /// every link because each directed link has exactly one destination.
-  std::vector<std::int32_t> in_slot_of_link_;
-  /// Injectors whose pacing is blocked on a full buffer, per node.
-  struct BlockedPump {
-    StreamId stream;
-    std::int32_t injector;
-  };
-  std::vector<std::vector<BlockedPump>> blocked_pumps_;
   /// Injectors woken by release_buffer whose batched Pump event is pending,
   /// a FIFO via woken_head_. Every batch is scheduled at the current
   /// instant, so batches fire in the order they were scheduled, and each

@@ -39,22 +39,24 @@ void ShardedNetwork::DeliverySink::on_sim_event(const SimEvent& ev) {
 
 ShardedNetwork::ShardedNetwork(const Topology& topo, const SimConfig& config,
                                int threads)
-    : topo_(&topo), plan_(build_shard_plan(topo)), config_(config) {
+    : topo_(&topo),
+      plan_(std::make_shared<const ShardPlan>(build_shard_plan(topo))),
+      config_(config) {
   delivery_sink_.owner = this;
   control_.bind_sink(&delivery_sink_);
-  domain_total_ = plan_.domains;
-  if (plan_.cross_links > 0) {
-    if (plan_.lookahead <= 0) {
+  domain_total_ = plan_->domains;
+  if (plan_->cross_links > 0) {
+    if (plan_->lookahead <= 0) {
       throw std::invalid_argument(
           "sharded engine: a cross-domain link has zero propagation, which "
           "defeats the conservative lookahead");
     }
-    xdelay_ = plan_.lookahead;
-    if (config.congestion_control && config.cnp_delay < plan_.lookahead) {
+    xdelay_ = plan_->lookahead;
+    if (config.congestion_control && config.cnp_delay < plan_->lookahead) {
       throw std::invalid_argument(
           "sharded engine: cnp_delay (" + std::to_string(config.cnp_delay) +
           " ns) is below the cross-domain lookahead (" +
-          std::to_string(plan_.lookahead) +
+          std::to_string(plan_->lookahead) +
           " ns); CNP feedback would violate causality");
     }
   }
@@ -67,7 +69,7 @@ ShardedNetwork::ShardedNetwork(const Topology& topo, const SimConfig& config,
     // the decomposition is fixed, so ECN draws are thread-count invariant.
     dc.seed = config.seed +
               0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(d + 1);
-    dom->net = std::make_unique<Network>(topo, dc, dom->queue);
+    dom->net = std::make_unique<Network>(topo, dc, dom->queue, plan_, d);
     dom->hook.owner = this;
     dom->hook.domain = d;
     dom->net->set_cross_domain_hook(&dom->hook);
@@ -105,7 +107,7 @@ bool ShardedNetwork::route(int from, SimTime t, const SimEvent& ev) {
   int target;
   switch (ev.kind) {
     case SimEventKind::Arrive:
-      target = plan_.domain_of_node(topo_->link(ev.a).dst);
+      target = plan_->domain_of_node(topo_->link(ev.a).dst);
       break;
     case SimEventKind::CnpRate:
       // ev.b names the injector; its rate limiter lives with its endpoint.
@@ -114,7 +116,7 @@ bool ShardedNetwork::route(int from, SimTime t, const SimEvent& ev) {
       break;
     case SimEventKind::PfcPause:
     case SimEventKind::PfcResume:
-      target = plan_.domain_of_node(topo_->link(ev.a).src);
+      target = plan_->domain_of_node(topo_->link(ev.a).src);
       break;
     default:
       return false;  // pump/finish/sample never leave their domain
@@ -340,18 +342,17 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
   // filtered to domain-owned nodes); the rest get an id-aligning stub that
   // no event will ever reference.
   std::vector<char> in_footprint(static_cast<std::size_t>(domain_total_), 0);
-  for (const StreamTree::Node& tn : tree->nodes) {
-    in_footprint[static_cast<std::size_t>(plan_.domain_of_node(tn.node))] = 1;
-  }
-  for (NodeId r : tree->receivers) {
-    in_footprint[static_cast<std::size_t>(plan_.domain_of_node(r))] = 1;
-  }
+  const auto mark = [&](NodeId n) {
+    in_footprint[static_cast<std::size_t>(plan_->domain_of_node(n))] = 1;
+  };
+  for (const StreamTree::Node& tn : tree->nodes) mark(tn.node);
+  for (NodeId r : tree->receivers) mark(r);
 
   StreamInfo info;
-  info.src_domain = plan_.domain_of_node(tree->source);
+  info.src_domain = plan_->domain_of_node(tree->source);
   info.tag = tree->tag;
   for (const StreamTree::Injector& inj : tree->injectors) {
-    info.injector_domain.push_back(plan_.domain_of_node(inj.node));
+    info.injector_domain.push_back(plan_->domain_of_node(inj.node));
   }
   StreamId id = -1;
   std::vector<NodeId> receivers;
@@ -364,7 +365,7 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
     } else {
       receivers.clear();
       for (NodeId r : tree->receivers) {
-        if (plan_.domain_of_node(r) == d) receivers.push_back(r);
+        if (plan_->domain_of_node(r) == d) receivers.push_back(r);
       }
       // Every replica keeps the full injector list (combiner child slots
       // and CNP injector indices must align across domains); the mask says
@@ -427,13 +428,25 @@ void ShardedNetwork::close_stream(StreamId stream) {
 }
 
 void ShardedNetwork::on_duplex_failed(LinkId l) {
-  // Every replica mirrors link state (fail epochs, PFC bits); queued-segment
-  // loss only materializes in the owning domain, where the queues live.
-  for (auto& dom : domains_) dom->net->on_duplex_failed(l);
+  on_pair_ends(l, &Network::on_duplex_failed);
 }
 
 void ShardedNetwork::on_duplex_restored(LinkId l) {
-  for (auto& dom : domains_) dom->net->on_duplex_restored(l);
+  on_pair_ends(l, &Network::on_duplex_restored);
+}
+
+void ShardedNetwork::on_pair_ends(LinkId l, void (Network::*apply)(LinkId)) {
+  // Only the domains of the pair's two ends hold its state: each direction's
+  // serializer and queued segments live with its source, its fail epoch and
+  // pause mirror with its destination. Each domain changes only its own
+  // tables and mail, so the order of the two calls cannot change a result.
+  const Link& lk = topo_->link(l);
+  const int src = plan_->domain_of_node(lk.src);
+  const int dst = plan_->domain_of_node(lk.dst);
+  (domains_[static_cast<std::size_t>(src)]->net.get()->*apply)(l);
+  if (dst != src) {
+    (domains_[static_cast<std::size_t>(dst)]->net.get()->*apply)(l);
+  }
 }
 
 bool ShardedNetwork::stream_uses_link(StreamId s, LinkId l) const {
@@ -466,7 +479,7 @@ StreamDiagnostic ShardedNetwork::stream_diagnostic(StreamId s) const {
 }
 
 Bytes ShardedNetwork::link_bytes(LinkId l) const {
-  return domains_[static_cast<std::size_t>(plan_.domain_of_link(l))]
+  return domains_[static_cast<std::size_t>(plan_->domain_of_link(l))]
       ->net->link_bytes(l);
 }
 

@@ -4,17 +4,27 @@
 // ## Execution model
 //
 // The fabric is split into one *domain* per pod plus one for the core tier
-// (pod < 0). Each domain owns a full Network replica over the full topology
-// but executes only the events whose handler state lives in its domain:
+// (pod < 0). Each domain runs its own Network and EventQueue, and its
+// Network holds state only for what the domain owns (src/sim/network.h,
+// "State tables"), so the engine's fabric state is O(fabric) in total, not
+// O(domains x fabric):
 //
-//   - a link's serializer (egress queue, busy/blocked bits, FinishTx) runs
-//     in the domain of the link's *source* node;
-//   - a node's shared buffer, per-ingress accounting, and Arrive handling
-//     run in the node's domain;
+//   - a link's serializer (egress queue, busy/blocked/pause bits, counters,
+//     FinishTx) runs in the domain of the link's *source* node;
+//   - a node's shared buffer, per-ingress accounting, blocked pumps and
+//     Arrive handling run in the node's domain, which also keeps the
+//     receive side of each link entering it from another domain: its fail
+//     epoch and the mirror of its PFC pause bit;
 //   - a stream injector's pump and congestion-control state run in its
 //     node's domain (a multicast's one injector is its source; a reduce
 //     stream has one per contributor); per-receiver delivery progress runs
 //     in each receiver's domain.
+//
+// ShardPlan numbers each domain's nodes and links densely, once, in maps
+// that all domains share. A link failure or repair reaches only the one or
+// two domains that hold state for the link. Per-domain Telemetry, when it is
+// on, is still fabric-sized (src/sim/telemetry.h); the merged view sums the
+// domains.
 //
 // Exactly three event kinds can cross a domain boundary, and each carries a
 // physical delay of at least one cross-domain link propagation:
@@ -154,7 +164,7 @@ class ShardedNetwork final : public DataPlane {
         ->net->stream_cc(s);
   }
 
-  // --- merged counters (sums / maxima over the domain replicas) -----------
+  // --- merged counters (sums / maxima over the domains) -------------------
   [[nodiscard]] std::uint64_t segments_serialized() const;
   [[nodiscard]] std::uint64_t segments_marked() const;
   [[nodiscard]] std::uint64_t pfc_pauses() const;
@@ -249,6 +259,9 @@ class ShardedNetwork final : public DataPlane {
   /// true = captured into from's outbox for another domain, or (a local
   /// CNP) held in from's CNP list for merge-time admission.
   bool route(int from, SimTime t, const SimEvent& ev);
+  /// Applies a fault handler to the domains holding state for the duplex
+  /// pair of `l`: the domains of its two ends.
+  void on_pair_ends(LinkId l, void (Network::*apply)(LinkId));
   /// Window loop shared by run() / run_until().
   void advance(bool bounded, SimTime deadline);
   /// Runs every busy domain up to `horizon`: the workers and the
@@ -264,7 +277,8 @@ class ShardedNetwork final : public DataPlane {
   void worker_main();
 
   const Topology* topo_;
-  ShardPlan plan_;
+  /// Shared with every domain's Network (their slot maps).
+  std::shared_ptr<const ShardPlan> plan_;
   SimConfig config_;
   int domain_total_ = 0;
   SimTime xdelay_ = 0;  ///< conservative lookahead; 0 = no cross-domain links

@@ -4,10 +4,52 @@
 
 namespace peel {
 
+namespace {
+
+/// Fills everything but node_domain (set by the caller): link owners, the
+/// lookahead, and the dense slot numbering.
+void number_plan(const Topology& topo, ShardPlan& plan) {
+  const auto domains = static_cast<std::size_t>(plan.domains);
+  plan.domain_nodes.assign(domains, 0);
+  plan.node_slot.resize(topo.node_count());
+  for (std::size_t n = 0; n < topo.node_count(); ++n) {
+    plan.node_slot[n] =
+        plan.domain_nodes[static_cast<std::size_t>(plan.node_domain[n])]++;
+  }
+
+  plan.link_domain.resize(topo.link_count());
+  plan.link_slot.resize(topo.link_count());
+  plan.rx_slot.resize(topo.link_count());
+  plan.domain_link_slots.assign(domains, 0);
+  for (std::size_t l = 0; l < topo.link_count(); ++l) {
+    const Link& lk = topo.link(static_cast<LinkId>(l));
+    const std::int32_t src_dom =
+        plan.node_domain[static_cast<std::size_t>(lk.src)];
+    plan.link_domain[l] = src_dom;
+    plan.link_slot[l] =
+        plan.domain_link_slots[static_cast<std::size_t>(src_dom)]++;
+    plan.rx_slot[l] = plan.link_slot[l];
+  }
+  // Mirrors come after each domain's own links, in ascending link id.
+  for (std::size_t l = 0; l < topo.link_count(); ++l) {
+    const Link& lk = topo.link(static_cast<LinkId>(l));
+    const std::int32_t dst_dom =
+        plan.node_domain[static_cast<std::size_t>(lk.dst)];
+    if (dst_dom == plan.link_domain[l]) continue;
+    plan.rx_slot[l] =
+        plan.domain_link_slots[static_cast<std::size_t>(dst_dom)]++;
+    ++plan.cross_links;
+    if (plan.lookahead == 0 || lk.propagation < plan.lookahead) {
+      plan.lookahead = lk.propagation;
+    }
+  }
+}
+
+}  // namespace
+
 ShardPlan build_shard_plan(const Topology& topo) {
   ShardPlan plan;
   plan.node_domain.resize(topo.node_count());
-  plan.link_domain.resize(topo.link_count());
 
   // Map distinct pod indices to dense domain ids in ascending pod order, so
   // the layout is a pure function of the topology (never of insertion order).
@@ -37,21 +79,14 @@ ShardPlan build_shard_plan(const Topology& topo) {
           std::lower_bound(pods.begin(), pods.end(), pod) - pods.begin());
     }
   }
+  number_plan(topo, plan);
+  return plan;
+}
 
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    const Link& lk = topo.link(static_cast<LinkId>(l));
-    const std::int32_t src_dom =
-        plan.node_domain[static_cast<std::size_t>(lk.src)];
-    const std::int32_t dst_dom =
-        plan.node_domain[static_cast<std::size_t>(lk.dst)];
-    plan.link_domain[l] = src_dom;
-    if (src_dom != dst_dom) {
-      ++plan.cross_links;
-      if (plan.lookahead == 0 || lk.propagation < plan.lookahead) {
-        plan.lookahead = lk.propagation;
-      }
-    }
-  }
+ShardPlan single_domain_plan(const Topology& topo) {
+  ShardPlan plan;
+  plan.node_domain.assign(topo.node_count(), 0);
+  number_plan(topo, plan);
   return plan;
 }
 

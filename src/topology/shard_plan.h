@@ -20,6 +20,15 @@
 // can schedule work in another domain earlier than W + lookahead, so domains
 // advance a full window between barriers without ever seeing a message from
 // their past.
+//
+// Dense numbering: a domain's Network keeps state only for what it owns, in
+// tables indexed by *slot*. Each node and each link has one slot in its
+// owning domain, numbered in ascending global id. A crossing link also has a
+// receive-side slot in its destination's domain (its fail epoch, the mirror
+// of its PFC pause bit, and the bytes it holds in the destination's buffer),
+// numbered after that domain's own links. The maps are fabric-sized and
+// shared by every domain. A one-domain plan (single_domain_plan, the solo
+// engine's) numbers every slot with its global id.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +47,19 @@ struct ShardPlan {
   std::vector<std::int32_t> node_domain;
   /// link -> owning domain (the domain of the link's source node).
   std::vector<std::int32_t> link_domain;
+  /// node -> its slot in its owning domain.
+  std::vector<std::int32_t> node_slot;
+  /// link -> its slot in its owning (source) domain.
+  std::vector<std::int32_t> link_slot;
+  /// link -> the slot of its receive side in its destination's domain:
+  /// link_slot for a link inside one domain, a mirror slot for a crossing
+  /// link.
+  std::vector<std::int32_t> rx_slot;
+  /// domain -> nodes it owns (its node slots are 0 .. count - 1).
+  std::vector<std::int32_t> domain_nodes;
+  /// domain -> link slots: the links it owns, then one mirror per crossing
+  /// link that enters it.
+  std::vector<std::int32_t> domain_link_slots;
   /// Conservative lookahead: min propagation over cross-domain links, in ns.
   /// 0 when no link crosses a domain boundary (single-domain fabrics).
   SimTime lookahead = 0;
@@ -59,5 +81,8 @@ struct ShardPlan {
 /// Builds the pod-ownership map for `topo`. Pod indices may be sparse; each
 /// distinct pod value maps to one domain in ascending pod order.
 [[nodiscard]] ShardPlan build_shard_plan(const Topology& topo);
+
+/// The whole fabric as one domain: every slot is its global id.
+[[nodiscard]] ShardPlan single_domain_plan(const Topology& topo);
 
 }  // namespace peel

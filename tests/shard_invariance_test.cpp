@@ -8,16 +8,23 @@
 // recovery at every worker count. The k=32 fat-tree broadcast pins the
 // acceptance scale from the issue.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdint>
+#include <memory>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/collectives/runner.h"
+#include "src/faults/injector.h"
+#include "src/faults/schedule.h"
 #include "src/harness/experiment.h"
+#include "src/routing/topology_events.h"
 #include "src/sim/sharded.h"
 #include "src/sim/trace.h"
+#include "src/topology/failures.h"
 #include "src/topology/fat_tree.h"
 #include "src/topology/leaf_spine.h"
 
@@ -522,6 +529,148 @@ TEST(ShardInvariance, K32FatTreeBroadcastCompletesSharded) {
   EXPECT_EQ(two.core_bytes, eight.core_bytes);
   EXPECT_EQ(two.nvlink_bytes, eight.nvlink_bytes);
   EXPECT_GT(two.fabric_bytes, 0u);
+}
+
+/// What one congested, flapping PEEL broadcast run leaves on each link.
+struct LinkLedger {
+  std::vector<Bytes> link_bytes;       ///< ShardedNetwork::link_bytes, by id
+  std::vector<Bytes> telemetry_bytes;  ///< merged telemetry, by id
+  std::uint64_t segments = 0;
+  std::uint64_t pfc_pauses = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t downs = 0;
+  std::size_t recovered = 0;
+};
+
+/// Four simultaneous PEEL broadcasts, one from each pod of a k=4 fat-tree to
+/// every GPU of the other three pods, while switch-to-switch links flap
+/// (inside pods and to the core): buffers fill and PFC pauses ingress
+/// ports, failures drop queued and in-flight segments, and recovery re-sends
+/// them.
+LinkLedger run_flapping_broadcast(int shards) {
+  FatTree ft = build_fat_tree(FatTreeConfig{4, 2, 4});
+  const Fabric fabric = Fabric::of(ft);
+  SimConfig sim;
+  sim.telemetry.enabled = true;
+  ShardedNetwork net(ft.topo, sim, shards);
+  CollectiveRunner runner(fabric, net, net.control(), Rng(11), RunnerOptions{});
+
+  LinkLedger r;
+  TopologyEventBus bus;
+  bus.subscribe(&runner);
+  FaultInjector injector(ft.topo, net, net.control(), &bus);
+  injector.set_handler([&](const AppliedFault&) {
+    net.control().after(2 * kMicrosecond,
+                        [&] { r.recovered += runner.recover_all(); });
+  });
+  FlapProcess flap;
+  flap.mtbf_seconds = 80e-6;
+  flap.mttr_seconds = 20e-6;
+  flap.links = 12;
+  flap.horizon_seconds = 300e-6;
+  Rng flap_rng(12);
+  injector.arm(
+      generate_flap_schedule(duplex_fabric_links(ft.topo), flap, flap_rng));
+
+  const std::size_t per_pod = ft.gpus.size() / 4;
+  for (std::size_t pod = 0; pod < 4; ++pod) {
+    BroadcastRequest req;
+    req.id = pod + 1;
+    req.source = ft.gpus[pod * per_pod];
+    for (std::size_t g = 0; g < ft.gpus.size(); ++g) {
+      if (g / per_pod != pod) req.destinations.push_back(ft.gpus[g]);
+    }
+    req.message_bytes = 2 * kMiB;
+    runner.submit(Scheme::Peel, req);
+  }
+  net.run();
+
+  const Telemetry* telem = net.merged_telemetry();
+  const TelemetrySummary summary = telem->summary(net.now());
+  r.telemetry_bytes.assign(ft.topo.link_count(), 0);
+  for (const LinkTelemetry& row : summary.links) {
+    r.telemetry_bytes[static_cast<std::size_t>(row.link)] = row.bytes;
+  }
+  for (LinkId l = 0; l < static_cast<LinkId>(ft.topo.link_count()); ++l) {
+    r.link_bytes.push_back(net.link_bytes(l));
+  }
+  r.segments = net.segments_serialized();
+  r.pfc_pauses = net.pfc_pauses();
+  r.lost = net.segments_lost();
+  r.downs = injector.downs_applied();
+  return r;
+}
+
+// The slot mapping, link by link: every domain keeps its links' counters
+// at dense slots, so a wrong slot or a stale mirror epoch moves some link's
+// bytes even where the totals still match. Each link must read the same at
+// 1 and 3 workers, agree with the telemetry's own by-id count, and the links
+// must sum to the bytes serialized; the by-id vector is pinned.
+TEST(ShardInvariance, LinkBytesMatchLinkByLinkUnderFlapsAndCongestion) {
+  const LinkLedger one = run_flapping_broadcast(1);
+  const LinkLedger three = run_flapping_broadcast(3);
+  ASSERT_EQ(one.link_bytes.size(), three.link_bytes.size());
+  for (std::size_t l = 0; l < one.link_bytes.size(); ++l) {
+    EXPECT_EQ(one.link_bytes[l], three.link_bytes[l]) << "link " << l;
+    EXPECT_EQ(one.link_bytes[l], one.telemetry_bytes[l]) << "link " << l;
+  }
+  Bytes sum = 0;
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis
+  for (const Bytes b : one.link_bytes) {
+    sum += b;
+    hash = (hash ^ static_cast<std::uint64_t>(b)) * 1099511628211ULL;
+  }
+  // Every chunk is a whole number of segments, so every segment is full.
+  EXPECT_EQ(sum, static_cast<Bytes>(one.segments) * SimConfig{}.segment_bytes);
+  EXPECT_EQ(one.segments, three.segments);
+  EXPECT_EQ(one.pfc_pauses, three.pfc_pauses);
+  EXPECT_EQ(one.lost, three.lost);
+  EXPECT_EQ(hash, 0xf78c847486ba24a5ULL);
+  EXPECT_GT(one.pfc_pauses, 0u) << "no congestion";
+  EXPECT_GT(one.lost, 0u) << "no flap hit a live segment";
+  EXPECT_GT(one.downs, 0u);
+  EXPECT_GT(one.recovered, 0u);
+}
+
+/// Heap bytes in use (glibc: arena chunks plus mmapped blocks).
+std::size_t heap_in_use() {
+  const struct mallinfo2 m = mallinfo2();
+  return m.uordblks + m.hblkhd;
+}
+
+// A sharded domain holds state only for the nodes and links it owns, so a
+// one-worker sharded engine's idle state stays within 2x the solo engine's
+// however many domains the fabric has (k + 1 on a fat-tree), not k + 1 full
+// copies of the fabric.
+TEST(ShardInvariance, IdleStateIsAtMostTwiceSolo) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's allocator does not report to mallinfo2";
+#endif
+  for (const int k : {8, 16, 32}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    FatTreeConfig cfg;
+    cfg.k = k;
+    cfg.hosts_per_tor = 8;
+    cfg.gpus_per_host = 8;
+    const FatTree ft = build_fat_tree(cfg);
+    const SimConfig sim;
+
+    std::size_t base = heap_in_use();
+    auto queue = std::make_unique<EventQueue>();
+    auto solo = std::make_unique<Network>(ft.topo, sim, *queue);
+    const std::size_t solo_bytes = heap_in_use() - base;
+    solo.reset();
+    queue.reset();
+
+    base = heap_in_use();
+    auto sharded = std::make_unique<ShardedNetwork>(ft.topo, sim, 1);
+    const std::size_t sharded_bytes = heap_in_use() - base;
+    sharded.reset();
+
+    EXPECT_GT(solo_bytes, 0u);
+    EXPECT_LE(sharded_bytes, 2 * solo_bytes)
+        << "solo " << solo_bytes << " B, sharded " << sharded_bytes << " B";
+  }
 }
 
 }  // namespace
