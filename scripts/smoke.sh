@@ -44,7 +44,10 @@
 #   - multi-tenant workload at flow fidelity (the max-min solver), audited,
 #     run twice and diffed
 #   - every microbench once (micro_algorithms, minimal time): gates on the
-#     exit status, so a microbench that throws or crashes fails the smoke
+#     exit status, so a microbench that throws or crashes fails the smoke,
+#     and on BM_SourceBacklog/{1,16,64}'s events per serialized segment
+#     (2.5 / 2.34277 / 2.34058), so a rewrite of the backlogged-source wake
+#     that adds or drops an event fails it too; never on speed
 #   - python3 perfbench/selfcheck.py
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -152,8 +155,26 @@ FLOW_WORKLOAD=(--workload peel broadcast 16 1 20 40 --fidelity=flow --churn=1
 "${CLI}" "${FLOW_WORKLOAD[@]}" > "${OUT}/flow_workload2.txt"
 diff "${OUT}/flow_workload1.txt" "${OUT}/flow_workload2.txt"
 
-echo "== every microbench once (micro_algorithms; exit status only) =="
-"${BENCH}/micro_algorithms" --benchmark_min_time=0.001 > "${OUT}/micro.txt"
+echo "== every microbench once (micro_algorithms; backlog wake events pinned) =="
+"${BENCH}/micro_algorithms" --benchmark_min_time=0.001 \
+  --benchmark_out="${OUT}/micro.json" --benchmark_out_format=json \
+  > "${OUT}/micro.txt"
+python3 - "${OUT}/micro.json" <<'PY'
+import json
+import sys
+
+PINNED = {"BM_SourceBacklog/1": 2.5, "BM_SourceBacklog/16": 2.34277,
+          "BM_SourceBacklog/64": 2.34058}
+with open(sys.argv[1]) as f:
+    rows = {b["name"]: b for b in json.load(f)["benchmarks"]}
+bad = []
+for name, want in PINNED.items():
+    got = rows.get(name, {}).get("events_per_segment")
+    if got is None or round(got, 5) != want:
+        bad.append(f"{name}: events_per_segment {got}, pinned {want}")
+if bad:
+    sys.exit("\n".join(bad))
+PY
 
 echo "== benchmark self-check (perfbench/selfcheck.py) =="
 python3 perfbench/selfcheck.py

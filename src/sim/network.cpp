@@ -46,7 +46,7 @@ void Network::on_sim_event(const SimEvent& ev) {
   switch (ev.kind) {
     case SimEventKind::Pump:
       if (ev.flag) {
-        pump_woken(ev.b);
+        pump_woken(ev.a, ev.b);
       } else {
         pump(ev.a, ev.b);
       }
@@ -140,9 +140,15 @@ StreamDiagnostic Network::stream_diagnostic(StreamId s) const {
   d.stream = s;
   d.tag = st.tag;
   d.closed = st.closed;
-  for (const auto& inj : st.injectors) {
-    d.pump_blocked |= inj.pump_blocked;
-    d.pump_scheduled |= inj.pump_scheduled;
+  for (std::size_t k = 0; k < st.injectors.size(); ++k) {
+    const Injector& inj = st.injectors[k];
+    if (!st.closed && inj.blocked_at >= 0 &&
+        is_woken(inj, node_state(st.tree->injectors[k].node))) {
+      d.pump_scheduled = true;  // as the release set it
+    } else {
+      d.pump_blocked |= inj.pump_blocked;
+      d.pump_scheduled |= inj.pump_scheduled;
+    }
     for (std::size_t i = inj.pending_head; i < inj.pending.size(); ++i) {
       ++d.pending_chunks;
       d.bytes_pending_injection +=
@@ -250,6 +256,11 @@ void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
     if (!inj.local) continue;
     inj.pending.push_back(PendingChunk{chunk_index, bytes, 0});
     if (!inj.pump_scheduled) {
+      if (inj.blocked_at >= 0) {
+        NodeState& N = node_state(st.tree->injectors[i].node);
+        if (is_woken(inj, N)) continue;  // its wake is its pump
+        N.dirty = true;  // a parked injector's pump is in flight
+      }
       inj.pump_scheduled = true;
       queue_->after(0, SimEvent{SimEventKind::Pump, false, stream,
                                 static_cast<std::int32_t>(i)});
@@ -278,6 +289,9 @@ std::vector<int> Network::cancel_unsent_chunks(StreamId stream) {
     note_chunk(stream, inj.pending[i].chunk, 0);
   }
   inj.pending.resize(keep);
+  if (inj.blocked_at >= 0 && keep == inj.pending_head) {
+    node_state(st.tree->injectors.front().node).dirty = true;
+  }
   return cancelled;
 }
 
@@ -287,6 +301,20 @@ void Network::close_stream(StreamId stream) {
     // Computed before the tree/progress are released below.
     telem_->on_stream_close(stream,
                             stream_diagnostic(stream).incomplete_deliveries == 0);
+  }
+  if (!st.closed) {
+    // A parked injector's entry stays in its node's log, so the log is
+    // dirty. A woken one keeps the flags its release set.
+    for (std::size_t i = 0; i < st.injectors.size(); ++i) {
+      Injector& inj = st.injectors[i];
+      if (inj.blocked_at < 0) continue;
+      NodeState& N = node_state(st.tree->injectors[i].node);
+      if (is_woken(inj, N)) {
+        inj.pump_scheduled = true;
+        inj.pump_blocked = false;
+      }
+      N.dirty = true;
+    }
   }
   st.closed = true;
   // Release, don't just clear: fault-heavy runs open one recovery stream per
@@ -385,7 +413,7 @@ void Network::pump(StreamId stream, std::int32_t injector) {
     NodeState& N = node_state(ti.node);
     if (N.buffered > pause_threshold_) {
       inj.pump_blocked = true;
-      N.blocked.push_back(BlockedPump{stream, injector});
+      park(N, BlockedPump{stream, injector}, inj);
       return;
     }
     if (inj.pace_next > now) {
@@ -569,38 +597,132 @@ void Network::release_buffer(NodeId n, LinkId ingress, Bytes bytes) {
   if (N.paused_in > 0) {
     for (LinkId in : topo_->in_links(n)) unpause(in);
   }
-  // Re-arm injector pumps blocked on this node's buffer: one event pumps
-  // them all, in the order they blocked. (This loop only flags and queues,
-  // so the list cannot change under it.)
-  auto& waiting = N.blocked;
-  if (waiting.empty()) return;
+  // Re-arm the injector pumps parked on this node's buffer: one event wakes
+  // them all, in the order they blocked.
+  const std::int64_t end = N.log_end();
+  if (N.woken_hi == end) return;
+  if (!N.dirty && N.woken_lo == N.woken_hi) {
+    // Every parked injector is open, has something pending and has no pump
+    // in flight, so the walk below would wake each one, in list order: the
+    // list itself becomes the window, and is_woken reads their flags as
+    // the walk would have set them.
+    N.woken_hi = end;
+    queue_->after(0, SimEvent{SimEventKind::Pump, true, n, 0});
+    return;
+  }
+  // This loop only flags and queues, so the list cannot change under it.
   const std::size_t first = woken_.size();
-  for (const BlockedPump& bp : waiting) {
+  for (std::int64_t p = N.woken_hi; p < end; ++p) {
+    const BlockedPump bp = N.entry(p);
     auto& st = streams_[static_cast<std::size_t>(bp.stream)];
     if (st.closed) continue;
     Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
     inj.pump_blocked = false;
+    inj.blocked_at = -1;
     if (!inj.pump_scheduled) {
       inj.pump_scheduled = true;
       woken_.push_back(bp);
     }
   }
-  waiting.clear();
+  N.blocked.resize(static_cast<std::size_t>(N.woken_hi - N.blocked_base));
+  N.dirty = false;
+  compact(N);
   const auto count = static_cast<std::int32_t>(woken_.size() - first);
   if (count > 0) {
-    queue_->after(0, SimEvent{SimEventKind::Pump, true, 0, count});
+    queue_->after(0, SimEvent{SimEventKind::Pump, true, n, count});
   }
 }
 
-void Network::pump_woken(std::int32_t count) {
-  for (std::int32_t i = 0; i < count; ++i) {
-    const BlockedPump bp = woken_[woken_head_++];
-    pump(bp.stream, bp.injector);
+void Network::park(NodeState& N, const BlockedPump& bp, Injector& inj) {
+  inj.blocked_at = N.log_end();
+  N.blocked.push_back(bp);
+}
+
+void Network::refile(NodeState& N, const BlockedPump& bp) {
+  auto& st = streams_[static_cast<std::size_t>(bp.stream)];
+  if (st.closed) return;
+  Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
+  inj.pump_scheduled = false;
+  inj.blocked_at = -1;
+  inj.pump_blocked = inj.pending_head < inj.pending.size();
+  if (inj.pump_blocked) park(N, bp, inj);
+}
+
+void Network::compact(NodeState& N) {
+  const auto spent = static_cast<std::size_t>(N.woken_lo - N.blocked_base);
+  if (spent == N.blocked.size()) {
+    N.blocked.clear();
+  } else if (spent >= 64 && 2 * spent >= N.blocked.size()) {
+    N.blocked.erase(N.blocked.begin(),
+                    N.blocked.begin() + static_cast<std::ptrdiff_t>(spent));
+  } else {
+    return;
   }
+  N.blocked_base = N.woken_lo;
+}
+
+void Network::pump_woken(NodeId n, std::int32_t count) {
+  NodeState& N = node_state(n);
+  if (count == 0) {
+    wake_window(N);
+    return;
+  }
+  std::int32_t i = 0;
+  while (i < count) {
+    const BlockedPump bp = woken_[woken_head_++];
+    ++i;
+    pump(bp.stream, bp.injector);
+    if (N.buffered > pause_threshold_) break;
+  }
+  // Nothing a pump does lowers N.buffered, so every later injector of the
+  // batch would block at its first check.
+  for (; i < count; ++i) refile(N, woken_[woken_head_++]);
   if (woken_head_ == woken_.size()) {
     woken_.clear();
     woken_head_ = 0;
   }
+}
+
+void Network::wake_window(NodeState& N) {
+  const std::int64_t hi = N.woken_hi;
+  const bool quiet = N.log_end() == hi;
+  std::int64_t p = N.woken_lo;
+  while (p < hi) {
+    const BlockedPump bp = N.entry(p++);
+    auto& st = streams_[static_cast<std::size_t>(bp.stream)];
+    if (st.closed) continue;
+    Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
+    inj.pump_blocked = false;  // what the release's walk did to it
+    inj.blocked_at = -1;
+    pump(bp.stream, bp.injector);
+    if (N.buffered > pause_threshold_) break;
+  }
+  std::int64_t lo = hi;
+  if (p < hi && quiet && !N.dirty) {
+    // The rest would re-block in order behind anything parked since the
+    // release, and nothing was but the injector just pumped (only the last
+    // pump can block: that is what ended the loop). Each of the rest is
+    // open, has something pending and already holds the flags a re-block
+    // leaves, so it stays where it is; the pumped one goes back into the
+    // slot it just left, in front of them.
+    lo = p;
+    if (N.log_end() > hi) {
+      const BlockedPump bp = N.blocked.back();
+      N.blocked.pop_back();
+      lo = p - 1;
+      streams_[static_cast<std::size_t>(bp.stream)]
+          .injectors[static_cast<std::size_t>(bp.injector)]
+          .blocked_at = lo;
+    }
+  } else {
+    for (; p < hi; ++p) {
+      const BlockedPump bp = N.entry(p);  // refile may grow the log
+      refile(N, bp);
+    }
+  }
+  N.woken_lo = lo;
+  N.woken_hi = lo;
+  compact(N);
 }
 
 void Network::arrive(LinkId l, Segment seg, std::uint32_t fail_epoch) {

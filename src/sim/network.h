@@ -35,12 +35,23 @@
 // Source backpressure: a pump that finds its node's buffer over the PFC
 // threshold parks its injector on the node's blocked list. When the buffer
 // drains to the resume level, release_buffer wakes the whole list with ONE
-// event (a Pump with `flag` set, carrying a count) that pumps the woken
-// injectors in the order they blocked. One Pump per injector, scheduled at
-// the same instant with consecutive sequence numbers, would fire
-// back-to-back in that same order, so the batch changes only the event
-// count. The resume walk over a node's in-links runs only while one of them
-// is PFC-paused: every flip of a node's in-link pause bits goes through
+// event (a Pump with `flag` set). One Pump per injector, scheduled at the
+// same instant with consecutive sequence numbers, would fire back-to-back
+// in the order they blocked, so the batch changes only the event count.
+// The wake pumps the woken injectors in that order only until one of them
+// leaves the buffer over the pause level again: nothing a pump does lowers
+// the buffer, so each later one would block at its first check, and the
+// wake re-files them as that pump would, in order, without running it. The
+// release does not walk the list either: while every parked injector is
+// open, has something pending and has no pump in flight (the list is not
+// `dirty`), the walk would wake them all, so the list itself becomes the
+// node's window of woken injectors, and is_woken makes their flags read as
+// the walk would have set them until their wake; a close marks the flags.
+// When the wake re-files the rest and nothing else parked since the
+// release, they stay in place (docs/performance.md, "Hot-path layout"). A
+// wake thus costs the injectors that pump, not the list's length. The
+// resume walk over a node's in-links runs only while one of them is
+// PFC-paused: every flip of a node's in-link pause bits goes through
 // set_rx_paused, which keeps a per-node count.
 //
 // State tables: a Network holds state only for the nodes and links its
@@ -291,7 +302,27 @@ class Network final : public SimEventSink, public DataPlane {
     /// (set_rx_paused keeps it); release_buffer skips its resume walk while
     /// it is zero.
     std::int32_t paused_in = 0;
+    /// Injectors blocked on this buffer, as a log: the entry at position p
+    /// sits at blocked[p - blocked_base]. [blocked_base, woken_lo) is
+    /// spent; [woken_lo, woken_hi) is the window, a release's batch whose
+    /// wake is pending; [woken_hi, end) is the blocked list proper.
     std::vector<BlockedPump> blocked;
+    std::int64_t blocked_base = 0;
+    std::int64_t woken_lo = 0;
+    std::int64_t woken_hi = 0;
+    /// The log may hold an entry the release would not wake, or that a
+    /// re-block would not keep: a closed stream, a pump already in flight,
+    /// a repeat, or an injector with nothing pending. The next release then
+    /// walks the list, and a pending wake re-files entry by entry.
+    bool dirty = false;
+
+    /// One past the last log position.
+    [[nodiscard]] std::int64_t log_end() const {
+      return blocked_base + static_cast<std::int64_t>(blocked.size());
+    }
+    [[nodiscard]] const BlockedPump& entry(std::int64_t p) const {
+      return blocked[static_cast<std::size_t>(p - blocked_base)];
+    }
   };
 
   struct PendingChunk {
@@ -311,6 +342,9 @@ class Network final : public SimEventSink, public DataPlane {
     bool pump_blocked = false;  // waiting for its node's buffer to drain
     bool local = true;  ///< sharded engine: false = a peer domain paces this
     SimTime pace_next = 0;
+    /// Log position of its latest blocked entry on its node, or -1. In the
+    /// node's window it reads as woken (see is_woken).
+    std::int64_t blocked_at = -1;
   };
 
   /// Combining state at one aggregation point of a reduce stream, parallel
@@ -353,9 +387,25 @@ class Network final : public SimEventSink, public DataPlane {
 
   /// Paced injection for injector `injector` of stream `s`.
   void pump(StreamId s, std::int32_t injector);
-  /// Pumps the next `count` injectors release_buffer woke, in wake order
-  /// (the handler of a Pump event with `flag` set).
-  void pump_woken(std::int32_t count);
+  /// The handler of a Pump event with `flag` set: wakes node `n`'s window
+  /// (count 0) or the next `count` injectors on woken_ (a walked release).
+  void pump_woken(NodeId n, std::int32_t count);
+  /// Pumps node `N`'s window in order until the buffer is over the pause
+  /// level again, then re-files the rest.
+  void wake_window(NodeState& N);
+  /// Appends injector `bp` (`inj`) to `N`'s blocked list.
+  void park(NodeState& N, const BlockedPump& bp, Injector& inj);
+  /// What pump() does to a woken injector that finds its node's buffer over
+  /// the pause level: drops the flags the release set and parks it again
+  /// unless it has nothing pending. A closed stream is left as it is.
+  void refile(NodeState& N, const BlockedPump& bp);
+  /// Frees N's spent log prefix once it is most of the log.
+  static void compact(NodeState& N);
+  /// True iff `inj`, parked on `N`, sits in N's window: its flags read as
+  /// the release set them (pump_scheduled, not pump_blocked).
+  [[nodiscard]] static bool is_woken(const Injector& inj, const NodeState& N) {
+    return inj.blocked_at >= N.woken_lo && inj.blocked_at < N.woken_hi;
+  }
   /// A segment of reduce stream `s` arrived at combiner `combiner` over the
   /// child link in `slot`: absorb it, advance the min-over-children
   /// frontier, and schedule a ReduceEmit for any newly combined bytes.
@@ -418,6 +468,9 @@ class Network final : public SimEventSink, public DataPlane {
   [[nodiscard]] NodeState& node_state(NodeId n) {
     return nodes_[static_cast<std::size_t>(node_slot_[n])];
   }
+  [[nodiscard]] const NodeState& node_state(NodeId n) const {
+    return nodes_[static_cast<std::size_t>(node_slot_[n])];
+  }
 
   const Topology* topo_;
   SimConfig config_;
@@ -434,10 +487,11 @@ class Network final : public SimEventSink, public DataPlane {
   std::vector<LinkState> links_;  ///< by link slot
   std::vector<NodeState> nodes_;  ///< by node slot
   std::vector<StreamState> streams_;
-  /// Injectors woken by release_buffer whose batched Pump event is pending,
-  /// a FIFO via woken_head_. Every batch is scheduled at the current
-  /// instant, so batches fire in the order they were scheduled, and each
-  /// pops its own count from the front.
+  /// Injectors woken by a release_buffer that walked its node's list,
+  /// whose batched Pump event is pending, a FIFO via woken_head_. Every
+  /// batch is scheduled at the current instant, so batches fire in the
+  /// order they were scheduled, and each pops its own count from the front.
+  /// (A release that does not walk leaves its batch in the node's window.)
   std::vector<BlockedPump> woken_;
   std::size_t woken_head_ = 0;
 

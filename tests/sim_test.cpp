@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/sim/dcqcn.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/network.h"
+#include "src/sim/sharded.h"
 #include "src/sim/telemetry.h"
 #include "src/topology/topology.h"
 
@@ -471,6 +476,338 @@ TEST(Network, BackloggedSourceWakesWithoutAnEventPerWaiter) {
   // A lone stream never blocks: one Pump per segment plus a FinishTx and an
   // Arrive per hop.
   EXPECT_EQ(run_herd(1).events, 320u);
+}
+
+// Backlog with edge cases: K streams from one host S that leaves its pod
+// over two NICs (S -> A, S -> B) through two cores to two destination pods,
+// each core -> ToR hop at half rate, behind a 480 KiB buffer. A third of the
+// streams multicast over both NICs, so S often frees buffer on both NICs at
+// one instant. Chunk sizes that are not segment multiples leave short tail
+// segments, which lets S's buffer cross the resume level, refill past the
+// pause level and cross it again within one instant: two releases before
+// the first wake fires. A control loop steps the engine and, from the
+// diagnostics, sends a chunk onto a blocked injector (its pump blocks again
+// and leaves a second blocked entry), closes a blocked stream, and cancels
+// every chunk of a blocked stream that has injected nothing (its injector
+// stays blocked with nothing pending). A 1 ns ticker reads every stream's
+// diagnostic; on the solo engine it runs inside each instant, between a
+// release and its wake, where it also sends onto, closes and cancels
+// injectors the release woke. Streams close when their last chunk lands.
+struct BacklogFixture {
+  Topology topo;
+  NodeId s, d1, d2;
+  LinkId sa, sb, ac, bc, ce1, ce2, ed1, ed2;
+
+  BacklogFixture() {
+    s = topo.add_node(Node{NodeKind::Host, 0, 0});
+    const NodeId a = topo.add_node(Node{NodeKind::Tor, 0, 0});
+    const NodeId b = topo.add_node(Node{NodeKind::Tor, 0, 1});
+    const NodeId c1 = topo.add_node(Node{NodeKind::Core, -1, 0});
+    const NodeId c2 = topo.add_node(Node{NodeKind::Core, -1, 1});
+    const NodeId e1 = topo.add_node(Node{NodeKind::Tor, 1, 0});
+    const NodeId e2 = topo.add_node(Node{NodeKind::Tor, 2, 0});
+    d1 = topo.add_node(Node{NodeKind::Host, 1, 0});
+    d2 = topo.add_node(Node{NodeKind::Host, 2, 0});
+    sa = topo.add_duplex_link(s, a, 100_gbps, 100);
+    sb = topo.add_duplex_link(s, b, 100_gbps, 100);
+    ac = topo.add_duplex_link(a, c1, 100_gbps, 500);
+    bc = topo.add_duplex_link(b, c2, 100_gbps, 500);
+    ce1 = topo.add_duplex_link(c1, e1, 50_gbps, 500);
+    ce2 = topo.add_duplex_link(c2, e2, 50_gbps, 500);
+    ed1 = topo.add_duplex_link(e1, d1, 100_gbps, 100);
+    ed2 = topo.add_duplex_link(e2, d2, 100_gbps, 100);
+  }
+
+  /// Stream `i` goes to D1, to D2, or to both, by i mod 3.
+  [[nodiscard]] StreamSpec spec(int i) const {
+    StreamSpec sp;
+    sp.source = s;
+    if (i % 3 != 1) {
+      sp.links.insert(sp.links.end(), {sa, ac, ce1, ed1});
+      sp.receivers.push_back(d1);
+    }
+    if (i % 3 != 0) {
+      sp.links.insert(sp.links.end(), {sb, bc, ce2, ed2});
+      sp.receivers.push_back(d2);
+    }
+    sp.tag = static_cast<std::uint64_t>(i);
+    return sp;
+  }
+};
+
+/// The solo engine (shards == 0) or the sharded one at `shards` workers,
+/// behind the DataPlane surface plus the clock calls run_backlog needs.
+struct BacklogEngine {
+  EventQueue queue;
+  std::unique_ptr<Network> solo;
+  std::unique_ptr<ShardedNetwork> sharded;
+  DataPlane* dp = nullptr;
+
+  BacklogEngine(const Topology& topo, const SimConfig& cfg, int shards) {
+    if (shards == 0) {
+      solo = std::make_unique<Network>(topo, cfg, queue);
+      dp = solo.get();
+    } else {
+      sharded = std::make_unique<ShardedNetwork>(topo, cfg, shards);
+      dp = sharded.get();
+    }
+  }
+  /// A closure at `t`: on the solo queue, or on the sharded control queue.
+  void at(SimTime t, std::function<void()> fn) {
+    (solo ? queue : sharded->control()).at(t, std::move(fn));
+  }
+  void run_until(SimTime t) {
+    if (solo) {
+      queue.run_until(t);
+    } else {
+      sharded->run_until(t);
+    }
+  }
+  void run() {
+    if (solo) {
+      queue.run();
+    } else {
+      sharded->run();
+    }
+  }
+  [[nodiscard]] SimTime now() const {
+    return solo ? queue.now() : sharded->now();
+  }
+  [[nodiscard]] std::uint64_t events() const {
+    return solo ? queue.processed() : sharded->events_processed();
+  }
+};
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 1099511628211ULL;
+}
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+struct BacklogResult {
+  std::vector<SimTime> cct;  ///< per stream; -1 = closed before it finished
+  std::uint64_t cct_hash = kFnvBasis;
+  /// Per stream at the mid-run deadline: 'c' closed, else 'B' blocked and
+  /// scheduled, 'b' blocked, 's' scheduled, '.' neither.
+  std::string mid_diag;
+  /// Every (pump_blocked, pump_scheduled) pair the ticker read.
+  std::uint64_t tick_hash = kFnvBasis;
+  std::uint64_t events = 0;
+  /// Control steps that sent onto a blocked stream, closed and cancelled.
+  int sends = 0, closes = 0, cancels = 0;
+};
+
+/// `steps` control steps `step` apart.
+BacklogResult run_backlog(int shards, int steps, SimTime step_ns) {
+  constexpr int kStreams = 48;
+  constexpr int kMidStep = 12;
+  const BacklogFixture f;
+  SimConfig cfg;
+  cfg.switch_buffer_bytes = 480 * kKiB;
+  BacklogEngine e(f.topo, cfg, shards);
+  BacklogResult r;
+  r.cct.assign(kStreams, -1);
+  std::vector<int> owed(kStreams, 0);  // (receiver, chunk) deliveries left
+  std::vector<int> next_chunk(kStreams, 0);
+  std::vector<int> fanout(kStreams, 0);
+  std::vector<bool> closed(kStreams, false);
+  auto close = [&](StreamId s) {
+    closed[static_cast<std::size_t>(s)] = true;
+    e.dp->close_stream(s);
+  };
+  e.dp->set_delivery_handler([&](const DeliveryEvent& ev) {
+    const auto i = static_cast<std::size_t>(ev.stream);
+    if (--owed[i] == 0) {
+      r.cct[i] = e.now();
+      close(ev.stream);
+    }
+  });
+  auto send = [&](StreamId s, Bytes bytes) {
+    const auto i = static_cast<std::size_t>(s);
+    e.dp->send_chunk(s, next_chunk[i]++, bytes);
+    owed[i] += fanout[i];
+  };
+  // A stream that loses every chunk gets one more 10 us later (from a
+  // closure, where the sharded engine's clocks agree), so it finishes.
+  auto cancel = [&](StreamId s) {
+    const auto i = static_cast<std::size_t>(s);
+    const std::size_t gone = e.dp->cancel_unsent_chunks(s).size();
+    owed[i] -= fanout[i] * static_cast<int>(gone);
+    if (owed[i] > 0) return;
+    e.at(e.now() + 10 * kMicrosecond, [&, s, i] {
+      if (!closed[i] && owed[i] == 0) send(s, 64 * kKiB);
+    });
+  };
+  for (int i = 0; i < kStreams; ++i) {
+    const StreamSpec spec = f.spec(i);
+    const StreamId s = e.dp->open_stream(spec);
+    fanout[static_cast<std::size_t>(s)] =
+        static_cast<int>(spec.receivers.size());
+    for (int c = 0; c < 4; ++c) send(s, (i % 2 != 0 ? 192 : 224) * kKiB);
+  }
+
+  // The ticker: every nanosecond of [20, 40) us, while the control loop
+  // runs, and of [215, 400) us, after it stopped (its sends and closes make
+  // most releases walk their list). It acts at most once per 97 ns, on a
+  // stream that reads as scheduled and not blocked, cycling through a
+  // send, a close and a cancel.
+  SimTime next_act = 0;
+  int acts = 0;
+  std::function<void()> tick = [&] {
+    for (StreamId s = 0; s < kStreams; ++s) {
+      const StreamDiagnostic d = e.dp->stream_diagnostic(s);
+      r.tick_hash = fnv_mix(r.tick_hash, (d.pump_blocked ? 2u : 0u) |
+                                             (d.pump_scheduled ? 1u : 0u));
+      if (e.now() < next_act || d.closed || !d.pump_scheduled ||
+          d.pump_blocked) {
+        continue;
+      }
+      next_act = e.now() + 97;
+      switch (acts++ % 3) {
+        case 0:
+          send(s, 64 * kKiB);
+          break;
+        case 1:
+          close(s);
+          break;
+        default:
+          cancel(s);
+      }
+    }
+    const SimTime t = e.now() + 1;
+    if (t < 40 * kMicrosecond ||
+        (t >= 215 * kMicrosecond && t < 400 * kMicrosecond)) {
+      e.at(t, tick);
+    }
+  };
+  e.at(20 * kMicrosecond, tick);
+  e.at(215 * kMicrosecond, tick);
+
+  for (int step = 1; step <= steps; ++step) {
+    e.run_until(step * step_ns);
+    std::vector<StreamDiagnostic> diag;
+    std::string flags;
+    for (StreamId s = 0; s < kStreams; ++s) {
+      const StreamDiagnostic& d = diag.emplace_back(e.dp->stream_diagnostic(s));
+      flags += d.closed         ? 'c'
+               : d.pump_blocked ? (d.pump_scheduled ? 'B' : 'b')
+               : d.pump_scheduled ? 's'
+                                  : '.';
+    }
+    if (step == kMidStep) r.mid_diag = flags;
+    // The blocked, unscheduled streams, from a step-dependent start so the
+    // actions spread over the streams.
+    std::vector<StreamId> blocked;
+    for (int j = 0; j < kStreams; ++j) {
+      const int s = (j + 5 * step) % kStreams;
+      const StreamDiagnostic& d = diag[static_cast<std::size_t>(s)];
+      if (!d.closed && d.pump_blocked && !d.pump_scheduled) {
+        blocked.push_back(s);
+      }
+    }
+    if (blocked.empty()) continue;
+    send(blocked.front(), 64 * kKiB);
+    ++r.sends;
+    if (step % 4 == 1 && blocked.size() > 1) {
+      close(blocked[1]);
+      ++r.closes;
+    }
+    if (step % 4 == 3) {
+      for (std::size_t j = 1; j < blocked.size(); ++j) {
+        const auto i = static_cast<std::size_t>(blocked[j]);
+        if (diag[i].pending_chunks != static_cast<std::size_t>(next_chunk[i])) {
+          continue;  // it has begun injecting
+        }
+        cancel(blocked[j]);
+        ++r.cancels;
+        break;
+      }
+    }
+  }
+  e.run();
+  r.events = e.events();
+  for (std::size_t i = 0; i < r.cct.size(); ++i) {
+    EXPECT_TRUE(closed[i]) << "stream " << i << " never finished";
+    r.cct_hash = fnv_mix(r.cct_hash, static_cast<std::uint64_t>(r.cct[i]));
+  }
+  return r;
+}
+
+TEST(Network, BackloggedSourceWakeEdgeCasesOnEveryEngine) {
+  // Recorded before wakes stopped pumping injectors that would only block
+  // again. A wake that picks its injectors when it fires instead of at the
+  // release moves the events, CCTs and diagnostics of every run. The
+  // second, longer control loop is one on which a release that skips its
+  // walk after a send onto a parked injector moves them too.
+  struct Pinned {
+    int steps;
+    SimTime step;
+    int shards;
+    std::uint64_t events, cct_hash, tick_hash;
+    const char* mid_diag;
+    int sends, closes, cancels;
+  };
+  const Pinned pinned[] = {
+      {40, 5'300, 0, 208'642, 0x43750f4f5ddf1e40ULL, 0xa60c5b963f80d580ULL,
+       "ccbbbbcb.bbbbbbb.bbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 40, 10, 10},
+      {40, 5'300, 1, 210'613, 0x0877ecf95d0acc6dULL, 0x0ac01b2144604f37ULL,
+       "bcbbbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbb.bbbbbbbbbcb", 40, 10, 10},
+      {40, 5'300, 3, 210'613, 0x0877ecf95d0acc6dULL, 0x0ac01b2144604f37ULL,
+       "bcbbbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbb.bbbbbbbbbcb", 40, 10, 10},
+      {60, 7'300, 0, 207'443, 0x5ad9dfffc251832bULL, 0x09986cc18c01ab9dULL,
+       "bcbsbbcb.bbbbbbbcbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 60, 15, 15},
+      {60, 7'300, 1, 208'989, 0x6af97b91a6944297ULL, 0xf89859a3465373ebULL,
+       "bcbsbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 60, 15, 15},
+      {60, 7'300, 3, 208'989, 0x6af97b91a6944297ULL, 0xf89859a3465373ebULL,
+       "bcbsbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 60, 15, 15},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE("steps=" + std::to_string(p.steps) +
+                 " shards=" + std::to_string(p.shards));
+    const BacklogResult r = run_backlog(p.shards, p.steps, p.step);
+    EXPECT_EQ(r.events, p.events);
+    EXPECT_EQ(r.cct_hash, p.cct_hash) << ::testing::PrintToString(r.cct);
+    EXPECT_EQ(r.tick_hash, p.tick_hash);
+    EXPECT_EQ(r.mid_diag, p.mid_diag);
+    EXPECT_EQ(r.sends, p.sends);
+    EXPECT_EQ(r.closes, p.closes);
+    EXPECT_EQ(r.cancels, p.cancels);
+  }
+}
+
+TEST(Network, ReleaseWithOnlyClosedStreamsParkedWakesNothing) {
+  // Every stream is parked on the source's buffer and then closed: the
+  // release that drains the buffer finds nothing to wake and schedules no
+  // wake event. The count of events after the closes was recorded when
+  // every release walked its list.
+  ChainFixture f;
+  EventQueue q;
+  SimConfig cfg;
+  cfg.congestion_control = false;
+  cfg.switch_buffer_bytes = 1 * kMiB;
+  Network net(f.topo, cfg, q);
+  std::vector<StreamId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(net.open_stream(f.spec()));
+    for (int c = 0; c < 4; ++c) net.send_chunk(ids.back(), c, 1 * kMiB);
+  }
+  auto all_parked = [&] {
+    return std::ranges::all_of(ids, [&](StreamId s) {
+      const StreamDiagnostic d = net.stream_diagnostic(s);
+      return d.pump_blocked && !d.pump_scheduled;
+    });
+  };
+  SimTime t = 0;
+  do {
+    t += 100;
+    q.run_until(t);
+  } while (!all_parked());
+  for (StreamId s : ids) net.close_stream(s);
+  const std::uint64_t before = q.processed();
+  q.run();
+  EXPECT_EQ(t, 10'500);
+  // The segments still queued and in flight: FinishTx and Arrive events.
+  EXPECT_EQ(q.processed() - before, 33u);
+  for (StreamId s : ids) EXPECT_TRUE(net.stream_diagnostic(s).pump_blocked);
 }
 
 TEST(Network, CancelUnsentChunks) {
