@@ -55,9 +55,9 @@ namespace peel {
 enum class SimEventKind : std::uint8_t {
   None = 0,   ///< entry carries a boxed Action instead
   Pump,       ///< inject the next paced segment of stream `a`, injector
-              ///< `b`; with `flag` set, wake the injectors a backpressure
-              ///< release at node `a` woke instead (one event per release):
-              ///< its window (b = 0) or the next `b` on Network::woken_
+              ///< `b`; with `flag` set, wake the `b` injectors a
+              ///< backpressure release at node `a` woke instead (one event
+              ///< per release; they are the node's first pending window)
   FinishTx,   ///< link `a` finished serializing its head segment; `b`
               ///< is its state slot in the domain's Network (epoch)
   Arrive,     ///< segment (stream b, chunk c, bytes d, marked flag) reaches

@@ -598,39 +598,41 @@ void Network::release_buffer(NodeId n, LinkId ingress, Bytes bytes) {
     for (LinkId in : topo_->in_links(n)) unpause(in);
   }
   // Re-arm the injector pumps parked on this node's buffer: one event wakes
-  // them all, in the order they blocked.
-  const std::int64_t end = N.log_end();
-  if (N.woken_hi == end) return;
-  if (!N.dirty && N.woken_lo == N.woken_hi) {
-    // Every parked injector is open, has something pending and has no pump
-    // in flight, so the walk below would wake each one, in list order: the
-    // list itself becomes the window, and is_woken reads their flags as
-    // the walk would have set them.
-    N.woken_hi = end;
-    queue_->after(0, SimEvent{SimEventKind::Pump, true, n, 0});
-    return;
-  }
-  // This loop only flags and queues, so the list cannot change under it.
-  const std::size_t first = woken_.size();
-  for (std::int64_t p = N.woken_hi; p < end; ++p) {
-    const BlockedPump bp = N.entry(p);
-    auto& st = streams_[static_cast<std::size_t>(bp.stream)];
-    if (st.closed) continue;
-    Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
-    inj.pump_blocked = false;
-    inj.blocked_at = -1;
-    if (!inj.pump_scheduled) {
-      inj.pump_scheduled = true;
-      woken_.push_back(bp);
+  // them all, in the order they blocked. The batch is the node's next
+  // window, [woken_hi, end).
+  const std::int64_t begin = N.woken_hi;
+  std::int64_t end = N.log_end();
+  if (begin == end) return;  // nothing parked
+  if (N.dirty) {
+    // Walk the list: skip closed streams, injectors whose pump is already in
+    // flight and repeat entries (the first keeps its place), flag the rest
+    // as woken and pack them in place. (This loop only flags, so the list
+    // cannot change under it.)
+    std::int64_t w = begin;
+    for (std::int64_t p = begin; p < end; ++p) {
+      const BlockedPump bp = N.entry(p);
+      auto& st = streams_[static_cast<std::size_t>(bp.stream)];
+      if (st.closed) continue;
+      Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
+      inj.pump_blocked = false;
+      inj.blocked_at = -1;
+      if (!inj.pump_scheduled) {
+        inj.pump_scheduled = true;
+        N.blocked[static_cast<std::size_t>(w++ - N.blocked_base)] = bp;
+      }
     }
+    N.blocked.resize(static_cast<std::size_t>(w - N.blocked_base));
+    compact(N);
+    if (w == begin) return;  // nothing to wake
+    end = w;
   }
-  N.blocked.resize(static_cast<std::size_t>(N.woken_hi - N.blocked_base));
-  N.dirty = false;
-  compact(N);
-  const auto count = static_cast<std::int32_t>(woken_.size() - first);
-  if (count > 0) {
-    queue_->after(0, SimEvent{SimEventKind::Pump, true, n, count});
-  }
+  // A clean list needs no walk: every parked injector is open, has
+  // something pending and has no pump in flight, so the walk would wake
+  // each one, in list order. The list itself becomes the window, and
+  // is_woken reads their flags as the walk would have set them.
+  N.woken_hi = end;
+  queue_->after(0, SimEvent{SimEventKind::Pump, true, n,
+                            static_cast<std::int32_t>(end - begin)});
 }
 
 void Network::park(NodeState& N, const BlockedPump& bp, Injector& inj) {
@@ -638,7 +640,7 @@ void Network::park(NodeState& N, const BlockedPump& bp, Injector& inj) {
   N.blocked.push_back(bp);
 }
 
-void Network::refile(NodeState& N, const BlockedPump& bp) {
+void Network::refile(NodeState& N, BlockedPump bp) {
   auto& st = streams_[static_cast<std::size_t>(bp.stream)];
   if (st.closed) return;
   Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
@@ -661,50 +663,34 @@ void Network::compact(NodeState& N) {
   N.blocked_base = N.woken_lo;
 }
 
-void Network::pump_woken(NodeId n, std::int32_t count) {
-  NodeState& N = node_state(n);
-  if (count == 0) {
-    wake_window(N);
-    return;
-  }
-  std::int32_t i = 0;
-  while (i < count) {
-    const BlockedPump bp = woken_[woken_head_++];
-    ++i;
-    pump(bp.stream, bp.injector);
-    if (N.buffered > pause_threshold_) break;
-  }
-  // Nothing a pump does lowers N.buffered, so every later injector of the
-  // batch would block at its first check.
-  for (; i < count; ++i) refile(N, woken_[woken_head_++]);
-  if (woken_head_ == woken_.size()) {
-    woken_.clear();
-    woken_head_ = 0;
-  }
-}
-
-void Network::wake_window(NodeState& N) {
-  const std::int64_t hi = N.woken_hi;
-  const bool quiet = N.log_end() == hi;
-  std::int64_t p = N.woken_lo;
-  while (p < hi) {
-    const BlockedPump bp = N.entry(p++);
-    auto& st = streams_[static_cast<std::size_t>(bp.stream)];
-    if (st.closed) continue;
+bool Network::wake(NodeState& N, BlockedPump bp) {
+  auto& st = streams_[static_cast<std::size_t>(bp.stream)];
+  if (!st.closed) {
     Injector& inj = st.injectors[static_cast<std::size_t>(bp.injector)];
     inj.pump_blocked = false;  // what the release's walk did to it
     inj.blocked_at = -1;
     pump(bp.stream, bp.injector);
-    if (N.buffered > pause_threshold_) break;
+  }
+  return N.buffered > pause_threshold_;
+}
+
+void Network::pump_woken(NodeId n, std::int32_t count) {
+  NodeState& N = node_state(n);
+  const std::int64_t hi = N.woken_lo + count;
+  // Nothing parked since the release: no later window, no new list entry.
+  const bool quiet = N.log_end() == hi;
+  std::int64_t p = N.woken_lo;
+  while (p < hi) {
+    if (wake(N, N.entry(p++))) break;
   }
   std::int64_t lo = hi;
   if (p < hi && quiet && !N.dirty) {
     // The rest would re-block in order behind anything parked since the
     // release, and nothing was but the injector just pumped (only the last
     // pump can block: that is what ended the loop). Each of the rest is
-    // open, has something pending and already holds the flags a re-block
-    // leaves, so it stays where it is; the pumped one goes back into the
-    // slot it just left, in front of them.
+    // open, has something pending and still holds the flags it parked
+    // with, so it stays where it is; the pumped one goes back into the slot
+    // it just left, in front of them.
     lo = p;
     if (N.log_end() > hi) {
       const BlockedPump bp = N.blocked.back();
@@ -714,14 +700,14 @@ void Network::wake_window(NodeState& N) {
           .injectors[static_cast<std::size_t>(bp.injector)]
           .blocked_at = lo;
     }
+    N.woken_hi = lo;
   } else {
-    for (; p < hi; ++p) {
-      const BlockedPump bp = N.entry(p);  // refile may grow the log
-      refile(N, bp);
-    }
+    for (; p < hi; ++p) refile(N, N.entry(p));
+    // What this wake parked is all the list holds, and each entry is an
+    // injector pump() or refile() just parked.
+    if (quiet) N.dirty = false;
   }
   N.woken_lo = lo;
-  N.woken_hi = lo;
   compact(N);
 }
 

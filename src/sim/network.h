@@ -45,14 +45,15 @@
 // release does not walk the list either: while every parked injector is
 // open, has something pending and has no pump in flight (the list is not
 // `dirty`), the walk would wake them all, so the list itself becomes the
-// node's window of woken injectors, and is_woken makes their flags read as
-// the walk would have set them until their wake; a close marks the flags.
-// When the wake re-files the rest and nothing else parked since the
-// release, they stay in place (docs/performance.md, "Hot-path layout"). A
-// wake thus costs the injectors that pump, not the list's length. The
-// resume walk over a node's in-links runs only while one of them is
-// PFC-paused: every flip of a node's in-link pause bits goes through
-// set_rx_paused, which keeps a per-node count.
+// node's next window of woken injectors, and is_woken makes their flags
+// read as the walk would have set them until their wake; a close marks the
+// flags. A dirty list is walked, and the injectors it wakes are packed in
+// place as the window. When the wake re-files the rest and nothing else
+// parked since the release, they stay in place (docs/performance.md,
+// "Hot-path layout"). A wake thus costs the injectors that pump, not the
+// list's length. The resume walk over a node's in-links runs only while one
+// of them is PFC-paused: every flip of a node's in-link pause bits goes
+// through set_rx_paused, which keeps a per-node count.
 //
 // State tables: a Network holds state only for the nodes and links its
 // domain owns (src/topology/shard_plan.h), in tables indexed by the plan's
@@ -302,19 +303,21 @@ class Network final : public SimEventSink, public DataPlane {
     /// (set_rx_paused keeps it); release_buffer skips its resume walk while
     /// it is zero.
     std::int32_t paused_in = 0;
+    /// The log may hold an entry the release would not wake, or that a
+    /// re-block would not keep: a closed stream, a pump already in flight,
+    /// a repeat, an injector with nothing pending, or one a walk woke. The
+    /// next release then walks the list, and a wake re-files entry by
+    /// entry. Only a wake that leaves nothing else in the log clears it.
+    bool dirty = false;
     /// Injectors blocked on this buffer, as a log: the entry at position p
     /// sits at blocked[p - blocked_base]. [blocked_base, woken_lo) is
-    /// spent; [woken_lo, woken_hi) is the window, a release's batch whose
-    /// wake is pending; [woken_hi, end) is the blocked list proper.
+    /// spent; [woken_lo, woken_hi) holds the windows, the batches of
+    /// releases whose wakes are pending, in release order; [woken_hi, end)
+    /// is the blocked list proper.
     std::vector<BlockedPump> blocked;
     std::int64_t blocked_base = 0;
     std::int64_t woken_lo = 0;
     std::int64_t woken_hi = 0;
-    /// The log may hold an entry the release would not wake, or that a
-    /// re-block would not keep: a closed stream, a pump already in flight,
-    /// a repeat, or an injector with nothing pending. The next release then
-    /// walks the list, and a pending wake re-files entry by entry.
-    bool dirty = false;
 
     /// One past the last log position.
     [[nodiscard]] std::int64_t log_end() const {
@@ -387,22 +390,26 @@ class Network final : public SimEventSink, public DataPlane {
 
   /// Paced injection for injector `injector` of stream `s`.
   void pump(StreamId s, std::int32_t injector);
-  /// The handler of a Pump event with `flag` set: wakes node `n`'s window
-  /// (count 0) or the next `count` injectors on woken_ (a walked release).
+  /// The handler of a Pump event with `flag` set: wakes node `n`'s first
+  /// pending window, its next `count` log entries. It calls wake() on each
+  /// in order until one returns true, then re-files the rest.
   void pump_woken(NodeId n, std::int32_t count);
-  /// Pumps node `N`'s window in order until the buffer is over the pause
-  /// level again, then re-files the rest.
-  void wake_window(NodeState& N);
+  /// Pumps woken injector `bp` of node `N` as its own Pump event would.
+  /// True iff N's buffer is over the pause level after it: nothing a pump
+  /// does lowers the buffer, so every later injector of the same wake would
+  /// block at its first check, and the wake re-files them instead.
+  bool wake(NodeState& N, BlockedPump bp);
   /// Appends injector `bp` (`inj`) to `N`'s blocked list.
   void park(NodeState& N, const BlockedPump& bp, Injector& inj);
   /// What pump() does to a woken injector that finds its node's buffer over
   /// the pause level: drops the flags the release set and parks it again
   /// unless it has nothing pending. A closed stream is left as it is.
-  void refile(NodeState& N, const BlockedPump& bp);
+  void refile(NodeState& N, BlockedPump bp);
   /// Frees N's spent log prefix once it is most of the log.
   static void compact(NodeState& N);
-  /// True iff `inj`, parked on `N`, sits in N's window: its flags read as
-  /// the release set them (pump_scheduled, not pump_blocked).
+  /// True iff `inj`, parked on `N`, sits in one of N's windows: its flags
+  /// read as the release set them (pump_scheduled, not pump_blocked). A
+  /// walk sets those flags itself and leaves blocked_at at -1.
   [[nodiscard]] static bool is_woken(const Injector& inj, const NodeState& N) {
     return inj.blocked_at >= N.woken_lo && inj.blocked_at < N.woken_hi;
   }
@@ -487,13 +494,6 @@ class Network final : public SimEventSink, public DataPlane {
   std::vector<LinkState> links_;  ///< by link slot
   std::vector<NodeState> nodes_;  ///< by node slot
   std::vector<StreamState> streams_;
-  /// Injectors woken by a release_buffer that walked its node's list,
-  /// whose batched Pump event is pending, a FIFO via woken_head_. Every
-  /// batch is scheduled at the current instant, so batches fire in the
-  /// order they were scheduled, and each pops its own count from the front.
-  /// (A release that does not walk leaves its batch in the node's window.)
-  std::vector<BlockedPump> woken_;
-  std::size_t woken_head_ = 0;
 
   std::function<void(const DeliveryEvent&)> on_delivery_;
   std::unique_ptr<Telemetry> telem_;

@@ -478,21 +478,23 @@ TEST(Network, BackloggedSourceWakesWithoutAnEventPerWaiter) {
   EXPECT_EQ(run_herd(1).events, 320u);
 }
 
-// Backlog with edge cases: K streams from one host S that leaves its pod
-// over two NICs (S -> A, S -> B) through two cores to two destination pods,
-// each core -> ToR hop at half rate, behind a 480 KiB buffer. A third of the
-// streams multicast over both NICs, so S often frees buffer on both NICs at
-// one instant. Chunk sizes that are not segment multiples leave short tail
-// segments, which lets S's buffer cross the resume level, refill past the
-// pause level and cross it again within one instant: two releases before
-// the first wake fires. A control loop steps the engine and, from the
-// diagnostics, sends a chunk onto a blocked injector (its pump blocks again
-// and leaves a second blocked entry), closes a blocked stream, and cancels
-// every chunk of a blocked stream that has injected nothing (its injector
-// stays blocked with nothing pending). A 1 ns ticker reads every stream's
-// diagnostic; on the solo engine it runs inside each instant, between a
-// release and its wake, where it also sends onto, closes and cancels
-// injectors the release woke. Streams close when their last chunk lands.
+// Backlog with edge cases: K streams from one host S that leaves its pod over
+// two NICs (S -> A, S -> B) through two cores to two destination pods, each
+// core -> ToR hop at half rate, behind a small buffer (480 KiB unless a drive
+// sets it). A third of the streams multicast over both NICs, so S often frees
+// buffer on both NICs at one instant. Chunk sizes that are not segment
+// multiples leave short tail segments, which lets S's buffer cross the resume
+// level, refill past the pause level and cross it again within one instant: two
+// releases before the first wake fires. A control loop steps the engine and,
+// from the diagnostics, sends a chunk onto a blocked injector (its pump blocks
+// again and leaves a second blocked entry), closes a blocked stream, and
+// cancels every chunk of a blocked stream that has injected nothing (its
+// injector stays blocked with nothing pending). A 1 ns ticker reads every
+// stream's diagnostic; on the solo engine it runs inside each instant, between
+// a release and its wake, where it also sends onto, closes and cancels
+// injectors the release woke. Streams close when their last chunk lands. A
+// drive can also strike: cancel one stream from a closure placed between two
+// events of one instant.
 struct BacklogFixture {
   Topology topo;
   NodeId s, d1, d2;
@@ -596,13 +598,30 @@ struct BacklogResult {
   int sends = 0, closes = 0, cancels = 0;
 };
 
-/// `steps` control steps `step` apart.
-BacklogResult run_backlog(int shards, int steps, SimTime step_ns) {
+/// How run_backlog drives the engine: `steps` control steps `step` apart,
+/// with S's buffer holding `buffer` bytes and resuming `hysteresis` bytes
+/// below its pause level. With `strike_at` > 0, stream `strike` is
+/// cancelled at `strike_at` by a closure scheduled at `strike_via` by one
+/// scheduled at `strike_from`: an instant's events run in the order they
+/// were scheduled, so the path picks where among them the cancel falls.
+struct BacklogDrive {
+  int steps;
+  SimTime step;
+  Bytes buffer = 480 * kKiB;
+  Bytes hysteresis = SimConfig{}.pfc_hysteresis;
+  SimTime strike_from = 0;
+  SimTime strike_via = 0;
+  SimTime strike_at = 0;
+  StreamId strike = 0;
+};
+
+BacklogResult run_backlog(int shards, const BacklogDrive& drive) {
   constexpr int kStreams = 48;
   constexpr int kMidStep = 12;
   const BacklogFixture f;
   SimConfig cfg;
-  cfg.switch_buffer_bytes = 480 * kKiB;
+  cfg.switch_buffer_bytes = drive.buffer;
+  cfg.pfc_hysteresis = drive.hysteresis;
   BacklogEngine e(f.topo, cfg, shards);
   BacklogResult r;
   r.cct.assign(kStreams, -1);
@@ -681,9 +700,16 @@ BacklogResult run_backlog(int shards, int steps, SimTime step_ns) {
   };
   e.at(20 * kMicrosecond, tick);
   e.at(215 * kMicrosecond, tick);
+  if (drive.strike_at > 0) {
+    e.at(drive.strike_from, [&] {
+      e.at(drive.strike_via, [&] {
+        e.at(drive.strike_at, [&] { cancel(drive.strike); });
+      });
+    });
+  }
 
-  for (int step = 1; step <= steps; ++step) {
-    e.run_until(step * step_ns);
+  for (int step = 1; step <= drive.steps; ++step) {
+    e.run_until(step * drive.step);
     std::vector<StreamDiagnostic> diag;
     std::string flags;
     for (StreamId s = 0; s < kStreams; ++s) {
@@ -737,33 +763,55 @@ TEST(Network, BackloggedSourceWakeEdgeCasesOnEveryEngine) {
   // again. A wake that picks its injectors when it fires instead of at the
   // release moves the events, CCTs and diagnostics of every run. The
   // second, longer control loop is one on which a release that skips its
-  // walk after a send onto a parked injector moves them too.
+  // walk after a send onto a parked injector moves them too. The third
+  // drive has no hysteresis, so at 870,938 ns two of S's releases fall in
+  // one instant with a park between them: the first wakes S's parked
+  // injectors, the strike then cancels every chunk of one of them (stream
+  // 35, neither first nor begun), and the second release walks only what
+  // parked since the first. The wake must still see that cancel (a release
+  // that forgets it moves the solo engine's events and CCTs).
+  const BacklogDrive short_loop{.steps = 40, .step = 5'300};
+  const BacklogDrive long_loop{.steps = 60, .step = 7'300};
+  const BacklogDrive strike{.steps = 40,
+                            .step = 5'300,
+                            .buffer = 384 * kKiB,
+                            .hysteresis = 0,
+                            .strike_from = 863'000,
+                            .strike_via = 865'695,
+                            .strike_at = 870'938,
+                            .strike = 35};
   struct Pinned {
-    int steps;
-    SimTime step;
+    const BacklogDrive* drive;
     int shards;
     std::uint64_t events, cct_hash, tick_hash;
     const char* mid_diag;
     int sends, closes, cancels;
   };
   const Pinned pinned[] = {
-      {40, 5'300, 0, 208'642, 0x43750f4f5ddf1e40ULL, 0xa60c5b963f80d580ULL,
+      {&short_loop, 0, 208'642, 0x43750f4f5ddf1e40ULL, 0xa60c5b963f80d580ULL,
        "ccbbbbcb.bbbbbbb.bbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 40, 10, 10},
-      {40, 5'300, 1, 210'613, 0x0877ecf95d0acc6dULL, 0x0ac01b2144604f37ULL,
+      {&short_loop, 1, 210'613, 0x0877ecf95d0acc6dULL, 0x0ac01b2144604f37ULL,
        "bcbbbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbb.bbbbbbbbbcb", 40, 10, 10},
-      {40, 5'300, 3, 210'613, 0x0877ecf95d0acc6dULL, 0x0ac01b2144604f37ULL,
+      {&short_loop, 3, 210'613, 0x0877ecf95d0acc6dULL, 0x0ac01b2144604f37ULL,
        "bcbbbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbb.bbbbbbbbbcb", 40, 10, 10},
-      {60, 7'300, 0, 207'443, 0x5ad9dfffc251832bULL, 0x09986cc18c01ab9dULL,
+      {&long_loop, 0, 207'443, 0x5ad9dfffc251832bULL, 0x09986cc18c01ab9dULL,
        "bcbsbbcb.bbbbbbbcbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 60, 15, 15},
-      {60, 7'300, 1, 208'989, 0x6af97b91a6944297ULL, 0xf89859a3465373ebULL,
+      {&long_loop, 1, 208'989, 0x6af97b91a6944297ULL, 0xf89859a3465373ebULL,
        "bcbsbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 60, 15, 15},
-      {60, 7'300, 3, 208'989, 0x6af97b91a6944297ULL, 0xf89859a3465373ebULL,
+      {&long_loop, 3, 208'989, 0x6af97b91a6944297ULL, 0xf89859a3465373ebULL,
        "bcbsbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 60, 15, 15},
+      {&strike, 0, 208'840, 0xecc6c89a9a9fca7eULL, 0x898157dfa14f0705ULL,
+       "ccbbbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 40, 10, 10},
+      {&strike, 1, 210'432, 0xdee31eeca225fe0bULL, 0xeee8d66fe3073a36ULL,
+       "bcbbbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 40, 10, 10},
+      {&strike, 3, 210'432, 0xdee31eeca225fe0bULL, 0xeee8d66fe3073a36ULL,
+       "bcbbbbcb.bbbbbbbbbbbbbbbbbcbbbbbbbbbbbbbbbbbbbcb", 40, 10, 10},
   };
   for (const Pinned& p : pinned) {
-    SCOPED_TRACE("steps=" + std::to_string(p.steps) +
+    SCOPED_TRACE("steps=" + std::to_string(p.drive->steps) +
+                 " buffer=" + std::to_string(p.drive->buffer) +
                  " shards=" + std::to_string(p.shards));
-    const BacklogResult r = run_backlog(p.shards, p.steps, p.step);
+    const BacklogResult r = run_backlog(p.shards, *p.drive);
     EXPECT_EQ(r.events, p.events);
     EXPECT_EQ(r.cct_hash, p.cct_hash) << ::testing::PrintToString(r.cct);
     EXPECT_EQ(r.tick_hash, p.tick_hash);
