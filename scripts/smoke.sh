@@ -12,7 +12,9 @@
 #   - csv_gate_test: recomputed rows of the committed CSVs, byte for byte
 #   - cnp_dynamics in full mode (under 1 s): its CSV must equal the committed
 #     cnp_dynamics.csv, and the sender-guard row must still print the 2744
-#     CNPs and 13 reactions EXPERIMENTS.md quotes
+#     CNPs and 13 reactions EXPERIMENTS.md quotes; then again with
+#     PEEL_BENCH_TELEMETRY=1 in its own directory, whose CSV must equal the
+#     committed one too (the telemetry hooks are passive)
 #   - fig6_cct_vs_scale and allreduce_comparison (the figures the DCQCN
 #     catch-up carries most), fig5_cct_vs_msgsize and allgather_comparison
 #     (the other heavy benches that open many streams), fig7_failure_sweep
@@ -76,6 +78,13 @@ cmp "${OUT}/cnp/cnp_dynamics.csv" cnp_dynamics.csv
 grep -Eq '^sender guard 50us .* 2744 +13 *$' "${OUT}/cnp/cnp_dynamics.stdout" ||
   { echo "cnp_dynamics: sender-guard row no longer reads 2744 CNPs, 13 reactions"
     cat "${OUT}/cnp/cnp_dynamics.stdout"; exit 1; }
+
+echo "== cnp_dynamics, full mode, PEEL_BENCH_TELEMETRY=1: committed CSV =="
+mkdir "${OUT}/cnp_telemetry"
+(cd "${OUT}/cnp_telemetry" &&
+   env -u PEEL_BENCH_QUICK PEEL_BENCH_TELEMETRY=1 "${BENCH}/cnp_dynamics" \
+     > cnp_dynamics.stdout)
+cmp "${OUT}/cnp_telemetry/cnp_dynamics.csv" cnp_dynamics.csv
 
 echo "== full mode, audited: committed CSVs =="
 mkdir "${OUT}/full"

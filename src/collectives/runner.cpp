@@ -25,6 +25,27 @@ const char* to_string(Scheme s) noexcept {
   return "?";
 }
 
+void require_supported(Scheme scheme, CollectiveKind kind) {
+  if (kind == CollectiveKind::Broadcast && scheme == Scheme::InNet) {
+    throw std::invalid_argument(
+        "broadcast does not support InNet (no reduction phase to offload); "
+        "use Peel for the multicast itself");
+  }
+  if (kind == CollectiveKind::AllGather && scheme == Scheme::BinaryTree) {
+    throw std::invalid_argument("AllGather does not support BinaryTree");
+  }
+  if (kind == CollectiveKind::AllGather && scheme == Scheme::InNet) {
+    throw std::invalid_argument(
+        "AllGather does not support InNet (nothing to reduce; every shard is "
+        "already a plain multicast)");
+  }
+  if (kind == CollectiveKind::AllReduce && scheme == Scheme::Orca) {
+    throw std::invalid_argument(
+        "AllReduce does not support Orca (its host-relay model has no "
+        "reduction phase); use Optimal with controller_delay instead");
+  }
+}
+
 CollectiveRunner::CollectiveRunner(Fabric fabric, DataPlane& net,
                                    EventQueue& queue, Rng rng,
                                    RunnerOptions options)
@@ -68,11 +89,7 @@ void CollectiveRunner::submit(Scheme scheme, BroadcastRequest request) {
   }
   const std::vector<NodeId> sorted =
       admit(request.id, request.destinations, "broadcast destinations");
-  if (scheme == Scheme::InNet) {
-    throw std::invalid_argument(
-        "broadcast does not support InNet (no reduction phase to offload); "
-        "use Peel for the multicast itself");
-  }
+  require_supported(scheme, CollectiveKind::Broadcast);
   const SimTime setup = draw_setup_delay(scheme == Scheme::Orca ||
                                          scheme == Scheme::PeelProgCores);
   auto col = std::make_unique<Collective>(this, request.id, request.job);
@@ -120,14 +137,7 @@ void CollectiveRunner::submit_allgather(Scheme scheme, AllGatherRequest request)
   if (request.total_bytes < static_cast<Bytes>(n)) {
     throw std::invalid_argument("allgather shards need at least one byte each");
   }
-  if (scheme == Scheme::BinaryTree) {
-    throw std::invalid_argument("AllGather does not support BinaryTree");
-  }
-  if (scheme == Scheme::InNet) {
-    throw std::invalid_argument(
-        "AllGather does not support InNet (nothing to reduce; every shard is "
-        "already a plain multicast)");
-  }
+  require_supported(scheme, CollectiveKind::AllGather);
   const SimTime setup = draw_setup_delay(scheme == Scheme::Orca);
   // One chunk per member shard; every member receives the n-1 other shards.
   std::vector<Bytes> shards = split_chunks(request.total_bytes, static_cast<int>(n));
@@ -164,11 +174,7 @@ void CollectiveRunner::submit_allreduce(Scheme scheme, AllReduceRequest request)
     throw std::invalid_argument("allreduce needs >= 2 members and a payload");
   }
   const std::vector<NodeId> members = admit(request.id, request.members, "allreduce members");
-  if (scheme == Scheme::Orca) {
-    throw std::invalid_argument(
-        "AllReduce does not support Orca (its host-relay model has no "
-        "reduction phase); use Optimal with controller_delay instead");
-  }
+  require_supported(scheme, CollectiveKind::AllReduce);
   const std::size_t n = members.size();
   auto col = std::make_unique<Collective>(this, request.id, request.job);
 

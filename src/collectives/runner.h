@@ -48,6 +48,20 @@ enum class Scheme {
 
 [[nodiscard]] const char* to_string(Scheme s) noexcept;
 
+/// Which collective a scenario drives (§4 evaluates Broadcast; AllGather and
+/// AllReduce are the extensions beyond the paper).
+enum class CollectiveKind {
+  Broadcast,
+  AllGather,  ///< every member contributes message_bytes/group_size
+  AllReduce,  ///< message_bytes is the per-rank gradient buffer
+};
+
+/// The one rule for which scheme runs which collective: throws
+/// std::invalid_argument when `scheme` cannot run `kind` (InNet runs no
+/// Broadcast, BinaryTree and InNet no AllGather, Orca no AllReduce). Every
+/// CollectiveRunner submit checks it, and run_workload before anything runs.
+void require_supported(Scheme scheme, CollectiveKind kind);
+
 struct BroadcastRequest {
   std::uint64_t id = 0;
   NodeId source = kInvalidNode;

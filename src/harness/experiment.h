@@ -25,14 +25,6 @@
 
 namespace peel {
 
-/// Which collective a scenario drives (§4 evaluates Broadcast; AllGather and
-/// AllReduce are the extensions beyond the paper).
-enum class CollectiveKind {
-  Broadcast,
-  AllGather,  ///< every member contributes message_bytes/group_size
-  AllReduce,  ///< message_bytes is the per-rank gradient buffer
-};
-
 [[nodiscard]] const char* to_string(CollectiveKind kind) noexcept;
 
 /// Simulation fidelity of a scenario cell (src/sim/flow_network.h).

@@ -35,22 +35,6 @@ constexpr int kIterationBits = 20;
   return s == Scheme::Optimal || s == Scheme::Orca;
 }
 
-void validate(const WorkloadConfig& config) {
-  if (config.collective == CollectiveKind::Broadcast &&
-      config.scheme == Scheme::InNet) {
-    throw std::invalid_argument("workload: broadcast does not support InNet");
-  }
-  if (config.collective == CollectiveKind::AllGather &&
-      (config.scheme == Scheme::BinaryTree || config.scheme == Scheme::InNet)) {
-    throw std::invalid_argument(
-        "workload: AllGather supports Ring/Optimal/Orca/Peel/PeelProgCores");
-  }
-  if (config.collective == CollectiveKind::AllReduce &&
-      config.scheme == Scheme::Orca) {
-    throw std::invalid_argument("workload: AllReduce does not support Orca");
-  }
-}
-
 /// PEEL's per-switch static rule budget on this fabric: 2^(m+1)-1 rules over
 /// the m-bit identifier space that covers one pod's ToRs (= k-1 on a k-ary
 /// fat-tree) or the leaf tier on a leaf-spine.
@@ -78,7 +62,7 @@ struct JobRt {
 
 WorkloadResult run_workload(const Fabric& fabric,
                             const WorkloadConfig& config) {
-  validate(config);
+  require_supported(config.scheme, config.collective);
   // The arrival schedule is generated before the engine exists — it is a
   // pure function of (arrivals, seed) and identical whichever engine runs it.
   Rng rng(config.seed);

@@ -1,7 +1,5 @@
 #include "src/routing/router.h"
 
-#include <deque>
-
 namespace peel {
 
 std::uint64_t ecmp_hash(std::uint64_t a, std::uint64_t b, std::uint64_t salt) noexcept {
@@ -11,45 +9,17 @@ std::uint64_t ecmp_hash(std::uint64_t a, std::uint64_t b, std::uint64_t salt) no
   return x ^ (x >> 31);
 }
 
-namespace {
-
-std::vector<std::int32_t> bfs_field(const Topology& topo, NodeId origin,
-                                    bool follow_out_links) {
-  std::vector<std::int32_t> dist(topo.node_count(), Router::kUnreachable);
-  std::deque<NodeId> queue{origin};
-  dist[static_cast<std::size_t>(origin)] = 0;
-  while (!queue.empty()) {
-    const NodeId cur = queue.front();
-    queue.pop_front();
-    const auto links = follow_out_links ? topo.out_links(cur) : topo.in_links(cur);
-    for (LinkId l : links) {
-      const Link& lk = topo.link(l);
-      if (lk.failed) continue;
-      const NodeId next = follow_out_links ? lk.dst : lk.src;
-      auto& d = dist[static_cast<std::size_t>(next)];
-      if (d == Router::kUnreachable) {
-        d = dist[static_cast<std::size_t>(cur)] + 1;
-        queue.push_back(next);
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
-
 const std::vector<std::int32_t>& Router::distances_to(NodeId dst) {
   auto it = dist_cache_.find(dst);
   if (it == dist_cache_.end()) {
     // Distances *to* dst follow links backwards.
-    it = dist_cache_.emplace(dst, bfs_field(*topo_, dst, /*follow_out_links=*/false))
-             .first;
+    it = dist_cache_.emplace(dst, live_bfs(*topo_, dst, Walk::In)).first;
   }
   return it->second;
 }
 
 std::vector<std::int32_t> Router::distances_from(NodeId src) const {
-  return bfs_field(*topo_, src, /*follow_out_links=*/true);
+  return live_bfs(*topo_, src);
 }
 
 Route Router::path(NodeId src, NodeId dst, std::uint64_t flow_hash) {
@@ -59,7 +29,7 @@ Route Router::path(NodeId src, NodeId dst, std::uint64_t flow_hash) {
     return route;
   }
   const auto& dist = distances_to(dst);
-  if (dist[static_cast<std::size_t>(src)] == kUnreachable) return route;
+  if (dist[static_cast<std::size_t>(src)] == kUnreached) return route;
 
   route.nodes.push_back(src);
   NodeId cur = src;

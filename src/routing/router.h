@@ -35,8 +35,9 @@ class Router : public TopologyObserver {
  public:
   explicit Router(const Topology& topo) : topo_(&topo) {}
 
-  /// Hop distances from every node to `dst` over live links; kUnreachable for
-  /// disconnected nodes. Cached until the next delta (or flush_routes()).
+  /// Hop distances from every node to `dst` over live links; kUnreached for
+  /// disconnected nodes (live_bfs). Cached until the next delta (or
+  /// flush_routes()).
   [[nodiscard]] const std::vector<std::int32_t>& distances_to(NodeId dst);
 
   /// Hop distances from `src` to every node (used for layer peeling).
@@ -62,8 +63,6 @@ class Router : public TopologyObserver {
   /// Sequence number of the last delta consumed (monotone; hand-built
   /// deltas with seq 0 still advance it by one).
   [[nodiscard]] std::uint64_t delta_seq() const noexcept { return delta_seq_; }
-
-  static constexpr std::int32_t kUnreachable = -1;
 
  private:
   const Topology* topo_;

@@ -85,17 +85,20 @@ class DataPlane {
   virtual StreamId open_stream(StreamSpec spec) = 0;
 
   /// Queues `bytes` of chunk `chunk_index` for paced injection at the source.
-  /// Chunk indices must be non-negative (they key dense per-receiver state).
-  /// A chunk index is sent at most once per stream, so each chunk has one
-  /// target: throws std::logic_error, consuming nothing, when the chunk
-  /// already has a positive target. A cancelled chunk may be sent again.
+  /// Every engine checks it in the stream's ChunkTable (stream_tree.h) and
+  /// throws, consuming nothing: std::logic_error on a closed stream, then
+  /// std::invalid_argument on a non-positive size or a negative index, then
+  /// std::logic_error when the chunk already has a target (each chunk has
+  /// one). A cancelled chunk may be sent again, at any size. A send may come
+  /// whenever the engine is not running: in a control closure or between
+  /// runs.
   virtual void send_chunk(StreamId stream, int chunk_index, Bytes bytes) = 0;
 
   /// Removes chunks whose injection has not begun; returns their indices
-  /// (used by PEEL+programmable cores to migrate traffic mid-collective).
-  /// A closed stream has nothing unsent. Multicast streams only: throws
-  /// std::logic_error on an open in-network reduce stream, whose
-  /// contributions cannot migrate.
+  /// (used by PEEL+programmable cores to migrate traffic mid-collective),
+  /// clearing their targets. A closed stream has nothing unsent. Multicast
+  /// streams only: throws std::logic_error on an open in-network reduce
+  /// stream, whose contributions cannot migrate.
   virtual std::vector<int> cancel_unsent_chunks(StreamId stream) = 0;
 
   /// Frees a finished stream's bookkeeping (forwarding table, progress).

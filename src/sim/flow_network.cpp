@@ -114,17 +114,7 @@ StreamId FlowNetwork::open_stream(StreamSpec spec) {
 
 void FlowNetwork::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   FlowState& f = flow(stream);
-  if (f.closed) throw std::logic_error("send_chunk on closed stream");
-  if (bytes <= 0) throw std::invalid_argument("chunk bytes must be positive");
-  if (chunk_index < 0) {
-    throw std::invalid_argument("chunk index must be non-negative");
-  }
-  const auto ci = static_cast<std::size_t>(chunk_index);
-  if (f.sent.size() <= ci) f.sent.resize(ci + 1, 0);
-  if (f.sent[ci] != 0) {
-    throw std::logic_error("chunk index already sent on this stream");
-  }
-  f.sent[ci] = 1;
+  f.chunks.send(chunk_index, bytes);
   if (telem_) telem_->on_chunk_target(stream, chunk_index, bytes);
   f.pending.push_back(PendingChunk{chunk_index, bytes});
   if (!f.active && !f.frozen) activate(stream);
@@ -133,7 +123,7 @@ void FlowNetwork::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
 std::vector<int> FlowNetwork::cancel_unsent_chunks(StreamId stream) {
   FlowState& f = flow(stream);
   std::vector<int> cancelled;
-  if (f.closed) return cancelled;
+  if (f.chunks.closed()) return cancelled;
   if (f.tree->reduce()) {
     throw std::logic_error(
         "cancel_unsent_chunks: in-network reduce streams cannot be cancelled");
@@ -145,7 +135,7 @@ std::vector<int> FlowNetwork::cancel_unsent_chunks(StreamId stream) {
   for (std::size_t i = keep; i < f.pending.size(); ++i) {
     const int chunk = f.pending[i].chunk;
     cancelled.push_back(chunk);
-    f.sent[static_cast<std::size_t>(chunk)] = 0;
+    f.chunks.cancel(chunk);
     if (telem_) telem_->on_chunk_target(stream, chunk, 0);
   }
   f.pending.resize(keep);
@@ -155,7 +145,7 @@ std::vector<int> FlowNetwork::cancel_unsent_chunks(StreamId stream) {
 
 void FlowNetwork::close_stream(StreamId stream) {
   FlowState& f = flow(stream);
-  if (f.closed) return;
+  if (f.chunks.closed()) return;
   const SimTime now = queue_->now();
   settle(stream, now);
   if (f.active && f.head_done > 0.0) {
@@ -178,13 +168,12 @@ void FlowNetwork::close_stream(StreamId stream) {
     // would keep their shares of the bandwidth it freed.
     recompute_component(stream);
   }
-  f.closed = true;
+  f.chunks.close();
   auto release = [](auto& c) { std::decay_t<decltype(c)>{}.swap(c); };
   f.tree.reset();
   release(f.links);
   release(f.link_live);
   release(f.link_copies);
-  release(f.sent);
   release(f.recvs);
   release(f.pending);
   f.pending_head = 0;
@@ -322,7 +311,7 @@ void FlowNetwork::recompute_component(StreamId seed) {
     const auto begin = static_cast<std::int32_t>(member_slots_.size());
     double solo_rate = std::numeric_limits<double>::infinity();
     LinkId solo_link = kInvalidLink;
-    if (!f.closed) {
+    if (!f.chunks.closed()) {
       for (std::size_t j = 0; j < f.links.size(); ++j) {
         if (!f.link_live[j]) continue;
         const LinkId l = f.links[j];
@@ -485,7 +474,7 @@ void FlowNetwork::schedule_completion(StreamId s) {
   f.completion_scheduled = true;
   queue_->at(at, [this, s, gen = f.gen] {
     FlowState& g = flow(s);
-    if (g.closed || g.gen != gen) return;  // stale (rate changed since)
+    if (g.chunks.closed() || g.gen != gen) return;  // closed, or rate changed
     settle(s, queue_->now());
     complete_head_chunk(s);
   });
@@ -577,7 +566,7 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
 
 void FlowNetwork::refresh_live_set(StreamId s) {
   FlowState& f = flow(s);
-  if (f.closed) return;
+  if (f.chunks.closed()) return;
   settle(s, queue_->now());
 
   // Source-reachable subset of the compiled links over the current topology.
@@ -643,7 +632,7 @@ void FlowNetwork::on_duplex_failed(LinkId l) {
   const LinkId b = topo_->reverse_of(l);
   for (StreamId s = 0; static_cast<StreamId>(flows_.size()) > s; ++s) {
     FlowState& f = flow(s);
-    if (f.closed) continue;
+    if (f.chunks.closed()) continue;
     const bool uses =
         std::binary_search(f.links.begin(), f.links.end(), a) ||
         std::binary_search(f.links.begin(), f.links.end(), b);
@@ -686,7 +675,7 @@ void FlowNetwork::on_duplex_restored(LinkId l) {
   const LinkId b = topo_->reverse_of(l);
   for (StreamId s = 0; static_cast<StreamId>(flows_.size()) > s; ++s) {
     FlowState& f = flow(s);
-    if (f.closed || f.tree->reduce()) continue;  // reduce awaits supersede
+    if (f.chunks.closed() || f.tree->reduce()) continue;  // reduce awaits supersede
     const bool uses =
         std::binary_search(f.links.begin(), f.links.end(), a) ||
         std::binary_search(f.links.begin(), f.links.end(), b);
@@ -701,7 +690,7 @@ void FlowNetwork::on_duplex_restored(LinkId l) {
 
 bool FlowNetwork::stream_uses_link(StreamId s, LinkId l) const {
   const FlowState& f = flow(s);
-  if (f.closed) return false;
+  if (f.chunks.closed()) return false;
   const std::vector<LinkId>& out = f.tree->out_links;
   return std::find(out.begin(), out.end(), l) != out.end();
 }
@@ -711,7 +700,7 @@ StreamDiagnostic FlowNetwork::stream_diagnostic(StreamId s) const {
   StreamDiagnostic d;
   d.stream = s;
   d.tag = f.tag;
-  d.closed = f.closed;
+  d.closed = f.chunks.closed();
   d.pump_blocked = f.frozen;
   d.pump_scheduled = f.completion_scheduled;
   d.pending_chunks = f.pending.size() - f.pending_head;

@@ -157,7 +157,8 @@ class FlowNetwork final : public DataPlane {
     /// The compiled stream; released on close.
     std::shared_ptr<const StreamTree> tree;
     std::uint64_t tag = 0;
-    bool closed = false;
+    /// Chunk targets and the send contract; closed with the stream.
+    ChunkTable chunks;
     /// Reduce stream hit a failure in its fused tree; rate pinned to 0
     /// until the recovery pass closes (supersedes) it.
     bool frozen = false;
@@ -173,9 +174,6 @@ class FlowNetwork final : public DataPlane {
     /// Parallel: copies of each chunk the link carries — one per path into
     /// its source, per listing (1 on a tree and on every mirror link).
     std::vector<std::int64_t> link_copies;
-    /// chunk -> 1 while the chunk has a positive target (send_chunk until
-    /// cancelled): a chunk index is sent at most once per stream.
-    std::vector<char> sent;
 
     std::vector<RecvInfo> recvs;
     /// Reduce streams: the worst-case contributor->pivot pipeline delay

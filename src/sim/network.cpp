@@ -156,8 +156,9 @@ StreamDiagnostic Network::stream_diagnostic(StreamId s) const {
     }
   }
   for (const auto& prog : st.progress) {
-    for (std::size_t c = 0; c < st.chunk_want.size(); ++c) {
-      const Bytes want = st.chunk_want[c];
+    const std::span<const Bytes> targets = st.chunks->targets();
+    for (std::size_t c = 0; c < targets.size(); ++c) {
+      const Bytes want = targets[c];
       if (want <= 0) continue;
       const Bytes got = c < prog.size() ? prog[c] : 0;
       if (got < want) ++d.incomplete_deliveries;
@@ -168,17 +169,22 @@ StreamDiagnostic Network::stream_diagnostic(StreamId s) const {
 
 StreamId Network::open_stream(StreamSpec spec) {
   const std::shared_ptr<const StreamTree> tree = compile_stream(*topo_, spec);
-  return open_replica(tree, tree->receivers, {});
+  const auto id = static_cast<StreamId>(streams_.size());
+  open_replica(id, tree, own_chunks_.emplace_back(), tree->receivers, {});
+  return id;
 }
 
-StreamId Network::open_replica(
-    std::shared_ptr<const StreamTree> tree, std::span<const NodeId> receivers,
-    const std::vector<std::uint8_t>& injector_local) {
+void Network::open_replica(StreamId id, std::shared_ptr<const StreamTree> tree,
+                           ChunkTable& chunks,
+                           std::span<const NodeId> receivers,
+                           const std::vector<std::uint8_t>& injector_local) {
   const StreamTree& t = *tree;
   if (!injector_local.empty() && injector_local.size() != t.injectors.size()) {
     throw std::invalid_argument("injector_local mask must match injectors");
   }
-  const auto id = static_cast<StreamId>(streams_.size());
+  if (id < static_cast<StreamId>(streams_.size())) {
+    throw std::invalid_argument("replica id must be past every opened id");
+  }
   StreamState st;
   st.tag = t.tag;
   for (std::size_t i = 0; i < t.injectors.size(); ++i) {
@@ -212,42 +218,20 @@ StreamId Network::open_replica(
 
   if (telem_) telem_->on_stream_open(id, t, receivers);
   st.tree = std::move(tree);
+  st.chunks = &chunks;
+  // The ids this domain skips stay default: no tables.
+  streams_.resize(static_cast<std::size_t>(id));
   streams_.push_back(std::move(st));
-  return id;
-}
-
-StreamId Network::open_stream_stub() {
-  const auto id = static_cast<StreamId>(streams_.size());
-  streams_.emplace_back();  // no tables; keeps StreamIds aligned across domains
-  return id;
-}
-
-void Network::note_chunk(StreamId stream, int chunk_index, Bytes bytes) {
-  auto& st = streams_[static_cast<std::size_t>(stream)];
-  if (st.closed) return;
-  const auto ci = static_cast<std::size_t>(chunk_index);
-  if (st.chunk_want.size() <= ci) st.chunk_want.resize(ci + 1, 0);
-  st.chunk_want[ci] = bytes;
-  if (telem_) telem_->on_chunk_target(stream, chunk_index, bytes);
-}
-
-void Network::check_send(StreamId stream, int chunk_index, Bytes bytes) const {
-  const auto& st = streams_[static_cast<std::size_t>(stream)];
-  if (st.closed) throw std::logic_error("send_chunk on closed stream");
-  if (bytes <= 0) throw std::invalid_argument("chunk bytes must be positive");
-  if (chunk_index < 0) {
-    throw std::invalid_argument("chunk index must be non-negative");
-  }
-  const auto ci = static_cast<std::size_t>(chunk_index);
-  if (ci < st.chunk_want.size() && st.chunk_want[ci] > 0) {
-    throw std::logic_error("chunk index already sent on this stream");
-  }
 }
 
 void Network::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
-  check_send(stream, chunk_index, bytes);
+  streams_[static_cast<std::size_t>(stream)].chunks->send(chunk_index, bytes);
+  queue_chunk(stream, chunk_index, bytes);
+}
+
+void Network::queue_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
-  note_chunk(stream, chunk_index, bytes);
+  if (telem_) telem_->on_chunk_target(stream, chunk_index, bytes);
   // Every (engine-local) injector queues the chunk: a multicast's source
   // sends it once; each reduce contributor injects its own copy, and the
   // tree combines them on the way to the root.
@@ -286,7 +270,8 @@ std::vector<int> Network::cancel_unsent_chunks(StreamId stream) {
   if (keep < inj.pending.size() && inj.pending[keep].injected > 0) ++keep;
   for (std::size_t i = keep; i < inj.pending.size(); ++i) {
     cancelled.push_back(inj.pending[i].chunk);
-    note_chunk(stream, inj.pending[i].chunk, 0);
+    st.chunks->cancel(inj.pending[i].chunk);
+    if (telem_) telem_->on_chunk_target(stream, inj.pending[i].chunk, 0);
   }
   inj.pending.resize(keep);
   if (inj.blocked_at >= 0 && keep == inj.pending_head) {
@@ -296,6 +281,11 @@ std::vector<int> Network::cancel_unsent_chunks(StreamId stream) {
 }
 
 void Network::close_stream(StreamId stream) {
+  close_replica(stream);
+  streams_[static_cast<std::size_t>(stream)].chunks->close();
+}
+
+void Network::close_replica(StreamId stream) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
   if (telem_ && !st.closed) {
     // Computed before the tree/progress are released below.
@@ -327,7 +317,6 @@ void Network::close_stream(StreamId stream) {
   release(st.recv_slot);
   release(st.progress);
   release(st.last_cnp);
-  release(st.chunk_want);
   // stream_cc still reads the first injector after close; the rest go.
   if (st.injectors.size() > 1) {
     st.injectors.erase(st.injectors.begin() + 1, st.injectors.end());
@@ -755,7 +744,7 @@ void Network::arrive(LinkId l, Segment seg, std::uint32_t fail_epoch) {
     got += seg.bytes;
     if (telem_) telem_->on_deliver(seg.stream, n, seg.chunk, seg.bytes);
     if (seg.marked && config_.congestion_control) maybe_cnp(seg.stream, ri, n);
-    const Bytes want = ci < st.chunk_want.size() ? st.chunk_want[ci] : 0;
+    const Bytes want = st.chunks->target(ci);
     if (want > 0 && got >= want) {
       if (on_delivery_) {
         on_delivery_(DeliveryEvent{seg.stream, st.tag, n, seg.chunk});

@@ -65,6 +65,12 @@
 // also carries its link's slot, so its handler skips the lookup). The solo
 // engine is the one-domain plan, where every slot is its global id.
 //
+// Per-stream state: the compiled tree and the ChunkTable (chunk targets,
+// src/sim/stream_tree.h) are shared; injectors, combiners and receiver
+// progress are this domain's replica. A sharded replica opens under
+// ShardedNetwork's stream id and reads that engine's table; the solo engine
+// owns its tables.
+//
 // CNPs: every CNP reaches its injector cnp_delay after the marked arrival
 // that sent it, so on a single queue an injector's CNPs arrive in posting
 // order, and maybe_cnp asks the injector's Dcqcn (admit_cnp) whether the
@@ -78,6 +84,7 @@
 #pragma once
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -127,47 +134,40 @@ class Network final : public SimEventSink, public DataPlane {
 
   StreamId open_stream(StreamSpec spec) override;
 
-  /// Shard-mode replica open of a stream ShardedNetwork already compiled:
-  /// `receivers` is the subset of tree->receivers this replica tracks, in
-  /// tree order (std::invalid_argument otherwise), and
-  /// `injector_local` is parallel to tree->injectors — 1 = this replica
-  /// paces that injector, 0 = a peer domain does; empty = all local.
-  StreamId open_replica(std::shared_ptr<const StreamTree> tree,
-                        std::span<const NodeId> receivers,
-                        const std::vector<std::uint8_t>& injector_local);
+  /// Shard-mode replica open of stream `id`, which ShardedNetwork already
+  /// compiled and numbered: `chunks` is the stream's one chunk table, which
+  /// must outlive this instance, every replica reads and only control
+  /// steps write; `receivers` is
+  /// the subset of tree->receivers this replica tracks, in tree order
+  /// (std::invalid_argument otherwise), and `injector_local` is parallel to
+  /// tree->injectors — 1 = this replica paces that injector, 0 = a peer
+  /// domain does; empty = all local. `id` must be past every id this
+  /// instance opened (std::invalid_argument otherwise); the ids it skips
+  /// hold no tables, and events for them must never be routed here.
+  void open_replica(StreamId id, std::shared_ptr<const StreamTree> tree,
+                    ChunkTable& chunks,
+                    std::span<const NodeId> receivers,
+                    const std::vector<std::uint8_t>& injector_local);
 
-  /// Shard-mode: reserves the next StreamId with no forwarding/receiver
-  /// state, keeping ids aligned across domain replicas that do not
-  /// participate in the stream. Events for a stub stream must never be
-  /// routed to this instance.
-  StreamId open_stream_stub();
-
-  /// Queues `bytes` of chunk `chunk_index` for paced injection at the source.
-  /// Chunk indices must be non-negative (they key dense per-receiver state);
-  /// a repeat of a chunk with a positive target throws std::logic_error.
   void send_chunk(StreamId stream, int chunk_index, Bytes bytes) override;
 
-  /// Throws what send_chunk(stream, chunk_index, bytes) would throw, and
-  /// changes nothing: std::logic_error on a closed stream or a chunk that
-  /// already has a target, std::invalid_argument on a non-positive size or
-  /// a negative index. The sharded engine checks a send once, on one
-  /// replica, before it touches any.
-  void check_send(StreamId stream, int chunk_index, Bytes bytes) const;
+  /// send_chunk on this replica's own injectors, for a chunk the stream's
+  /// table already records.
+  void queue_chunk(StreamId stream, int chunk_index, Bytes bytes);
 
-  /// Records the chunk's target size so arrivals in this domain can
-  /// complete deliveries, without scheduling any injection; send_chunk
-  /// calls it first, and the sharded engine mirrors send_chunk with it on
-  /// non-injecting replicas. `bytes` 0 un-records a chunk (cancel).
-  /// Precondition: check_send passed for a positive `bytes`.
-  void note_chunk(StreamId stream, int chunk_index, Bytes bytes);
-
-  /// Removes chunks whose injection has not begun; returns their indices
-  /// (used by PEEL+programmable cores to migrate traffic mid-collective).
+  /// Removes chunks whose injection has not begun and clears their targets
+  /// in the stream's table; returns their indices (used by PEEL+programmable
+  /// cores to migrate traffic mid-collective). The sharded engine calls it
+  /// on a multicast's source replica, which paces the one injector.
   /// Throws std::logic_error on an open in-network reduce stream.
   std::vector<int> cancel_unsent_chunks(StreamId stream) override;
 
   /// Frees a finished stream's bookkeeping (forwarding table, progress).
   void close_stream(StreamId stream) override;
+
+  /// close_stream on this replica, leaving the stream's table open: the
+  /// sharded engine closes it once every replica has reported to telemetry.
+  void close_replica(StreamId stream);
 
   /// Reacts to a mid-run failure of the duplex pair containing `l` (mark the
   /// Topology failed first): queued segments on both directions are lost, as
@@ -251,7 +251,7 @@ class Network final : public SimEventSink, public DataPlane {
   /// pair). Closed streams report false — their tables are released.
   [[nodiscard]] bool stream_uses_link(StreamId s, LinkId l) const override {
     const StreamState& st = streams_[static_cast<std::size_t>(s)];
-    if (st.closed || st.tree == nullptr) return false;  // closed, or a stub
+    if (st.closed || st.tree == nullptr) return false;  // closed, or unopened
     return std::ranges::find(st.tree->out_links, l) != st.tree->out_links.end();
   }
   /// Progress snapshot for stuck-flow reports (works without telemetry).
@@ -363,8 +363,11 @@ class Network final : public SimEventSink, public DataPlane {
   struct StreamState {
     /// The compiled stream; released on close.
     std::shared_ptr<const StreamTree> tree;
+    /// The stream's targets and send contract: in own_chunks_ on the solo
+    /// engine, shared by every replica on the sharded one.
+    ChunkTable* chunks = nullptr;
     std::uint64_t tag = 0;
-    bool closed = false;
+    bool closed = false;  ///< this replica's tables are released
 
     /// Paced senders, parallel to tree->injectors and indexed by SimEvent::b
     /// of Pump/CnpRate events.
@@ -379,9 +382,6 @@ class Network final : public SimEventSink, public DataPlane {
     // replica's receiver list). Forwarding reads tree->out_links directly.
     /// Tree index -> compact receiver index, or -1 (the size of the tree).
     std::vector<std::int32_t> recv_slot;
-    /// chunk -> bytes the collective queued for it; 0 = no such chunk
-    /// (send_chunk enforces positive sizes, so 0 is unambiguous).
-    std::vector<Bytes> chunk_want;
     /// [receiver index][chunk] -> bytes received so far (grown on demand).
     std::vector<std::vector<Bytes>> progress;
     /// [receiver index] -> last CNP emission (CnpMode::ReceiverTimer).
@@ -494,6 +494,9 @@ class Network final : public SimEventSink, public DataPlane {
   std::vector<LinkState> links_;  ///< by link slot
   std::vector<NodeState> nodes_;  ///< by node slot
   std::vector<StreamState> streams_;
+  /// The solo engine's chunk tables, by stream id; a deque, so that the
+  /// tables stay where streams_ points.
+  std::deque<ChunkTable> own_chunks_;
 
   std::function<void(const DeliveryEvent&)> on_delivery_;
   std::unique_ptr<Telemetry> telem_;

@@ -319,10 +319,12 @@ void ShardedNetwork::advance(bool bounded, SimTime deadline) {
     drain_windows();
   }
 
-  if (bounded) {
-    control_.run_until(deadline);
-    for (auto& dom : domains_) dom->queue.advance_to(deadline);
-  }
+  // Every clock ends at the deadline or, after a drain, at the last event:
+  // a drain leaves each domain at its own last event, and a send made after
+  // the run must not pump a segment into another domain's past.
+  const SimTime end = bounded ? deadline : now();
+  control_.run_until(end);
+  for (auto& dom : domains_) dom->queue.advance_to(end);
 }
 
 void ShardedNetwork::run() { advance(false, 0); }
@@ -336,11 +338,12 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
   // Compiled once, before any replica is touched: a rejected spec leaves
   // every domain (and the StreamId sequence) unchanged.
   std::shared_ptr<const StreamTree> tree = compile_stream(*topo_, spec);
+  const auto id = static_cast<StreamId>(streams_.size());
 
   // Footprint: every domain that pumps, forwards, terminates a forwarded
-  // link, or receives. Those get a real replica (the shared tree, receivers
-  // filtered to domain-owned nodes); the rest get an id-aligning stub that
-  // no event will ever reference.
+  // link, or receives. Those open a replica (the shared tree and chunk
+  // table, receivers filtered to domain-owned nodes); the rest never hear
+  // of the stream, as no event of it reaches them.
   std::vector<char> in_footprint(static_cast<std::size_t>(domain_total_), 0);
   const auto mark = [&](NodeId n) {
     in_footprint[static_cast<std::size_t>(plan_->domain_of_node(n))] = 1;
@@ -351,36 +354,27 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
   StreamInfo info;
   info.src_domain = plan_->domain_of_node(tree->source);
   info.tag = tree->tag;
+  info.chunks = &chunk_tables_.emplace_back();
   for (const StreamTree::Injector& inj : tree->injectors) {
     info.injector_domain.push_back(plan_->domain_of_node(inj.node));
   }
-  StreamId id = -1;
   std::vector<NodeId> receivers;
   std::vector<std::uint8_t> local(info.injector_domain.size());
   for (int d = 0; d < domain_total_; ++d) {
-    Network& net = *domains_[static_cast<std::size_t>(d)]->net;
-    StreamId got;
-    if (in_footprint[static_cast<std::size_t>(d)] == 0) {
-      got = net.open_stream_stub();
-    } else {
-      receivers.clear();
-      for (NodeId r : tree->receivers) {
-        if (plan_->domain_of_node(r) == d) receivers.push_back(r);
-      }
-      // Every replica keeps the full injector list (combiner child slots
-      // and CNP injector indices must align across domains); the mask says
-      // which injectors THIS replica paces.
-      for (std::size_t i = 0; i < local.size(); ++i) {
-        local[i] = static_cast<std::uint8_t>(info.injector_domain[i] == d);
-      }
-      got = net.open_replica(tree, receivers, local);
-      info.footprint.push_back(d);
+    if (in_footprint[static_cast<std::size_t>(d)] == 0) continue;
+    receivers.clear();
+    for (NodeId r : tree->receivers) {
+      if (plan_->domain_of_node(r) == d) receivers.push_back(r);
     }
-    if (id < 0) {
-      id = got;
-    } else if (got != id) {
-      throw std::logic_error("sharded engine: stream ids drifted across domains");
+    // Every replica keeps the full injector list (combiner child slots and
+    // CNP injector indices must align across domains); the mask says which
+    // injectors THIS replica paces.
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      local[i] = static_cast<std::uint8_t>(info.injector_domain[i] == d);
     }
+    domains_[static_cast<std::size_t>(d)]->net->open_replica(
+        id, tree, *info.chunks, receivers, local);
+    info.footprint.push_back(d);
   }
   streams_.push_back(std::move(info));
   return id;
@@ -388,43 +382,35 @@ StreamId ShardedNetwork::open_stream(StreamSpec spec) {
 
 void ShardedNetwork::send_chunk(StreamId stream, int chunk_index, Bytes bytes) {
   const StreamInfo& info = streams_[static_cast<std::size_t>(stream)];
-  // Checked once, before any replica is touched: replicas mirror one
-  // chunk table, so the source domain's verdict is every replica's, and a
-  // rejected send leaves every domain unchanged.
-  domains_[static_cast<std::size_t>(info.src_domain)]->net->check_send(
-      stream, chunk_index, bytes);
-  // Pacing state lives with the injecting endpoints: the source domain for a
-  // multicast, every contributor-owning domain for a reduce stream. The
-  // remaining footprint domains only mirror the chunk's target size so
-  // arrivals there can complete (receiver, chunk) deliveries.
+  // Checked and recorded once, in the table every replica reads: a rejected
+  // send leaves every domain unchanged. Pacing state lives with the
+  // injecting endpoints: the source domain for a multicast, every
+  // contributor-owning domain for a reduce stream.
+  info.chunks->send(chunk_index, bytes);
   for (int d : info.footprint) {
-    Network& net = *domains_[static_cast<std::size_t>(d)]->net;
     if (std::find(info.injector_domain.begin(), info.injector_domain.end(),
                   d) != info.injector_domain.end()) {
-      net.send_chunk(stream, chunk_index, bytes);
-    } else {
-      net.note_chunk(stream, chunk_index, bytes);
+      domains_[static_cast<std::size_t>(d)]->net->queue_chunk(
+          stream, chunk_index, bytes);
     }
   }
 }
 
 std::vector<int> ShardedNetwork::cancel_unsent_chunks(StreamId stream) {
+  // The source replica clears the targets in the table every replica reads.
   const StreamInfo& info = streams_[static_cast<std::size_t>(stream)];
-  std::vector<int> cancelled = domains_[static_cast<std::size_t>(info.src_domain)]
-                                   ->net->cancel_unsent_chunks(stream);
-  for (int d : info.footprint) {
-    if (d == info.src_domain) continue;
-    Network& net = *domains_[static_cast<std::size_t>(d)]->net;
-    for (int chunk : cancelled) net.note_chunk(stream, chunk, 0);
-  }
-  return cancelled;
+  return domains_[static_cast<std::size_t>(info.src_domain)]
+      ->net->cancel_unsent_chunks(stream);
 }
 
 void ShardedNetwork::close_stream(StreamId stream) {
   const StreamInfo& info = streams_[static_cast<std::size_t>(stream)];
+  // Each replica reports its receivers' completeness to its telemetry from
+  // the table first, so the table closes last.
   for (int d : info.footprint) {
-    domains_[static_cast<std::size_t>(d)]->net->close_stream(stream);
+    domains_[static_cast<std::size_t>(d)]->net->close_replica(stream);
   }
+  info.chunks->close();
 }
 
 void ShardedNetwork::on_duplex_failed(LinkId l) {

@@ -20,6 +20,12 @@
 //     stream has one per contributor); per-receiver delivery progress runs
 //     in each receiver's domain.
 //
+// A stream takes its id from this engine's one counter and opens a replica
+// only in the domains it touches; every replica reads its one compiled tree
+// and one ChunkTable (src/sim/stream_tree.h). A control step checks and
+// records a send or a cancel there once, and only injector replicas queue
+// it; domain threads only read the table, during windows.
+//
 // ShardPlan numbers each domain's nodes and links densely, once, in maps
 // that all domains share. A link failure or repair reaches only the one or
 // two domains that hold state for the link. Per-domain Telemetry, when it is
@@ -84,6 +90,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -130,7 +137,8 @@ class ShardedNetwork final : public DataPlane {
   /// to the closure's timestamp first.
   [[nodiscard]] EventQueue& control() noexcept { return control_; }
 
-  /// Runs until every domain queue and the control queue drain.
+  /// Runs until every domain queue and the control queue drain, then
+  /// advances all clocks to now().
   void run();
   /// Runs events with timestamps <= `t`, then advances all clocks to `t`.
   void run_until(SimTime t);
@@ -246,7 +254,10 @@ class ShardedNetwork final : public DataPlane {
     int src_domain = -1;
     /// The spec's tag, for the DeliveryEvents the control sink rebuilds.
     std::uint64_t tag = 0;
-    /// Domains holding real (non-stub) replicas, ascending.
+    /// The stream's one chunk table (in chunk_tables_), read by every
+    /// replica.
+    ChunkTable* chunks = nullptr;
+    /// Domains holding a replica, ascending.
     std::vector<int> footprint;
     /// Injector index -> owning domain (CnpRate events carry the injector
     /// index, not a node): {src_domain} for a multicast's one injector, one
@@ -283,6 +294,10 @@ class ShardedNetwork final : public DataPlane {
   int domain_total_ = 0;
   SimTime xdelay_ = 0;  ///< conservative lookahead; 0 = no cross-domain links
 
+  /// Every stream's chunk table, by stream id; a deque, so that the tables
+  /// stay where the replicas point, and declared before domains_ to outlive
+  /// them.
+  std::deque<ChunkTable> chunk_tables_;
   std::vector<std::unique_ptr<Domain>> domains_;
   EventQueue control_;
   DeliverySink delivery_sink_;

@@ -213,4 +213,23 @@ std::shared_ptr<const StreamTree> compile_stream(const Topology& topo,
   return tree;
 }
 
+void ChunkTable::send(int chunk, Bytes bytes) {
+  if (closed_) throw std::logic_error("send_chunk on closed stream");
+  if (bytes <= 0) throw std::invalid_argument("chunk bytes must be positive");
+  if (chunk < 0) {
+    throw std::invalid_argument("chunk index must be non-negative");
+  }
+  const auto c = static_cast<std::size_t>(chunk);
+  if (target(c) > 0) {
+    throw std::logic_error("chunk index already sent on this stream");
+  }
+  if (want_.size() <= c) want_.resize(c + 1, 0);
+  want_[c] = bytes;
+}
+
+void ChunkTable::close() {
+  closed_ = true;
+  std::vector<Bytes>{}.swap(want_);
+}
+
 }  // namespace peel

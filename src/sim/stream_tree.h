@@ -93,6 +93,38 @@ struct StreamTree {
   }
 };
 
+/// The chunks sent on one stream, and DataPlane::send_chunk's contract.
+/// Every engine keeps one per stream, so a send or a cancel is checked and
+/// recorded once; a sharded stream's domain replicas all read the one table
+/// ShardedNetwork::open_stream made, and only control steps write it.
+class ChunkTable {
+ public:
+  /// Checks a send and records the chunk's target. Throws, recording
+  /// nothing, in this order:
+  /// std::logic_error on a closed stream, std::invalid_argument on a
+  /// non-positive size or a negative index, std::logic_error on a chunk that
+  /// already has a target.
+  void send(int chunk, Bytes bytes);
+  /// Un-records a sent chunk (a cancel): it may be sent again.
+  void cancel(int chunk) { want_[static_cast<std::size_t>(chunk)] = 0; }
+  /// Refuses every later send and frees the targets.
+  void close();
+  [[nodiscard]] bool closed() const noexcept { return closed_; }
+  /// Bytes each receiver is owed of `chunk`: 0 = never sent, cancelled, or
+  /// the stream is closed.
+  [[nodiscard]] Bytes target(std::size_t chunk) const noexcept {
+    return chunk < want_.size() ? want_[chunk] : 0;
+  }
+  /// Every chunk's target, by chunk index.
+  [[nodiscard]] std::span<const Bytes> targets() const noexcept {
+    return want_;
+  }
+
+ private:
+  std::vector<Bytes> want_;
+  bool closed_ = false;
+};
+
 /// Validates `spec` and compiles it; throws std::invalid_argument when the
 /// spec breaks the open_stream contract.
 [[nodiscard]] std::shared_ptr<const StreamTree> compile_stream(

@@ -265,12 +265,13 @@ void Telemetry::merge_from(const Telemetry& other) {
     StreamAccum& a = streams_[i];
     const StreamAccum& b = other.streams_[i];
     // A domain outside the stream's footprint holds a default-constructed
-    // stub accum (no on_stream_open); any domain that saw the open agrees on
-    // the tag, so max() just skips the zeroed stubs.
+    // accum (no on_stream_open); any domain that saw the open agrees on the
+    // tag, so max() just skips the zeroed ones.
     a.tag = std::max(a.tag, b.tag);
     if (a.target.size() < b.target.size()) a.target.resize(b.target.size());
     for (std::size_t c = 0; c < b.target.size(); ++c) {
-      // Every domain that recorded a target agrees on it.
+      // Targets are recorded where the stream injects (send_chunk, cancel),
+      // and every such domain agrees on them.
       a.target[c] = std::max(a.target[c], b.target[c]);
     }
     for (const auto& [row, cells] : b.accounts) {

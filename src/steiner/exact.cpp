@@ -21,24 +21,8 @@ struct BfsField {
 
 BfsField bfs(const Topology& topo, NodeId origin) {
   BfsField f;
-  f.dist.assign(topo.node_count(), kInf);
-  f.parent.assign(topo.node_count(), kInvalidNode);
-  std::deque<NodeId> queue{origin};
-  f.dist[static_cast<std::size_t>(origin)] = 0;
-  while (!queue.empty()) {
-    const NodeId cur = queue.front();
-    queue.pop_front();
-    for (LinkId l : topo.out_links(cur)) {
-      const Link& lk = topo.link(l);
-      if (lk.failed) continue;
-      auto& d = f.dist[static_cast<std::size_t>(lk.dst)];
-      if (d == kInf) {
-        d = f.dist[static_cast<std::size_t>(cur)] + 1;
-        f.parent[static_cast<std::size_t>(lk.dst)] = cur;
-        queue.push_back(lk.dst);
-      }
-    }
-  }
+  f.dist = live_bfs(topo, origin, Walk::Out, &f.parent);
+  std::ranges::replace(f.dist, kUnreached, kInf);  // the DP adds distances
   return f;
 }
 

@@ -1,7 +1,6 @@
 #include "src/steiner/layer_peel.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -9,30 +8,9 @@
 
 namespace peel {
 
-std::vector<std::int32_t> live_bfs_distances(const Topology& topo,
-                                             NodeId source) {
-  std::vector<std::int32_t> dist(topo.node_count(), -1);
-  std::deque<NodeId> queue{source};
-  dist[static_cast<std::size_t>(source)] = 0;
-  while (!queue.empty()) {
-    const NodeId cur = queue.front();
-    queue.pop_front();
-    for (LinkId l : topo.out_links(cur)) {
-      const Link& lk = topo.link(l);
-      if (lk.failed) continue;
-      auto& d = dist[static_cast<std::size_t>(lk.dst)];
-      if (d < 0) {
-        d = dist[static_cast<std::size_t>(cur)] + 1;
-        queue.push_back(lk.dst);
-      }
-    }
-  }
-  return dist;
-}
-
 int farthest_destination_distance(const Topology& topo, NodeId source,
                                   std::span<const NodeId> destinations) {
-  const auto dist = live_bfs_distances(topo, source);
+  const auto dist = live_bfs(topo, source);
   int farthest = 0;
   for (NodeId d : destinations) {
     const auto dd = dist[static_cast<std::size_t>(d)];
@@ -46,7 +24,7 @@ int farthest_destination_distance(const Topology& topo, NodeId source,
 
 MulticastTree layer_peel_tree(const Topology& topo, NodeId source,
                               std::span<const NodeId> destinations) {
-  const auto dist = live_bfs_distances(topo, source);
+  const auto dist = live_bfs(topo, source);
   auto layer_of = [&](NodeId n) { return dist[static_cast<std::size_t>(n)]; };
 
   std::int32_t farthest = 0;

@@ -26,9 +26,4 @@ namespace peel {
 [[nodiscard]] int farthest_destination_distance(const Topology& topo, NodeId source,
                                                 std::span<const NodeId> destinations);
 
-/// BFS hop distances from `source` over live links (-1 = unreachable) — the
-/// layer field both layer_peel_tree and repair_tree peel against.
-[[nodiscard]] std::vector<std::int32_t> live_bfs_distances(const Topology& topo,
-                                                           NodeId source);
-
 }  // namespace peel

@@ -57,7 +57,7 @@ TreeRepairResult repair_tree(const Topology& topo, const MulticastTree& tree) {
   // freshly added members ever receive a parent edge.
   std::vector<std::pair<NodeId, NodeId>> parent_edges;  // (parent, child)
   if (!orphans.empty()) {
-    const auto dist = live_bfs_distances(topo, source);
+    const auto dist = live_bfs(topo, source);
     auto layer_of = [&](NodeId n) { return dist[static_cast<std::size_t>(n)]; };
     std::int32_t farthest = 0;
     for (NodeId d : orphans) {

@@ -87,4 +87,31 @@ void Topology::set_duplex_failed(LinkId l, bool failed) {
   }
 }
 
+std::vector<std::int32_t> live_bfs(const Topology& topo, NodeId origin,
+                                   Walk walk, std::vector<NodeId>* parents) {
+  std::vector<std::int32_t> dist(topo.node_count(), kUnreached);
+  if (parents != nullptr) parents->assign(topo.node_count(), kInvalidNode);
+  std::vector<NodeId> queue;  // FIFO: visited by index
+  queue.reserve(topo.node_count());
+  queue.push_back(origin);
+  dist[static_cast<std::size_t>(origin)] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId cur = queue[head];
+    const std::int32_t next_dist = dist[static_cast<std::size_t>(cur)] + 1;
+    const std::span<const LinkId> links =
+        walk == Walk::Out ? topo.out_links(cur) : topo.in_links(cur);
+    for (LinkId l : links) {
+      const Link& lk = topo.link(l);
+      if (lk.failed) continue;
+      const NodeId next = walk == Walk::Out ? lk.dst : lk.src;
+      std::int32_t& d = dist[static_cast<std::size_t>(next)];
+      if (d != kUnreached) continue;
+      d = next_dist;
+      if (parents != nullptr) (*parents)[static_cast<std::size_t>(next)] = cur;
+      queue.push_back(next);
+    }
+  }
+  return dist;
+}
+
 }  // namespace peel

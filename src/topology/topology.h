@@ -141,4 +141,18 @@ class Topology {
   std::size_t failed_links_ = 0;
 };
 
+/// Which links a walk follows: out-links (hop distances from the origin) or
+/// in-links (hop distances to it).
+enum class Walk : std::uint8_t { Out, In };
+
+inline constexpr std::int32_t kUnreached = -1;
+
+/// Breadth-first hop distances from `origin` over live links (kUnreached
+/// where the walk never gets), taking each node's links in out_links /
+/// in_links order. `parents`, if given, gets the node each node was first
+/// reached from (kInvalidNode at the origin and where unreached).
+[[nodiscard]] std::vector<std::int32_t> live_bfs(
+    const Topology& topo, NodeId origin, Walk walk = Walk::Out,
+    std::vector<NodeId>* parents = nullptr);
+
 }  // namespace peel

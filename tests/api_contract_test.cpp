@@ -14,7 +14,8 @@
 // The StreamContract cases pin DataPlane::open_stream's one contract on the
 // solo, sharded and flow engines: what it rejects, that a rejection leaves
 // the engine unchanged, that ids count up from 0, and what it accepts for
-// the audit to report.
+// the audit to report; and send_chunk's, kept in each stream's one chunk
+// table: one target per chunk, which a cancel clears for a re-send.
 //
 // The CollectiveInput cases pin CollectiveRunner's side of the delivery
 // contract: every submit rejects a member listed twice before anything
@@ -430,6 +431,30 @@ TEST(StreamContract, RejectedSendLeavesEveryReplicaUnchanged) {
     EXPECT_THROW(dp.send_chunk(s, 0, 0), std::invalid_argument);
     run();
     EXPECT_EQ(delivered, 1u);
+    EXPECT_EQ(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
+  });
+}
+
+TEST(StreamContract, CancelledChunkIsResentAtANewSize) {
+  // A cancel un-records the chunk in the stream's one chunk table, so a
+  // re-send at another size sets the one target every replica reads: the
+  // receiver, in an earlier domain than the source on the sharded engine,
+  // completes the chunk once, at the new size.
+  const ContractSpecs c;
+  const LinkId into_g0 = c.link(c.h0, c.g0);
+  for_each_engine([&](DataPlane& dp, const std::function<void()>& run) {
+    std::size_t delivered = 0;
+    dp.set_delivery_handler([&](const DeliveryEvent& ev) {
+      EXPECT_EQ(ev.chunk, 0);
+      ++delivered;
+    });
+    const StreamId s = dp.open_stream(c.from_later_pod());
+    dp.send_chunk(s, 0, 256 * kKiB);
+    EXPECT_EQ(dp.cancel_unsent_chunks(s), std::vector<int>{0});
+    dp.send_chunk(s, 0, 64 * kKiB);
+    run();
+    EXPECT_EQ(delivered, 1u);
+    EXPECT_EQ(dp.link_bytes(into_g0), 64 * kKiB);
     EXPECT_EQ(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
   });
 }

@@ -10,6 +10,7 @@
 
 #include "src/sim/dcqcn.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/flow_network.h"
 #include "src/sim/network.h"
 #include "src/sim/sharded.h"
 #include "src/sim/telemetry.h"
@@ -819,6 +820,59 @@ TEST(Network, BackloggedSourceWakeEdgeCasesOnEveryEngine) {
     EXPECT_EQ(r.sends, p.sends);
     EXPECT_EQ(r.closes, p.closes);
     EXPECT_EQ(r.cancels, p.cancels);
+  }
+}
+
+TEST(Network, SendAfterRunDeliversOnEveryEngine) {
+  // A drain leaves each of the sharded engine's domains at its own last
+  // event. With no delivery handler bound, no delivery replays on the
+  // control queue to align them at the end, and under PFC backpressure S's
+  // domain stops about 20 us before the core's. run() aligns the clocks
+  // before it returns, so a chunk sent after it pumps at the engine's time
+  // instead of sending its segments into the core domain's past.
+  constexpr int kStreams = 20;
+  const BacklogFixture f;
+  SimConfig cfg;
+  cfg.seed = 403;
+  cfg.switch_buffer_bytes = 480 * kKiB;
+  const auto check = [&](DataPlane& dp, const std::function<void()>& run) {
+    for (int i = 0; i < kStreams; ++i) {
+      const StreamId s = dp.open_stream(f.spec(i));
+      for (int c = 0; c < 4; ++c) {
+        dp.send_chunk(s, c, (i % 2 != 0 ? 192 : 224) * kKiB);
+      }
+    }
+    run();
+    for (StreamId s = 0; s < kStreams; ++s) {
+      ASSERT_EQ(dp.stream_diagnostic(s).incomplete_deliveries, 0u);
+    }
+    std::size_t delivered = 0;
+    dp.set_delivery_handler([&](const DeliveryEvent& ev) {
+      EXPECT_EQ(ev.chunk, 4);
+      ++delivered;
+    });
+    const StreamId both = 17;  // to D1 and D2 (17 mod 3 == 2)
+    dp.send_chunk(both, 4, 64 * kKiB);
+    run();
+    EXPECT_EQ(delivered, 2u);
+    EXPECT_EQ(dp.stream_diagnostic(both).incomplete_deliveries, 0u);
+  };
+  {
+    SCOPED_TRACE("solo");
+    EventQueue queue;
+    Network net(f.topo, cfg, queue);
+    check(net, [&] { queue.run(); });
+  }
+  for (int workers : {1, 3}) {
+    SCOPED_TRACE("sharded, " + std::to_string(workers) + " workers");
+    ShardedNetwork net(f.topo, cfg, workers);
+    check(net, [&] { net.run(); });
+  }
+  {
+    SCOPED_TRACE("flow");
+    EventQueue queue;
+    FlowNetwork net(f.topo, cfg, queue);
+    check(net, [&] { queue.run(); });
   }
 }
 
